@@ -25,15 +25,16 @@ from .embed import EmbeddingModel, Hyperparams, Vocabulary, all_top_k_similar, t
 from .kpi import KpiReport, PairCounts, aggregate_pairs, conversion_rate, feature_scale, snp
 from .sensitivity import (
     Constellation,
+    CorEngine,
     HarnessConfig,
     OutputDiff,
     SensitivityRecord,
+    VrEngine,
     classify,
     diff_topk,
     histogram,
     relative_cr_change,
-    run_cor_loo,
-    run_vr_loo,
+    run_loo,
     session_value,
     verify_stability,
 )

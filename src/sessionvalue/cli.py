@@ -28,7 +28,7 @@ from .corpus import (
     write_dataset,
     write_eval_log,
 )
-from .errors import SessionValueError, UnknownSessionError
+from .errors import SessionValueError
 from .sensitivity import CorEngine, HarnessConfig, VrEngine
 from .synthgen import write_truth
 
@@ -96,19 +96,14 @@ def _load_data(rc: RunConfig, out_dir: Path, need_eval: bool = True):
 
 
 def _engine(rc: RunConfig, name: str):
-    if name == "cor":
-        return CorEngine(k=rc.harness.k)
-    return VrEngine(hyper=rc.hyper, k=rc.harness.k)
+    return CorEngine() if name == "cor" else VrEngine(hyper=rc.hyper)
 
 
 def _resolve_sample(spec: SampleSpec | None, dataset: Dataset) -> tuple[str, ...] | None:
     if spec is None:
         return None
     if spec.ids is not None:
-        for sid in spec.ids:
-            if sid not in dataset.by_id:
-                raise UnknownSessionError(sid)
-        return tuple(sorted(set(spec.ids)))
+        return spec.ids
     ids = sorted(dataset.by_id)
     size = min(spec.size or 0, len(ids))
     rng = np.random.default_rng(spec.rng_seed)
@@ -222,7 +217,7 @@ def recommend(config_path: str, out_override: str | None, summary_mode: str, eng
     rc, out_dir = _prepare(config_path, out_override)
     dataset, _ = _load_data(rc, out_dir, need_eval=False)
     eng = _engine(rc, engine)
-    topk = eng.top_k_map(eng.fit(dataset))
+    topk = eng.top_k_map(eng.fit(dataset), rc.harness.k)
     out_path = out_dir / f"recs_{engine}.csv"
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -243,7 +238,7 @@ def stability(config_path: str, out_override: str | None, summary_mode: str) -> 
     dataset, _ = _load_data(rc, out_dir, need_eval=False)
     results = {}
     for name in ("cor", "vr"):
-        report = sensitivity.verify_stability(dataset, _engine(rc, name))
+        report = sensitivity.verify_stability(dataset, _engine(rc, name), rc.harness.k)
         results[name] = {"stable": report.stable, "detail": report.detail}
     (out_dir / "stability.json").write_text(
         json.dumps(results, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -259,32 +254,27 @@ def stability(config_path: str, out_override: str | None, summary_mode: str) -> 
 @_common_options
 @click.option("--engine", type=click.Choice(["cor", "vr"]), required=True)
 @click.option("--jobs", default=1, show_default=True, type=click.IntRange(min=1),
-              help="Parallel delta retrains (vr only).")
+              help="Worker processes pricing sessions in parallel.")
 @_wrap_errors
 def value(config_path: str, out_override: str | None, summary_mode: str, engine: str, jobs: int) -> None:
     """Leave-one-out session valuation: records, histogram and summary files."""
     rc, out_dir = _prepare(config_path, out_override)
     dataset, eval_log = _load_data(rc, out_dir)
-    sample = None
+    sample = None  # cor always prices every session
     if engine == "vr":
         sample = _resolve_sample(rc.harness.sample, dataset)
-        if sample is None:
-            if len(dataset.sessions) > rc.harness.vr_exhaustive_limit:
-                raise click.ClickException(
-                    f"exhaustive VR leave-one-out over {len(dataset.sessions)} sessions is not "
-                    f"tractable (limit {rc.harness.vr_exhaustive_limit}); configure harness.sample"
-                )
-            sample = tuple(sorted(dataset.by_id))
+        if sample is None and len(dataset.sessions) > rc.harness.vr_exhaustive_limit:
+            raise click.ClickException(
+                f"exhaustive VR leave-one-out over {len(dataset.sessions)} sessions is not "
+                f"tractable (limit {rc.harness.vr_exhaustive_limit}); configure harness.sample"
+            )
     cfg = HarnessConfig(
         k=rc.harness.k,
         neutral_band=rc.harness.neutral_band,
         sample=sample,
         revenue_base=rc.harness.revenue_base,
     )
-    if engine == "cor":
-        records = sensitivity.run_cor_loo(dataset, eval_log, cfg)
-    else:
-        records = sensitivity.run_vr_loo(dataset, eval_log, cfg, rc.hyper, jobs=jobs)
+    records = sensitivity.run_loo(_engine(rc, engine), dataset, eval_log, cfg, jobs=jobs)
     hist = sensitivity.histogram(records, rc.harness.bin_width, rc.harness.neutral_band)
     sensitivity.write_records_csv(records, out_dir / f"records_{engine}.csv")
     sensitivity.write_histogram_csv(hist, out_dir / f"histogram_{engine}.csv")
@@ -331,14 +321,8 @@ def lifecycle_cmd(config_path: str, out_override: str | None, summary_mode: str)
 
 @main.command(name="curve")
 @_common_options
-@click.option("--jobs", default=1, show_default=True, type=click.IntRange(min=1),
-              help="Accepted for interface symmetry; grid entries run serially so "
-                   "timing rows come from isolated calls.")
-@click.option("--serial-timing", is_flag=True, default=False,
-              help="Guarantee serially measured timings (always honored).")
 @_wrap_errors
-def curve_cmd(config_path: str, out_override: str | None, summary_mode: str,
-              jobs: int, serial_timing: bool) -> None:
+def curve_cmd(config_path: str, out_override: str | None, summary_mode: str) -> None:
     """Learning-curve KPI table and feature-scaled plot data."""
     rc, out_dir = _prepare(config_path, out_override)
     if rc.curve is None:

@@ -62,7 +62,6 @@ class HarnessSection:
     k: int = 5
     neutral_band: float = 0.0005
     revenue_base: float = 1.0
-    correction_c: float = 1.0
     bin_width: float = 0.001
     vr_exhaustive_limit: int = 200
     sample: SampleSpec | None = None
@@ -211,8 +210,8 @@ def _parse_hyper(section: dict | None) -> Hyperparams:
 
 def _parse_sample(value, path: str) -> SampleSpec:
     if isinstance(value, list):
-        if not all(isinstance(v, str) for v in value):
-            raise ConfigError(path, "sample id list must hold strings")
+        if not value or not all(isinstance(v, str) for v in value):
+            raise ConfigError(path, "sample id list must be a non-empty list of strings")
         return SampleSpec(ids=tuple(value))
     if isinstance(value, dict):
         _reject_unknown(value, {"size", "rng_seed"}, path)
@@ -227,15 +226,13 @@ def _parse_harness(section: dict | None) -> HarnessSection:
     if section is None:
         return HarnessSection()
     path = "harness"
-    allowed = {"k", "neutral_band", "revenue_base", "correction_c", "bin_width",
-               "vr_exhaustive_limit", "sample"}
+    allowed = {"k", "neutral_band", "revenue_base", "bin_width", "vr_exhaustive_limit", "sample"}
     _reject_unknown(section, allowed, path)
     sample = _parse_sample(section["sample"], f"{path}.sample") if "sample" in section else None
     return HarnessSection(
         k=_scalar(section, "k", int, path, default=5),
         neutral_band=float(_scalar(section, "neutral_band", (int, float), path, default=0.0005)),
         revenue_base=float(_scalar(section, "revenue_base", (int, float), path, default=1.0)),
-        correction_c=float(_scalar(section, "correction_c", (int, float), path, default=1.0)),
         bin_width=float(_scalar(section, "bin_width", (int, float), path, default=0.001)),
         vr_exhaustive_limit=_scalar(section, "vr_exhaustive_limit", int, path, default=200),
         sample=sample,

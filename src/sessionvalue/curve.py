@@ -80,7 +80,6 @@ def run_curve(dataset: Dataset, eval_log: EvalLog, plan: CurvePlan) -> list[Curv
             snp=snp,
             cpu_seconds=cpu_seconds,
             n_sessions=len(sliced.sessions),
-            correction_c=plan.correction_c,
         )
         avg_len = kpi.mean(s.length for s in sliced.sessions)
         rows.append(

@@ -267,27 +267,13 @@ def top_k_similar(model: EmbeddingModel, seed: str, k: int) -> RecommendationLis
     return _rank_similar(model, idx, k, _norms(model))
 
 
-def all_top_k_similar(
-    model: EmbeddingModel, k: int, seeds: frozenset[str] | set[str] | None = None
-) -> dict[str, RecommendationList]:
-    """Per-seed rankings, pointwise equal to ``top_k_similar``.
-
-    ``seeds`` restricts (defaults to the full vocabulary); requested seeds
-    missing from the vocabulary are omitted from the mapping, which lets a
-    baseline/delta comparison observe vanished seeds.
-    """
+def all_top_k_similar(model: EmbeddingModel, k: int) -> dict[str, RecommendationList]:
+    """One ranking per vocabulary product, pointwise equal to ``top_k_similar``."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     norms = _norms(model)
     index = model.vocabulary.index
-    if seeds is None:
-        wanted = list(model.vocabulary.products)
-    else:
-        wanted = [s for s in seeds if s in index]
-    out: dict[str, RecommendationList] = {}
-    for seed in sorted(wanted):
-        out[seed] = _rank_similar(model, index[seed], k, norms)
-    return out
+    return {seed: _rank_similar(model, index[seed], k, norms) for seed in sorted(index)}
 
 
 def dump_model(model: EmbeddingModel) -> str:

@@ -40,7 +40,6 @@ class KpiReport:
     snp: float
     cpu_seconds: float
     n_sessions: int
-    correction_c: float
 
 
 def aggregate_pairs(recs: Mapping[str, RecommendationList], eval_log: EvalLog) -> PairCounts:

@@ -1,9 +1,11 @@
 """Leave-one-out sensitivity harness: output diffs, KPI deltas, session values.
 
-The pipeline per left-out session: derive the delta dataset, rebuild (or
-incrementally derive) the model, detect top-k output changes against the
-baseline, translate the conversion-rate delta into a monetary value and
-classify the session into one of four outcome constellations:
+``run_loo`` is the one pipeline for every engine. It fits the baseline model
+once; per left-out session the engine's ``delta`` hook derives the delta model
+(``CorEngine``: exact incremental removal, ``VrEngine``: full retrain without
+the session). The harness then detects top-k output changes against the
+baseline, translates the conversion-rate delta into a monetary value and
+classifies the session into one of four outcome constellations:
 
 * no output change (the session is informationally redundant),
 * output change without KPI movement (choices between equally good options),
@@ -80,6 +82,8 @@ class HarnessConfig:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.neutral_band < 0:
             raise ValueError(f"neutral_band must be >= 0, got {self.neutral_band}")
+        if self.sample is not None and not self.sample:
+            raise ValueError("sample must be non-empty; None prices every session")
 
 
 @dataclass(frozen=True)
@@ -95,16 +99,16 @@ class StabilityReport:
 
 @dataclass(frozen=True)
 class CorEngine:
-    """Co-occurrence recommender behind the common engine surface."""
-
-    k: int = 5
-    name: str = "cor"
+    """Co-occurrence recommender; the delta model is the exact incremental removal."""
 
     def fit(self, dataset: Dataset):
         return cor.build_matrix(dataset)
 
-    def top_k_map(self, model) -> dict[str, RecommendationList]:
-        return cor.all_top_k(model, self.k)
+    def top_k_map(self, model, k: int) -> dict[str, RecommendationList]:
+        return cor.all_top_k(model, k)
+
+    def delta(self, base_model, dataset: Dataset, session_id: str):
+        return cor.remove_session(base_model, dataset.by_id[session_id])
 
     def serialize(self, model) -> bytes:
         return cor.dump_matrix(model).encode("utf-8")
@@ -112,17 +116,19 @@ class CorEngine:
 
 @dataclass(frozen=True)
 class VrEngine:
-    """Embedding recommender behind the common engine surface."""
+    """Embedding recommender; the delta model is a full single-threaded retrain
+    with the baseline's rng_seed, so vector differences stem from the data alone."""
 
     hyper: embed.Hyperparams
-    k: int = 5
-    name: str = "vr"
 
     def fit(self, dataset: Dataset):
         return embed.train(dataset, self.hyper)
 
-    def top_k_map(self, model) -> dict[str, RecommendationList]:
-        return embed.all_top_k_similar(model, self.k)
+    def top_k_map(self, model, k: int) -> dict[str, RecommendationList]:
+        return embed.all_top_k_similar(model, k)
+
+    def delta(self, base_model, dataset: Dataset, session_id: str):
+        return embed.train(leave_one_out(dataset, session_id).materialized, self.hyper)
 
     def serialize(self, model) -> bytes:
         return embed.dump_model(model).encode("utf-8")
@@ -133,7 +139,7 @@ class VrEngine:
 # ---------------------------------------------------------------------------
 
 
-def verify_stability(dataset: Dataset, engine) -> StabilityReport:
+def verify_stability(dataset: Dataset, engine, k: int = 5) -> StabilityReport:
     """Train twice on identical input; stable iff dumps are byte-identical and
     all top-k lists agree pointwise. The report names the first divergence."""
     first = engine.fit(dataset)
@@ -153,8 +159,8 @@ def verify_stability(dataset: Dataset, engine) -> StabilityReport:
                     ),
                 )
         return StabilityReport(stable=False, detail="serialized models differ in length")
-    topk_a = engine.top_k_map(first)
-    topk_b = engine.top_k_map(second)
+    topk_a = engine.top_k_map(first, k)
+    topk_b = engine.top_k_map(second, k)
     for seed in sorted(set(topk_a) | set(topk_b)):
         la = topk_a.get(seed)
         lb = topk_b.get(seed)
@@ -218,90 +224,73 @@ def classify(diff: OutputDiff, rel_cr_change_: float, neutral_band: float) -> Co
     return Constellation.VALUABLE
 
 
-def _make_record(
-    session_id: str,
-    base_topk: Mapping[str, RecommendationList],
-    delta_topk: Mapping[str, RecommendationList],
-    cr_base: float,
-    eval_log: EvalLog,
-    cfg: HarnessConfig,
-) -> SensitivityRecord:
-    diff = diff_topk(base_topk, delta_topk)
-    cr_delta = conversion_rate(aggregate_pairs(delta_topk, eval_log))
-    rel = relative_cr_change(cr_base, cr_delta)
+@dataclass(frozen=True)
+class _Baseline:
+    """Everything pricing one session needs; built once per run."""
+
+    engine: object
+    dataset: Dataset
+    eval_log: EvalLog
+    cfg: HarnessConfig
+    model: object
+    topk: Mapping[str, RecommendationList]
+    cr: float
+
+
+def _price(base: _Baseline, session_id: str) -> SensitivityRecord:
+    delta_model = base.engine.delta(base.model, base.dataset, session_id)
+    delta_topk = base.engine.top_k_map(delta_model, base.cfg.k)
+    diff = diff_topk(base.topk, delta_topk)
+    cr_delta = conversion_rate(aggregate_pairs(delta_topk, base.eval_log))
+    rel = relative_cr_change(base.cr, cr_delta)
     return SensitivityRecord(
         session_id=session_id,
         diff=diff,
-        cr_base=cr_base,
+        cr_base=base.cr,
         cr_delta=cr_delta,
         rel_cr_change=rel,
-        value=session_value(rel, cfg.revenue_base),
-        constellation=classify(diff, rel, cfg.neutral_band),
+        value=session_value(rel, base.cfg.revenue_base),
+        constellation=classify(diff, rel, base.cfg.neutral_band),
     )
 
 
-def run_cor_loo(dataset: Dataset, eval_log: EvalLog, cfg: HarnessConfig) -> list[SensitivityRecord]:
-    """Exhaustive leave-one-out under the co-occurrence recommender.
-
-    The baseline matrix is built once; each delta model comes from the exact
-    incremental removal. Records are ordered by session_id.
-    """
-    base_matrix = cor.build_matrix(dataset)
-    base_topk = cor.all_top_k(base_matrix, cfg.k)
-    cr_base = conversion_rate(aggregate_pairs(base_topk, eval_log))
-    records = []
-    for session in dataset.sessions:
-        delta_matrix = cor.remove_session(base_matrix, session)
-        delta_topk = cor.all_top_k(delta_matrix, cfg.k)
-        records.append(
-            _make_record(session.session_id, base_topk, delta_topk, cr_base, eval_log, cfg)
-        )
-    records.sort(key=lambda r: r.session_id)
-    return records
+# Set once per pool worker by the initializer, so a task is just a session id.
+_worker_baseline: _Baseline | None = None
 
 
-def _vr_loo_one(args) -> SensitivityRecord:
-    dataset, eval_log, cfg, hyper, base_topk, base_seeds, cr_base, session_id = args
-    delta_ds = leave_one_out(dataset, session_id).materialized
-    delta_model = embed.train(delta_ds, hyper)
-    delta_topk = embed.all_top_k_similar(delta_model, cfg.k, seeds=base_seeds)
-    return _make_record(session_id, base_topk, delta_topk, cr_base, eval_log, cfg)
+def _init_worker(base: _Baseline) -> None:
+    global _worker_baseline
+    _worker_baseline = base
 
 
-def run_vr_loo(
-    dataset: Dataset,
-    eval_log: EvalLog,
-    cfg: HarnessConfig,
-    hyper: embed.Hyperparams,
-    jobs: int = 1,
+def _price_in_worker(session_id: str) -> SensitivityRecord:
+    return _price(_worker_baseline, session_id)
+
+
+def run_loo(
+    engine, dataset: Dataset, eval_log: EvalLog, cfg: HarnessConfig, jobs: int = 1
 ) -> list[SensitivityRecord]:
-    """Sampled leave-one-out under the embedding recommender.
+    """Leave-one-out pricing of ``cfg.sample`` (every session when None).
 
-    Every delta model is a full single-threaded retrain with the baseline's
-    rng_seed, so vector differences stem from the data alone. Delta rankings
-    are computed over the baseline seed universe; vanished seeds surface as
-    SEED_MISSING changes. Results are ordered by session_id and independent
-    of ``jobs``.
+    The baseline model is fitted once; each delta model comes from
+    ``engine.delta``. Records are ordered by session_id and independent of
+    ``jobs``, the number of worker processes.
     """
-    if not cfg.sample:
-        raise ValueError("run_vr_loo requires a non-empty session sample; "
-                         "exhaustive retraining is not tractable")
-    for sid in cfg.sample:
-        if sid not in dataset.by_id:
-            raise UnknownSessionError(sid)
-    base_model = embed.train(dataset, hyper)
-    base_topk = embed.all_top_k_similar(base_model, cfg.k)
-    base_seeds = frozenset(base_model.vocabulary.products)
-    cr_base = conversion_rate(aggregate_pairs(base_topk, eval_log))
-
-    sids = sorted(set(cfg.sample))
-    payloads = [
-        (dataset, eval_log, cfg, hyper, base_topk, base_seeds, cr_base, sid) for sid in sids
-    ]
+    if cfg.sample is None:
+        session_ids = sorted(dataset.by_id)
+    else:
+        session_ids = sorted(set(cfg.sample))
+        for sid in session_ids:
+            if sid not in dataset.by_id:
+                raise UnknownSessionError(sid)
+    model = engine.fit(dataset)
+    topk = engine.top_k_map(model, cfg.k)
+    cr = conversion_rate(aggregate_pairs(topk, eval_log))
+    base = _Baseline(engine, dataset, eval_log, cfg, model, topk, cr)
     if jobs <= 1:
-        return [_vr_loo_one(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_vr_loo_one, payloads))
+        return [_price(base, sid) for sid in session_ids]
+    with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker, initargs=(base,)) as pool:
+        return list(pool.map(_price_in_worker, session_ids))
 
 
 @dataclass(frozen=True)

@@ -359,27 +359,16 @@ def plant_no_impact_duplicates(
 ) -> tuple[Dataset, GroundTruth, str]:
     """Clone the first session whose clones provably leave every top-k list alone.
 
-    Verified by brute force: the co-occurrence model is rebuilt from scratch
-    without one clone and all ranked id sequences must be unchanged (count
-    gaps large enough to absorb a single decrement).
+    Verified by brute force with ``duplicates_still_no_impact``: every ranked
+    id sequence must survive the removal of one clone (count gaps large
+    enough to absorb a single decrement).
     """
     if copies < 2:
         raise ValueError("need copies >= 2 so a single clone removal is absorbable")
     candidates = dataset.sessions if max_candidates is None else dataset.sessions[:max_candidates]
     for source in candidates:
         planted = plant_duplicate_sessions(dataset, source.session_id, copies)
-        base_ids = {
-            s: rl.product_ids for s, rl in all_top_k(build_matrix(planted), k).items()
-        }
-        one_clone = clone_ids(source.session_id, copies)[0]
-        without = Dataset(
-            sessions=tuple(s for s in planted.sessions if s.session_id != one_clone),
-            catalog=planted.catalog,
-        )
-        delta_ids = {
-            s: rl.product_ids for s, rl in all_top_k(build_matrix(without), k).items()
-        }
-        if base_ids == delta_ids:
+        if duplicates_still_no_impact(planted, source.session_id, copies, k):
             added = tuple((cid, PlantKind.DUPLICATE) for cid in clone_ids(source.session_id, copies))
             log.info("duplicate plant accepted: %d clones of %s", copies, source.session_id)
             return planted, GroundTruth(affinity=truth.affinity, planted=truth.planted + added), source.session_id
@@ -387,10 +376,10 @@ def plant_no_impact_duplicates(
 
 
 def duplicates_still_no_impact(dataset: Dataset, source_sid: str, copies: int, k: int) -> bool:
-    """Re-check a duplicate plant against the current dataset, brute force.
+    """Check a duplicate plant against the current dataset, brute force.
 
-    Useful after later plants shifted co-occurrence counts: rebuilds the model
-    without one clone and compares every ranked id sequence.
+    Rebuilds the model without one clone and compares every ranked id
+    sequence; also the re-check after later plants shifted co-occurrence counts.
     """
     one_clone = clone_ids(source_sid, copies)[0]
     if one_clone not in dataset.by_id:

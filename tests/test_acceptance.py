@@ -26,8 +26,7 @@ from sessionvalue.sensitivity import (
     CorEngine,
     HarnessConfig,
     VrEngine,
-    run_cor_loo,
-    run_vr_loo,
+    run_loo,
     session_value,
     verify_stability,
 )
@@ -53,7 +52,7 @@ def harness_cfg(benchmark_rc):
 @pytest.fixture(scope="module")
 def cor_records(benchmark_data, harness_cfg):
     dataset, eval_log, _, _ = benchmark_data
-    return run_cor_loo(dataset, eval_log, harness_cfg)
+    return run_loo(CorEngine(), dataset, eval_log, harness_cfg)
 
 
 @pytest.fixture(scope="module")
@@ -74,7 +73,7 @@ def vr_records(benchmark_data, benchmark_rc, harness_cfg):
         sample=sample,
         revenue_base=harness_cfg.revenue_base,
     )
-    return run_vr_loo(dataset, eval_log, cfg, benchmark_rc.hyper, jobs=2)
+    return run_loo(VrEngine(benchmark_rc.hyper), dataset, eval_log, cfg, jobs=2)
 
 
 def test_cor_leave_one_out_rebuild_oracle():
@@ -109,9 +108,9 @@ def test_stability_gate_on_thousand_sessions():
         intent_stickiness=0.8, session_length_geometric_p=0.15,
     )
     dataset, _, _ = generate(cfg)
-    cor_report = verify_stability(dataset, CorEngine(k=5))
+    cor_report = verify_stability(dataset, CorEngine(), k=5)
     assert cor_report.stable, cor_report.detail
-    vr_report = verify_stability(dataset, VrEngine(hyper=Hyperparams(rng_seed=5), k=5))
+    vr_report = verify_stability(dataset, VrEngine(hyper=Hyperparams(rng_seed=5)), k=5)
     assert vr_report.stable, vr_report.detail
     _report("stability gate: COR and VR byte-identical across two runs")
 
@@ -132,7 +131,7 @@ def test_constellation_one_exactness():
         order_base_rate=0.08, intent_stickiness=0.85,
     )
     dataset, eval_log, _ = generate(cfg)
-    records = run_cor_loo(dataset, eval_log, HarnessConfig(k=5, revenue_base=1e8))
+    records = run_loo(CorEngine(), dataset, eval_log, HarnessConfig(k=5, revenue_base=1e8))
     assert len(records) == 300
     unchanged = [r for r in records if not r.diff.changed]
     assert unchanged, "300-session fixture must contain redundant sessions"
@@ -299,7 +298,7 @@ class TestCliDeterminism:
             jobs = "1" if out is outs[0] else "2"
             self._run(["value", "--config", smoke, "--out", o, "--engine", "vr", "--jobs", jobs])
             self._run(["lifecycle", "--config", smoke, "--out", o])
-            self._run(["curve", "--config", smoke, "--out", o, "--serial-timing", "--jobs", jobs])
+            self._run(["curve", "--config", smoke, "--out", o])
 
         first, second = (self._files(out) for out in outs)
         assert set(first) == set(second)

@@ -164,6 +164,17 @@ class TestValue:
         assert result.exit_code != 0
         assert "tractable" in result.output
 
+    def test_vr_unknown_sample_id_reported(self, workspace, runner, tmp_path):
+        config, out = workspace
+        text = BASE_CONFIG.replace("  sample:\n    size: 3\n    rng_seed: 2\n", "  sample: [nope]\n")
+        bad_config = tmp_path / "bad.yaml"
+        bad_config.write_text(text)
+        result = runner.invoke(
+            main, ["value", "--config", str(bad_config), "--out", str(out), "--engine", "vr"]
+        )
+        assert result.exit_code != 0
+        assert "'nope'" in result.output
+
     def test_histogram_counts_match_records(self, workspace, runner):
         config, out = workspace
         result = runner.invoke(

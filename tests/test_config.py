@@ -59,6 +59,16 @@ class TestValidation:
         with pytest.raises(ConfigError, match="harness.sample"):
             load_run_config(path)
 
+    def test_sample_rejects_empty_id_list(self, tmp_path):
+        path = write(tmp_path, "harness:\n  sample: []\n")
+        with pytest.raises(ConfigError, match="non-empty"):
+            load_run_config(path)
+
+    def test_harness_correction_c_rejected(self, tmp_path):
+        path = write(tmp_path, "harness:\n  correction_c: 2.0\n")
+        with pytest.raises(ConfigError, match="harness.correction_c"):
+            load_run_config(path)
+
     def test_bad_gen_value_wrapped(self, tmp_path):
         path = write(
             tmp_path,

@@ -192,16 +192,6 @@ class TestSimilarity:
         for seed, rl in out.items():
             assert rl == top_k_similar(model, seed, 2)
 
-    def test_all_top_k_similar_restricted_seeds(self):
-        model = train(
-            repeated_pairs([("A", "B", 5), ("B", "C", 4), ("C", "D", 3), ("D", "E", 2)]), FAST
-        )
-        out = all_top_k_similar(model, 2, seeds={"A", "C", "E"})
-        assert sorted(out) == ["A", "C", "E"]
-        # unknown requested seeds are omitted, not flagged
-        out2 = all_top_k_similar(model, 2, seeds={"A", "ZZZ"})
-        assert sorted(out2) == ["A"]
-
     def test_k_validation(self):
         model = train(repeated_pairs([("A", "B", 5)]), FAST)
         with pytest.raises(ValueError):

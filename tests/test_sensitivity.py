@@ -19,8 +19,7 @@ from sessionvalue.sensitivity import (
     diff_topk,
     histogram,
     relative_cr_change,
-    run_cor_loo,
-    run_vr_loo,
+    run_loo,
     session_value,
     summarize,
     verify_stability,
@@ -47,13 +46,13 @@ def small_config(seed=7, **overrides):
 class TestVerifyStability:
     def test_cor_engine_stable(self):
         ds, _, _ = generate(small_config())
-        report = verify_stability(ds, CorEngine(k=5))
+        report = verify_stability(ds, CorEngine(), k=5)
         assert report.stable
 
     def test_vr_engine_stable_with_fixed_seed(self):
         ds, _, _ = generate(small_config())
         hyper = Hyperparams(dimensions=8, iterations=1, min_count=2, rng_seed=4)
-        report = verify_stability(ds, VrEngine(hyper=hyper, k=5))
+        report = verify_stability(ds, VrEngine(hyper=hyper), k=5)
         assert report.stable
 
     def test_seed_mismatch_reports_divergence(self):
@@ -62,7 +61,6 @@ class TestVerifyStability:
         class FlakyEngine:
             def __init__(self):
                 self.calls = 0
-                self.k = 5
 
             def fit(self, dataset):
                 hyper = Hyperparams(dimensions=8, iterations=1, min_count=2,
@@ -70,8 +68,8 @@ class TestVerifyStability:
                 self.calls += 1
                 return VrEngine(hyper=hyper).fit(dataset)
 
-            def top_k_map(self, model):
-                return VrEngine(hyper=model.hyper, k=self.k).top_k_map(model)
+            def top_k_map(self, model, k):
+                return VrEngine(hyper=model.hyper).top_k_map(model, k)
 
             def serialize(self, model):
                 return VrEngine(hyper=model.hyper).serialize(model)
@@ -186,7 +184,7 @@ class TestClassify:
 def run():
     ds, ev, _ = generate(small_config())
     cfg = HarnessConfig(k=5, revenue_base=1e6)
-    return ds, ev, cfg, run_cor_loo(ds, ev, cfg)
+    return ds, ev, cfg, run_loo(CorEngine(), ds, ev, cfg)
 
 
 class TestRunCorLoo:
@@ -235,15 +233,21 @@ VR_HYPER = Hyperparams(dimensions=8, iterations=1, min_count=5, rng_seed=3)
 
 
 class TestRunVrLoo:
-    def test_sample_required(self):
-        ds, ev, _ = generate(small_config())
+    def test_no_sample_prices_every_session(self):
+        ds, ev, _ = generate(small_config(n_train_sessions=12, n_eval_sessions=40))
+        every = run_loo(VrEngine(VR_HYPER), ds, ev, HarnessConfig(k=3))
+        explicit = run_loo(VrEngine(VR_HYPER), ds, ev, HarnessConfig(k=3, sample=tuple(ds.by_id)))
+        assert [r.session_id for r in every] == sorted(ds.by_id)
+        assert every == explicit
+
+    def test_empty_sample_rejected(self):
         with pytest.raises(ValueError, match="sample"):
-            run_vr_loo(ds, ev, HarnessConfig(k=3), VR_HYPER)
+            HarnessConfig(k=3, sample=())
 
     def test_unknown_sample_id(self):
         ds, ev, _ = generate(small_config())
         with pytest.raises(UnknownSessionError):
-            run_vr_loo(ds, ev, HarnessConfig(k=3, sample=("nope",)), VR_HYPER)
+            run_loo(VrEngine(VR_HYPER), ds, ev, HarnessConfig(k=3, sample=("nope",)))
 
     def test_below_min_count_session_changes_nothing(self):
         # the left-out session holds only sub-threshold products: the delta
@@ -253,7 +257,7 @@ class TestRunVrLoo:
         ds = mk_dataset(specs)
         ev = mk_eval([("e1", ["A"], ["B"])])
         cfg = HarnessConfig(k=3, sample=("rare",))
-        records = run_vr_loo(ds, ev, cfg, VR_HYPER)
+        records = run_loo(VrEngine(VR_HYPER), ds, ev, cfg)
         assert len(records) == 1
         record = records[0]
         assert not record.diff.changed
@@ -267,7 +271,7 @@ class TestRunVrLoo:
         specs.append(("holds-x", 0, ["X", "A", "X"]))
         ds = mk_dataset(specs)
         ev = mk_eval([("e1", ["A"], ["B"])])
-        records = run_vr_loo(ds, ev, HarnessConfig(k=3, sample=("holds-x",)), hyper)
+        records = run_loo(VrEngine(hyper), ds, ev, HarnessConfig(k=3, sample=("holds-x",)))
         diff = records[0].diff
         assert diff.changed
         assert diff.change_kinds["X"] is ChangeKind.SEED_MISSING
@@ -280,7 +284,7 @@ class TestRunVrLoo:
         ds = mk_dataset(specs)
         ev = mk_eval([("e1", ["A1"], ["A2"]), ("e2", ["B1"], ["B2"])])
         hyper = Hyperparams(dimensions=8, iterations=3, min_count=1, rng_seed=1)
-        records = run_vr_loo(ds, ev, HarnessConfig(k=2, sample=("a0",)), hyper)
+        records = run_loo(VrEngine(hyper), ds, ev, HarnessConfig(k=2, sample=("a0",)))
         record = records[0]
         assert not record.diff.changed
         assert record.constellation is Constellation.NO_OUTPUT_CHANGE
@@ -299,16 +303,18 @@ class TestRunVrLoo:
         delta_ids = {s: rl.product_ids for s, rl in all_top_k_similar(delta, 2).items()}
         assert base_ids == delta_ids
 
-    def test_deterministic_and_jobs_invariant(self):
-        ds, ev, _ = generate(small_config(n_train_sessions=30, n_eval_sessions=80))
-        sample = tuple(sorted(ds.by_id)[:4])
-        cfg = HarnessConfig(k=3, sample=sample, revenue_base=1e6)
-        first = run_vr_loo(ds, ev, cfg, VR_HYPER, jobs=1)
-        second = run_vr_loo(ds, ev, cfg, VR_HYPER, jobs=1)
-        parallel = run_vr_loo(ds, ev, cfg, VR_HYPER, jobs=2)
-        assert first == second
-        assert first == parallel
-        assert [r.session_id for r in first] == sorted(sample)
+
+@pytest.mark.parametrize("engine", [CorEngine(), VrEngine(VR_HYPER)], ids=["cor", "vr"])
+def test_deterministic_and_jobs_invariant(engine):
+    ds, ev, _ = generate(small_config(n_train_sessions=30, n_eval_sessions=80))
+    sample = tuple(sorted(ds.by_id)[:4])
+    cfg = HarnessConfig(k=3, sample=sample, revenue_base=1e6)
+    first = run_loo(engine, ds, ev, cfg, jobs=1)
+    second = run_loo(engine, ds, ev, cfg, jobs=1)
+    parallel = run_loo(engine, ds, ev, cfg, jobs=2)
+    assert first == second
+    assert first == parallel
+    assert [r.session_id for r in first] == sorted(sample)
 
 
 def fake_record(rel: float) -> SensitivityRecord:

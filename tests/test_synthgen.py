@@ -8,7 +8,7 @@ from sessionvalue.cor import all_top_k, build_matrix
 from sessionvalue.corpus import Dataset, write_sessions
 from sessionvalue.errors import PlantFailedError, UnknownSessionError
 from sessionvalue.kpi import aggregate_pairs, conversion_rate
-from sessionvalue.sensitivity import Constellation, HarnessConfig, run_cor_loo
+from sessionvalue.sensitivity import Constellation, CorEngine, HarnessConfig, run_loo
 from sessionvalue.synthgen import (
     GenConfig,
     PlantKind,
@@ -122,7 +122,7 @@ class TestToxicPlant:
     def test_leave_one_out_of_plant_is_toxic(self, planted):
         _, ev, with_plant, truth = planted
         toxic_id = truth.planted[-1][0]
-        records = run_cor_loo(with_plant, ev, HarnessConfig(k=5, revenue_base=1e6))
+        records = run_loo(CorEngine(), with_plant, ev, HarnessConfig(k=5, revenue_base=1e6))
         record = next(r for r in records if r.session_id == toxic_id)
         assert record.rel_cr_change > 0
         assert record.value < 0
@@ -174,7 +174,7 @@ class TestDuplicatePlant:
         planted, truth2, source = plant_no_impact_duplicates(ds, truth, copies=3, k=5)
         clone_sids = [sid for sid, kind in truth2.planted if kind is PlantKind.DUPLICATE]
         assert len(clone_sids) == 3
-        records = run_cor_loo(planted, ev, HarnessConfig(k=5))
+        records = run_loo(CorEngine(), planted, ev, HarnessConfig(k=5))
         by_id = {r.session_id: r for r in records}
         for sid in clone_sids:
             assert by_id[sid].constellation is Constellation.NO_OUTPUT_CHANGE
