@@ -29,7 +29,7 @@ from .corpus import (
     write_eval_log,
 )
 from .errors import SessionValueError
-from .sensitivity import CorEngine, HarnessConfig, VrEngine
+from .sensitivity import CorEngine, VrEngine
 from .synthgen import write_truth
 
 log = logging.getLogger(__name__)
@@ -105,7 +105,7 @@ def _resolve_sample(spec: SampleSpec | None, dataset: Dataset) -> tuple[str, ...
     if spec.ids is not None:
         return spec.ids
     ids = sorted(dataset.by_id)
-    size = min(spec.size or 0, len(ids))
+    size = min(spec.size, len(ids))
     rng = np.random.default_rng(spec.rng_seed)
     picked = rng.choice(len(ids), size=size, replace=False)
     return tuple(sorted(ids[int(i)] for i in picked))
@@ -268,13 +268,9 @@ def value(config_path: str, out_override: str | None, summary_mode: str, engine:
                 f"exhaustive VR leave-one-out over {len(dataset.sessions)} sessions is not "
                 f"tractable (limit {rc.harness.vr_exhaustive_limit}); configure harness.sample"
             )
-    cfg = HarnessConfig(
-        k=rc.harness.k,
-        neutral_band=rc.harness.neutral_band,
-        sample=sample,
-        revenue_base=rc.harness.revenue_base,
+    records = sensitivity.run_loo(
+        _engine(rc, engine), dataset, eval_log, rc.harness.loo_config(sample), jobs=jobs
     )
-    records = sensitivity.run_loo(_engine(rc, engine), dataset, eval_log, cfg, jobs=jobs)
     hist = sensitivity.histogram(records, rc.harness.bin_width, rc.harness.neutral_band)
     sensitivity.write_records_csv(records, out_dir / f"records_{engine}.csv")
     sensitivity.write_histogram_csv(hist, out_dir / f"histogram_{engine}.csv")
@@ -328,16 +324,7 @@ def curve_cmd(config_path: str, out_override: str | None, summary_mode: str) -> 
     if rc.curve is None:
         raise click.ClickException("config has no curve section (day_grid required)")
     dataset, eval_log = _load_data(rc, out_dir)
-    end_day = rc.curve.end_day if rc.curve.end_day is not None else dataset.max_day
-    plan = curve.CurvePlan(
-        end_day=end_day,
-        day_grid=rc.curve.day_grid,
-        hyper=rc.hyper,
-        k=rc.curve.k,
-        correction_c=rc.curve.correction_c,
-        unit_value=rc.curve.unit_value,
-    )
-    rows = curve.run_curve(dataset, eval_log, plan)
+    rows = curve.run_curve(dataset, eval_log, rc.curve)
     curve.write_table_csv(rows, out_dir / "curve_table.csv")
     curve.write_curves_csv(curve.emit_curves(rows), out_dir / "curve_scaled.csv")
     summary = {

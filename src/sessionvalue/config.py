@@ -1,21 +1,35 @@
-"""Run configuration: one YAML document with per-experiment sections.
+"""Run configuration: one YAML document, one section per dataclass.
 
-Unknown keys are rejected so typos fail loudly. Relative paths (``output_dir``
-and the ``paths`` section) resolve against the working directory; files not
-listed under ``paths`` default to well-known names inside the output
-directory, so a synth run feeds the downstream commands without extra wiring.
+Each section is read straight into the dataclass that owns it (``synth`` ->
+``GenConfig``, ``embed`` -> ``Hyperparams``, ``plants`` -> ``PlantsConfig``,
+``harness`` -> ``HarnessSection``, ``lifecycle`` -> ``FramePlan`` plus ``k`` and
+``hr_level``, ``curve`` -> ``CurvePlan``). The keys are the dataclass's field
+names, the accepted types come from its annotations and the defaults are its
+defaults, so a parameter is declared once. Unknown keys, wrong types, missing
+required keys and values the dataclass refuses all raise ``ConfigError`` naming
+the dotted key.
+
+Relative paths (``output_dir`` and the ``paths`` section) resolve against the
+working directory; files not listed under ``paths`` default to well-known names
+inside the output directory, so a synth run feeds the downstream commands
+without extra wiring.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+import types
+import typing
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
 
 import yaml
 
+from .curve import CurvePlan
 from .embed import Hyperparams
 from .errors import ConfigError
 from .lifecycle import FramePlan
+from .sensitivity import HarnessConfig, histogram
 from .synthgen import GenConfig
 
 DEFAULT_FILENAMES = {
@@ -56,6 +70,16 @@ class SampleSpec:
     size: int | None = None
     rng_seed: int = 0
 
+    def __post_init__(self) -> None:
+        if (self.ids is None) == (self.size is None):
+            raise ValueError("expected a list of session ids or a {size, rng_seed} mapping")
+        if self.ids is not None and not self.ids:
+            raise ValueError("ids must be a non-empty list of session ids")
+        if self.size is not None and self.size < 1:
+            raise ValueError(f"size must be >= 1, got {self.size}")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
+
 
 @dataclass(frozen=True)
 class HarnessSection:
@@ -66,6 +90,16 @@ class HarnessSection:
     vr_exhaustive_limit: int = 200
     sample: SampleSpec | None = None
 
+    def __post_init__(self) -> None:
+        # HarnessConfig owns the k and neutral_band rules, histogram the bin_width rule.
+        self.loo_config(None)
+        histogram((), self.bin_width, self.neutral_band)
+
+    def loo_config(self, sample: tuple[str, ...] | None) -> HarnessConfig:
+        return HarnessConfig(
+            k=self.k, neutral_band=self.neutral_band, sample=sample, revenue_base=self.revenue_base
+        )
+
 
 @dataclass(frozen=True)
 class LifecycleSection:
@@ -73,14 +107,9 @@ class LifecycleSection:
     k: int = 5
     hr_level: int | None = None
 
-
-@dataclass(frozen=True)
-class CurveSection:
-    day_grid: tuple[int, ...]
-    end_day: int | None = None
-    k: int = 5
-    unit_value: float = 1.0
-    correction_c: float = 1.0
+    def __post_init__(self) -> None:
+        if self.k < 1:
+            raise ValueError(f"k must be >= 1, got {self.k}")
 
 
 @dataclass(frozen=True)
@@ -92,7 +121,7 @@ class RunConfig:
     hyper: Hyperparams
     harness: HarnessSection
     lifecycle: LifecycleSection
-    curve: CurveSection | None
+    curve: CurvePlan | None
 
     def input_path(self, name: str, out_dir: Path) -> Path:
         if name in self.paths:
@@ -100,181 +129,86 @@ class RunConfig:
         return out_dir / DEFAULT_FILENAMES[name]
 
 
-def _expect_mapping(value, path: str) -> dict:
+def _key(path: str, key) -> str:
+    return f"{path}.{key}" if path else str(key)
+
+
+def _mapping(value, path: str, allowed) -> dict:
+    """``value`` as a mapping whose keys are all in ``allowed``; null reads as empty."""
     if value is None:
         return {}
     if not isinstance(value, dict):
         raise ConfigError(path, f"expected a mapping, got {type(value).__name__}")
-    return value
-
-
-def _reject_unknown(mapping: dict, allowed: set[str], path: str) -> None:
-    for key in mapping:
+    for key in value:
         if key not in allowed:
-            raise ConfigError(f"{path}.{key}" if path else str(key), "unknown key")
-
-
-def _scalar(mapping: dict, key: str, kinds, path: str, default=None, required=False):
-    if key not in mapping:
-        if required:
-            raise ConfigError(f"{path}.{key}", "required key is missing")
-        return default
-    value = mapping[key]
-    if isinstance(value, bool) and bool not in (kinds if isinstance(kinds, tuple) else (kinds,)):
-        raise ConfigError(f"{path}.{key}", "expected a number, got a boolean")
-    if not isinstance(value, kinds):
-        names = kinds.__name__ if not isinstance(kinds, tuple) else "/".join(k.__name__ for k in kinds)
-        raise ConfigError(f"{path}.{key}", f"expected {names}, got {type(value).__name__}")
+            raise ConfigError(_key(path, key), "unknown key")
     return value
 
 
-def _build(path: str, factory, **kwargs):
-    try:
-        return factory(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
-
-
-def _parse_synth(section: dict | None) -> GenConfig | None:
-    if section is None:
-        return None
-    path = "synth"
-    allowed = {
-        "n_products", "n_categories_top", "n_categories_fine", "n_train_sessions",
-        "n_eval_sessions", "days", "rng_seed", "popularity_exponent",
-        "intent_stickiness", "session_length_geometric_p", "order_base_rate",
+@functools.cache
+def _fields(cls) -> dict[str, tuple[object, bool]]:
+    """Field name -> (resolved annotation, required) of a dataclass."""
+    hints = typing.get_type_hints(cls)
+    return {
+        f.name: (hints[f.name], f.default is MISSING and f.default_factory is MISSING)
+        for f in fields(cls)
     }
-    _reject_unknown(section, allowed, path)
-    required = ("n_products", "n_categories_top", "n_categories_fine",
-                "n_train_sessions", "n_eval_sessions", "days", "rng_seed")
-    missing = [key for key in required if key not in section]
+
+
+def _value(value, hint, path: str):
+    """``value`` checked against ``hint`` (converted where the YAML form differs)."""
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):  # X | None
+        (hint,) = [arg for arg in typing.get_args(hint) if arg is not type(None)]
+        if value is None and not is_dataclass(hint):  # a null section reads as empty
+            return None
+    if hint is SampleSpec and isinstance(value, list):  # the id-list form
+        return _read(SampleSpec, {"ids": value}, path)
+    if hint is SampleSpec:
+        return _read(SampleSpec, value, path, ids=None)
+    if is_dataclass(hint):
+        return _read(hint, value, path)
+    if typing.get_origin(hint) is tuple:  # tuple[T, ...]
+        if not isinstance(value, list):
+            raise ConfigError(path, f"expected a list, got {type(value).__name__}")
+        (item, _) = typing.get_args(hint)
+        return tuple(_value(v, item, f"{path}[{i}]") for i, v in enumerate(value))
+    if hint is float and type(value) is int:
+        value = float(value)
+    if type(value) is not hint:  # exact: a bool is not an int, an int is not a bool
+        raise ConfigError(path, f"expected {hint.__name__}, got {type(value).__name__}")
+    return value
+
+
+def _read(cls, mapping, path: str, **given):
+    """Build dataclass ``cls`` from one YAML mapping. The keys are its fields
+    minus the ``given`` ones, the types its annotations, the defaults its own;
+    a ``ValueError`` from its ``__post_init__`` names the key it starts with."""
+    spec = _fields(cls)
+    mapping = _mapping(mapping, path, spec.keys() - given.keys())
+    missing = [name for name, (_, required) in spec.items()
+               if required and name not in mapping and name not in given]
+    if len(missing) == 1:
+        raise ConfigError(_key(path, missing[0]), "required key is missing")
     if missing:
         raise ConfigError(path, f"missing required keys: {', '.join(missing)}")
-    kwargs = {}
-    for key in required:
-        kwargs[key] = _scalar(section, key, int, path, required=True)
-    for key in ("popularity_exponent", "intent_stickiness",
-                "session_length_geometric_p", "order_base_rate"):
-        if key in section:
-            kwargs[key] = float(_scalar(section, key, (int, float), path))
-    return _build(path, GenConfig, **kwargs)
+    kwargs = {key: _value(value, spec[key][0], _key(path, key)) for key, value in mapping.items()}
+    try:
+        return cls(**kwargs, **given)
+    except ValueError as exc:
+        head = str(exc).split(" ", 1)[0]
+        raise ConfigError(_key(path, head) if head in spec else path, str(exc)) from exc
 
 
-def _parse_plants(section: dict | None) -> PlantsConfig:
-    if section is None:
-        return PlantsConfig()
-    path = "plants"
-    _reject_unknown(section, {"toxic", "duplicates"}, path)
-    toxic = None
-    duplicates = None
-    if "toxic" in section:
-        tox = _expect_mapping(section["toxic"], f"{path}.toxic")
-        _reject_unknown(tox, {"rng_seed", "retries", "min_rel_gain", "verify_vr", "repeats"},
-                        f"{path}.toxic")
-        toxic = ToxicPlantConfig(
-            rng_seed=_scalar(tox, "rng_seed", int, f"{path}.toxic", required=True),
-            retries=_scalar(tox, "retries", int, f"{path}.toxic", default=100),
-            min_rel_gain=float(_scalar(tox, "min_rel_gain", (int, float), f"{path}.toxic",
-                                       default=0.001)),
-            verify_vr=_scalar(tox, "verify_vr", bool, f"{path}.toxic", default=False),
-            repeats=_scalar(tox, "repeats", int, f"{path}.toxic", default=25),
-        )
-    if "duplicates" in section:
-        dup = _expect_mapping(section["duplicates"], f"{path}.duplicates")
-        _reject_unknown(dup, {"copies", "session_id", "max_candidates"}, f"{path}.duplicates")
-        duplicates = DuplicatePlantConfig(
-            copies=_scalar(dup, "copies", int, f"{path}.duplicates", default=3),
-            session_id=_scalar(dup, "session_id", str, f"{path}.duplicates"),
-            max_candidates=_scalar(dup, "max_candidates", int, f"{path}.duplicates"),
-        )
-    return PlantsConfig(toxic=toxic, duplicates=duplicates)
+def _read_lifecycle(section) -> LifecycleSection:
+    """The flat ``lifecycle`` section: the ``FramePlan`` keys, then the rest."""
+    plan_keys = _fields(FramePlan).keys()
+    section = _mapping(section, "lifecycle", plan_keys | _fields(LifecycleSection).keys() - {"plan"})
+    plan = _read(FramePlan, {k: v for k, v in section.items() if k in plan_keys}, "lifecycle")
+    rest = {k: v for k, v in section.items() if k not in plan_keys}
+    return _read(LifecycleSection, rest, "lifecycle", plan=plan)
 
 
-def _parse_hyper(section: dict | None) -> Hyperparams:
-    if section is None:
-        return Hyperparams()
-    path = "embed"
-    allowed = {"dimensions", "iterations", "window", "min_count",
-               "initial_learning_rate", "rounding_digits", "rng_seed"}
-    _reject_unknown(section, allowed, path)
-    kwargs = {}
-    for key in ("dimensions", "iterations", "window", "min_count", "rounding_digits", "rng_seed"):
-        if key in section:
-            kwargs[key] = _scalar(section, key, int, path)
-    if "initial_learning_rate" in section:
-        kwargs["initial_learning_rate"] = float(
-            _scalar(section, "initial_learning_rate", (int, float), path)
-        )
-    return _build(path, Hyperparams, **kwargs)
-
-
-def _parse_sample(value, path: str) -> SampleSpec:
-    if isinstance(value, list):
-        if not value or not all(isinstance(v, str) for v in value):
-            raise ConfigError(path, "sample id list must be a non-empty list of strings")
-        return SampleSpec(ids=tuple(value))
-    if isinstance(value, dict):
-        _reject_unknown(value, {"size", "rng_seed"}, path)
-        size = _scalar(value, "size", int, path, required=True)
-        if size < 1:
-            raise ConfigError(f"{path}.size", "must be >= 1")
-        return SampleSpec(size=size, rng_seed=_scalar(value, "rng_seed", int, path, default=0))
-    raise ConfigError(path, "expected a list of session ids or a {size, rng_seed} mapping")
-
-
-def _parse_harness(section: dict | None) -> HarnessSection:
-    if section is None:
-        return HarnessSection()
-    path = "harness"
-    allowed = {"k", "neutral_band", "revenue_base", "bin_width", "vr_exhaustive_limit", "sample"}
-    _reject_unknown(section, allowed, path)
-    sample = _parse_sample(section["sample"], f"{path}.sample") if "sample" in section else None
-    return HarnessSection(
-        k=_scalar(section, "k", int, path, default=5),
-        neutral_band=float(_scalar(section, "neutral_band", (int, float), path, default=0.0005)),
-        revenue_base=float(_scalar(section, "revenue_base", (int, float), path, default=1.0)),
-        bin_width=float(_scalar(section, "bin_width", (int, float), path, default=0.001)),
-        vr_exhaustive_limit=_scalar(section, "vr_exhaustive_limit", int, path, default=200),
-        sample=sample,
-    )
-
-
-def _parse_lifecycle(section: dict | None) -> LifecycleSection:
-    if section is None:
-        return LifecycleSection(plan=FramePlan())
-    path = "lifecycle"
-    allowed = {"window_days", "n_frames", "cohort_day", "hr_level", "k"}
-    _reject_unknown(section, allowed, path)
-    plan = _build(
-        path,
-        FramePlan,
-        window_days=_scalar(section, "window_days", int, path, default=51),
-        n_frames=_scalar(section, "n_frames", int, path, default=50),
-        cohort_day=_scalar(section, "cohort_day", int, path),
-    )
-    return LifecycleSection(
-        plan=plan,
-        k=_scalar(section, "k", int, path, default=5),
-        hr_level=_scalar(section, "hr_level", int, path),
-    )
-
-
-def _parse_curve(section: dict | None) -> CurveSection | None:
-    if section is None:
-        return None
-    path = "curve"
-    allowed = {"day_grid", "end_day", "k", "unit_value", "correction_c"}
-    _reject_unknown(section, allowed, path)
-    grid = section.get("day_grid")
-    if not isinstance(grid, list) or not grid or not all(isinstance(v, int) for v in grid):
-        raise ConfigError(f"{path}.day_grid", "expected a non-empty list of integers")
-    return CurveSection(
-        day_grid=tuple(grid),
-        end_day=_scalar(section, "end_day", int, path),
-        k=_scalar(section, "k", int, path, default=5),
-        unit_value=float(_scalar(section, "unit_value", (int, float), path, default=1.0)),
-        correction_c=float(_scalar(section, "correction_c", (int, float), path, default=1.0)),
-    )
+_TOP_LEVEL = ("output_dir", "paths", "synth", "plants", "embed", "harness", "lifecycle", "curve")
 
 
 def load_run_config(path: str | Path) -> RunConfig:
@@ -284,32 +218,19 @@ def load_run_config(path: str | Path) -> RunConfig:
             doc = yaml.safe_load(fh)
     except yaml.YAMLError as exc:
         raise ConfigError(str(config_path), f"invalid YAML ({exc})") from exc
-    doc = _expect_mapping(doc, str(config_path))
-    allowed = {"output_dir", "paths", "synth", "plants", "embed", "harness", "lifecycle", "curve"}
-    _reject_unknown(doc, allowed, "")
-
-    output_dir = None
-    if "output_dir" in doc:
-        raw = _scalar(doc, "output_dir", str, "", required=True)
-        output_dir = Path(raw)
-
-    paths: dict[str, Path] = {}
-    paths_section = _expect_mapping(doc.get("paths"), "paths")
-    _reject_unknown(paths_section, set(DEFAULT_FILENAMES), "paths")
-    for name, raw in paths_section.items():
-        if not isinstance(raw, str):
-            raise ConfigError(f"paths.{name}", "expected a path string")
-        paths[name] = Path(raw)
-
+    if not isinstance(doc, (dict, type(None))):
+        raise ConfigError(str(config_path), f"expected a mapping, got {type(doc).__name__}")
+    doc = _mapping(doc, "", _TOP_LEVEL)
+    output_dir = _value(doc.get("output_dir"), str | None, "output_dir")
+    paths = _mapping(doc.get("paths"), "paths", DEFAULT_FILENAMES)
+    hyper = _read(Hyperparams, doc.get("embed"), "embed")
     return RunConfig(
-        output_dir=output_dir,
-        paths=paths,
-        synth=_parse_synth(_expect_mapping(doc.get("synth"), "synth") if "synth" in doc else None),
-        plants=_parse_plants(_expect_mapping(doc.get("plants"), "plants") if "plants" in doc else None),
-        hyper=_parse_hyper(_expect_mapping(doc.get("embed"), "embed") if "embed" in doc else None),
-        harness=_parse_harness(_expect_mapping(doc.get("harness"), "harness") if "harness" in doc else None),
-        lifecycle=_parse_lifecycle(
-            _expect_mapping(doc.get("lifecycle"), "lifecycle") if "lifecycle" in doc else None
-        ),
-        curve=_parse_curve(_expect_mapping(doc.get("curve"), "curve") if "curve" in doc else None),
+        output_dir=None if output_dir is None else Path(output_dir),
+        paths={name: Path(_value(raw, str, f"paths.{name}")) for name, raw in paths.items()},
+        synth=_read(GenConfig, doc["synth"], "synth") if "synth" in doc else None,
+        plants=_read(PlantsConfig, doc.get("plants"), "plants"),
+        hyper=hyper,
+        harness=_read(HarnessSection, doc.get("harness"), "harness"),
+        lifecycle=_read_lifecycle(doc.get("lifecycle")),
+        curve=_read(CurvePlan, doc["curve"], "curve", hyper=hyper) if "curve" in doc else None,
     )

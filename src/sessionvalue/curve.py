@@ -24,9 +24,9 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class CurvePlan:
-    end_day: int
     day_grid: tuple[int, ...]
     hyper: embed.Hyperparams
+    end_day: int | None = None  # None: the dataset's last day
     k: int = 5
     correction_c: float = 1.0
     unit_value: float = 1.0
@@ -58,8 +58,9 @@ def run_curve(dataset: Dataset, eval_log: EvalLog, plan: CurvePlan) -> list[Curv
     prev_products: frozenset[str] = frozenset()
     prev_session_ids: set[str] = set()
     first = True
+    end_day = dataset.max_day if plan.end_day is None else plan.end_day
     for n_days in plan.day_grid:
-        sliced = slice_days(dataset, end_day=plan.end_day, n_days=n_days)
+        sliced = slice_days(dataset, end_day=end_day, n_days=n_days)
         if not sliced.sessions:
             raise EmptySliceError(n_days)
         started = time.perf_counter()

@@ -174,7 +174,6 @@ def verify_stability(dataset: Dataset, engine, k: int = 5) -> StabilityReport:
 def diff_topk(
     base: Mapping[str, RecommendationList],
     delta: Mapping[str, RecommendationList],
-    k: int | None = None,
 ) -> OutputDiff:
     """Compare ranked id sequences per seed. Seeds lost by the delta map count
     as SEED_MISSING; seeds the delta gained count as MEMBERSHIP_CHANGED."""
@@ -187,8 +186,8 @@ def diff_topk(
         if seed not in base:
             kinds[seed] = ChangeKind.MEMBERSHIP_CHANGED
             continue
-        ids_base = base[seed].product_ids[:k] if k else base[seed].product_ids
-        ids_delta = delta[seed].product_ids[:k] if k else delta[seed].product_ids
+        ids_base = base[seed].product_ids
+        ids_delta = delta[seed].product_ids
         if ids_base == ids_delta:
             continue
         if sorted(ids_base) == sorted(ids_delta):

@@ -175,6 +175,17 @@ class TestValue:
         assert result.exit_code != 0
         assert "'nope'" in result.output
 
+    def test_out_of_range_config_rejected_at_load(self, workspace, runner, tmp_path):
+        _, out = workspace
+        bad_config = tmp_path / "bad.yaml"
+        bad_config.write_text(BASE_CONFIG.replace("  k: 3\n", "  k: 0\n"))
+        result = runner.invoke(
+            main, ["value", "--config", str(bad_config), "--out", str(out), "--engine", "cor"]
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # a clean exit, no traceback
+        assert "Error: config key 'harness.k'" in result.output
+
     def test_histogram_counts_match_records(self, workspace, runner):
         config, out = workspace
         result = runner.invoke(

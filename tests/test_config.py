@@ -90,3 +90,46 @@ class TestValidation:
         assert rc.harness.neutral_band == 0.0005
         assert rc.hyper.dimensions == 200
         assert rc.lifecycle.plan.window_days == 51
+
+    def test_curve_end_day_left_to_the_data(self, tmp_path):
+        path = write(tmp_path, "curve:\n  day_grid: [1, 2]\n")
+        assert load_run_config(path).curve.end_day is None
+
+
+SMOKE_YAML = (CONFIG_DIR / "smoke.yaml").read_text()
+
+
+class TestOutOfRangeRejectedAtLoad:
+    @pytest.mark.parametrize("old, new, key", [
+        ("harness:\n  k: 5\n", "harness:\n  k: 0\n", "harness.k"),
+        ("  neutral_band: 0.0005\n", "  neutral_band: -1\n", "harness.neutral_band"),
+        ("  neutral_band: 0.0005\n", "  neutral_band: 0.0005\n  bin_width: 0\n", "harness.bin_width"),
+        ("  n_frames: 2\n  k: 5\n", "  n_frames: 2\n  k: 0\n", "lifecycle.k"),
+        ("    rng_seed: 3\n", "    rng_seed: -1\n", "harness.sample.rng_seed"),
+        ("  day_grid: [2, 3]\n  k: 5\n", "  day_grid: [2, 3]\n  k: 0\n", "curve.k"),
+        ("  day_grid: [2, 3]\n", "  day_grid: [3, 2]\n", "curve.day_grid"),
+    ])
+    def test_key_named(self, tmp_path, old, new, key):
+        assert old in SMOKE_YAML
+        path = write(tmp_path, SMOKE_YAML.replace(old, new, 1))
+        with pytest.raises(ConfigError, match=f"config key '{key}'"):
+            load_run_config(path)
+
+
+class TestMessagesNameTheKey:
+    @pytest.mark.parametrize("text, message", [
+        ("harness:\n  k: true\n", "'harness.k': expected int, got bool"),
+        ("harness:\n  k: '5'\n", "'harness.k': expected int, got str"),
+        ("plants:\n  toxic:\n    rng_seed: 1\n    bogus: 2\n", "'plants.toxic.bogus': unknown key"),
+        ("plants:\n  toxic:\n    retries: 3\n", "'plants.toxic.rng_seed': required key is missing"),
+        ("synth:\n  n_products: 5\n", "'synth': missing required keys: n_categories_top, .*, days, rng_seed"),
+        ("output_dir: 5\n", "'output_dir': expected str, got int"),
+    ])
+    def test_rejected(self, tmp_path, text, message):
+        with pytest.raises(ConfigError, match=message):
+            load_run_config(write(tmp_path, text))
+
+    def test_int_accepted_for_float(self, tmp_path):
+        rc = load_run_config(write(tmp_path, "harness:\n  revenue_base: 3\n"))
+        assert rc.harness.revenue_base == 3.0
+        assert type(rc.harness.revenue_base) is float

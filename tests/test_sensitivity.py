@@ -120,12 +120,6 @@ class TestDiffTopk:
         delta = {"A": RecommendationList(seed="A", items=(("B", 2.0),))}
         assert not diff_topk(base, delta).changed
 
-    def test_truncation_at_k(self):
-        base = {"A": rl("A", ["B", "C", "D"])}
-        delta = {"A": rl("A", ["B", "C", "E"])}
-        assert not diff_topk(base, delta, k=2).changed
-        assert diff_topk(base, delta, k=3).changed
-
 
 class TestValueFormula:
     def test_relative_change(self):
