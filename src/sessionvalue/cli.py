@@ -19,6 +19,7 @@ import click
 import numpy as np
 
 from . import curve, kpi, lifecycle, sensitivity, synthgen
+from .atomic import atomic_open
 from .config import RunConfig, SampleSpec, load_run_config
 from .corpus import (
     Dataset,
@@ -111,6 +112,11 @@ def _resolve_sample(spec: SampleSpec | None, dataset: Dataset) -> tuple[str, ...
     return tuple(sorted(ids[int(i)] for i in picked))
 
 
+def _write_json(doc: dict, path: Path) -> None:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
 def _emit_summary(summary_mode: str, summary: dict, text_lines: list[str]) -> None:
     if summary_mode == "json":
         click.echo(json.dumps(summary, indent=2, sort_keys=True))
@@ -200,7 +206,8 @@ def train(config_path: str, out_override: str | None, summary_mode: str, engine:
     eng = _engine(rc, engine)
     model = eng.fit(dataset)
     filename = "cor_matrix.tsv" if engine == "cor" else "vr_model.txt"
-    (out_dir / filename).write_bytes(eng.serialize(model))
+    with atomic_open(out_dir / filename, "wb") as fh:
+        fh.write(eng.serialize(model))
     n_products = (
         len(model.session_membership) if engine == "cor" else len(model.vocabulary)
     )
@@ -219,7 +226,7 @@ def recommend(config_path: str, out_override: str | None, summary_mode: str, eng
     eng = _engine(rc, engine)
     topk = eng.top_k_map(eng.fit(dataset), rc.harness.k)
     out_path = out_dir / f"recs_{engine}.csv"
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(out_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("seed", "rank", "product", "score"))
         for seed in sorted(topk):
@@ -240,9 +247,7 @@ def stability(config_path: str, out_override: str | None, summary_mode: str) -> 
     for name in ("cor", "vr"):
         report = sensitivity.verify_stability(dataset, _engine(rc, name), rc.harness.k)
         results[name] = {"stable": report.stable, "detail": report.detail}
-    (out_dir / "stability.json").write_text(
-        json.dumps(results, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(results, out_dir / "stability.json")
     _emit_summary(summary_mode, results, [
         f"{name}: {'PASS' if results[name]['stable'] else 'FAIL'}" for name in ("cor", "vr")
     ])
@@ -276,9 +281,7 @@ def value(config_path: str, out_override: str | None, summary_mode: str, engine:
     sensitivity.write_histogram_csv(hist, out_dir / f"histogram_{engine}.csv")
     summary = sensitivity.summarize(records)
     summary["engine"] = engine
-    (out_dir / f"summary_{engine}.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(summary, out_dir / f"summary_{engine}.json")
     counts = summary["constellations"]
     _emit_summary(summary_mode, summary, [
         f"records: {summary['n_records']}",

@@ -8,8 +8,10 @@ product id, which makes every list totally ordered and reproducible.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import islice
+from operator import itemgetter
 
 from .corpus import Dataset, Session
 from .errors import MatrixUnderflowError
@@ -41,7 +43,8 @@ class CoocMatrix:
 
     ``session_membership[p]`` counts sessions whose unique set contains p, so
     the observed-product index survives exact removals. Instances are treated
-    as immutable values; ``remove_session`` returns a new matrix.
+    as immutable values (``adjacency`` is derived once and cached);
+    ``remove_session`` returns a new matrix.
     """
 
     counts: dict[Pair, int] = field(default_factory=dict)
@@ -53,6 +56,18 @@ class CoocMatrix:
 
     def count(self, a: str, b: str) -> int:
         return self.counts.get(product_pair(a, b), 0)
+
+    @cached_property
+    def adjacency(self) -> dict[str, list[tuple[str, int]]]:
+        """Each product's neighbours with their pair counts, in ranking order
+        (count desc, id asc). Products without a pair have no entry."""
+        adjacency: dict[str, list[tuple[str, int]]] = {}
+        for (a, b), c in self.counts.items():
+            adjacency.setdefault(a, []).append((b, c))
+            adjacency.setdefault(b, []).append((a, c))
+        for neighbors in adjacency.values():
+            _rank_order(neighbors)
+        return adjacency
 
 
 def _session_pairs(session: Session) -> list[Pair]:
@@ -98,9 +113,15 @@ def remove_session(matrix: CoocMatrix, session: Session) -> CoocMatrix:
     return CoocMatrix(counts=counts, session_membership=membership)
 
 
+def _rank_order(neighbors: list[tuple[str, int]]) -> None:
+    """Sort in place by (count desc, id asc): two stable passes with C-level keys."""
+    neighbors.sort(key=itemgetter(0))
+    neighbors.sort(key=itemgetter(1), reverse=True)
+
+
 def _rank(neighbors: list[tuple[str, int]], k: int) -> tuple[tuple[str, float], ...]:
-    neighbors.sort(key=lambda item: (-item[1], item[0]))
-    return tuple((p, c) for p, c in neighbors[:k])
+    _rank_order(neighbors)
+    return tuple(neighbors[:k])
 
 
 def top_k(matrix: CoocMatrix, seed: str, k: int) -> RecommendationList:
@@ -122,13 +143,43 @@ def all_top_k(matrix: CoocMatrix, k: int) -> dict[str, RecommendationList]:
     """One ranked list per observed product, pointwise equal to ``top_k``."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    adjacency: dict[str, list[tuple[str, int]]] = defaultdict(list)
-    for (a, b), c in matrix.counts.items():
-        adjacency[a].append((b, c))
-        adjacency[b].append((a, c))
-    out: dict[str, RecommendationList] = {}
-    for seed in sorted(matrix.session_membership):
-        out[seed] = RecommendationList(seed=seed, items=_rank(adjacency[seed], k))
+    adjacency = matrix.adjacency
+    return {
+        seed: RecommendationList(seed=seed, items=tuple(adjacency.get(seed, ())[:k]))
+        for seed in sorted(matrix.session_membership)
+    }
+
+
+def session_top_k(
+    matrix: CoocMatrix, session: Session, k: int
+) -> dict[str, RecommendationList | None]:
+    """The lists of ``session``'s products once the session is removed.
+
+    Removing a session lowers only the counts of pairs inside it, so these are
+    the only lists that can change: per product, equal to its list in
+    ``all_top_k(remove_session(matrix, session), k)``, or None where no other
+    session holds the product and it stops being a seed.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    members = session.unique_products
+    out: dict[str, RecommendationList | None] = {}
+    for seed in sorted(members):
+        held = matrix.session_membership.get(seed, 0)
+        if held <= 0:
+            raise MatrixUnderflowError(f"product {seed!r} not present in matrix")
+        if held == 1:
+            out[seed] = None
+            continue
+        # Only co-members' counts drop, so the new top k lies among the
+        # lowered co-members and the first k other neighbours in base order.
+        lowered = [
+            (p, c - 1)
+            for p in members
+            if p != seed and (c := matrix.counts[product_pair(seed, p)]) > 1
+        ]
+        others = islice((n for n in matrix.adjacency.get(seed, ()) if n[0] not in members), k)
+        out[seed] = RecommendationList(seed=seed, items=_rank(lowered + list(others), k))
     return out
 
 

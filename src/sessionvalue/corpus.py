@@ -19,6 +19,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .atomic import atomic_open
 from .errors import (
     DatasetFormatError,
     DuplicateSessionIdError,
@@ -282,7 +283,7 @@ def _session_line(session: Session) -> str:
 
 
 def write_sessions(sessions: Iterable[Session], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         for s in sessions:
             fh.write(_session_line(s) + "\n")
 
@@ -309,7 +310,7 @@ def read_sessions(path: str | Path) -> list[Session]:
 
 
 def write_catalog(catalog: Catalog, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         for product in sorted(catalog.paths):
             doc = {"p": product, "cat": list(catalog.paths[product])}
             fh.write(json.dumps(doc, separators=(",", ":"), ensure_ascii=False) + "\n")
@@ -344,7 +345,7 @@ def write_dataset(dataset: Dataset, sessions_path: str | Path, catalog_path: str
 
 
 def write_eval_log(eval_log: EvalLog, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         for s in eval_log.sessions:
             doc = {
                 "session_id": s.session_id,

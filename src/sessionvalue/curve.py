@@ -4,7 +4,7 @@ All grid entries share the same most recent day, so added data are strictly
 historical sessions and slices are nested. Per entry the run reports model
 coverage (#products), conversion rate, revenue figures, the fraction of newly
 added sessions carrying products unseen by the previous smaller model (SNP),
-mean session length and the wall-clock seconds of the training call.
+mean session length and the CPU seconds of the training call.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import embed, kpi
+from .atomic import atomic_open
 from .corpus import Dataset, EvalLog, slice_days
 from .errors import EmptySliceError
 
@@ -59,13 +60,14 @@ def run_curve(dataset: Dataset, eval_log: EvalLog, plan: CurvePlan) -> list[Curv
     prev_session_ids: set[str] = set()
     first = True
     end_day = dataset.max_day if plan.end_day is None else plan.end_day
+    embed.load_scipy()
     for n_days in plan.day_grid:
         sliced = slice_days(dataset, end_day=end_day, n_days=n_days)
         if not sliced.sessions:
             raise EmptySliceError(n_days)
-        started = time.perf_counter()
+        started = time.process_time()
         model = embed.train(sliced, plan.hyper)
-        cpu_seconds = time.perf_counter() - started
+        cpu_seconds = time.process_time() - started
 
         recs = embed.all_top_k_similar(model, plan.k)
         cr = kpi.conversion_rate(kpi.aggregate_pairs(recs, eval_log), plan.correction_c)
@@ -125,7 +127,7 @@ def emit_curves(rows: Sequence[CurveRow]) -> list[tuple[int, str, float, float]]
 
 def write_table_csv(rows: Sequence[CurveRow], path: str | Path) -> None:
     """The KPI table: one row per model, kpi report columns plus mean length."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(list(kpi.REPORT_COLUMNS) + ["avg_session_length"])
         for row in rows:
@@ -133,7 +135,7 @@ def write_table_csv(rows: Sequence[CurveRow], path: str | Path) -> None:
 
 
 def write_curves_csv(points: Sequence[tuple[int, str, float, float]], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("n_days", "kpi_name", "raw", "scaled"))
         for n_days, name, raw, scaled in points:

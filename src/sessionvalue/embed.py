@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import expit
 
 from .cor import RecommendationList
 from .corpus import Dataset
@@ -167,6 +166,24 @@ def _pair_loss(ctx_vec: np.ndarray, syn1: np.ndarray, points: np.ndarray, codes:
     return float(np.sum(np.logaddexp(0.0, -sign * f)))
 
 
+def _expit(x: np.ndarray) -> np.ndarray:
+    """Stand-in for scipy.special.expit until ``load_scipy`` replaces it."""
+    load_scipy()
+    return _expit(x)
+
+
+def load_scipy() -> None:
+    """Bind the trainer's ``expit`` to scipy.special.expit.
+
+    The first training does this by itself; importing scipy takes about a
+    quarter of a second, so commands that never train (every ``cor`` command)
+    do not load it. A caller timing ``train`` calls this first, so that the
+    import stays out of the measurement.
+    """
+    global _expit
+    from scipy.special import expit as _expit
+
+
 def _pair_update(
     syn0: np.ndarray,
     syn1: np.ndarray,
@@ -178,7 +195,7 @@ def _pair_update(
     """One gradient step on (center path, context vector), in place."""
     v = syn0[ctx]
     f = syn1[points] @ v
-    g = alpha * (1.0 - codes - expit(f))
+    g = alpha * (1.0 - codes - _expit(f))
     neu = g @ syn1[points]
     syn1[points] += g[:, None] * v[None, :]
     syn0[ctx] = v + neu

@@ -3,7 +3,9 @@
 The conversion rate aggregates order/view counts over all (seed, alternative)
 pairs realized by a model's top-k lists, so it depends on the model *only*
 through those lists: two models with identical lists produce bitwise-equal
-rates on the same evaluation log.
+rates on the same evaluation log. Each seed's pairs contribute integer counts
+of their own (``seed_pairs``), so replacing a few lists moves the totals by
+exactly those lists' contributions.
 """
 
 from __future__ import annotations
@@ -42,6 +44,44 @@ class KpiReport:
     n_sessions: int
 
 
+@dataclass(frozen=True)
+class EvalIndex:
+    """The eval log as the conversion rate reads it: per seed, the number of
+    eval sessions viewing it and, among those, how many order each product."""
+
+    views: Mapping[str, int]
+    orders: Mapping[str, Mapping[str, int]]
+
+
+def index_eval(eval_log: EvalLog) -> EvalIndex:
+    views: dict[str, int] = {}
+    orders: dict[str, dict[str, int]] = {}
+    for es in eval_log.sessions:
+        for seed in es.viewed:
+            views[seed] = views.get(seed, 0) + 1
+            if es.ordered:
+                by_alt = orders.setdefault(seed, {})
+                for alt in es.ordered:
+                    by_alt[alt] = by_alt.get(alt, 0) + 1
+    return EvalIndex(views=views, orders=orders)
+
+
+def seed_pairs(
+    index: EvalIndex, seed: str, rl: RecommendationList | None
+) -> dict[tuple[str, str], tuple[int, int]]:
+    """(n_views, n_ordered) of each (seed, alternative) pair of one seed's list.
+
+    Every eval session viewing the seed views each alternative once; it
+    orders the alternative iff the alternative is in its ordered set. A seed
+    without a list, or viewed by no eval session, contributes nothing.
+    """
+    views = index.views.get(seed, 0)
+    if rl is None or not views:
+        return {}
+    orders = index.orders.get(seed, {})
+    return {(seed, alt): (views, orders.get(alt, 0)) for alt, _score in rl.items}
+
+
 def aggregate_pairs(recs: Mapping[str, RecommendationList], eval_log: EvalLog) -> PairCounts:
     """Count, per (seed, alternative), the eval sessions viewing the seed.
 
@@ -49,31 +89,30 @@ def aggregate_pairs(recs: Mapping[str, RecommendationList], eval_log: EvalLog) -
     seed was viewed within it; n_ordered increments iff the alternative is in
     the session's ordered set. Seeds absent from ``recs`` contribute nothing.
     """
+    index = index_eval(eval_log)
     acc: dict[tuple[str, str], tuple[int, int]] = {}
-    for es in eval_log.sessions:
-        for seed in sorted(es.viewed):
-            rl = recs.get(seed)
-            if rl is None:
-                continue
-            for alt, _score in rl.items:
-                views, ordered = acc.get((seed, alt), (0, 0))
-                acc[(seed, alt)] = (views + 1, ordered + (1 if alt in es.ordered else 0))
+    for seed, rl in recs.items():
+        acc.update(seed_pairs(index, seed, rl))
     return PairCounts(counts=acc)
 
 
 def conversion_rate(pairs: PairCounts, c: float = 1.0) -> float:
-    """Total orders over total views, scaled by the correction constant ``c``.
+    """Total orders over total views, scaled by the correction constant ``c``."""
+    return rate_from_totals(pairs.total_ordered(), pairs.total_views(), c)
+
+
+def rate_from_totals(n_ordered: int, n_views: int, c: float = 1.0) -> float:
+    """``n_ordered / n_views`` scaled by the correction constant ``c``.
 
     Zero total views is not an error: the rate is reported as 0.0 and flagged
     via a warning (there is nothing to convert).
     """
     if c <= 0:
         raise ValueError(f"correction constant c must be > 0, got {c}")
-    views = pairs.total_views()
-    if views == 0:
+    if n_views == 0:
         log.warning("conversion rate has zero views; reporting 0.0")
         return 0.0
-    return pairs.total_ordered() / views * c
+    return n_ordered / n_views * c
 
 
 def revenue(n_products: int, cr: float, unit_value: float = 1.0) -> float:

@@ -17,6 +17,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from .atomic import atomic_open
 from .cor import RecommendationList, all_top_k, build_matrix
 from .corpus import Dataset, Session, heterogeneity_ratio, slice_days
 from .kpi import mean
@@ -195,7 +196,7 @@ def class_stats(
 
 def write_trajectories_csv(trajectories_: Sequence[CvTrajectory], path: str | Path) -> None:
     n_frames = max((len(t.scores) for t in trajectories_), default=0)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
             ["session_id"]
@@ -211,7 +212,7 @@ def write_trajectories_csv(trajectories_: Sequence[CvTrajectory], path: str | Pa
 
 
 def write_class_stats_csv(stats: ClassStats, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("impact", "n_sessions", "percentage", "mean_hr", "mean_unique_len"))
         for row in stats.rows:

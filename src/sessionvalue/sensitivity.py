@@ -1,10 +1,12 @@
 """Leave-one-out sensitivity harness: output diffs, KPI deltas, session values.
 
 ``run_loo`` is the one pipeline for every engine. It fits the baseline model
-once; per left-out session the engine's ``delta`` hook derives the delta model
-(``CorEngine``: exact incremental removal, ``VrEngine``: full retrain without
-the session). The harness then detects top-k output changes against the
-baseline, translates the conversion-rate delta into a monetary value and
+once; per left-out session the engine's ``delta_lists`` hook returns the top-k
+lists that may differ from the baseline's (``CorEngine``: the session's own
+products, re-ranked from the baseline counts; ``VrEngine``: every list of a
+full retrain without the session). The harness then detects top-k output
+changes against the baseline, moves the conversion rate by those lists'
+integer view/order counts, translates the change into a monetary value and
 classifies the session into one of four outcome constellations:
 
 * no output change (the session is informationally redundant),
@@ -25,10 +27,18 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import cor, embed
+from .atomic import atomic_open
 from .cor import RecommendationList
 from .corpus import Dataset, EvalLog, leave_one_out
 from .errors import UndefinedBaselineError, UnknownSessionError
-from .kpi import aggregate_pairs, conversion_rate
+from .kpi import (
+    EvalIndex,
+    aggregate_pairs,
+    conversion_rate,
+    index_eval,
+    rate_from_totals,
+    seed_pairs,
+)
 
 log = logging.getLogger(__name__)
 
@@ -93,13 +103,17 @@ class StabilityReport:
 
 
 # ---------------------------------------------------------------------------
-# Engines: the model builders the harness drives
+# Engines: the model builders the harness drives. An engine's
+# ``delta_lists(base_model, base_topk, dataset, session_id, k)`` returns
+# ``{seed: list, or None where the seed is gone}`` for every seed whose list
+# may differ once the session is left out; every other seed keeps its base list.
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class CorEngine:
-    """Co-occurrence recommender; the delta model is the exact incremental removal."""
+    """Co-occurrence recommender. Leaving a session out lowers only the counts
+    of pairs inside it, so only the session's own products are re-ranked."""
 
     def fit(self, dataset: Dataset):
         return cor.build_matrix(dataset)
@@ -107,8 +121,8 @@ class CorEngine:
     def top_k_map(self, model, k: int) -> dict[str, RecommendationList]:
         return cor.all_top_k(model, k)
 
-    def delta(self, base_model, dataset: Dataset, session_id: str):
-        return cor.remove_session(base_model, dataset.by_id[session_id])
+    def delta_lists(self, base_model, base_topk, dataset: Dataset, session_id: str, k: int):
+        return cor.session_top_k(base_model, dataset.by_id[session_id], k)
 
     def serialize(self, model) -> bytes:
         return cor.dump_matrix(model).encode("utf-8")
@@ -117,7 +131,8 @@ class CorEngine:
 @dataclass(frozen=True)
 class VrEngine:
     """Embedding recommender; the delta model is a full single-threaded retrain
-    with the baseline's rng_seed, so vector differences stem from the data alone."""
+    with the baseline's rng_seed, so vector differences stem from the data
+    alone. Every list can move, so every seed is returned."""
 
     hyper: embed.Hyperparams
 
@@ -127,8 +142,10 @@ class VrEngine:
     def top_k_map(self, model, k: int) -> dict[str, RecommendationList]:
         return embed.all_top_k_similar(model, k)
 
-    def delta(self, base_model, dataset: Dataset, session_id: str):
-        return embed.train(leave_one_out(dataset, session_id).materialized, self.hyper)
+    def delta_lists(self, base_model, base_topk, dataset: Dataset, session_id: str, k: int):
+        model = embed.train(leave_one_out(dataset, session_id).materialized, self.hyper)
+        lists = self.top_k_map(model, k)
+        return {seed: lists.get(seed) for seed in base_topk.keys() | lists.keys()}
 
     def serialize(self, model) -> bytes:
         return embed.dump_model(model).encode("utf-8")
@@ -171,6 +188,23 @@ def verify_stability(dataset: Dataset, engine, k: int = 5) -> StabilityReport:
     return StabilityReport(stable=True, detail="two runs byte-identical")
 
 
+def _change_kind(
+    base: RecommendationList | None, delta: RecommendationList | None
+) -> ChangeKind | None:
+    """How one seed's list changed; None when it did not (or exists on neither side)."""
+    if delta is None:
+        return None if base is None else ChangeKind.SEED_MISSING
+    if base is None:
+        return ChangeKind.MEMBERSHIP_CHANGED
+    ids_base = base.product_ids
+    ids_delta = delta.product_ids
+    if ids_base == ids_delta:
+        return None
+    if sorted(ids_base) == sorted(ids_delta):
+        return ChangeKind.REORDERED_ONLY
+    return ChangeKind.MEMBERSHIP_CHANGED
+
+
 def diff_topk(
     base: Mapping[str, RecommendationList],
     delta: Mapping[str, RecommendationList],
@@ -180,20 +214,9 @@ def diff_topk(
     kinds: dict[str, ChangeKind] = {}
     seeds = set(base) | set(delta)
     for seed in sorted(seeds):
-        if seed not in delta:
-            kinds[seed] = ChangeKind.SEED_MISSING
-            continue
-        if seed not in base:
-            kinds[seed] = ChangeKind.MEMBERSHIP_CHANGED
-            continue
-        ids_base = base[seed].product_ids
-        ids_delta = delta[seed].product_ids
-        if ids_base == ids_delta:
-            continue
-        if sorted(ids_base) == sorted(ids_delta):
-            kinds[seed] = ChangeKind.REORDERED_ONLY
-        else:
-            kinds[seed] = ChangeKind.MEMBERSHIP_CHANGED
+        kind = _change_kind(base.get(seed), delta.get(seed))
+        if kind is not None:
+            kinds[seed] = kind
     return OutputDiff(
         changed=bool(kinds),
         n_changed_seeds=len(kinds),
@@ -225,22 +248,47 @@ def classify(diff: OutputDiff, rel_cr_change_: float, neutral_band: float) -> Co
 
 @dataclass(frozen=True)
 class _Baseline:
-    """Everything pricing one session needs; built once per run."""
+    """Everything pricing one session needs; built once per run, before any pool."""
 
     engine: object
     dataset: Dataset
-    eval_log: EvalLog
     cfg: HarnessConfig
     model: object
     topk: Mapping[str, RecommendationList]
+    eval_index: EvalIndex
+    n_views: int
+    n_ordered: int
     cr: float
 
 
 def _price(base: _Baseline, session_id: str) -> SensitivityRecord:
-    delta_model = base.engine.delta(base.model, base.dataset, session_id)
-    delta_topk = base.engine.top_k_map(delta_model, base.cfg.k)
-    diff = diff_topk(base.topk, delta_topk)
-    cr_delta = conversion_rate(aggregate_pairs(delta_topk, base.eval_log))
+    """Diff the lists the engine says may change and move the baseline's
+    integer view/order totals by their contributions, so ``cr_delta`` equals
+    ``conversion_rate(aggregate_pairs(delta_topk, eval_log))`` bit for bit."""
+    lists = base.engine.delta_lists(base.model, base.topk, base.dataset, session_id, base.cfg.k)
+    kinds: dict[str, ChangeKind] = {}
+    gained = 0
+    n_views, n_ordered = base.n_views, base.n_ordered
+    for seed in sorted(lists):
+        old, new = base.topk.get(seed), lists[seed]
+        kind = _change_kind(old, new)
+        if kind is None:
+            continue
+        kinds[seed] = kind
+        gained += old is None
+        for views, ordered in seed_pairs(base.eval_index, seed, old).values():
+            n_views -= views
+            n_ordered -= ordered
+        for views, ordered in seed_pairs(base.eval_index, seed, new).values():
+            n_views += views
+            n_ordered += ordered
+    diff = OutputDiff(
+        changed=bool(kinds),
+        n_changed_seeds=len(kinds),
+        n_compared_seeds=len(base.topk) + gained,
+        change_kinds=kinds,
+    )
+    cr_delta = rate_from_totals(n_ordered, n_views)
     rel = relative_cr_change(base.cr, cr_delta)
     return SensitivityRecord(
         session_id=session_id,
@@ -271,9 +319,10 @@ def run_loo(
 ) -> list[SensitivityRecord]:
     """Leave-one-out pricing of ``cfg.sample`` (every session when None).
 
-    The baseline model is fitted once; each delta model comes from
-    ``engine.delta``. Records are ordered by session_id and independent of
-    ``jobs``, the number of worker processes.
+    The baseline model, its lists and the eval index are built once; per
+    session ``engine.delta_lists`` gives the lists that may change. Records
+    are ordered by session_id and independent of ``jobs``, the number of
+    worker processes.
     """
     if cfg.sample is None:
         session_ids = sorted(dataset.by_id)
@@ -284,8 +333,11 @@ def run_loo(
                 raise UnknownSessionError(sid)
     model = engine.fit(dataset)
     topk = engine.top_k_map(model, cfg.k)
-    cr = conversion_rate(aggregate_pairs(topk, eval_log))
-    base = _Baseline(engine, dataset, eval_log, cfg, model, topk, cr)
+    pairs = aggregate_pairs(topk, eval_log)
+    base = _Baseline(
+        engine, dataset, cfg, model, topk, index_eval(eval_log),
+        pairs.total_views(), pairs.total_ordered(), conversion_rate(pairs),
+    )
     if jobs <= 1:
         return [_price(base, sid) for sid in session_ids]
     with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker, initargs=(base,)) as pool:
@@ -346,7 +398,7 @@ RECORD_COLUMNS = (
 
 
 def write_records_csv(records: Sequence[SensitivityRecord], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(RECORD_COLUMNS)
         for r in records:
@@ -365,7 +417,7 @@ def write_records_csv(records: Sequence[SensitivityRecord], path: str | Path) ->
 
 
 def write_histogram_csv(hist: Histogram, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("bin_lo", "bin_hi", "count"))
         writer.writerow(("neutral", "neutral", hist.neutral))

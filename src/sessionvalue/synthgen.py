@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_open
 from .cor import all_top_k, build_matrix
 from .embed import all_top_k_similar, train
 from .corpus import (
@@ -403,7 +404,7 @@ def write_truth(truth: GroundTruth, path: str | Path) -> None:
         "affinity": [[a, b, value] for (a, b), value in sorted(truth.affinity.items())],
         "planted": [[sid, kind.value] for sid, kind in truth.planted],
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(doc, fh, separators=(",", ":"), ensure_ascii=False)
         fh.write("\n")
 

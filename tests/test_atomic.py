@@ -1,0 +1,44 @@
+"""Output writers replace their target atomically."""
+
+from __future__ import annotations
+
+import pytest
+
+from sessionvalue.atomic import atomic_open
+from sessionvalue.corpus import read_sessions, write_sessions
+
+from helpers import mk_session
+
+
+def test_block_completes_then_replaces(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_text("old\n")
+    with atomic_open(path, "w", encoding="utf-8") as fh:
+        fh.write("new\n")
+        assert path.read_text() == "old\n"
+    assert path.read_text() == "new\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+def test_writer_failing_mid_write_keeps_previous_file(tmp_path):
+    path = tmp_path / "sessions.jsonl"
+    write_sessions([mk_session("a", ["A", "B"])], path)
+    before = path.read_bytes()
+
+    def sessions_then_crash():
+        yield mk_session("b", ["C"])
+        raise RuntimeError("interrupted")
+
+    with pytest.raises(RuntimeError, match="interrupted"):
+        write_sessions(sessions_then_crash(), path)
+    assert path.read_bytes() == before
+    assert [s.session_id for s in read_sessions(path)] == ["a"]
+    assert [p.name for p in tmp_path.iterdir()] == ["sessions.jsonl"]
+
+
+def test_failed_first_write_leaves_nothing(tmp_path):
+    with pytest.raises(KeyboardInterrupt):
+        with atomic_open(tmp_path / "out.bin", "wb") as fh:
+            fh.write(b"partial")
+            raise KeyboardInterrupt
+    assert list(tmp_path.iterdir()) == []

@@ -2,12 +2,18 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from sessionvalue.cli import main
+
+from conftest import BENCHMARK_CONFIG
 
 BASE_CONFIG = """\
 synth:
@@ -185,6 +191,27 @@ class TestValue:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)  # a clean exit, no traceback
         assert "Error: config key 'harness.k'" in result.output
+
+    def test_cor_value_never_loads_scipy(self, tmp_path):
+        golden = Path(__file__).resolve().parent / "golden" / "benchmark"
+        for name in ("sessions.jsonl", "catalog.jsonl", "eval.jsonl"):
+            shutil.copyfile(golden / name, tmp_path / name)
+        script = (
+            "import sys\n"
+            "from sessionvalue.cli import main\n"
+            "main.main(args=sys.argv[1:], standalone_mode=False)\n"
+            "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        done = subprocess.run(
+            [sys.executable, "-c", script, "value", "--engine", "cor",
+             "--config", str(BENCHMARK_CONFIG), "--out", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "records_cor.csv").is_file()
 
     def test_histogram_counts_match_records(self, workspace, runner):
         config, out = workspace

@@ -4,6 +4,7 @@ import logging
 
 import pytest
 
+from sessionvalue import curve
 from sessionvalue.curve import CurvePlan, emit_curves, run_curve, write_table_csv
 from sessionvalue.corpus import slice_days
 from sessionvalue.embed import Hyperparams, build_vocab
@@ -65,6 +66,14 @@ class TestRunCurve:
             assert r.revenue == r.n_products * r.cr * 1.0
             assert r.revenue_per_session == pytest.approx(r.revenue / r.n_sessions)
             assert r.cpu_seconds >= 0.0
+
+    def test_cpu_seconds_is_process_time(self, data, monkeypatch):
+        ds, ev, _ = data
+        ticks = iter(range(100))
+        monkeypatch.setattr(curve.time, "process_time", lambda: 0.5 * next(ticks))
+        plan = CurvePlan(end_day=ds.max_day, day_grid=(2, 4), hyper=HYPER)
+        out = run_curve(ds, ev, plan)
+        assert [row.report.cpu_seconds for row in out] == [0.5, 0.5]
 
     def test_empty_slice_names_grid_entry(self, data):
         ds, ev, _ = data

@@ -3,7 +3,7 @@
 ``tests/golden/smoke`` is the ``configs/smoke.yaml`` run (synth, vr value,
 lifecycle, curve). ``tests/golden/benchmark`` pins the ``cor`` valuation of
 the benchmark inputs. Every file must match byte for byte, except the curve's
-measured ``cpu_seconds`` column (wall time of each training call).
+measured ``cpu_seconds`` column (CPU time of each training call).
 """
 
 from __future__ import annotations
