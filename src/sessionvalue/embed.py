@@ -159,46 +159,26 @@ def _initial_vectors(n_entries: int, dimensions: int, rng_seed: int) -> np.ndarr
     return rows
 
 
-def _pair_loss(ctx_vec: np.ndarray, syn1: np.ndarray, points: np.ndarray, codes: np.ndarray) -> float:
-    """Negative log-likelihood of the center word's Huffman path given a context vector."""
-    f = syn1[points] @ ctx_vec
-    sign = 1.0 - 2.0 * codes
-    return float(np.sum(np.logaddexp(0.0, -sign * f)))
+def load_scipy():
+    """Import and return ``scipy.special.expit``, the trainer's logistic function.
 
-
-def _expit(x: np.ndarray) -> np.ndarray:
-    """Stand-in for scipy.special.expit until ``load_scipy`` replaces it."""
-    load_scipy()
-    return _expit(x)
-
-
-def load_scipy() -> None:
-    """Bind the trainer's ``expit`` to scipy.special.expit.
-
-    The first training does this by itself; importing scipy takes about a
+    ``train`` calls this once per training; importing scipy takes about a
     quarter of a second, so commands that never train (every ``cor`` command)
     do not load it. A caller timing ``train`` calls this first, so that the
     import stays out of the measurement.
     """
-    global _expit
-    from scipy.special import expit as _expit
+    from scipy.special import expit
+
+    return expit
 
 
-def _pair_update(
-    syn0: np.ndarray,
-    syn1: np.ndarray,
-    ctx: int,
-    points: np.ndarray,
-    codes: np.ndarray,
-    alpha: float,
-) -> None:
-    """One gradient step on (center path, context vector), in place."""
-    v = syn0[ctx]
-    f = syn1[points] @ v
-    g = alpha * (1.0 - codes - _expit(f))
-    neu = g @ syn1[points]
-    syn1[points] += g[:, None] * v[None, :]
-    syn0[ctx] = v + neu
+def _step(l2: np.ndarray, v: np.ndarray, one_minus_code: np.ndarray, alpha: float, expit) -> None:
+    """One gradient step of context vector ``v`` against the center's path rows
+    ``l2`` (with ``1 - code`` per row), updating both in place."""
+    g = alpha * (one_minus_code - expit(l2 @ v))
+    neu = g @ l2
+    l2 += g[:, None] * v
+    v += neu
 
 
 def train(dataset: Dataset, hyper: Hyperparams) -> EmbeddingModel:
@@ -208,22 +188,24 @@ def train(dataset: Dataset, hyper: Hyperparams) -> EmbeddingModel:
     dropped before windowing. For each center token, every in-window context
     token's input vector is updated against the center's Huffman path,
     sequentially, with the per-token linearly decayed learning rate.
+
+    The center's path rows are gathered from ``syn1`` once, updated in place
+    across the window and written back after it. This is the same arithmetic
+    as gathering and scattering them per context: within one window only the
+    center's path rows of ``syn1`` change, and a path never repeats a node.
     """
+    expit = load_scipy()
     vocab = build_vocab(dataset, hyper.min_count)
     index = vocab.index
-    sentences = [
-        np.array([index[c.product] for c in s.clicks if c.product in index], dtype=np.int64)
-        for s in dataset.sessions
-    ]
+    sentences = [[index[c.product] for c in s.clicks if c.product in index] for s in dataset.sessions]
     points = [np.array(e.points, dtype=np.int64) for e in vocab.entries]
-    codes = [np.array(e.code, dtype=np.float64) for e in vocab.entries]
+    one_minus_code = [1.0 - np.array(e.code, dtype=np.float64) for e in vocab.entries]
 
     n = len(vocab)
     syn0 = _initial_vectors(n, hyper.dimensions, hyper.rng_seed)
     syn1 = np.zeros((max(n - 1, 0), hyper.dimensions), dtype=np.float64)
 
-    total_tokens = sum(int(s.size) for s in sentences)
-    budget = hyper.iterations * total_tokens
+    budget = hyper.iterations * sum(len(s) for s in sentences)
     lr0 = hyper.initial_learning_rate
     lr_floor = lr0 * LR_FLOOR_FRACTION
     window = hyper.window
@@ -231,22 +213,19 @@ def train(dataset: Dataset, hyper: Hyperparams) -> EmbeddingModel:
     processed = 0
     for _ in range(hyper.iterations):
         for sent in sentences:
-            m = int(sent.size)
-            if m == 0:
-                continue
-            for i in range(m):
+            m = len(sent)
+            for i, w in enumerate(sent):
                 alpha = max(lr0 * (1.0 - processed / budget), lr_floor)
                 processed += 1
-                w = int(sent[i])
                 pts = points[w]
                 if pts.size == 0:
                     continue
-                cds = codes[w]
-                lo = i - window if i >= window else 0
-                hi = min(m, i + window + 1)
-                for j in range(lo, hi):
+                omc = one_minus_code[w]
+                l2 = syn1[pts]
+                for j in range(max(i - window, 0), min(m, i + window + 1)):
                     if j != i:
-                        _pair_update(syn0, syn1, int(sent[j]), pts, cds, alpha)
+                        _step(l2, syn0[sent[j]], omc, alpha, expit)
+                syn1[pts] = l2
 
     vectors = np.round(syn0, hyper.rounding_digits)
     vectors.setflags(write=False)

@@ -30,15 +30,8 @@ from . import cor, embed
 from .atomic import atomic_open
 from .cor import RecommendationList
 from .corpus import Dataset, EvalLog, leave_one_out
-from .errors import UndefinedBaselineError, UnknownSessionError
-from .kpi import (
-    EvalIndex,
-    aggregate_pairs,
-    conversion_rate,
-    index_eval,
-    rate_from_totals,
-    seed_pairs,
-)
+from .errors import EmptyVocabularyError, UndefinedBaselineError, UnknownSessionError
+from .kpi import EvalIndex, index_eval, rate_from_totals, seed_pairs
 
 log = logging.getLogger(__name__)
 
@@ -132,7 +125,8 @@ class CorEngine:
 class VrEngine:
     """Embedding recommender; the delta model is a full single-threaded retrain
     with the baseline's rng_seed, so vector differences stem from the data
-    alone. Every list can move, so every seed is returned."""
+    alone. Every list can move, so every seed is returned. A session whose
+    removal leaves no product at ``min_count`` takes every seed with it."""
 
     hyper: embed.Hyperparams
 
@@ -143,7 +137,10 @@ class VrEngine:
         return embed.all_top_k_similar(model, k)
 
     def delta_lists(self, base_model, base_topk, dataset: Dataset, session_id: str, k: int):
-        model = embed.train(leave_one_out(dataset, session_id).materialized, self.hyper)
+        try:
+            model = embed.train(leave_one_out(dataset, session_id).materialized, self.hyper)
+        except EmptyVocabularyError:
+            return {seed: None for seed in base_topk}
         lists = self.top_k_map(model, k)
         return {seed: lists.get(seed) for seed in base_topk.keys() | lists.keys()}
 
@@ -333,10 +330,15 @@ def run_loo(
                 raise UnknownSessionError(sid)
     model = engine.fit(dataset)
     topk = engine.top_k_map(model, cfg.k)
-    pairs = aggregate_pairs(topk, eval_log)
+    eval_index = index_eval(eval_log)
+    n_views = n_ordered = 0
+    for seed, rl in topk.items():
+        for views, ordered in seed_pairs(eval_index, seed, rl).values():
+            n_views += views
+            n_ordered += ordered
     base = _Baseline(
-        engine, dataset, cfg, model, topk, index_eval(eval_log),
-        pairs.total_views(), pairs.total_ordered(), conversion_rate(pairs),
+        engine, dataset, cfg, model, topk, eval_index,
+        n_views, n_ordered, rate_from_totals(n_ordered, n_views),
     )
     if jobs <= 1:
         return [_price(base, sid) for sid in session_ids]

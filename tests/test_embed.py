@@ -2,13 +2,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from sessionvalue.embed import (
     Hyperparams,
     _huffman,
     _initial_vectors,
-    _pair_loss,
-    _pair_update,
+    _step,
     all_top_k_similar,
     build_vocab,
     dump_model,
@@ -198,7 +198,16 @@ class TestSimilarity:
             top_k_similar(model, "A", 0)
 
 
+def path_loss(v: np.ndarray, l2: np.ndarray, codes: np.ndarray) -> float:
+    """Negative log-likelihood of a center's Huffman path (rows ``l2``) given a context vector."""
+    sign = 1.0 - 2.0 * codes
+    return float(np.sum(np.logaddexp(0.0, -sign * (l2 @ v))))
+
+
 class TestGradient:
+    """``embed._step``, the trainer's update, is one gradient-descent step on
+    ``path_loss`` for both the context vector and the path rows."""
+
     def _setup_path(self):
         # center word's Huffman path in a 3-product vocabulary
         ds = mk_dataset([("1", 0, ["A", "B", "C", "A", "B", "A"])])
@@ -207,30 +216,37 @@ class TestGradient:
         syn0 = rng.normal(scale=0.2, size=(3, 6))
         syn1 = rng.normal(scale=0.2, size=(2, 6))
         entry = vocab.entries[0]
-        pts = np.array(entry.points, dtype=np.int64)
+        l2 = syn1[np.array(entry.points, dtype=np.int64)]
         cds = np.array(entry.code, dtype=np.float64)
-        return syn0, syn1, pts, cds
+        return syn0, l2, cds
+
+    @staticmethod
+    def _numeric_gradient(loss, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
+        grad = np.zeros_like(x)
+        for idx in np.ndindex(x.shape):
+            xp, xm = x.copy(), x.copy()
+            xp[idx] += h
+            xm[idx] -= h
+            grad[idx] = (loss(xp) - loss(xm)) / (2 * h)
+        return grad
 
     def test_analytic_gradient_matches_finite_differences(self):
-        syn0, syn1, pts, cds = self._setup_path()
+        syn0, l2, cds = self._setup_path()
         v = syn0[1].copy()
-        # analytic: dL/dv = -sum_d (1 - code_d - sigmoid(f_d)) * syn1[pt_d]
-        f = syn1[pts] @ v
-        g = 1.0 - cds - 1.0 / (1.0 + np.exp(-f))
-        analytic = -(g @ syn1[pts])
-        h = 1e-6
-        for d in range(v.size):
-            vp, vm = v.copy(), v.copy()
-            vp[d] += h
-            vm[d] -= h
-            fd = (_pair_loss(vp, syn1, pts, cds) - _pair_loss(vm, syn1, pts, cds)) / (2 * h)
-            assert fd == pytest.approx(analytic[d], rel=1e-6)
+        grad_v = self._numeric_gradient(lambda x: path_loss(x, l2, cds), v)
+        grad_l2 = self._numeric_gradient(lambda x: path_loss(v, x, cds), l2)
+        alpha = 0.05
+        new_v, new_l2 = v.copy(), l2.copy()
+        _step(new_l2, new_v, 1.0 - cds, alpha, expit)
+        # both updates are taken at the pre-step point: x_new = x - alpha * dL/dx
+        assert np.allclose((v - new_v) / alpha, grad_v, rtol=1e-6, atol=1e-9)
+        assert np.allclose((l2 - new_l2) / alpha, grad_l2, rtol=1e-6, atol=1e-9)
 
     def test_single_update_decreases_path_loss(self):
-        syn0, syn1, pts, cds = self._setup_path()
-        before = _pair_loss(syn0[1], syn1, pts, cds)
-        _pair_update(syn0, syn1, ctx=1, points=pts, codes=cds, alpha=0.05)
-        after = _pair_loss(syn0[1], syn1, pts, cds)
+        syn0, l2, cds = self._setup_path()
+        before = path_loss(syn0[1], l2, cds)
+        _step(l2, syn0[1], 1.0 - cds, 0.05, expit)
+        after = path_loss(syn0[1], l2, cds)
         assert after < before
 
 

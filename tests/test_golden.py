@@ -2,7 +2,8 @@
 
 ``tests/golden/smoke`` is the ``configs/smoke.yaml`` run (synth, vr value,
 lifecycle, curve). ``tests/golden/benchmark`` pins the ``cor`` valuation of
-the benchmark inputs. Every file must match byte for byte, except the curve's
+the benchmark inputs and the ``vr`` model trained on them with the full
+hyperparameters (200 dimensions, 5 iterations). Every file must match byte for byte, except the curve's
 measured ``cpu_seconds`` column (CPU time of each training call).
 """
 
@@ -53,12 +54,20 @@ def test_smoke_tree_matches_golden(tmp_path):
     _assert_matches(tmp_path, golden, produced)
 
 
-def test_benchmark_cor_value_matches_golden(tmp_path):
+def _run_on_benchmark_inputs(tmp_path, command: list[str], outputs: tuple[str, ...]) -> None:
     golden = GOLDEN / "benchmark"
     inputs = ("sessions.jsonl", "catalog.jsonl", "eval.jsonl")
     for name in inputs:
         shutil.copyfile(golden / name, tmp_path / name)
-    _invoke(["value", "--engine", "cor", "--config", str(BENCHMARK_CONFIG), "--out", str(tmp_path)])
-    outputs = ("records_cor.csv", "histogram_cor.csv", "summary_cor.json")
+    _invoke(command + ["--config", str(BENCHMARK_CONFIG), "--out", str(tmp_path)])
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(inputs + outputs)
     _assert_matches(tmp_path, golden, outputs)
+
+
+def test_benchmark_cor_value_matches_golden(tmp_path):
+    outputs = ("records_cor.csv", "histogram_cor.csv", "summary_cor.json")
+    _run_on_benchmark_inputs(tmp_path, ["value", "--engine", "cor"], outputs)
+
+
+def test_benchmark_vr_model_matches_golden(tmp_path):
+    _run_on_benchmark_inputs(tmp_path, ["train", "--engine", "vr"], ("vr_model.txt",))

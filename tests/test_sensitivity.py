@@ -7,6 +7,7 @@ from sessionvalue.cor import RecommendationList, all_top_k, build_matrix
 from sessionvalue.corpus import Dataset
 from sessionvalue.embed import Hyperparams
 from sessionvalue.errors import UndefinedBaselineError, UnknownSessionError
+from sessionvalue.kpi import rate_from_totals
 from sessionvalue.sensitivity import (
     ChangeKind,
     Constellation,
@@ -269,6 +270,25 @@ class TestRunVrLoo:
         diff = records[0].diff
         assert diff.changed
         assert diff.change_kinds["X"] is ChangeKind.SEED_MISSING
+
+    def test_session_emptying_the_vocabulary_prices_every_seed_missing(self, caplog):
+        # without "ab" no product reaches min_count=2: the retrain has no
+        # vocabulary, so every seed goes, as "ab"'s products go for cor
+        hyper = Hyperparams(dimensions=8, iterations=1, min_count=2, rng_seed=3)
+        ds = mk_dataset([("ab", 0, ["A", "B", "A", "B"]), ("c", 0, ["C"])])
+        ev = mk_eval([("e1", ["A"], ["B"]), ("e2", ["B"], [])])
+        cfg = HarnessConfig(k=3, sample=("ab",))
+        (vr,) = run_loo(VrEngine(hyper), ds, ev, cfg)
+        with caplog.at_level("WARNING", logger="sessionvalue.kpi"):
+            (cr,) = run_loo(CorEngine(), ds, ev, cfg)
+        expected = {"A": ChangeKind.SEED_MISSING, "B": ChangeKind.SEED_MISSING}
+        assert dict(vr.diff.change_kinds) == dict(cr.diff.change_kinds) == expected
+        assert "zero views" in caplog.text
+        for record in (vr, cr):
+            assert record.cr_base == 0.5
+            assert record.cr_delta == rate_from_totals(0, 0) == 0.0
+            assert record.rel_cr_change == -1.0
+            assert record.constellation is Constellation.VALUABLE
 
     def test_dominant_clone_counts_leave_output_unchanged(self):
         # two tight product clusters, 25 identical sessions each: removing one
