@@ -10,7 +10,6 @@ from .corpus import (
     Catalog,
     ClickEvent,
     Dataset,
-    DeltaDataset,
     EvalLog,
     EvalSession,
     Session,
@@ -20,8 +19,8 @@ from .corpus import (
     sessionize,
     slice_days,
 )
-from .cor import CoocMatrix, RecommendationList, all_top_k, build_matrix, remove_session, top_k
-from .embed import EmbeddingModel, Hyperparams, Vocabulary, all_top_k_similar, top_k_similar, train
+from .cor import CoocMatrix, RecommendationList, all_top_k, build_matrix
+from .embed import EmbeddingModel, Hyperparams, Vocabulary, all_top_k_similar, train
 from .kpi import KpiReport, PairCounts, aggregate_pairs, conversion_rate, feature_scale, snp
 from .sensitivity import (
     Constellation,

@@ -43,8 +43,7 @@ class CoocMatrix:
 
     ``session_membership[p]`` counts sessions whose unique set contains p, so
     the observed-product index survives exact removals. Instances are treated
-    as immutable values (``adjacency`` is derived once and cached);
-    ``remove_session`` returns a new matrix.
+    as immutable values (``adjacency`` is derived once and cached).
     """
 
     counts: dict[Pair, int] = field(default_factory=dict)
@@ -86,33 +85,6 @@ def build_matrix(dataset: Dataset) -> CoocMatrix:
     return CoocMatrix(counts=counts, session_membership=membership)
 
 
-def remove_session(matrix: CoocMatrix, session: Session) -> CoocMatrix:
-    """Exact incremental removal; equals a from-scratch rebuild without the session.
-
-    The input matrix is left untouched. Decrements that would go below zero
-    raise MatrixUnderflowError (the session was never in the build).
-    """
-    counts = dict(matrix.counts)
-    membership = dict(matrix.session_membership)
-    for p in session.unique_products:
-        current = membership.get(p, 0)
-        if current <= 0:
-            raise MatrixUnderflowError(f"product {p!r} not present in matrix")
-        if current == 1:
-            del membership[p]
-        else:
-            membership[p] = current - 1
-    for pair in _session_pairs(session):
-        current = counts.get(pair, 0)
-        if current <= 0:
-            raise MatrixUnderflowError(f"pair {pair!r} not present in matrix")
-        if current == 1:
-            del counts[pair]
-        else:
-            counts[pair] = current - 1
-    return CoocMatrix(counts=counts, session_membership=membership)
-
-
 def _rank_order(neighbors: list[tuple[str, int]]) -> None:
     """Sort in place by (count desc, id asc): two stable passes with C-level keys."""
     neighbors.sort(key=itemgetter(0))
@@ -124,23 +96,9 @@ def _rank(neighbors: list[tuple[str, int]], k: int) -> tuple[tuple[str, float], 
     return tuple(neighbors[:k])
 
 
-def top_k(matrix: CoocMatrix, seed: str, k: int) -> RecommendationList:
-    """Highest-count neighbors of ``seed``; unknown seeds yield an empty, flagged list."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if seed not in matrix.session_membership:
-        return RecommendationList(seed=seed, items=(), seed_known=False)
-    neighbors = []
-    for (a, b), c in matrix.counts.items():
-        if a == seed:
-            neighbors.append((b, c))
-        elif b == seed:
-            neighbors.append((a, c))
-    return RecommendationList(seed=seed, items=_rank(neighbors, k))
-
-
 def all_top_k(matrix: CoocMatrix, k: int) -> dict[str, RecommendationList]:
-    """One ranked list per observed product, pointwise equal to ``top_k``."""
+    """One ranked list per observed product; a product without a pair gets an
+    empty list."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     adjacency = matrix.adjacency
@@ -157,7 +115,7 @@ def session_top_k(
 
     Removing a session lowers only the counts of pairs inside it, so these are
     the only lists that can change: per product, equal to its list in
-    ``all_top_k(remove_session(matrix, session), k)``, or None where no other
+    ``all_top_k`` of a rebuild without the session, or None where no other
     session holds the product and it stops being a seed.
     """
     if k < 1:

@@ -60,6 +60,7 @@ def run_curve(dataset: Dataset, eval_log: EvalLog, plan: CurvePlan) -> list[Curv
     prev_session_ids: set[str] = set()
     first = True
     end_day = dataset.max_day if plan.end_day is None else plan.end_day
+    eval_index = kpi.index_eval(eval_log)
     embed.load_scipy()
     for n_days in plan.day_grid:
         sliced = slice_days(dataset, end_day=end_day, n_days=n_days)
@@ -70,7 +71,7 @@ def run_curve(dataset: Dataset, eval_log: EvalLog, plan: CurvePlan) -> list[Curv
         cpu_seconds = time.process_time() - started
 
         recs = embed.all_top_k_similar(model, plan.k)
-        cr = kpi.conversion_rate(kpi.aggregate_pairs(recs, eval_log), plan.correction_c)
+        cr = kpi.rate_from_totals(*kpi.totals(eval_index, recs), plan.correction_c)
         n_products = len(model.vocabulary)
         total_revenue = kpi.revenue(n_products, cr, plan.unit_value)
         added = [s for s in sliced.sessions if s.session_id not in prev_session_ids]

@@ -253,18 +253,9 @@ def _norms(model: EmbeddingModel) -> np.ndarray:
     return np.sqrt(np.sum(model.vectors * model.vectors, axis=1))
 
 
-def top_k_similar(model: EmbeddingModel, seed: str, k: int) -> RecommendationList:
-    """Cosine ranking over rounded vectors, ties by ascending product id."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    idx = model.vocabulary.index.get(seed)
-    if idx is None:
-        return RecommendationList(seed=seed, items=(), seed_known=False)
-    return _rank_similar(model, idx, k, _norms(model))
-
-
 def all_top_k_similar(model: EmbeddingModel, k: int) -> dict[str, RecommendationList]:
-    """One ranking per vocabulary product, pointwise equal to ``top_k_similar``."""
+    """One cosine ranking per vocabulary product over the rounded vectors,
+    ties by ascending product id."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     norms = _norms(model)

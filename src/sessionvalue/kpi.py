@@ -5,7 +5,9 @@ pairs realized by a model's top-k lists, so it depends on the model *only*
 through those lists: two models with identical lists produce bitwise-equal
 rates on the same evaluation log. Each seed's pairs contribute integer counts
 of their own (``seed_pairs``), so replacing a few lists moves the totals by
-exactly those lists' contributions.
+exactly those lists' contributions. Every production rate is
+``rate_from_totals(*totals(index, lists))``; ``aggregate_pairs`` and
+``conversion_rate`` are the per-pair reference it is checked against.
 """
 
 from __future__ import annotations
@@ -80,6 +82,18 @@ def seed_pairs(
         return {}
     orders = index.orders.get(seed, {})
     return {(seed, alt): (views, orders.get(alt, 0)) for alt, _score in rl.items}
+
+
+def totals(
+    index: EvalIndex, lists: Mapping[str, RecommendationList | None]
+) -> tuple[int, int]:
+    """(n_ordered, n_views) summed over the pairs of every list in ``lists``."""
+    n_ordered = n_views = 0
+    for seed, rl in lists.items():
+        for views, ordered in seed_pairs(index, seed, rl).values():
+            n_views += views
+            n_ordered += ordered
+    return n_ordered, n_views
 
 
 def aggregate_pairs(recs: Mapping[str, RecommendationList], eval_log: EvalLog) -> PairCounts:

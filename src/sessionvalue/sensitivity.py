@@ -31,7 +31,7 @@ from .atomic import atomic_open
 from .cor import RecommendationList
 from .corpus import Dataset, EvalLog, leave_one_out
 from .errors import EmptyVocabularyError, UndefinedBaselineError, UnknownSessionError
-from .kpi import EvalIndex, index_eval, rate_from_totals, seed_pairs
+from .kpi import EvalIndex, index_eval, rate_from_totals, totals
 
 log = logging.getLogger(__name__)
 
@@ -264,28 +264,21 @@ def _price(base: _Baseline, session_id: str) -> SensitivityRecord:
     ``conversion_rate(aggregate_pairs(delta_topk, eval_log))`` bit for bit."""
     lists = base.engine.delta_lists(base.model, base.topk, base.dataset, session_id, base.cfg.k)
     kinds: dict[str, ChangeKind] = {}
-    gained = 0
-    n_views, n_ordered = base.n_views, base.n_ordered
     for seed in sorted(lists):
-        old, new = base.topk.get(seed), lists[seed]
-        kind = _change_kind(old, new)
-        if kind is None:
-            continue
-        kinds[seed] = kind
-        gained += old is None
-        for views, ordered in seed_pairs(base.eval_index, seed, old).values():
-            n_views -= views
-            n_ordered -= ordered
-        for views, ordered in seed_pairs(base.eval_index, seed, new).values():
-            n_views += views
-            n_ordered += ordered
+        kind = _change_kind(base.topk.get(seed), lists[seed])
+        if kind is not None:
+            kinds[seed] = kind
     diff = OutputDiff(
         changed=bool(kinds),
         n_changed_seeds=len(kinds),
-        n_compared_seeds=len(base.topk) + gained,
+        n_compared_seeds=len(base.topk) + sum(seed not in base.topk for seed in kinds),
         change_kinds=kinds,
     )
-    cr_delta = rate_from_totals(n_ordered, n_views)
+    old_ordered, old_views = totals(base.eval_index, {s: base.topk.get(s) for s in kinds})
+    new_ordered, new_views = totals(base.eval_index, {s: lists[s] for s in kinds})
+    cr_delta = rate_from_totals(
+        base.n_ordered - old_ordered + new_ordered, base.n_views - old_views + new_views
+    )
     rel = relative_cr_change(base.cr, cr_delta)
     return SensitivityRecord(
         session_id=session_id,
@@ -331,11 +324,7 @@ def run_loo(
     model = engine.fit(dataset)
     topk = engine.top_k_map(model, cfg.k)
     eval_index = index_eval(eval_log)
-    n_views = n_ordered = 0
-    for seed, rl in topk.items():
-        for views, ordered in seed_pairs(eval_index, seed, rl).values():
-            n_views += views
-            n_ordered += ordered
+    n_ordered, n_views = totals(eval_index, topk)
     base = _Baseline(
         engine, dataset, cfg, model, topk, eval_index,
         n_views, n_ordered, rate_from_totals(n_ordered, n_views),

@@ -4,8 +4,9 @@ Training sessions follow category-sticky random walks over a Zipf popularity
 distribution. Evaluation sessions sample views from the same walk model and
 orders from a pairwise purchase-affinity table, so the measured conversion
 rate genuinely depends on *which* alternatives a model recommends. Plants
-(toxic and duplicate sessions) are verified by brute force at creation time
-rather than assumed to behave.
+are verified at creation time rather than assumed to behave: a toxic plant by
+fitting each engine with it, a duplicate plant by the exact ``cor``
+leave-one-out of one clone.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import atomic_open
-from .cor import all_top_k, build_matrix
-from .embed import all_top_k_similar, train
+from .cor import all_top_k, build_matrix, session_top_k
 from .corpus import (
     Catalog,
     ClickEvent,
@@ -31,7 +31,8 @@ from .corpus import (
     SECONDS_PER_DAY,
 )
 from .errors import PlantFailedError, UnknownSessionError
-from .kpi import aggregate_pairs, conversion_rate
+from .kpi import index_eval, rate_from_totals, totals
+from .sensitivity import CorEngine, VrEngine
 
 log = logging.getLogger(__name__)
 
@@ -252,42 +253,39 @@ def plant_toxic_session(
 ) -> tuple[Dataset, GroundTruth]:
     """Append one high-frequency session that provably lowers the conversion rate.
 
-    The plant pairs a viewed seed with a never-co-ordered junk product so the
-    junk displaces a ranked alternative. Every candidate is verified by brute
-    force: rebuild the model with and without the plant and require the
-    with-plant conversion rate to drop by more than ``min_rel_gain`` relative
-    (so a later leave-one-out of the plant is safely outside the neutral
-    band). With ``vr_hyper`` set, the same check also runs for the embedding
-    model. Gives up with PlantFailedError after ``retries`` candidates.
+    The plant pairs a viewed seed with a never-co-ordered junk product whose
+    raised count ranks ahead of the seed's k-th alternative, so the junk
+    displaces it. Every candidate is verified by brute force: fit each engine
+    (``cor``, plus ``vr`` with ``vr_hyper`` set) on the dataset with the plant
+    and require its conversion rate to sit more than ``min_rel_gain`` below
+    the baseline's, relative (so a later leave-one-out of the plant is safely
+    outside the neutral band). Gives up with PlantFailedError after
+    ``retries`` candidates.
     """
+    index = index_eval(eval_log)
+
+    def rate(engine, data: Dataset) -> float:
+        return rate_from_totals(*totals(index, engine.top_k_map(engine.fit(data), k)))
+
     base_matrix = build_matrix(dataset)
     base_topk = all_top_k(base_matrix, k)
-    base_cr = conversion_rate(aggregate_pairs(base_topk, eval_log))
-    if base_cr <= 0.0:
-        raise PlantFailedError("baseline conversion rate is zero; no rate to corrupt")
+    baselines = [(CorEngine(), rate_from_totals(*totals(index, base_topk)))]
     if vr_hyper is not None:
-        base_vr_topk = all_top_k_similar(train(dataset, vr_hyper), k)
-        base_vr_cr = conversion_rate(aggregate_pairs(base_vr_topk, eval_log))
-        if base_vr_cr <= 0.0:
-            raise PlantFailedError("baseline VR conversion rate is zero; no rate to corrupt")
-
-    support: set[tuple[str, str]] = set()
-    viewed_ever: set[str] = set()
-    for es in eval_log.sessions:
-        viewed_ever |= es.viewed
-        for p in es.viewed:
-            for q in es.ordered:
-                support.add((p, q))
+        vr_engine = VrEngine(vr_hyper)
+        baselines.append((vr_engine, rate(vr_engine, dataset)))
+    if any(base_cr <= 0.0 for _, base_cr in baselines):
+        raise PlantFailedError("baseline conversion rate is zero; no rate to corrupt")
 
     candidates: list[tuple[str, str]] = []
     for seed in sorted(base_topk):
         items = base_topk[seed].items
-        if len(items) < k or seed not in viewed_ever:
+        if len(items) < k or seed not in index.views:
             continue
         kth_id, kth_count = items[-1]
         in_list = set(base_topk[seed].product_ids)
+        ordered_with_seed = index.orders.get(seed, {})
         for junk in sorted(dataset.catalog.products):
-            if junk == seed or junk in in_list or (seed, junk) in support:
+            if junk == seed or junk in in_list or junk in ordered_with_seed:
                 continue
             new_count = base_matrix.count(seed, junk) + 1
             if new_count > kth_count or (new_count == kth_count and junk < kth_id):
@@ -308,23 +306,11 @@ def plant_toxic_session(
         seed, junk = candidates[int(idx)]
         plant = _plant_session(plant_id, seed, junk, dataset.max_day, repeats)
         trial = Dataset(sessions=dataset.sessions + (plant,), catalog=dataset.catalog)
-
-        trial_topk = all_top_k(build_matrix(trial), k)
-        displaced = any(
-            set(base_topk[s].product_ids) - set(trial_topk[s].product_ids)
-            for s in base_topk
-            if s in trial_topk
-        )
-        if not displaced:
+        if not all(
+            (cr_with := rate(engine, trial)) > 0.0 and (base_cr - cr_with) / cr_with > min_rel_gain
+            for engine, base_cr in baselines
+        ):
             continue
-        cr_with = conversion_rate(aggregate_pairs(trial_topk, eval_log))
-        if cr_with <= 0.0 or (base_cr - cr_with) / cr_with <= min_rel_gain:
-            continue
-        if vr_hyper is not None:
-            trial_vr_topk = all_top_k_similar(train(trial, vr_hyper), k)
-            vr_cr_with = conversion_rate(aggregate_pairs(trial_vr_topk, eval_log))
-            if vr_cr_with <= 0.0 or (base_vr_cr - vr_cr_with) / vr_cr_with <= min_rel_gain:
-                continue
         log.info("toxic plant %s accepted after %d attempts (seed=%s junk=%s)",
                  plant_id, attempts, seed, junk)
         planted = truth.planted + ((plant_id, PlantKind.TOXIC),)
@@ -360,9 +346,9 @@ def plant_no_impact_duplicates(
 ) -> tuple[Dataset, GroundTruth, str]:
     """Clone the first session whose clones provably leave every top-k list alone.
 
-    Verified by brute force with ``duplicates_still_no_impact``: every ranked
-    id sequence must survive the removal of one clone (count gaps large
-    enough to absorb a single decrement).
+    Verified with ``duplicates_still_no_impact``: every ranked id sequence
+    must survive the removal of one clone (count gaps large enough to absorb
+    a single decrement).
     """
     if copies < 2:
         raise ValueError("need copies >= 2 so a single clone removal is absorbable")
@@ -377,21 +363,19 @@ def plant_no_impact_duplicates(
 
 
 def duplicates_still_no_impact(dataset: Dataset, source_sid: str, copies: int, k: int) -> bool:
-    """Check a duplicate plant against the current dataset, brute force.
-
-    Rebuilds the model without one clone and compares every ranked id
-    sequence; also the re-check after later plants shifted co-occurrence counts.
-    """
+    """Check a duplicate plant against the current dataset: every ranked id
+    sequence must survive the exact leave-one-out of one clone (also the
+    re-check after later plants shifted co-occurrence counts). Only the
+    clone's own products can change, so only their lists are compared."""
     one_clone = clone_ids(source_sid, copies)[0]
     if one_clone not in dataset.by_id:
         raise UnknownSessionError(one_clone)
-    base_ids = {s: rl.product_ids for s, rl in all_top_k(build_matrix(dataset), k).items()}
-    without = Dataset(
-        sessions=tuple(s for s in dataset.sessions if s.session_id != one_clone),
-        catalog=dataset.catalog,
+    matrix = build_matrix(dataset)
+    base = all_top_k(matrix, k)
+    return all(
+        rl is not None and rl.product_ids == base[seed].product_ids
+        for seed, rl in session_top_k(matrix, dataset.by_id[one_clone], k).items()
     )
-    delta_ids = {s: rl.product_ids for s, rl in all_top_k(build_matrix(without), k).items()}
-    return base_ids == delta_ids
 
 
 # ---------------------------------------------------------------------------

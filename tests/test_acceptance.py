@@ -15,7 +15,7 @@ import pytest
 from click.testing import CliRunner
 
 from sessionvalue.cli import main
-from sessionvalue.cor import all_top_k, build_matrix, remove_session
+from sessionvalue.cor import all_top_k, build_matrix, session_top_k
 from sessionvalue.corpus import Dataset, slice_days
 from sessionvalue.curve import CurvePlan, emit_curves, run_curve
 from sessionvalue.embed import Hyperparams, build_vocab
@@ -34,6 +34,7 @@ from sessionvalue.synthgen import GenConfig, PlantKind, duplicates_still_no_impa
 
 from conftest import BENCHMARK_CONFIG, SMOKE_CONFIG
 from helpers import mk_catalog, mk_eval, mk_session
+from oracles import remove_session
 
 
 def _report(name: str) -> None:
@@ -77,7 +78,9 @@ def vr_records(benchmark_data, benchmark_rc, harness_cfg):
 
 
 def test_cor_leave_one_out_rebuild_oracle():
-    """Incremental removal equals a from-scratch rebuild on 100 seeded datasets."""
+    """Incremental removal equals a from-scratch rebuild on 100 seeded datasets,
+    and the shipped seed-local ``session_top_k`` gives the rebuild's list of
+    every product of the left-out session (None once the product vanishes)."""
     for seed in range(100):
         cfg = GenConfig(
             n_products=40, n_categories_top=3, n_categories_fine=10,
@@ -96,7 +99,12 @@ def test_cor_leave_one_out_rebuild_oracle():
                 )
             )
             assert incremental == rebuilt
-            assert all_top_k(incremental, 5) == all_top_k(rebuilt, 5)
+            rebuilt_topk = all_top_k(rebuilt, 5)
+            assert all_top_k(incremental, 5) == rebuilt_topk
+            local = session_top_k(matrix, session, 5)
+            assert set(local) == session.unique_products
+            for seed, rl in local.items():
+                assert rl == rebuilt_topk.get(seed)
     _report("COR leave-one-out oracle (100 datasets, every session, exact)")
 
 

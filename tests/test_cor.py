@@ -2,19 +2,13 @@ from __future__ import annotations
 
 import pytest
 
-from sessionvalue.cor import (
-    CoocMatrix,
-    all_top_k,
-    build_matrix,
-    dump_matrix,
-    remove_session,
-    top_k,
-)
+from sessionvalue.cor import CoocMatrix, all_top_k, build_matrix, dump_matrix
 from sessionvalue.corpus import Dataset
 from sessionvalue.errors import MatrixUnderflowError
 from sessionvalue.synthgen import GenConfig, generate
 
 from helpers import mk_catalog, mk_dataset
+from oracles import remove_session, top_k
 
 
 class TestBuildMatrix:

@@ -12,12 +12,12 @@ from sessionvalue.embed import (
     all_top_k_similar,
     build_vocab,
     dump_model,
-    top_k_similar,
     train,
 )
 from sessionvalue.errors import EmptyVocabularyError
 
 from helpers import mk_dataset
+from oracles import top_k_similar
 
 FAST = Hyperparams(dimensions=16, iterations=2, min_count=1, rng_seed=9)
 

@@ -1,10 +1,11 @@
 """Golden bytes: the CLI reproduces the checked-in output trees exactly.
 
 ``tests/golden/smoke`` is the ``configs/smoke.yaml`` run (synth, vr value,
-lifecycle, curve). ``tests/golden/benchmark`` pins the ``cor`` valuation of
-the benchmark inputs and the ``vr`` model trained on them with the full
-hyperparameters (200 dimensions, 5 iterations). Every file must match byte for byte, except the curve's
-measured ``cpu_seconds`` column (CPU time of each training call).
+lifecycle, curve). ``tests/golden/benchmark`` pins the benchmark inputs that
+``synth`` writes (plants included), the ``cor`` valuation of those inputs and
+the ``vr`` model trained on them with the full hyperparameters (200
+dimensions, 5 iterations). Every file must match byte for byte, except the
+curve's measured ``cpu_seconds`` column (CPU time of each training call).
 """
 
 from __future__ import annotations
@@ -52,6 +53,15 @@ def test_smoke_tree_matches_golden(tmp_path):
     produced = sorted(p.name for p in tmp_path.iterdir())
     assert produced == sorted(p.name for p in golden.iterdir())
     _assert_matches(tmp_path, golden, produced)
+
+
+def test_benchmark_synth_matches_golden(tmp_path):
+    """The benchmark inputs, plants included: a refactor of the plant search
+    that picked another plant would change these bytes."""
+    _invoke(["synth", "--config", str(BENCHMARK_CONFIG), "--out", str(tmp_path)])
+    outputs = ("sessions.jsonl", "catalog.jsonl", "eval.jsonl", "truth.json")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(outputs)
+    _assert_matches(tmp_path, GOLDEN / "benchmark", outputs)
 
 
 def _run_on_benchmark_inputs(tmp_path, command: list[str], outputs: tuple[str, ...]) -> None:

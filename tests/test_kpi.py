@@ -4,7 +4,7 @@ import logging
 
 import pytest
 import numpy as np
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sessionvalue.cor import RecommendationList
 from sessionvalue.kpi import (
@@ -12,9 +12,12 @@ from sessionvalue.kpi import (
     aggregate_pairs,
     conversion_rate,
     feature_scale,
+    index_eval,
+    rate_from_totals,
     revenue,
     revenue_per_session,
     snp,
+    totals,
 )
 
 from helpers import mk_eval, mk_session
@@ -99,6 +102,43 @@ class TestConversionRate:
         cr_a = conversion_rate(aggregate_pairs(recs_a, eval_log))
         cr_b = conversion_rate(aggregate_pairs(recs_b, eval_log))
         assert cr_a == cr_b
+
+
+# G and H are never viewed by an eval session; U and V are never ordered.
+VIEWED = "ABCDEF"
+SEEDS = VIEWED + "GH"
+ALTS = VIEWED + "UV"
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    lists=st.dictionaries(
+        st.sampled_from(SEEDS),
+        st.none() | st.lists(st.sampled_from(ALTS), unique=True, max_size=4),
+        max_size=len(SEEDS),
+    ),
+    evals=st.lists(
+        st.tuples(
+            st.lists(st.sampled_from(VIEWED), min_size=1, max_size=4),
+            st.lists(st.sampled_from(VIEWED), max_size=3),
+        ),
+        max_size=6,
+    ),
+    c=st.floats(min_value=0.01, max_value=10.0),
+)
+@example(
+    lists={"A": ["B", "U"], "B": None, "G": ["A"]},
+    evals=[(["A", "B"], ["B"]), (["A"], [])],
+    c=1.0,
+)
+def test_totals_match_aggregate_pairs_oracle(lists, evals, c):
+    """The production rate path equals the per-pair oracle, bit for bit."""
+    recs = {seed: None if alts is None else rl(seed, alts) for seed, alts in lists.items()}
+    eval_log = mk_eval([(f"e{i}", viewed, ordered) for i, (viewed, ordered) in enumerate(evals)])
+    pairs = aggregate_pairs(recs, eval_log)
+    got = totals(index_eval(eval_log), recs)
+    assert got == (pairs.total_ordered(), pairs.total_views())
+    assert rate_from_totals(*got, c).hex() == conversion_rate(pairs, c).hex()
 
 
 class TestRevenue:

@@ -32,6 +32,7 @@ from sessionvalue.sensitivity import (
 )
 
 from helpers import mk_dataset, mk_eval
+from oracles import remove_session
 
 TRAIN_PRODUCTS = "ABCDEF"
 # X and Y never occur in training sessions: eval views of them match no seed.
@@ -135,7 +136,7 @@ def test_session_top_k_equals_removal(sessions, k):
     dataset, _ = build(sessions, [(["A"], [])])
     matrix = cor.build_matrix(dataset)
     for session in dataset.sessions:
-        after = cor.all_top_k(cor.remove_session(matrix, session), k)
+        after = cor.all_top_k(remove_session(matrix, session), k)
         local = cor.session_top_k(matrix, session, k)
         assert set(local) == session.unique_products
         for seed, rl in local.items():

@@ -5,10 +5,10 @@ import io
 import pytest
 
 from sessionvalue.cor import all_top_k, build_matrix
-from sessionvalue.corpus import Dataset, write_sessions
+from sessionvalue.corpus import Dataset, EvalLog, EvalSession, write_sessions
 from sessionvalue.errors import PlantFailedError, UnknownSessionError
 from sessionvalue.kpi import aggregate_pairs, conversion_rate
-from sessionvalue.sensitivity import Constellation, CorEngine, HarnessConfig, run_loo
+from sessionvalue.sensitivity import ChangeKind, Constellation, CorEngine, HarnessConfig, run_loo
 from sessionvalue.synthgen import (
     GenConfig,
     PlantKind,
@@ -124,9 +124,24 @@ class TestToxicPlant:
         toxic_id = truth.planted[-1][0]
         records = run_loo(CorEngine(), with_plant, ev, HarnessConfig(k=5, revenue_base=1e6))
         record = next(r for r in records if r.session_id == toxic_id)
-        assert record.rel_cr_change > 0
+        assert record.rel_cr_change > 0.001  # plant_toxic_session's default min_rel_gain
         assert record.value < 0
         assert record.constellation is Constellation.TOXIC
+        # the plant alternates seed, junk, ...: without it, the junk leaves the
+        # seed's list and the displaced alternative comes back
+        seed = with_plant.by_id[toxic_id].clicks[0].product
+        assert record.diff.change_kinds[seed] is ChangeKind.MEMBERSHIP_CHANGED
+
+    def test_eval_log_without_orders_has_no_rate_to_corrupt(self):
+        ds, ev, truth = generate(small_config())
+        no_orders = EvalLog(
+            sessions=tuple(
+                EvalSession(session_id=e.session_id, viewed=e.viewed, ordered=frozenset())
+                for e in ev.sessions
+            )
+        )
+        with pytest.raises(PlantFailedError, match="baseline conversion rate is zero"):
+            plant_toxic_session(ds, no_orders, truth, rng_seed=99, k=5)
 
     def test_uniform_orders_defeat_planting(self):
         # every alternative is ordered everywhere: displacement cannot drop CR
