@@ -16,11 +16,10 @@ import logging
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import curve, kpi, lifecycle, sensitivity, synthgen
 from .atomic import atomic_open
-from .config import RunConfig, SampleSpec, load_run_config
+from .config import RunConfig, load_run_config
 from .corpus import (
     Dataset,
     EvalLog,
@@ -100,18 +99,6 @@ def _engine(rc: RunConfig, name: str):
     return CorEngine() if name == "cor" else VrEngine(hyper=rc.hyper)
 
 
-def _resolve_sample(spec: SampleSpec | None, dataset: Dataset) -> tuple[str, ...] | None:
-    if spec is None:
-        return None
-    if spec.ids is not None:
-        return spec.ids
-    ids = sorted(dataset.by_id)
-    size = min(spec.size, len(ids))
-    rng = np.random.default_rng(spec.rng_seed)
-    picked = rng.choice(len(ids), size=size, replace=False)
-    return tuple(sorted(ids[int(i)] for i in picked))
-
-
 def _write_json(doc: dict, path: Path) -> None:
     with atomic_open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -133,34 +120,22 @@ def synth_pipeline(rc: RunConfig) -> tuple[Dataset, EvalLog, synthgen.GroundTrut
         raise SessionValueError("config has no synth section (rng_seed and counts required)")
     dataset, eval_log, truth = synthgen.generate(rc.synth)
 
+    k = rc.harness.k
     dup = rc.plants.duplicates
     dup_source = None
     if dup is not None:
-        if dup.session_id is not None:
-            dataset = synthgen.plant_duplicate_sessions(dataset, dup.session_id, dup.copies)
-            added = tuple(
-                (cid, synthgen.PlantKind.DUPLICATE)
-                for cid in synthgen.clone_ids(dup.session_id, dup.copies)
-            )
-            truth = synthgen.GroundTruth(affinity=truth.affinity, planted=truth.planted + added)
-            dup_source = dup.session_id
-        else:
-            dataset, truth, dup_source = synthgen.plant_no_impact_duplicates(
-                dataset, truth, copies=dup.copies, k=rc.harness.k,
-                max_candidates=dup.max_candidates,
-            )
+        dataset, truth, dup_source = synthgen.plant_no_impact_duplicates(
+            dataset, truth, copies=dup.copies, k=k
+        )
     tox = rc.plants.toxic
     if tox is not None:
         dataset, truth = synthgen.plant_toxic_session(
-            dataset, eval_log, truth, tox.rng_seed,
-            k=rc.harness.k, retries=tox.retries, min_rel_gain=tox.min_rel_gain,
-            vr_hyper=rc.hyper if tox.verify_vr else None, repeats=tox.repeats,
+            dataset, eval_log, truth, tox.rng_seed, k=k, vr_hyper=rc.hyper
         )
-        if dup is not None and dup_source is not None:
-            if not synthgen.duplicates_still_no_impact(dataset, dup_source, dup.copies, rc.harness.k):
-                raise SessionValueError(
-                    "toxic plant invalidated the duplicate plant; change plant seeds"
-                )
+        if dup is not None and not synthgen.duplicates_still_no_impact(
+            dataset, dup_source, dup.copies, k
+        ):
+            raise SessionValueError("toxic plant invalidated the duplicate plant; change plant seeds")
     return dataset, eval_log, truth, dup_source
 
 
@@ -265,16 +240,17 @@ def value(config_path: str, out_override: str | None, summary_mode: str, engine:
     """Leave-one-out session valuation: records, histogram and summary files."""
     rc, out_dir = _prepare(config_path, out_override)
     dataset, eval_log = _load_data(rc, out_dir)
-    sample = None  # cor always prices every session
+    session_ids = None  # cor always prices every session
     if engine == "vr":
-        sample = _resolve_sample(rc.harness.sample, dataset)
-        if sample is None and len(dataset.sessions) > rc.harness.vr_exhaustive_limit:
+        if rc.harness.sample is not None:
+            session_ids = rc.harness.sample.pick(dataset)
+        elif len(dataset.sessions) > rc.harness.vr_exhaustive_limit:
             raise click.ClickException(
                 f"exhaustive VR leave-one-out over {len(dataset.sessions)} sessions is not "
                 f"tractable (limit {rc.harness.vr_exhaustive_limit}); configure harness.sample"
             )
     records = sensitivity.run_loo(
-        _engine(rc, engine), dataset, eval_log, rc.harness.loo_config(sample), jobs=jobs
+        _engine(rc, engine), dataset, eval_log, rc.harness, jobs=jobs, session_ids=session_ids
     )
     hist = sensitivity.histogram(records, rc.harness.bin_width, rc.harness.neutral_band)
     sensitivity.write_records_csv(records, out_dir / f"records_{engine}.csv")

@@ -2,12 +2,14 @@
 
 Each section is read straight into the dataclass that owns it (``synth`` ->
 ``GenConfig``, ``embed`` -> ``Hyperparams``, ``plants`` -> ``PlantsConfig``,
-``harness`` -> ``HarnessSection``, ``lifecycle`` -> ``FramePlan`` plus ``k`` and
-``hr_level``, ``curve`` -> ``CurvePlan``). The keys are the dataclass's field
-names, the accepted types come from its annotations and the defaults are its
-defaults, so a parameter is declared once. Unknown keys, wrong types, missing
-required keys and values the dataclass refuses all raise ``ConfigError`` naming
-the dotted key.
+``harness`` -> ``sensitivity.HarnessConfig``, ``lifecycle`` -> ``FramePlan``
+plus ``k`` and ``hr_level``, ``curve`` -> ``CurvePlan``). The keys are the
+dataclass's field names, the accepted types come from its annotations and the
+defaults are its defaults, so a parameter is declared once. Unknown keys, wrong
+types, missing required keys and values the dataclass refuses all raise
+``ConfigError`` naming the dotted key. Settings no recipe varies (the toxic
+plant's size and threshold, the Zipf popularity exponent) are constants of
+``synthgen``, not keys.
 
 Relative paths (``output_dir`` and the ``paths`` section) resolve against the
 working directory; files not listed under ``paths`` default to well-known names
@@ -29,7 +31,7 @@ from .curve import CurvePlan
 from .embed import Hyperparams
 from .errors import ConfigError
 from .lifecycle import FramePlan
-from .sensitivity import HarnessConfig, histogram
+from .sensitivity import HarnessConfig, SampleSpec
 from .synthgen import GenConfig
 
 DEFAULT_FILENAMES = {
@@ -43,62 +45,17 @@ DEFAULT_FILENAMES = {
 @dataclass(frozen=True)
 class ToxicPlantConfig:
     rng_seed: int
-    retries: int = 100
-    min_rel_gain: float = 0.001
-    verify_vr: bool = False
-    repeats: int = 25
 
 
 @dataclass(frozen=True)
 class DuplicatePlantConfig:
     copies: int = 3
-    session_id: str | None = None  # None: first brute-force-verified candidate
-    max_candidates: int | None = None
 
 
 @dataclass(frozen=True)
 class PlantsConfig:
     toxic: ToxicPlantConfig | None = None
     duplicates: DuplicatePlantConfig | None = None
-
-
-@dataclass(frozen=True)
-class SampleSpec:
-    """Either an explicit session-id list or a seeded random sample size."""
-
-    ids: tuple[str, ...] | None = None
-    size: int | None = None
-    rng_seed: int = 0
-
-    def __post_init__(self) -> None:
-        if (self.ids is None) == (self.size is None):
-            raise ValueError("expected a list of session ids or a {size, rng_seed} mapping")
-        if self.ids is not None and not self.ids:
-            raise ValueError("ids must be a non-empty list of session ids")
-        if self.size is not None and self.size < 1:
-            raise ValueError(f"size must be >= 1, got {self.size}")
-        if self.rng_seed < 0:
-            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
-
-
-@dataclass(frozen=True)
-class HarnessSection:
-    k: int = 5
-    neutral_band: float = 0.0005
-    revenue_base: float = 1.0
-    bin_width: float = 0.001
-    vr_exhaustive_limit: int = 200
-    sample: SampleSpec | None = None
-
-    def __post_init__(self) -> None:
-        # HarnessConfig owns the k and neutral_band rules, histogram the bin_width rule.
-        self.loo_config(None)
-        histogram((), self.bin_width, self.neutral_band)
-
-    def loo_config(self, sample: tuple[str, ...] | None) -> HarnessConfig:
-        return HarnessConfig(
-            k=self.k, neutral_band=self.neutral_band, sample=sample, revenue_base=self.revenue_base
-        )
 
 
 @dataclass(frozen=True)
@@ -119,7 +76,7 @@ class RunConfig:
     synth: GenConfig | None
     plants: PlantsConfig
     hyper: Hyperparams
-    harness: HarnessSection
+    harness: HarnessConfig
     lifecycle: LifecycleSection
     curve: CurvePlan | None
 
@@ -230,7 +187,7 @@ def load_run_config(path: str | Path) -> RunConfig:
         synth=_read(GenConfig, doc["synth"], "synth") if "synth" in doc else None,
         plants=_read(PlantsConfig, doc.get("plants"), "plants"),
         hyper=hyper,
-        harness=_read(HarnessSection, doc.get("harness"), "harness"),
+        harness=_read(HarnessConfig, doc.get("harness"), "harness"),
         lifecycle=_read_lifecycle(doc.get("lifecycle")),
         curve=_read(CurvePlan, doc["curve"], "curve", hyper=hyper) if "curve" in doc else None,
     )

@@ -56,6 +56,8 @@ class ClickEvent:
     product: str
 
     def __post_init__(self) -> None:
+        if type(self.t) is not int:  # exact: a bool, float or string time is refused
+            raise TypeError(f"click timestamp must be an integer, got {self.t!r}")
         if self.t < 0:
             raise ValueError(f"click timestamp must be >= 0, got {self.t}")
         validate_product_id(self.product)
@@ -298,7 +300,7 @@ def read_sessions(path: str | Path) -> list[Session]:
             try:
                 doc = json.loads(line)
                 sid = doc["session_id"]
-                clicks = tuple(ClickEvent(t=int(c["t"]), product=c["p"]) for c in doc["clicks"])
+                clicks = tuple(ClickEvent(t=c["t"], product=c["p"]) for c in doc["clicks"])
                 session = Session(session_id=sid, clicks=clicks)
             except (KeyError, TypeError, ValueError, UnsortedEventsError) as exc:
                 raise DatasetFormatError(str(path), line_no, f"malformed session line ({exc})")
@@ -363,11 +365,14 @@ def read_eval_log(path: str | Path) -> EvalLog:
                 continue
             try:
                 doc = json.loads(line)
+                viewed, ordered = doc["viewed"], doc.get("ordered", [])
+                if type(viewed) is not list or type(ordered) is not list:
+                    raise TypeError("viewed and ordered must be lists of product ids")
                 sessions.append(
                     EvalSession(
                         session_id=doc["session_id"],
-                        viewed=frozenset(doc["viewed"]),
-                        ordered=frozenset(doc.get("ordered", ())),
+                        viewed=frozenset(viewed),
+                        ordered=frozenset(ordered),
                     )
                 )
             except (KeyError, TypeError, ValueError) as exc:

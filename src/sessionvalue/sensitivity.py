@@ -26,6 +26,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from . import cor, embed
 from .atomic import atomic_open
 from .cor import RecommendationList
@@ -56,10 +58,15 @@ class OutputDiff:
     ranked id sequences matter. ``change_kinds`` lists changed seeds only
     (unchanged seeds are implicitly SAME_LIST)."""
 
-    changed: bool
-    n_changed_seeds: int
-    n_compared_seeds: int
     change_kinds: Mapping[str, ChangeKind]
+
+    @property
+    def changed(self) -> bool:
+        return bool(self.change_kinds)
+
+    @property
+    def n_changed_seeds(self) -> int:
+        return len(self.change_kinds)
 
 
 @dataclass(frozen=True)
@@ -74,19 +81,52 @@ class SensitivityRecord:
 
 
 @dataclass(frozen=True)
+class SampleSpec:
+    """Either an explicit session-id list or a seeded random sample size."""
+
+    ids: tuple[str, ...] | None = None
+    size: int | None = None
+    rng_seed: int = 0
+
+    def __post_init__(self) -> None:
+        if (self.ids is None) == (self.size is None):
+            raise ValueError("expected a list of session ids or a {size, rng_seed} mapping")
+        if self.ids is not None and not self.ids:
+            raise ValueError("ids must be a non-empty list of session ids")
+        if self.size is not None and self.size < 1:
+            raise ValueError(f"size must be >= 1, got {self.size}")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
+
+    def pick(self, dataset: Dataset) -> tuple[str, ...]:
+        """The listed ids, or ``size`` ids (all when fewer) drawn with
+        ``rng_seed`` from the sorted session ids, returned sorted."""
+        if self.ids is not None:
+            return self.ids
+        ids = sorted(dataset.by_id)
+        rng = np.random.default_rng(self.rng_seed)
+        picked = rng.choice(len(ids), size=min(self.size, len(ids)), replace=False)
+        return tuple(sorted(ids[int(i)] for i in picked))
+
+
+@dataclass(frozen=True)
 class HarnessConfig:
+    """The ``harness`` config section: pricing, histogram and sampling settings."""
+
     k: int = 5
     neutral_band: float = 0.0005
-    sample: tuple[str, ...] | None = None
     revenue_base: float = 1.0
+    bin_width: float = 0.001
+    vr_exhaustive_limit: int = 200
+    sample: SampleSpec | None = None
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.neutral_band < 0:
             raise ValueError(f"neutral_band must be >= 0, got {self.neutral_band}")
-        if self.sample is not None and not self.sample:
-            raise ValueError("sample must be non-empty; None prices every session")
+        if self.bin_width <= 0:
+            raise ValueError(f"bin_width must be > 0, got {self.bin_width}")
 
 
 @dataclass(frozen=True)
@@ -202,24 +242,23 @@ def _change_kind(
     return ChangeKind.MEMBERSHIP_CHANGED
 
 
+def _diff(base: Mapping, delta: Mapping, seeds) -> OutputDiff:
+    """The changes of ``seeds`` in seed order; a seed absent from a map has no list there."""
+    kinds = {}
+    for seed in sorted(seeds):
+        kind = _change_kind(base.get(seed), delta.get(seed))
+        if kind is not None:
+            kinds[seed] = kind
+    return OutputDiff(kinds)
+
+
 def diff_topk(
     base: Mapping[str, RecommendationList],
     delta: Mapping[str, RecommendationList],
 ) -> OutputDiff:
     """Compare ranked id sequences per seed. Seeds lost by the delta map count
     as SEED_MISSING; seeds the delta gained count as MEMBERSHIP_CHANGED."""
-    kinds: dict[str, ChangeKind] = {}
-    seeds = set(base) | set(delta)
-    for seed in sorted(seeds):
-        kind = _change_kind(base.get(seed), delta.get(seed))
-        if kind is not None:
-            kinds[seed] = kind
-    return OutputDiff(
-        changed=bool(kinds),
-        n_changed_seeds=len(kinds),
-        n_compared_seeds=len(seeds),
-        change_kinds=kinds,
-    )
+    return _diff(base, delta, base.keys() | delta.keys())
 
 
 def relative_cr_change(cr_base: float, cr_delta: float) -> float:
@@ -263,17 +302,8 @@ def _price(base: _Baseline, session_id: str) -> SensitivityRecord:
     integer view/order totals by their contributions, so ``cr_delta`` equals
     ``conversion_rate(aggregate_pairs(delta_topk, eval_log))`` bit for bit."""
     lists = base.engine.delta_lists(base.model, base.topk, base.dataset, session_id, base.cfg.k)
-    kinds: dict[str, ChangeKind] = {}
-    for seed in sorted(lists):
-        kind = _change_kind(base.topk.get(seed), lists[seed])
-        if kind is not None:
-            kinds[seed] = kind
-    diff = OutputDiff(
-        changed=bool(kinds),
-        n_changed_seeds=len(kinds),
-        n_compared_seeds=len(base.topk) + sum(seed not in base.topk for seed in kinds),
-        change_kinds=kinds,
-    )
+    diff = _diff(base.topk, lists, lists)
+    kinds = diff.change_kinds
     old_ordered, old_views = totals(base.eval_index, {s: base.topk.get(s) for s in kinds})
     new_ordered, new_views = totals(base.eval_index, {s: lists[s] for s in kinds})
     cr_delta = rate_from_totals(
@@ -305,19 +335,22 @@ def _price_in_worker(session_id: str) -> SensitivityRecord:
 
 
 def run_loo(
-    engine, dataset: Dataset, eval_log: EvalLog, cfg: HarnessConfig, jobs: int = 1
+    engine, dataset: Dataset, eval_log: EvalLog, cfg: HarnessConfig, jobs: int = 1,
+    session_ids: Sequence[str] | None = None,
 ) -> list[SensitivityRecord]:
-    """Leave-one-out pricing of ``cfg.sample`` (every session when None).
+    """Leave-one-out pricing of ``session_ids`` (every session when None).
 
     The baseline model, its lists and the eval index are built once; per
     session ``engine.delta_lists`` gives the lists that may change. Records
     are ordered by session_id and independent of ``jobs``, the number of
     worker processes.
     """
-    if cfg.sample is None:
+    if session_ids is None:
         session_ids = sorted(dataset.by_id)
+    elif not session_ids:
+        raise ValueError("session_ids must be non-empty; None prices every session")
     else:
-        session_ids = sorted(set(cfg.sample))
+        session_ids = sorted(set(session_ids))
         for sid in session_ids:
             if sid not in dataset.by_id:
                 raise UnknownSessionError(sid)

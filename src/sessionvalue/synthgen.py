@@ -46,7 +46,6 @@ class GenConfig:
     n_eval_sessions: int
     days: int
     rng_seed: int
-    popularity_exponent: float = 1.0
     intent_stickiness: float = 0.75
     session_length_geometric_p: float = 0.2
     order_base_rate: float = 0.05
@@ -73,8 +72,6 @@ class GenConfig:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
         if self.session_length_geometric_p == 0.0:
             raise ValueError("session_length_geometric_p must be > 0")
-        if self.popularity_exponent < 0:
-            raise ValueError("popularity_exponent must be >= 0")
         if self.rng_seed < 0:
             raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
@@ -98,6 +95,9 @@ class GroundTruth:
 
 MAX_SESSION_LENGTH = 50
 MAX_EVAL_VIEWS = 12
+POPULARITY_EXPONENT = 1.0  # Zipf exponent of product popularity
+TOXIC_REPEATS = 25  # (seed, junk) click pairs in a toxic plant
+TOXIC_MIN_REL_GAIN = 0.001  # least relative CR drop a toxic plant must cause
 
 
 def _sample_index(rng: np.random.Generator, cumulative: np.ndarray) -> int:
@@ -151,7 +151,7 @@ def generate(config: GenConfig) -> tuple[Dataset, EvalLog, GroundTruth]:
     )
 
     # Zipf popularity over product index (index 0 most popular).
-    weights = np.power(np.arange(1, n + 1, dtype=np.float64), -config.popularity_exponent)
+    weights = np.power(np.arange(1, n + 1, dtype=np.float64), -POPULARITY_EXPONENT)
     global_cum = np.cumsum(weights / weights.sum())
     fine_members: list[np.ndarray] = []
     fine_cum: list[np.ndarray] = []
@@ -230,10 +230,10 @@ def generate(config: GenConfig) -> tuple[Dataset, EvalLog, GroundTruth]:
 # ---------------------------------------------------------------------------
 
 
-def _plant_session(session_id: str, seed: str, junk: str, day: int, repeats: int) -> Session:
+def _plant_session(session_id: str, seed: str, junk: str, day: int) -> Session:
     start = day * SECONDS_PER_DAY + 1_000
     clicks = []
-    for i in range(repeats):
+    for i in range(TOXIC_REPEATS):
         clicks.append(ClickEvent(t=start + 2 * i, product=seed))
         clicks.append(ClickEvent(t=start + 2 * i + 1, product=junk))
     return Session(session_id=session_id, clicks=tuple(clicks))
@@ -247,20 +247,19 @@ def plant_toxic_session(
     *,
     k: int = 5,
     retries: int = 100,
-    min_rel_gain: float = 0.001,
     vr_hyper=None,
-    repeats: int = 25,
 ) -> tuple[Dataset, GroundTruth]:
     """Append one high-frequency session that provably lowers the conversion rate.
 
-    The plant pairs a viewed seed with a never-co-ordered junk product whose
-    raised count ranks ahead of the seed's k-th alternative, so the junk
-    displaces it. Every candidate is verified by brute force: fit each engine
-    (``cor``, plus ``vr`` with ``vr_hyper`` set) on the dataset with the plant
-    and require its conversion rate to sit more than ``min_rel_gain`` below
-    the baseline's, relative (so a later leave-one-out of the plant is safely
-    outside the neutral band). Gives up with PlantFailedError after
-    ``retries`` candidates.
+    The plant clicks a viewed seed and a never-co-ordered junk product
+    ``TOXIC_REPEATS`` times each; the junk's raised count ranks it ahead of the
+    seed's k-th alternative, so the junk displaces it. Every candidate is
+    verified by brute force: fit each engine (``cor``, plus ``vr`` when
+    ``vr_hyper`` is given, as ``synth`` always does) on the dataset with the
+    plant and require its conversion rate to sit more than
+    ``TOXIC_MIN_REL_GAIN`` below the baseline's, relative (so a later
+    leave-one-out of the plant is safely outside the neutral band). Gives up
+    with PlantFailedError after ``retries`` candidates.
     """
     index = index_eval(eval_log)
 
@@ -304,10 +303,10 @@ def plant_toxic_session(
             break
         attempts += 1
         seed, junk = candidates[int(idx)]
-        plant = _plant_session(plant_id, seed, junk, dataset.max_day, repeats)
+        plant = _plant_session(plant_id, seed, junk, dataset.max_day)
         trial = Dataset(sessions=dataset.sessions + (plant,), catalog=dataset.catalog)
         if not all(
-            (cr_with := rate(engine, trial)) > 0.0 and (base_cr - cr_with) / cr_with > min_rel_gain
+            (cr_with := rate(engine, trial)) > 0.0 and (base_cr - cr_with) / cr_with > TOXIC_MIN_REL_GAIN
             for engine, base_cr in baselines
         ):
             continue
@@ -342,7 +341,6 @@ def plant_no_impact_duplicates(
     truth: GroundTruth,
     copies: int = 3,
     k: int = 5,
-    max_candidates: int | None = None,
 ) -> tuple[Dataset, GroundTruth, str]:
     """Clone the first session whose clones provably leave every top-k list alone.
 
@@ -352,8 +350,7 @@ def plant_no_impact_duplicates(
     """
     if copies < 2:
         raise ValueError("need copies >= 2 so a single clone removal is absorbable")
-    candidates = dataset.sessions if max_candidates is None else dataset.sessions[:max_candidates]
-    for source in candidates:
+    for source in dataset.sessions:
         planted = plant_duplicate_sessions(dataset, source.session_id, copies)
         if duplicates_still_no_impact(planted, source.session_id, copies, k):
             added = tuple((cid, PlantKind.DUPLICATE) for cid in clone_ids(source.session_id, copies))

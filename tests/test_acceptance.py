@@ -42,39 +42,21 @@ def _report(name: str) -> None:
 
 
 @pytest.fixture(scope="module")
-def harness_cfg(benchmark_rc):
-    return HarnessConfig(
-        k=benchmark_rc.harness.k,
-        neutral_band=benchmark_rc.harness.neutral_band,
-        revenue_base=benchmark_rc.harness.revenue_base,
-    )
-
-
-@pytest.fixture(scope="module")
-def cor_records(benchmark_data, harness_cfg):
+def cor_records(benchmark_data, benchmark_rc):
     dataset, eval_log, _, _ = benchmark_data
-    return run_loo(CorEngine(), dataset, eval_log, harness_cfg)
+    return run_loo(CorEngine(), dataset, eval_log, benchmark_rc.harness)
 
 
 @pytest.fixture(scope="module")
-def vr_records(benchmark_data, benchmark_rc, harness_cfg):
+def vr_records(benchmark_data, benchmark_rc):
     """Sampled VR leave-one-out over the benchmark sample plus the toxic plant."""
-    import numpy as np
-
     dataset, eval_log, truth, _ = benchmark_data
     toxic = [sid for sid, kind in truth.planted if kind is PlantKind.TOXIC]
-    spec = benchmark_rc.harness.sample
-    ids = sorted(dataset.by_id)
-    rng = np.random.default_rng(spec.rng_seed)
-    picked = {ids[int(i)] for i in rng.choice(len(ids), size=spec.size, replace=False)}
-    sample = tuple(sorted(picked | set(toxic)))
-    cfg = HarnessConfig(
-        k=harness_cfg.k,
-        neutral_band=harness_cfg.neutral_band,
-        sample=sample,
-        revenue_base=harness_cfg.revenue_base,
+    sample = benchmark_rc.harness.sample.pick(dataset) + tuple(toxic)
+    return run_loo(
+        VrEngine(benchmark_rc.hyper), dataset, eval_log, benchmark_rc.harness,
+        jobs=2, session_ids=sample,
     )
-    return run_loo(VrEngine(benchmark_rc.hyper), dataset, eval_log, cfg, jobs=2)
 
 
 def test_cor_leave_one_out_rebuild_oracle():

@@ -121,7 +121,17 @@ class TestMessagesNameTheKey:
         ("harness:\n  k: true\n", "'harness.k': expected int, got bool"),
         ("harness:\n  k: '5'\n", "'harness.k': expected int, got str"),
         ("plants:\n  toxic:\n    rng_seed: 1\n    bogus: 2\n", "'plants.toxic.bogus': unknown key"),
-        ("plants:\n  toxic:\n    retries: 3\n", "'plants.toxic.rng_seed': required key is missing"),
+        ("plants:\n  toxic: {}\n", "'plants.toxic.rng_seed': required key is missing"),
+        ("plants:\n  toxic:\n    rng_seed: 1\n    retries: 3\n", "'plants.toxic.retries': unknown key"),
+        ("plants:\n  toxic:\n    rng_seed: 1\n    min_rel_gain: 0.01\n",
+         "'plants.toxic.min_rel_gain': unknown key"),
+        ("plants:\n  toxic:\n    rng_seed: 1\n    repeats: 5\n", "'plants.toxic.repeats': unknown key"),
+        ("plants:\n  toxic:\n    rng_seed: 1\n    verify_vr: true\n", "'plants.toxic.verify_vr': unknown key"),
+        ("plants:\n  duplicates:\n    session_id: s000001\n",
+         "'plants.duplicates.session_id': unknown key"),
+        ("plants:\n  duplicates:\n    max_candidates: 5\n",
+         "'plants.duplicates.max_candidates': unknown key"),
+        ("synth:\n  popularity_exponent: 1.0\n", "'synth.popularity_exponent': unknown key"),
         ("synth:\n  n_products: 5\n", "'synth': missing required keys: n_categories_top, .*, days, rng_seed"),
         ("output_dir: 5\n", "'output_dir': expected str, got int"),
     ])

@@ -14,6 +14,7 @@ from sessionvalue.corpus import (
     heterogeneity_ratio,
     leave_one_out,
     load_dataset,
+    read_eval_log,
     read_sessions,
     sessionize,
     slice_days,
@@ -120,10 +121,22 @@ class TestDatasetIO:
 
     def test_malformed_line_reports_line_number(self, tmp_path):
         path = tmp_path / "s.jsonl"
-        path.write_text('{"session_id":"ok","clicks":[{"t":0,"p":"A"}]}\nnot json\n')
-        with pytest.raises(DatasetFormatError) as err:
-            read_sessions(path)
-        assert err.value.line_no == 2
+        good_session = '{"session_id":"ok","clicks":[{"t":0,"p":"A"}]}\n'
+        good_eval = '{"session_id":"ok","viewed":["A"],"ordered":[]}\n'
+        cases = [(read_sessions, good_session + bad) for bad in (
+            "not json\n",
+            '{"session_id":"x","clicks":[{"t":1.9,"p":"A"}]}\n',
+            '{"session_id":"x","clicks":[{"t":"5","p":"A"}]}\n',
+            '{"session_id":"x","clicks":[{"t":true,"p":"A"}]}\n',
+        )] + [(read_eval_log, good_eval + bad) for bad in (
+            '{"session_id":"x","viewed":"p0001"}\n',
+            '{"session_id":"x","viewed":["A"],"ordered":"p0001"}\n',
+        )]
+        for read, text in cases:
+            path.write_text(text)
+            with pytest.raises(DatasetFormatError) as err:
+                read(path)
+            assert err.value.line_no == 2, text
 
     def test_product_missing_from_catalog(self, tmp_path):
         sessions_path = tmp_path / "s.jsonl"

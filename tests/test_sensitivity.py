@@ -86,7 +86,6 @@ class TestDiffTopk:
         diff = diff_topk(base, dict(base))
         assert not diff.changed
         assert diff.n_changed_seeds == 0
-        assert diff.n_compared_seeds == 2
 
     def test_reorder_detected(self):
         base = {"A": rl("A", ["B", "C"])}
@@ -114,7 +113,6 @@ class TestDiffTopk:
         diff = diff_topk(base, delta)
         assert diff.changed
         assert diff.change_kinds["Z"] is ChangeKind.MEMBERSHIP_CHANGED
-        assert diff.n_compared_seeds == 2
 
     def test_scores_ignored(self):
         base = {"A": RecommendationList(seed="A", items=(("B", 3.0),))}
@@ -151,11 +149,8 @@ class TestValueFormula:
             assert np.sign(value) == -np.sign(rel)
 
 
-UNCHANGED = OutputDiff(changed=False, n_changed_seeds=0, n_compared_seeds=3, change_kinds={})
-CHANGED = OutputDiff(
-    changed=True, n_changed_seeds=1, n_compared_seeds=3,
-    change_kinds={"A": ChangeKind.REORDERED_ONLY},
-)
+UNCHANGED = OutputDiff(change_kinds={})
+CHANGED = OutputDiff(change_kinds={"A": ChangeKind.REORDERED_ONLY})
 
 
 class TestClassify:
@@ -231,18 +226,19 @@ class TestRunVrLoo:
     def test_no_sample_prices_every_session(self):
         ds, ev, _ = generate(small_config(n_train_sessions=12, n_eval_sessions=40))
         every = run_loo(VrEngine(VR_HYPER), ds, ev, HarnessConfig(k=3))
-        explicit = run_loo(VrEngine(VR_HYPER), ds, ev, HarnessConfig(k=3, sample=tuple(ds.by_id)))
+        explicit = run_loo(VrEngine(VR_HYPER), ds, ev, HarnessConfig(k=3), session_ids=tuple(ds.by_id))
         assert [r.session_id for r in every] == sorted(ds.by_id)
         assert every == explicit
 
     def test_empty_sample_rejected(self):
-        with pytest.raises(ValueError, match="sample"):
-            HarnessConfig(k=3, sample=())
+        ds, ev, _ = generate(small_config())
+        with pytest.raises(ValueError, match="session_ids"):
+            run_loo(VrEngine(VR_HYPER), ds, ev, HarnessConfig(k=3), session_ids=())
 
     def test_unknown_sample_id(self):
         ds, ev, _ = generate(small_config())
         with pytest.raises(UnknownSessionError):
-            run_loo(VrEngine(VR_HYPER), ds, ev, HarnessConfig(k=3, sample=("nope",)))
+            run_loo(VrEngine(VR_HYPER), ds, ev, HarnessConfig(k=3), session_ids=("nope",))
 
     def test_below_min_count_session_changes_nothing(self):
         # the left-out session holds only sub-threshold products: the delta
@@ -251,8 +247,7 @@ class TestRunVrLoo:
         specs.append(("rare", 0, ["X", "Y"]))
         ds = mk_dataset(specs)
         ev = mk_eval([("e1", ["A"], ["B"])])
-        cfg = HarnessConfig(k=3, sample=("rare",))
-        records = run_loo(VrEngine(VR_HYPER), ds, ev, cfg)
+        records = run_loo(VrEngine(VR_HYPER), ds, ev, HarnessConfig(k=3), session_ids=("rare",))
         assert len(records) == 1
         record = records[0]
         assert not record.diff.changed
@@ -266,7 +261,7 @@ class TestRunVrLoo:
         specs.append(("holds-x", 0, ["X", "A", "X"]))
         ds = mk_dataset(specs)
         ev = mk_eval([("e1", ["A"], ["B"])])
-        records = run_loo(VrEngine(hyper), ds, ev, HarnessConfig(k=3, sample=("holds-x",)))
+        records = run_loo(VrEngine(hyper), ds, ev, HarnessConfig(k=3), session_ids=("holds-x",))
         diff = records[0].diff
         assert diff.changed
         assert diff.change_kinds["X"] is ChangeKind.SEED_MISSING
@@ -277,10 +272,10 @@ class TestRunVrLoo:
         hyper = Hyperparams(dimensions=8, iterations=1, min_count=2, rng_seed=3)
         ds = mk_dataset([("ab", 0, ["A", "B", "A", "B"]), ("c", 0, ["C"])])
         ev = mk_eval([("e1", ["A"], ["B"]), ("e2", ["B"], [])])
-        cfg = HarnessConfig(k=3, sample=("ab",))
-        (vr,) = run_loo(VrEngine(hyper), ds, ev, cfg)
+        cfg = HarnessConfig(k=3)
+        (vr,) = run_loo(VrEngine(hyper), ds, ev, cfg, session_ids=("ab",))
         with caplog.at_level("WARNING", logger="sessionvalue.kpi"):
-            (cr,) = run_loo(CorEngine(), ds, ev, cfg)
+            (cr,) = run_loo(CorEngine(), ds, ev, cfg, session_ids=("ab",))
         expected = {"A": ChangeKind.SEED_MISSING, "B": ChangeKind.SEED_MISSING}
         assert dict(vr.diff.change_kinds) == dict(cr.diff.change_kinds) == expected
         assert "zero views" in caplog.text
@@ -298,7 +293,7 @@ class TestRunVrLoo:
         ds = mk_dataset(specs)
         ev = mk_eval([("e1", ["A1"], ["A2"]), ("e2", ["B1"], ["B2"])])
         hyper = Hyperparams(dimensions=8, iterations=3, min_count=1, rng_seed=1)
-        records = run_loo(VrEngine(hyper), ds, ev, HarnessConfig(k=2, sample=("a0",)))
+        records = run_loo(VrEngine(hyper), ds, ev, HarnessConfig(k=2), session_ids=("a0",))
         record = records[0]
         assert not record.diff.changed
         assert record.constellation is Constellation.NO_OUTPUT_CHANGE
@@ -322,10 +317,10 @@ class TestRunVrLoo:
 def test_deterministic_and_jobs_invariant(engine):
     ds, ev, _ = generate(small_config(n_train_sessions=30, n_eval_sessions=80))
     sample = tuple(sorted(ds.by_id)[:4])
-    cfg = HarnessConfig(k=3, sample=sample, revenue_base=1e6)
-    first = run_loo(engine, ds, ev, cfg, jobs=1)
-    second = run_loo(engine, ds, ev, cfg, jobs=1)
-    parallel = run_loo(engine, ds, ev, cfg, jobs=2)
+    cfg = HarnessConfig(k=3, revenue_base=1e6)
+    first = run_loo(engine, ds, ev, cfg, jobs=1, session_ids=sample)
+    second = run_loo(engine, ds, ev, cfg, jobs=1, session_ids=sample)
+    parallel = run_loo(engine, ds, ev, cfg, jobs=2, session_ids=sample)
     assert first == second
     assert first == parallel
     assert [r.session_id for r in first] == sorted(sample)

@@ -10,6 +10,7 @@ from sessionvalue.errors import PlantFailedError, UnknownSessionError
 from sessionvalue.kpi import aggregate_pairs, conversion_rate
 from sessionvalue.sensitivity import ChangeKind, Constellation, CorEngine, HarnessConfig, run_loo
 from sessionvalue.synthgen import (
+    TOXIC_MIN_REL_GAIN,
     GenConfig,
     PlantKind,
     duplicates_still_no_impact,
@@ -124,7 +125,7 @@ class TestToxicPlant:
         toxic_id = truth.planted[-1][0]
         records = run_loo(CorEngine(), with_plant, ev, HarnessConfig(k=5, revenue_base=1e6))
         record = next(r for r in records if r.session_id == toxic_id)
-        assert record.rel_cr_change > 0.001  # plant_toxic_session's default min_rel_gain
+        assert record.rel_cr_change > TOXIC_MIN_REL_GAIN
         assert record.value < 0
         assert record.constellation is Constellation.TOXIC
         # the plant alternates seed, junk, ...: without it, the junk leaves the
