@@ -1,4 +1,4 @@
-"""Atomic file replacement for every output writer.
+"""Output encoding and atomic file replacement for every output writer.
 
 A writer fills a temporary file in the target's directory, which is renamed
 over the target with ``os.replace`` only once the writer has finished. An
@@ -6,14 +6,22 @@ interrupted or failing write therefore leaves the previous file (or none)
 in place, never a truncated one, and removes its temporary file. The rename
 guards against interrupted runs; no ``fsync`` is done, so it does not make
 the data durable across a power loss.
+
+Tables are encoded here and nowhere else. ``write_csv`` writes UTF-8 CSV with
+``\\n`` line ends; ``csv`` writes a float as its ``repr`` (shortest round-trip
+digits) and ``None`` as an empty field, so writers hand over plain values.
+``write_jsonl`` writes one compact JSON document per line, non-ASCII text
+unescaped.
 """
 
 from __future__ import annotations
 
+import csv
+import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, Iterable, Iterator, Sequence
 
 
 @contextmanager
@@ -29,3 +37,18 @@ def atomic_open(path: str | Path, mode: str = "w", **kwargs) -> Iterator[IO]:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_csv(path: str | Path, header: Sequence, rows: Iterable[Sequence]) -> None:
+    """One CSV table: the header row, then ``rows``."""
+    with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_jsonl(path: str | Path, docs: Iterable) -> None:
+    """One compact JSON document per line."""
+    with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for doc in docs:
+            fh.write(json.dumps(doc, separators=(",", ":"), ensure_ascii=False) + "\n")

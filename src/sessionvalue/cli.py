@@ -9,7 +9,6 @@ by nature.
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
 import logging
@@ -18,7 +17,7 @@ from pathlib import Path
 import click
 
 from . import curve, kpi, lifecycle, sensitivity, synthgen
-from .atomic import atomic_open
+from .atomic import atomic_open, write_csv
 from .config import RunConfig, load_run_config
 from .corpus import (
     Dataset,
@@ -201,12 +200,11 @@ def recommend(config_path: str, out_override: str | None, summary_mode: str, eng
     eng = _engine(rc, engine)
     topk = eng.top_k_map(eng.fit(dataset), rc.harness.k)
     out_path = out_dir / f"recs_{engine}.csv"
-    with atomic_open(out_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("seed", "rank", "product", "score"))
-        for seed in sorted(topk):
-            for rank, (product, score) in enumerate(topk[seed].items, start=1):
-                writer.writerow((seed, rank, product, repr(score)))
+    write_csv(out_path, ("seed", "rank", "product", "score"), (
+        (seed, rank, product, score)
+        for seed in sorted(topk)
+        for rank, (product, score) in enumerate(topk[seed].items, start=1)
+    ))
     summary = {"engine": engine, "n_seeds": len(topk), "recs_file": str(out_path)}
     _emit_summary(summary_mode, summary, [f"{engine}: {len(topk)} seed lists -> {out_path}"])
 

@@ -51,6 +51,11 @@ class ToxicPlantConfig:
 class DuplicatePlantConfig:
     copies: int = 3
 
+    def __post_init__(self) -> None:
+        if self.copies < 2:
+            raise ValueError(f"copies must be >= 2 so one clone's removal is absorbable, "
+                             f"got {self.copies}")
+
 
 @dataclass(frozen=True)
 class PlantsConfig:

@@ -30,7 +30,6 @@ class RecommendationList:
 
     seed: str
     items: tuple[tuple[str, float], ...]
-    seed_known: bool = True
 
     @property
     def product_ids(self) -> tuple[str, ...]:
@@ -85,13 +84,13 @@ def build_matrix(dataset: Dataset) -> CoocMatrix:
     return CoocMatrix(counts=counts, session_membership=membership)
 
 
-def _rank_order(neighbors: list[tuple[str, int]]) -> None:
-    """Sort in place by (count desc, id asc): two stable passes with C-level keys."""
+def _rank_order(neighbors: list[tuple[str, float]]) -> None:
+    """Sort in place by (score desc, id asc): two stable passes with C-level keys."""
     neighbors.sort(key=itemgetter(0))
     neighbors.sort(key=itemgetter(1), reverse=True)
 
 
-def _rank(neighbors: list[tuple[str, int]], k: int) -> tuple[tuple[str, float], ...]:
+def _rank(neighbors: list[tuple[str, float]], k: int) -> tuple[tuple[str, float], ...]:
     _rank_order(neighbors)
     return tuple(neighbors[:k])
 

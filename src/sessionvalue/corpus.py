@@ -19,7 +19,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .atomic import atomic_open
+from .atomic import write_jsonl
 from .errors import (
     DatasetFormatError,
     DuplicateSessionIdError,
@@ -276,18 +276,11 @@ def heterogeneity_ratio(session: Session, catalog: Catalog, level: int | None = 
 # ---------------------------------------------------------------------------
 
 
-def _session_line(session: Session) -> str:
-    doc = {
-        "session_id": session.session_id,
-        "clicks": [{"t": c.t, "p": c.product} for c in session.clicks],
-    }
-    return json.dumps(doc, separators=(",", ":"), ensure_ascii=False)
-
-
 def write_sessions(sessions: Iterable[Session], path: str | Path) -> None:
-    with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for s in sessions:
-            fh.write(_session_line(s) + "\n")
+    write_jsonl(path, (
+        {"session_id": s.session_id, "clicks": [{"t": c.t, "p": c.product} for c in s.clicks]}
+        for s in sessions
+    ))
 
 
 def read_sessions(path: str | Path) -> list[Session]:
@@ -300,6 +293,8 @@ def read_sessions(path: str | Path) -> list[Session]:
             try:
                 doc = json.loads(line)
                 sid = doc["session_id"]
+                if type(sid) is not str:
+                    raise TypeError(f"session_id must be a string, got {sid!r}")
                 clicks = tuple(ClickEvent(t=c["t"], product=c["p"]) for c in doc["clicks"])
                 session = Session(session_id=sid, clicks=clicks)
             except (KeyError, TypeError, ValueError, UnsortedEventsError) as exc:
@@ -312,10 +307,7 @@ def read_sessions(path: str | Path) -> list[Session]:
 
 
 def write_catalog(catalog: Catalog, path: str | Path) -> None:
-    with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for product in sorted(catalog.paths):
-            doc = {"p": product, "cat": list(catalog.paths[product])}
-            fh.write(json.dumps(doc, separators=(",", ":"), ensure_ascii=False) + "\n")
+    write_jsonl(path, ({"p": p, "cat": list(catalog.paths[p])} for p in sorted(catalog.paths)))
 
 
 def read_catalog(path: str | Path) -> Catalog:
@@ -326,11 +318,12 @@ def read_catalog(path: str | Path) -> Catalog:
                 continue
             try:
                 doc = json.loads(line)
-                product = doc["p"]
-                cat = tuple(str(tok) for tok in doc["cat"])
+                product, cat = doc["p"], doc["cat"]
+                if type(cat) is not list or not all(type(tok) is str for tok in cat):
+                    raise TypeError(f"cat must be a list of strings, got {cat!r}")
             except (KeyError, TypeError, ValueError) as exc:
                 raise DatasetFormatError(str(path), line_no, f"malformed catalog line ({exc})")
-            paths[product] = cat
+            paths[product] = tuple(cat)
     return Catalog(paths=paths)
 
 
@@ -347,14 +340,10 @@ def write_dataset(dataset: Dataset, sessions_path: str | Path, catalog_path: str
 
 
 def write_eval_log(eval_log: EvalLog, path: str | Path) -> None:
-    with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for s in eval_log.sessions:
-            doc = {
-                "session_id": s.session_id,
-                "viewed": sorted(s.viewed),
-                "ordered": sorted(s.ordered),
-            }
-            fh.write(json.dumps(doc, separators=(",", ":"), ensure_ascii=False) + "\n")
+    write_jsonl(path, (
+        {"session_id": s.session_id, "viewed": sorted(s.viewed), "ordered": sorted(s.ordered)}
+        for s in eval_log.sessions
+    ))
 
 
 def read_eval_log(path: str | Path) -> EvalLog:
@@ -365,12 +354,14 @@ def read_eval_log(path: str | Path) -> EvalLog:
                 continue
             try:
                 doc = json.loads(line)
-                viewed, ordered = doc["viewed"], doc.get("ordered", [])
+                sid, viewed, ordered = doc["session_id"], doc["viewed"], doc.get("ordered", [])
                 if type(viewed) is not list or type(ordered) is not list:
                     raise TypeError("viewed and ordered must be lists of product ids")
+                if not all(type(x) is str for x in (sid, *viewed, *ordered)):
+                    raise TypeError("session and product ids must be strings")
                 sessions.append(
                     EvalSession(
-                        session_id=doc["session_id"],
+                        session_id=sid,
                         viewed=frozenset(viewed),
                         ordered=frozenset(ordered),
                     )

@@ -9,7 +9,6 @@ mean session length and the CPU seconds of the training call.
 
 from __future__ import annotations
 
-import csv
 import logging
 import time
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import embed, kpi
-from .atomic import atomic_open
+from .atomic import write_csv
 from .corpus import Dataset, EvalLog, slice_days
 from .errors import EmptySliceError
 
@@ -128,16 +127,10 @@ def emit_curves(rows: Sequence[CurveRow]) -> list[tuple[int, str, float, float]]
 
 def write_table_csv(rows: Sequence[CurveRow], path: str | Path) -> None:
     """The KPI table: one row per model, kpi report columns plus mean length."""
-    with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(kpi.REPORT_COLUMNS) + ["avg_session_length"])
-        for row in rows:
-            writer.writerow(kpi.report_row(row.n_days, row.report) + [repr(row.avg_session_length)])
+    write_csv(path, [*kpi.REPORT_COLUMNS, "avg_session_length"], (
+        [*kpi.report_row(row.n_days, row.report), row.avg_session_length] for row in rows
+    ))
 
 
 def write_curves_csv(points: Sequence[tuple[int, str, float, float]], path: str | Path) -> None:
-    with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("n_days", "kpi_name", "raw", "scaled"))
-        for n_days, name, raw, scaled in points:
-            writer.writerow((n_days, name, repr(raw), repr(scaled)))
+    write_csv(path, ("n_days", "kpi_name", "raw", "scaled"), points)

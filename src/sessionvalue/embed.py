@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cor import RecommendationList
+from .cor import RecommendationList, _rank
 from .corpus import Dataset
 from .errors import EmptyVocabularyError
 
@@ -245,8 +245,7 @@ def _rank_similar(
     sims = _cosine_sims(model, seed_idx, norms)
     products = model.vocabulary.products
     candidates = [(products[i], float(sims[i])) for i in range(len(products)) if i != seed_idx]
-    candidates.sort(key=lambda item: (-item[1], item[0]))
-    return RecommendationList(seed=products[seed_idx], items=tuple(candidates[:k]))
+    return RecommendationList(seed=products[seed_idx], items=_rank(candidates, k))
 
 
 def _norms(model: EmbeddingModel) -> np.ndarray:

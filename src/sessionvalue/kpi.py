@@ -177,17 +177,17 @@ REPORT_COLUMNS = (
 )
 
 
-def report_row(days: int, report: KpiReport) -> list[str]:
+def report_row(days: int, report: KpiReport) -> list:
     """One CSV row per model, matching REPORT_COLUMNS."""
     return [
-        str(days),
-        str(report.n_sessions),
-        str(report.n_products),
-        repr(report.snp),
-        repr(report.cr),
-        repr(report.revenue),
-        repr(report.revenue_per_session),
-        repr(report.cpu_seconds),
+        days,
+        report.n_sessions,
+        report.n_products,
+        report.snp,
+        report.cr,
+        report.revenue,
+        report.revenue_per_session,
+        report.cpu_seconds,
     ]
 
 

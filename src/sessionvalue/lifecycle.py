@@ -9,7 +9,6 @@ decreasing.
 
 from __future__ import annotations
 
-import csv
 import logging
 import statistics
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .atomic import atomic_open
+from .atomic import write_csv
 from .cor import RecommendationList, all_top_k, build_matrix
 from .corpus import Dataset, Session, heterogeneity_ratio, slice_days
 from .kpi import mean
@@ -196,32 +195,15 @@ def class_stats(
 
 def write_trajectories_csv(trajectories_: Sequence[CvTrajectory], path: str | Path) -> None:
     n_frames = max((len(t.scores) for t in trajectories_), default=0)
-    with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["session_id"]
-            + [f"f{i}" for i in range(1, n_frames + 1)]
-            + ["slope", "intercept", "impact"]
-        )
-        for t in trajectories_:
-            writer.writerow(
-                [t.session_id]
-                + [str(s) for s in t.scores]
-                + [repr(t.slope), repr(t.intercept), t.impact.value]
-            )
+    frames = [f"f{i}" for i in range(1, n_frames + 1)]
+    write_csv(path, ["session_id", *frames, "slope", "intercept", "impact"], (
+        (t.session_id, *t.scores, t.slope, t.intercept, t.impact.value) for t in trajectories_
+    ))
 
 
 def write_class_stats_csv(stats: ClassStats, path: str | Path) -> None:
-    with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("impact", "n_sessions", "percentage", "mean_hr", "mean_unique_len"))
-        for row in stats.rows:
-            writer.writerow(
-                (
-                    row.impact.value,
-                    row.n_sessions,
-                    repr(row.percentage),
-                    "" if row.n_sessions == 0 else repr(row.mean_hr),
-                    "" if row.n_sessions == 0 else repr(row.mean_unique_len),
-                )
-            )
+    write_csv(path, ("impact", "n_sessions", "percentage", "mean_hr", "mean_unique_len"), (
+        (row.impact.value, row.n_sessions, row.percentage)
+        + ((None, None) if row.n_sessions == 0 else (row.mean_hr, row.mean_unique_len))
+        for row in stats.rows
+    ))

@@ -17,7 +17,6 @@ classifies the session into one of four outcome constellations:
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -29,7 +28,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import cor, embed
-from .atomic import atomic_open
+from .atomic import write_csv
 from .cor import RecommendationList
 from .corpus import Dataset, EvalLog, leave_one_out
 from .errors import EmptyVocabularyError, UndefinedBaselineError, UnknownSessionError
@@ -422,31 +421,25 @@ RECORD_COLUMNS = (
 
 
 def write_records_csv(records: Sequence[SensitivityRecord], path: str | Path) -> None:
-    with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RECORD_COLUMNS)
-        for r in records:
-            writer.writerow(
-                [
-                    r.session_id,
-                    "true" if r.diff.changed else "false",
-                    r.diff.n_changed_seeds,
-                    repr(r.cr_base),
-                    repr(r.cr_delta),
-                    repr(r.rel_cr_change),
-                    repr(r.value),
-                    r.constellation.value,
-                ]
-            )
+    write_csv(path, RECORD_COLUMNS, (
+        (
+            r.session_id,
+            "true" if r.diff.changed else "false",
+            r.diff.n_changed_seeds,
+            r.cr_base,
+            r.cr_delta,
+            r.rel_cr_change,
+            r.value,
+            r.constellation.value,
+        )
+        for r in records
+    ))
 
 
 def write_histogram_csv(hist: Histogram, path: str | Path) -> None:
-    with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("bin_lo", "bin_hi", "count"))
-        writer.writerow(("neutral", "neutral", hist.neutral))
-        for lo, hi, count in hist.bins:
-            writer.writerow((repr(lo), repr(hi), count))
+    write_csv(
+        path, ("bin_lo", "bin_hi", "count"), [("neutral", "neutral", hist.neutral), *hist.bins]
+    )
 
 
 def summarize(records: Sequence[SensitivityRecord]) -> dict:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .atomic import atomic_open
+from .atomic import write_jsonl
 from .cor import all_top_k, build_matrix, session_top_k
 from .corpus import (
     Catalog,
@@ -385,9 +385,7 @@ def write_truth(truth: GroundTruth, path: str | Path) -> None:
         "affinity": [[a, b, value] for (a, b), value in sorted(truth.affinity.items())],
         "planted": [[sid, kind.value] for sid, kind in truth.planted],
     }
-    with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, separators=(",", ":"), ensure_ascii=False)
-        fh.write("\n")
+    write_jsonl(path, [doc])
 
 
 def read_truth(path: str | Path) -> GroundTruth:

@@ -44,13 +44,13 @@ def remove_session(matrix: CoocMatrix, session: Session) -> CoocMatrix:
     return CoocMatrix(counts=counts, session_membership=membership)
 
 
-def top_k(matrix: CoocMatrix, seed: str, k: int) -> RecommendationList:
-    """Highest-count neighbors of ``seed``, ties by ascending id; unknown seeds
-    yield an empty, flagged list."""
+def top_k(matrix: CoocMatrix, seed: str, k: int) -> RecommendationList | None:
+    """Highest-count neighbors of ``seed``, ties by ascending id; an unknown
+    seed has no list (None)."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if seed not in matrix.session_membership:
-        return RecommendationList(seed=seed, items=(), seed_known=False)
+        return None
     neighbors = []
     for (a, b), c in matrix.counts.items():
         if a == seed:
@@ -61,11 +61,12 @@ def top_k(matrix: CoocMatrix, seed: str, k: int) -> RecommendationList:
     return RecommendationList(seed=seed, items=tuple(neighbors[:k]))
 
 
-def top_k_similar(model: EmbeddingModel, seed: str, k: int) -> RecommendationList:
-    """Cosine ranking over rounded vectors, ties by ascending product id."""
+def top_k_similar(model: EmbeddingModel, seed: str, k: int) -> RecommendationList | None:
+    """Cosine ranking over rounded vectors, ties by ascending product id; an
+    unknown seed has no list (None)."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     idx = model.vocabulary.index.get(seed)
     if idx is None:
-        return RecommendationList(seed=seed, items=(), seed_known=False)
+        return None
     return _rank_similar(model, idx, k, _norms(model))

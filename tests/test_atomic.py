@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from sessionvalue.atomic import atomic_open
+from sessionvalue.atomic import atomic_open, write_csv
 from sessionvalue.corpus import read_sessions, write_sessions
 
 from helpers import mk_session
@@ -21,19 +21,24 @@ def test_block_completes_then_replaces(tmp_path):
 
 
 def test_writer_failing_mid_write_keeps_previous_file(tmp_path):
-    path = tmp_path / "sessions.jsonl"
-    write_sessions([mk_session("a", ["A", "B"])], path)
-    before = path.read_bytes()
-
-    def sessions_then_crash():
-        yield mk_session("b", ["C"])
+    def then_crash(*items):
+        yield from items
         raise RuntimeError("interrupted")
 
+    sessions = tmp_path / "sessions.jsonl"
+    write_sessions([mk_session("a", ["A", "B"])], sessions)
+    table = tmp_path / "table.csv"
+    write_csv(table, ("x", "y"), [(1, 0.5)])
+    before = {path: path.read_bytes() for path in (sessions, table)}
+
     with pytest.raises(RuntimeError, match="interrupted"):
-        write_sessions(sessions_then_crash(), path)
-    assert path.read_bytes() == before
-    assert [s.session_id for s in read_sessions(path)] == ["a"]
-    assert [p.name for p in tmp_path.iterdir()] == ["sessions.jsonl"]
+        write_sessions(then_crash(mk_session("b", ["C"])), sessions)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        write_csv(table, ("x", "y"), then_crash((2, 0.25)))
+    assert {path: path.read_bytes() for path in before} == before
+    assert [s.session_id for s in read_sessions(sessions)] == ["a"]
+    assert table.read_text() == "x,y\n1,0.5\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sessions.jsonl", "table.csv"]
 
 
 def test_failed_first_write_leaves_nothing(tmp_path):

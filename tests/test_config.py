@@ -108,6 +108,7 @@ class TestOutOfRangeRejectedAtLoad:
         ("    rng_seed: 3\n", "    rng_seed: -1\n", "harness.sample.rng_seed"),
         ("  day_grid: [2, 3]\n  k: 5\n", "  day_grid: [2, 3]\n  k: 0\n", "curve.k"),
         ("  day_grid: [2, 3]\n", "  day_grid: [3, 2]\n", "curve.day_grid"),
+        ("curve:\n", "plants:\n  duplicates:\n    copies: 1\ncurve:\n", "plants.duplicates.copies"),
     ])
     def test_key_named(self, tmp_path, old, new, key):
         assert old in SMOKE_YAML

@@ -101,13 +101,10 @@ class TestTopK:
         ds = mk_dataset([("1", 0, ["A", "B", "C", "D"])])
         rl = top_k(build_matrix(ds), "A", 5)
         assert len(rl.items) == 3
-        assert rl.seed_known
 
-    def test_unknown_seed_flagged_empty(self):
+    def test_unknown_seed_has_no_list(self):
         ds = mk_dataset([("1", 0, ["A", "B"])])
-        rl = top_k(build_matrix(ds), "Z", 5)
-        assert rl.items == ()
-        assert not rl.seed_known
+        assert top_k(build_matrix(ds), "Z", 5) is None
 
     def test_seed_never_recommends_itself(self):
         ds = mk_dataset([("1", 0, ["A", "A", "B"]), ("2", 0, ["A", "C"])])

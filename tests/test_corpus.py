@@ -14,6 +14,7 @@ from sessionvalue.corpus import (
     heterogeneity_ratio,
     leave_one_out,
     load_dataset,
+    read_catalog,
     read_eval_log,
     read_sessions,
     sessionize,
@@ -123,14 +124,20 @@ class TestDatasetIO:
         path = tmp_path / "s.jsonl"
         good_session = '{"session_id":"ok","clicks":[{"t":0,"p":"A"}]}\n'
         good_eval = '{"session_id":"ok","viewed":["A"],"ordered":[]}\n'
+        good_catalog = '{"p":"A","cat":["t0"]}\n'
         cases = [(read_sessions, good_session + bad) for bad in (
             "not json\n",
             '{"session_id":"x","clicks":[{"t":1.9,"p":"A"}]}\n',
             '{"session_id":"x","clicks":[{"t":"5","p":"A"}]}\n',
             '{"session_id":"x","clicks":[{"t":true,"p":"A"}]}\n',
+            '{"session_id":5,"clicks":[{"t":0,"p":"A"}]}\n',
         )] + [(read_eval_log, good_eval + bad) for bad in (
             '{"session_id":"x","viewed":"p0001"}\n',
             '{"session_id":"x","viewed":["A"],"ordered":"p0001"}\n',
+            '{"session_id":"x","viewed":[1, 2],"ordered":[3]}\n',
+        )] + [(read_catalog, good_catalog + bad) for bad in (
+            '{"p":"B","cat":"t01"}\n',
+            '{"p":"B","cat":[1, 2]}\n',
         )]
         for read, text in cases:
             path.write_text(text)

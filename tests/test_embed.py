@@ -155,11 +155,10 @@ class TestSimilarity:
         self_cos = float(v @ v / (np.linalg.norm(v) ** 2))
         assert self_cos == pytest.approx(1.0)
 
-    def test_unknown_seed_flagged(self):
+    def test_unknown_seed_has_no_list(self):
         ds = repeated_pairs([("A", "B", 6)])
         model = train(ds, FAST)
-        rl = top_k_similar(model, "Z", 5)
-        assert rl.items == () and not rl.seed_known
+        assert top_k_similar(model, "Z", 5) is None
 
     def test_brute_force_cosine_oracle(self):
         # ranking must equal an independent full sort of pairwise cosines
