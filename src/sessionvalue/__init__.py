@@ -21,7 +21,7 @@ from .corpus import (
 )
 from .cor import CoocMatrix, RecommendationList, all_top_k, build_matrix
 from .embed import EmbeddingModel, Hyperparams, Vocabulary, all_top_k_similar, train
-from .kpi import KpiReport, PairCounts, aggregate_pairs, conversion_rate, feature_scale, snp
+from .kpi import PairCounts, aggregate_pairs, conversion_rate, feature_scale, snp
 from .sensitivity import (
     Constellation,
     CorEngine,

@@ -307,18 +307,18 @@ def curve_cmd(config_path: str, out_override: str | None, summary_mode: str) -> 
     summary = {
         "rows": [
             {
-                "n_days": row.n_days,
-                "n_sessions": row.report.n_sessions,
-                "n_products": row.report.n_products,
-                "snp": row.report.snp,
-                "cr": row.report.cr,
+                "n_days": row.days,
+                "n_sessions": row.n_sessions,
+                "n_products": row.n_products,
+                "snp": row.snp,
+                "cr": row.cr,
             }
             for row in rows
         ]
     }
     _emit_summary(summary_mode, summary, [
-        f"{row.n_days:>4} days: {row.report.n_sessions} sessions, "
-        f"{row.report.n_products} products, snp={row.report.snp:.4f}, cr={row.report.cr:.6f}"
+        f"{row.days:>4} days: {row.n_sessions} sessions, "
+        f"{row.n_products} products, snp={row.snp:.4f}, cr={row.cr:.6f}"
         for row in rows
     ] + [f"wrote curve_table.csv curve_scaled.csv to {out_dir}"])
 

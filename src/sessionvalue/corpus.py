@@ -323,6 +323,8 @@ def read_catalog(path: str | Path) -> Catalog:
                     raise TypeError(f"cat must be a list of strings, got {cat!r}")
             except (KeyError, TypeError, ValueError) as exc:
                 raise DatasetFormatError(str(path), line_no, f"malformed catalog line ({exc})")
+            if product in paths:
+                raise DatasetFormatError(str(path), line_no, f"duplicate product {product!r}")
             paths[product] = tuple(cat)
     return Catalog(paths=paths)
 

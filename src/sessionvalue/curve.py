@@ -1,17 +1,18 @@
 """Learning-curve experiment: nested backwards-growing slices, one VR model each.
 
 All grid entries share the same most recent day, so added data are strictly
-historical sessions and slices are nested. Per entry the run reports model
-coverage (#products), conversion rate, revenue figures, the fraction of newly
-added sessions carrying products unseen by the previous smaller model (SNP),
-mean session length and the CPU seconds of the training call.
+historical sessions and slices are nested. Each entry gives one ``CurveRow``,
+whose fields are the table's columns in order: the slice's days and sessions,
+model coverage (#products), the fraction of newly added sessions carrying
+products unseen by the previous smaller model (SNP), conversion rate, revenue
+figures, the CPU seconds of the training call and mean session length.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -40,14 +41,25 @@ class CurvePlan:
             raise ValueError("day_grid must be strictly ascending")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
+        if self.correction_c <= 0:
+            raise ValueError(f"correction_c must be > 0, got {self.correction_c}")
+        if self.unit_value <= 0:
+            raise ValueError(f"unit_value must be > 0, got {self.unit_value}")
 
 
 @dataclass(frozen=True)
 class CurveRow:
-    n_days: int
-    report: kpi.KpiReport
+    """One model of the curve; the fields are the table's columns, in order."""
+
+    days: int
+    n_sessions: int
+    n_products: int
+    snp: float
+    cr: float
+    revenue: float
+    revenue_per_session: float
+    cpu_seconds: float
     avg_session_length: float
-    snp_baseline: bool
 
 
 def run_curve(dataset: Dataset, eval_log: EvalLog, plan: CurvePlan) -> list[CurveRow]:
@@ -57,7 +69,6 @@ def run_curve(dataset: Dataset, eval_log: EvalLog, plan: CurvePlan) -> list[Curv
     rows: list[CurveRow] = []
     prev_products: frozenset[str] = frozenset()
     prev_session_ids: set[str] = set()
-    first = True
     end_day = dataset.max_day if plan.end_day is None else plan.end_day
     eval_index = kpi.index_eval(eval_log)
     embed.load_scipy()
@@ -74,62 +85,39 @@ def run_curve(dataset: Dataset, eval_log: EvalLog, plan: CurvePlan) -> list[Curv
         n_products = len(model.vocabulary)
         total_revenue = kpi.revenue(n_products, cr, plan.unit_value)
         added = [s for s in sliced.sessions if s.session_id not in prev_session_ids]
-        snp = kpi.snp(prev_products, added)
-        report = kpi.KpiReport(
+        rows.append(CurveRow(
+            days=n_days,
+            n_sessions=len(sliced.sessions),
             n_products=n_products,
+            snp=kpi.snp(prev_products, added),
             cr=cr,
             revenue=total_revenue,
             revenue_per_session=kpi.revenue_per_session(total_revenue, len(sliced.sessions)),
-            snp=snp,
             cpu_seconds=cpu_seconds,
-            n_sessions=len(sliced.sessions),
-        )
-        avg_len = kpi.mean(s.length for s in sliced.sessions)
-        rows.append(
-            CurveRow(n_days=n_days, report=report, avg_session_length=avg_len, snp_baseline=first)
-        )
+            avg_session_length=kpi.mean(s.length for s in sliced.sessions),
+        ))
         prev_products = frozenset(model.vocabulary.products)
         prev_session_ids = {s.session_id for s in sliced.sessions}
-        first = False
     return rows
 
 
-SCALED_KPIS = (
-    "n_sessions",
-    "n_products",
-    "snp",
-    "cr",
-    "revenue",
-    "revenue_per_session",
-    "cpu_seconds",
-    "avg_session_length",
-)
-
-
-def _kpi_value(row: CurveRow, name: str) -> float:
-    if name == "avg_session_length":
-        return row.avg_session_length
-    return float(getattr(row.report, name))
-
-
 def emit_curves(rows: Sequence[CurveRow]) -> list[tuple[int, str, float, float]]:
-    """Feature-scaled plot data: one (n_days, kpi, raw, scaled) tuple per point."""
+    """Feature-scaled plot data: one (days, kpi, raw, scaled) tuple per point,
+    for every column after ``days``."""
     if len(rows) < 2:
         log.warning("emit_curves with %d row(s); scaled columns are degenerate", len(rows))
     out: list[tuple[int, str, float, float]] = []
-    for name in SCALED_KPIS:
-        raw = [_kpi_value(row, name) for row in rows]
+    for field in fields(CurveRow)[1:]:
+        raw = [float(getattr(row, field.name)) for row in rows]
         scaled = kpi.feature_scale(raw)
         for row, r, s in zip(rows, raw, scaled):
-            out.append((row.n_days, name, r, s))
+            out.append((row.days, field.name, r, s))
     return out
 
 
 def write_table_csv(rows: Sequence[CurveRow], path: str | Path) -> None:
-    """The KPI table: one row per model, kpi report columns plus mean length."""
-    write_csv(path, [*kpi.REPORT_COLUMNS, "avg_session_length"], (
-        [*kpi.report_row(row.n_days, row.report), row.avg_session_length] for row in rows
-    ))
+    """The KPI table: one row per model, one column per ``CurveRow`` field."""
+    write_csv(path, [f.name for f in fields(CurveRow)], map(astuple, rows))
 
 
 def write_curves_csv(points: Sequence[tuple[int, str, float, float]], path: str | Path) -> None:

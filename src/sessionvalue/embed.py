@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cor import RecommendationList, _rank
+from .cor import RecommendationList, _rank, _rank_order
 from .corpus import Dataset
 from .errors import EmptyVocabularyError
 
@@ -141,7 +141,7 @@ def build_vocab(dataset: Dataset, min_count: int) -> Vocabulary:
     kept = [(p, f) for p, f in freq.items() if f >= min_count]
     if not kept:
         raise EmptyVocabularyError(min_count)
-    kept.sort(key=lambda item: (-item[1], item[0]))
+    _rank_order(kept)
     codes, points = _huffman([f for _, f in kept])
     entries = tuple(
         VocabEntry(product=p, frequency=f, code=codes[i], points=points[i])

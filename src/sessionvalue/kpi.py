@@ -8,6 +8,9 @@ of their own (``seed_pairs``), so replacing a few lists moves the totals by
 exactly those lists' contributions. Every production rate is
 ``rate_from_totals(*totals(index, lists))``; ``aggregate_pairs`` and
 ``conversion_rate`` are the per-pair reference it is checked against.
+
+The module holds formulas only; the learning curve's table row, which
+gathers them per model, is ``curve.CurveRow``.
 """
 
 from __future__ import annotations
@@ -33,17 +36,6 @@ class PairCounts:
 
     def total_ordered(self) -> int:
         return sum(o for _, o in self.counts.values())
-
-
-@dataclass(frozen=True)
-class KpiReport:
-    n_products: int
-    cr: float
-    revenue: float
-    revenue_per_session: float
-    snp: float
-    cpu_seconds: float
-    n_sessions: int
 
 
 @dataclass(frozen=True)
@@ -163,32 +155,6 @@ def feature_scale(series: Sequence[float]) -> list[float]:
         return [0.0 for _ in series]
     span = hi - lo
     return [(x - lo) / span for x in series]
-
-
-REPORT_COLUMNS = (
-    "days",
-    "n_sessions",
-    "n_products",
-    "snp",
-    "cr",
-    "revenue",
-    "revenue_per_session",
-    "cpu_seconds",
-)
-
-
-def report_row(days: int, report: KpiReport) -> list:
-    """One CSV row per model, matching REPORT_COLUMNS."""
-    return [
-        days,
-        report.n_sessions,
-        report.n_products,
-        report.snp,
-        report.cr,
-        report.revenue,
-        report.revenue_per_session,
-        report.cpu_seconds,
-    ]
 
 
 def mean(values: Iterable[float]) -> float:

@@ -326,8 +326,7 @@ def plant_duplicate_sessions(dataset: Dataset, session_id: str, copies: int) -> 
         raise UnknownSessionError(session_id)
     source = dataset.by_id[session_id]
     clones = tuple(
-        Session(session_id=f"{session_id}-dup{i:02d}", clicks=source.clicks)
-        for i in range(copies)
+        Session(session_id=cid, clicks=source.clicks) for cid in clone_ids(session_id, copies)
     )
     return Dataset(sessions=dataset.sessions + clones, catalog=dataset.catalog)
 

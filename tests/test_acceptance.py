@@ -216,10 +216,10 @@ def test_learning_curve_invariants(benchmark_data, benchmark_rc):
     )
     rows = run_curve(dataset, eval_log, plan)
 
-    products = [row.report.n_products for row in rows]
+    products = [row.n_products for row in rows]
     assert products == sorted(products)
 
-    assert rows[0].report.snp == 1.0 and rows[0].snp_baseline
+    assert rows[0].snp == 1.0
 
     prev_products: frozenset[str] = frozenset()
     prev_ids: set[str] = set()
@@ -227,7 +227,7 @@ def test_learning_curve_invariants(benchmark_data, benchmark_rc):
         sliced = slice_days(dataset, plan.end_day, n_days)
         added = [s for s in sliced.sessions if s.session_id not in prev_ids]
         brute = sum(1 for s in added if not s.unique_products <= prev_products) / len(added)
-        assert row.report.snp == brute
+        assert row.snp == brute
         prev_products = frozenset(build_vocab(sliced, plan.hyper.min_count).products)
         prev_ids = {s.session_id for s in sliced.sessions}
 

@@ -109,6 +109,8 @@ class TestOutOfRangeRejectedAtLoad:
         ("  day_grid: [2, 3]\n  k: 5\n", "  day_grid: [2, 3]\n  k: 0\n", "curve.k"),
         ("  day_grid: [2, 3]\n", "  day_grid: [3, 2]\n", "curve.day_grid"),
         ("curve:\n", "plants:\n  duplicates:\n    copies: 1\ncurve:\n", "plants.duplicates.copies"),
+        ("  day_grid: [2, 3]\n", "  day_grid: [2, 3]\n  correction_c: 0\n", "curve.correction_c"),
+        ("  day_grid: [2, 3]\n", "  day_grid: [2, 3]\n  unit_value: 0\n", "curve.unit_value"),
     ])
     def test_key_named(self, tmp_path, old, new, key):
         assert old in SMOKE_YAML

@@ -138,6 +138,7 @@ class TestDatasetIO:
         )] + [(read_catalog, good_catalog + bad) for bad in (
             '{"p":"B","cat":"t01"}\n',
             '{"p":"B","cat":[1, 2]}\n',
+            '{"p":"A","cat":["t1","c2"]}\n',
         )]
         for read, text in cases:
             path.write_text(text)

@@ -34,16 +34,14 @@ def rows(data):
 class TestRunCurve:
     def test_nesting_monotonicity(self, rows):
         _, _, _, out = rows
-        sessions = [r.report.n_sessions for r in out]
-        products = [r.report.n_products for r in out]
+        sessions = [r.n_sessions for r in out]
+        products = [r.n_products for r in out]
         assert sessions == sorted(sessions)
         assert products == sorted(products)
 
     def test_first_row_snp_is_full(self, rows):
         _, _, _, out = rows
-        assert out[0].report.snp == 1.0
-        assert out[0].snp_baseline
-        assert not out[1].snp_baseline
+        assert out[0].snp == 1.0
 
     def test_snp_equals_brute_force_set_difference(self, rows):
         ds, _, plan, out = rows
@@ -55,17 +53,16 @@ class TestRunCurve:
             expected = (
                 sum(1 for s in added if not s.unique_products <= prev_products) / len(added)
             )
-            assert row.report.snp == expected
+            assert row.snp == expected
             prev_products = frozenset(build_vocab(sliced, HYPER.min_count).products)
             prev_ids = {s.session_id for s in sliced.sessions}
 
     def test_row_metrics_consistent(self, rows):
         _, _, _, out = rows
         for row in out:
-            r = row.report
-            assert r.revenue == r.n_products * r.cr * 1.0
-            assert r.revenue_per_session == pytest.approx(r.revenue / r.n_sessions)
-            assert r.cpu_seconds >= 0.0
+            assert row.revenue == row.n_products * row.cr * 1.0
+            assert row.revenue_per_session == pytest.approx(row.revenue / row.n_sessions)
+            assert row.cpu_seconds >= 0.0
 
     def test_cpu_seconds_is_process_time(self, data, monkeypatch):
         ds, ev, _ = data
@@ -73,7 +70,7 @@ class TestRunCurve:
         monkeypatch.setattr(curve.time, "process_time", lambda: 0.5 * next(ticks))
         plan = CurvePlan(end_day=ds.max_day, day_grid=(2, 4), hyper=HYPER)
         out = run_curve(ds, ev, plan)
-        assert [row.report.cpu_seconds for row in out] == [0.5, 0.5]
+        assert [row.cpu_seconds for row in out] == [0.5, 0.5]
 
     def test_empty_slice_names_grid_entry(self, data):
         ds, ev, _ = data

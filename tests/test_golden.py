@@ -2,9 +2,10 @@
 
 ``tests/golden/smoke`` is the ``configs/smoke.yaml`` run (synth, vr value,
 lifecycle, curve). ``tests/golden/benchmark`` pins the benchmark inputs that
-``synth`` writes (plants included), the ``cor`` valuation of those inputs and
-the ``vr`` model trained on them with the full hyperparameters (200
-dimensions, 5 iterations). Every file must match byte for byte, except the
+``synth`` writes (plants included), the ``cor`` and ``vr`` valuations,
+lifecycle study and learning curve of those inputs, and the ``vr`` model
+trained on them with the full hyperparameters (200 dimensions, 5
+iterations). Every file must match byte for byte, except the
 curve's measured ``cpu_seconds`` column (CPU time of each training call).
 """
 
@@ -81,3 +82,17 @@ def test_benchmark_cor_value_matches_golden(tmp_path):
 
 def test_benchmark_vr_model_matches_golden(tmp_path):
     _run_on_benchmark_inputs(tmp_path, ["train", "--engine", "vr"], ("vr_model.txt",))
+
+
+def test_benchmark_vr_value_matches_golden(tmp_path):
+    outputs = ("records_vr.csv", "histogram_vr.csv", "summary_vr.json")
+    _run_on_benchmark_inputs(tmp_path, ["value", "--engine", "vr", "--jobs", "2"], outputs)
+
+
+def test_benchmark_lifecycle_matches_golden(tmp_path):
+    outputs = ("trajectories.csv", "lifecycle_stats.csv")
+    _run_on_benchmark_inputs(tmp_path, ["lifecycle"], outputs)
+
+
+def test_benchmark_curve_matches_golden(tmp_path):
+    _run_on_benchmark_inputs(tmp_path, ["curve"], TIMED)
