@@ -24,6 +24,7 @@ from .corpus import (
     EvalLog,
     load_dataset,
     read_eval_log,
+    require_in_catalog,
     write_dataset,
     write_eval_log,
 )
@@ -90,7 +91,10 @@ def _load_data(rc: RunConfig, out_dir: Path, need_eval: bool = True):
         _require_file(rc.input_path("sessions", out_dir)),
         _require_file(rc.input_path("catalog", out_dir)),
     )
-    eval_log = read_eval_log(_require_file(rc.input_path("eval", out_dir))) if need_eval else None
+    if not need_eval:
+        return dataset, None
+    eval_log = read_eval_log(_require_file(rc.input_path("eval", out_dir)))
+    require_in_catalog(eval_log.products, dataset.catalog)
     return dataset, eval_log
 
 

@@ -7,7 +7,9 @@ The on-disk interchange formats are UTF-8 JSON Lines:
 * eval log:  ``{"session_id": "...", "viewed": [...], "ordered": [...]}``
 
 Writers emit canonical bytes (fixed key order, compact separators, sorted
-member lists) so that load/save round trips are byte-exact.
+member lists) so that load/save round trips are byte-exact. Every reader is one
+call to ``read_jsonl`` with a per-line parser; the constructors validate the
+values, and any malformed line raises DatasetFormatError naming its file and line.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import logging
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .atomic import write_jsonl
 from .errors import (
@@ -48,6 +50,30 @@ def validate_product_id(product: str) -> str:
     return product
 
 
+def validate_category_path(product: str, path: tuple[str, ...]) -> None:
+    """The rule every catalog entry obeys: a valid product, 1..6 non-empty string tokens."""
+    validate_product_id(product)
+    if not 1 <= len(path) <= MAX_CATEGORY_DEPTH:
+        raise ValueError(f"category path for {product!r} must have 1..{MAX_CATEGORY_DEPTH} levels")
+    if not all(isinstance(token, str) and token for token in path):
+        raise ValueError(f"category path for {product!r} must hold non-empty strings")
+
+
+def validate_unique_ids(sessions: Iterable[Session | EvalSession]) -> None:
+    seen: set[str] = set()
+    for s in sessions:
+        if s.session_id in seen:
+            raise DuplicateSessionIdError(s.session_id)
+        seen.add(s.session_id)
+
+
+def require_in_catalog(products: Iterable[str], catalog: Catalog) -> None:
+    """Every product an input references, training or eval, must be in the catalog."""
+    missing = [p for p in products if p not in catalog.paths]
+    if missing:
+        raise MissingCatalogEntryError(min(missing))
+
+
 @dataclass(frozen=True)
 class ClickEvent:
     """A single product-page click."""
@@ -71,8 +97,8 @@ class Session:
     clicks: tuple[ClickEvent, ...]
 
     def __post_init__(self) -> None:
-        if not self.session_id:
-            raise ValueError("session_id must be non-empty")
+        if not isinstance(self.session_id, str) or not self.session_id:
+            raise ValueError(f"session_id must be a non-empty string, got {self.session_id!r}")
         if not self.clicks:
             raise ValueError(f"session {self.session_id!r} has no clicks")
         for i in range(1, len(self.clicks)):
@@ -101,13 +127,7 @@ class Catalog:
 
     def __post_init__(self) -> None:
         for product, path in self.paths.items():
-            validate_product_id(product)
-            if not 1 <= len(path) <= MAX_CATEGORY_DEPTH:
-                raise ValueError(
-                    f"category path for {product!r} must have 1..{MAX_CATEGORY_DEPTH} levels"
-                )
-            if any(not token for token in path):
-                raise ValueError(f"category path for {product!r} contains empty tokens")
+            validate_category_path(product, path)
 
     def __contains__(self, product: str) -> bool:
         return product in self.paths
@@ -137,14 +157,8 @@ class Dataset:
     catalog: Catalog
 
     def __post_init__(self) -> None:
-        seen: set[str] = set()
-        for s in self.sessions:
-            if s.session_id in seen:
-                raise DuplicateSessionIdError(s.session_id)
-            seen.add(s.session_id)
-            for p in s.unique_products:
-                if p not in self.catalog:
-                    raise MissingCatalogEntryError(p)
+        validate_unique_ids(self.sessions)
+        require_in_catalog((p for s in self.sessions for p in s.unique_products), self.catalog)
 
     def __len__(self) -> int:
         return len(self.sessions)
@@ -195,10 +209,12 @@ class EvalSession:
     ordered: frozenset[str]
 
     def __post_init__(self) -> None:
-        if not self.session_id:
-            raise ValueError("eval session_id must be non-empty")
+        if not isinstance(self.session_id, str) or not self.session_id:
+            raise ValueError(f"eval session_id must be a non-empty string, got {self.session_id!r}")
         if not self.viewed:
             raise ValueError(f"eval session {self.session_id!r} has an empty viewed set")
+        if not all(isinstance(p, str) for p in self.viewed | self.ordered):
+            raise ValueError(f"eval session {self.session_id!r} has a product id that is not a string")
 
 
 @dataclass(frozen=True)
@@ -206,11 +222,11 @@ class EvalLog:
     sessions: tuple[EvalSession, ...]
 
     def __post_init__(self) -> None:
-        seen: set[str] = set()
-        for s in self.sessions:
-            if s.session_id in seen:
-                raise DuplicateSessionIdError(s.session_id)
-            seen.add(s.session_id)
+        validate_unique_ids(self.sessions)
+
+    @property
+    def products(self) -> frozenset[str]:
+        return frozenset().union(*(e.viewed for e in self.sessions), *(e.ordered for e in self.sessions))
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +292,20 @@ def heterogeneity_ratio(session: Session, catalog: Catalog, level: int | None = 
 # ---------------------------------------------------------------------------
 
 
+def read_jsonl(path: str | Path, what: str, parse: Callable[[Any], Any]) -> list:
+    """``parse`` each non-blank line's JSON value; a line it refuses is a DatasetFormatError."""
+    out = []
+    with open(path, "rb") as fh:  # decoded per line, so a non-UTF-8 line names its number
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                out.append(parse(json.loads(line.decode("utf-8"))))
+            except (KeyError, TypeError, ValueError, OverflowError, UnsortedEventsError) as exc:
+                raise DatasetFormatError(str(path), line_no, f"malformed {what} line ({exc})") from exc
+    return out
+
+
 def write_sessions(sessions: Iterable[Session], path: str | Path) -> None:
     write_jsonl(path, (
         {"session_id": s.session_id, "clicks": [{"t": c.t, "p": c.product} for c in s.clicks]}
@@ -283,26 +313,14 @@ def write_sessions(sessions: Iterable[Session], path: str | Path) -> None:
     ))
 
 
+def _session(doc: Any) -> Session:
+    clicks = tuple(ClickEvent(t=c["t"], product=c["p"]) for c in doc["clicks"])
+    return Session(session_id=doc["session_id"], clicks=clicks)
+
+
 def read_sessions(path: str | Path) -> list[Session]:
-    sessions: list[Session] = []
-    seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                doc = json.loads(line)
-                sid = doc["session_id"]
-                if type(sid) is not str:
-                    raise TypeError(f"session_id must be a string, got {sid!r}")
-                clicks = tuple(ClickEvent(t=c["t"], product=c["p"]) for c in doc["clicks"])
-                session = Session(session_id=sid, clicks=clicks)
-            except (KeyError, TypeError, ValueError, UnsortedEventsError) as exc:
-                raise DatasetFormatError(str(path), line_no, f"malformed session line ({exc})")
-            if session.session_id in seen:
-                raise DuplicateSessionIdError(session.session_id)
-            seen.add(session.session_id)
-            sessions.append(session)
+    sessions = read_jsonl(path, "session", _session)
+    validate_unique_ids(sessions)
     return sessions
 
 
@@ -312,20 +330,17 @@ def write_catalog(catalog: Catalog, path: str | Path) -> None:
 
 def read_catalog(path: str | Path) -> Catalog:
     paths: dict[str, tuple[str, ...]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                doc = json.loads(line)
-                product, cat = doc["p"], doc["cat"]
-                if type(cat) is not list or not all(type(tok) is str for tok in cat):
-                    raise TypeError(f"cat must be a list of strings, got {cat!r}")
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DatasetFormatError(str(path), line_no, f"malformed catalog line ({exc})")
-            if product in paths:
-                raise DatasetFormatError(str(path), line_no, f"duplicate product {product!r}")
-            paths[product] = tuple(cat)
+
+    def parse(doc: Any) -> None:
+        product, cat = doc["p"], doc["cat"]
+        if type(cat) is not list:  # tuple() of a string would split it into characters
+            raise TypeError(f"cat must be a list, got {cat!r}")
+        validate_category_path(product, tuple(cat))
+        if product in paths:
+            raise ValueError(f"duplicate product {product!r}")
+        paths[product] = tuple(cat)
+
+    read_jsonl(path, "catalog", parse)
     return Catalog(paths=paths)
 
 
@@ -348,26 +363,12 @@ def write_eval_log(eval_log: EvalLog, path: str | Path) -> None:
     ))
 
 
+def _eval_session(doc: Any) -> EvalSession:
+    viewed, ordered = doc["viewed"], doc.get("ordered", [])
+    if type(viewed) is not list or type(ordered) is not list:  # frozenset() would split a string
+        raise TypeError("viewed and ordered must be lists of product ids")
+    return EvalSession(doc["session_id"], frozenset(viewed), frozenset(ordered))
+
+
 def read_eval_log(path: str | Path) -> EvalLog:
-    sessions: list[EvalSession] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                doc = json.loads(line)
-                sid, viewed, ordered = doc["session_id"], doc["viewed"], doc.get("ordered", [])
-                if type(viewed) is not list or type(ordered) is not list:
-                    raise TypeError("viewed and ordered must be lists of product ids")
-                if not all(type(x) is str for x in (sid, *viewed, *ordered)):
-                    raise TypeError("session and product ids must be strings")
-                sessions.append(
-                    EvalSession(
-                        session_id=sid,
-                        viewed=frozenset(viewed),
-                        ordered=frozenset(ordered),
-                    )
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DatasetFormatError(str(path), line_no, f"malformed eval line ({exc})")
-    return EvalLog(sessions=tuple(sessions))
+    return EvalLog(sessions=tuple(read_jsonl(path, "eval", _eval_session)))

@@ -11,7 +11,6 @@ leave-one-out of one clone.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 from enum import Enum
@@ -29,8 +28,9 @@ from .corpus import (
     EvalSession,
     Session,
     SECONDS_PER_DAY,
+    read_jsonl,
 )
-from .errors import PlantFailedError, UnknownSessionError
+from .errors import DatasetFormatError, PlantFailedError, UnknownSessionError
 from .kpi import index_eval, rate_from_totals, totals
 from .sensitivity import CorEngine, VrEngine
 
@@ -387,9 +387,14 @@ def write_truth(truth: GroundTruth, path: str | Path) -> None:
     write_jsonl(path, [doc])
 
 
-def read_truth(path: str | Path) -> GroundTruth:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+def _truth(doc) -> GroundTruth:
     affinity = {(a, b): float(value) for a, b, value in doc["affinity"]}
     planted = tuple((sid, PlantKind(kind)) for sid, kind in doc["planted"])
     return GroundTruth(affinity=affinity, planted=planted)
+
+
+def read_truth(path: str | Path) -> GroundTruth:
+    truths = read_jsonl(path, "truth", _truth)
+    if len(truths) != 1:
+        raise DatasetFormatError(str(path), 1, f"a truth file holds one line, found {len(truths)}")
+    return truths[0]

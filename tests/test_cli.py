@@ -149,6 +149,17 @@ class TestValue:
         with open(out / "records_cor.csv") as fh:
             assert len(list(csv.DictReader(fh))) == 50
 
+    def test_eval_product_missing_from_catalog_rejected(self, workspace, runner):
+        config, out = workspace
+        with open(out / "eval.jsonl", "a", encoding="utf-8") as fh:
+            fh.write('{"session_id":"e-ghost","viewed":["ghost"],"ordered":[]}\n')
+        result = runner.invoke(
+            main, ["value", "--config", str(config), "--out", str(out), "--engine", "cor"]
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # a clean exit, no traceback
+        assert "Error: product 'ghost' is not in the catalog" in result.output
+
     def test_vr_uses_sample(self, workspace, runner):
         config, out = workspace
         result = runner.invoke(

@@ -3,12 +3,14 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from sessionvalue.corpus import (
     Catalog,
     ClickEvent,
     Dataset,
+    EvalLog,
+    EvalSession,
     SECONDS_PER_DAY,
     Session,
     heterogeneity_ratio,
@@ -17,6 +19,7 @@ from sessionvalue.corpus import (
     read_catalog,
     read_eval_log,
     read_sessions,
+    require_in_catalog,
     sessionize,
     slice_days,
     write_catalog,
@@ -28,9 +31,11 @@ from sessionvalue.errors import (
     DuplicateSessionIdError,
     MissingCatalogEntryError,
     MissingCategoryLevelError,
+    SessionValueError,
     UnknownSessionError,
     UnsortedEventsError,
 )
+from sessionvalue.synthgen import read_truth
 
 from helpers import mk_catalog, mk_dataset, mk_session
 
@@ -83,6 +88,29 @@ class TestSessionize:
         for s in out:
             for a, b in zip(s.clicks, s.clicks[1:]):
                 assert b.t - a.t < gap
+
+
+# A valid one-line file per reader; the property test replaces one field at a time.
+VALID_LINES = {
+    read_sessions: {"session_id": "s", "clicks": [{"t": 0, "p": "A"}]},
+    read_catalog: {"p": "A", "cat": ["t0", "c1"]},
+    read_eval_log: {"session_id": "e", "viewed": ["A"], "ordered": ["B"]},
+    read_truth: {"affinity": [["A", "B", 0.5]], "planted": [["s", "toxic"]]},
+}
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def field_paths(doc, prefix=()):
+    """The key path of every value inside ``doc``, containers included."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from field_paths(value, prefix + (key,))
 
 
 class TestDatasetIO:
@@ -139,12 +167,59 @@ class TestDatasetIO:
             '{"p":"B","cat":"t01"}\n',
             '{"p":"B","cat":[1, 2]}\n',
             '{"p":"A","cat":["t1","c2"]}\n',
+            '{"p":5,"cat":["t0"]}\n',
+            '{"p":["x"],"cat":["t0"]}\n',
+            '{"p":"B","cat":[]}\n',
+            '{"p":"B","cat":[""]}\n',
+            '{"p":"","cat":["t0"]}\n',
         )]
         for read, text in cases:
             path.write_text(text)
             with pytest.raises(DatasetFormatError) as err:
                 read(path)
             assert err.value.line_no == 2, text
+
+    def test_non_utf8_line_reports_line_number(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        path.write_bytes(b'{"session_id":"ok","clicks":[{"t":0,"p":"A"}]}\n{"session_id":"\xff"}\n')
+        with pytest.raises(DatasetFormatError) as err:
+            read_sessions(path)
+        assert err.value.line_no == 2
+
+    @pytest.mark.parametrize("text", [
+        "",
+        '{"affinity":[],"planted":[]}\n{"affinity":[],"planted":[]}\n',
+        '{\n  "affinity": [],\n  "planted": []\n}\n',  # one document over several lines
+    ], ids=["empty", "two-lines", "multi-line-document"])
+    def test_truth_file_must_hold_one_line(self, tmp_path, text):
+        path = tmp_path / "truth.json"
+        path.write_text(text)
+        with pytest.raises(DatasetFormatError) as err:
+            read_truth(path)
+        assert err.value.path == str(path)
+
+    @pytest.mark.parametrize(("read", "field"), [
+        pytest.param(read, field, id=f"{read.__name__}:{'.'.join(map(str, field))}")
+        for read, doc in VALID_LINES.items() for field in field_paths(doc)
+    ])
+    @settings(
+        max_examples=25, derandomize=True, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(value=JSON_VALUES)
+    @example(value=10**400)  # an integer no float holds
+    def test_any_field_value_loads_or_is_refused(self, tmp_path, read, field, value):
+        doc = json.loads(json.dumps(VALID_LINES[read]))
+        parent = doc
+        for key in field[:-1]:
+            parent = parent[key]
+        parent[field[-1]] = value
+        path = tmp_path / "in.jsonl"
+        path.write_text(json.dumps(doc) + "\n")
+        try:
+            read(path)
+        except SessionValueError:
+            pass
 
     def test_product_missing_from_catalog(self, tmp_path):
         sessions_path = tmp_path / "s.jsonl"
@@ -153,6 +228,12 @@ class TestDatasetIO:
         catalog_path.write_text(json.dumps({"p": "A", "cat": ["top"]}) + "\n")
         with pytest.raises(MissingCatalogEntryError) as err:
             load_dataset(sessions_path, catalog_path)
+        assert err.value.product == "ghost"
+
+    def test_eval_product_missing_from_catalog(self):
+        eval_log = EvalLog(sessions=(EvalSession("e", frozenset({"A", "ghost"}), frozenset({"zz"})),))
+        with pytest.raises(MissingCatalogEntryError) as err:
+            require_in_catalog(eval_log.products, mk_catalog(["A"]))
         assert err.value.product == "ghost"
 
     def test_catalog_writer_sorted(self, tmp_path):
@@ -277,6 +358,22 @@ class TestInvariants:
     def test_product_id_length_limit(self):
         with pytest.raises(ValueError):
             ClickEvent(t=0, product="p" * 65)
+
+    def test_session_id_must_be_string(self):
+        with pytest.raises(ValueError):
+            Session(session_id=5, clicks=tuple(clicks_at([0])))
+
+    def test_eval_session_id_must_be_string(self):
+        with pytest.raises(ValueError):
+            EvalSession(session_id=5, viewed=frozenset({"A"}), ordered=frozenset())
+
+    def test_eval_products_must_be_strings(self):
+        with pytest.raises(ValueError):
+            EvalSession("e", frozenset({1}), frozenset())
+
+    def test_category_tokens_must_be_strings(self):
+        with pytest.raises(ValueError):
+            Catalog(paths={"A": (1,)})
 
     def test_catalog_depth_limit(self):
         with pytest.raises(ValueError):
