@@ -71,7 +71,7 @@ def run_curve(dataset: Dataset, eval_log: EvalLog, plan: CurvePlan) -> list[Curv
     prev_session_ids: set[str] = set()
     end_day = dataset.max_day if plan.end_day is None else plan.end_day
     eval_index = kpi.index_eval(eval_log)
-    embed.load_scipy()
+    embed.load_kernel()
     for n_days in plan.day_grid:
         sliced = slice_days(dataset, end_day=end_day, n_days=n_days)
         if not sliced.sessions:

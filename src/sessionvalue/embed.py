@@ -7,21 +7,46 @@ tree-node vectors start at zero, the context window is fixed (never sampled),
 and the learning rate decays linearly per token. Final vectors are rounded to
 a fixed number of decimals, and similarities are computed over the rounded
 vectors, so model dumps and rankings are byte-stable across runs.
+
+The training loop is the C function in ``_skipgram.c``, called once per
+training through ``ctypes``. It is compiled on first use with the pinned
+``KERNEL_BUILD`` command into a per-user cache directory under the system
+temporary directory, and loaded once per process.
 """
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
+import os
+import shlex
+import stat
+import subprocess
+import sysconfig
+import tempfile
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
+from numpy.ctypeslib import ndpointer
 
 from .cor import RecommendationList, _rank, _rank_order
 from .corpus import Dataset
-from .errors import EmptyVocabularyError
+from .errors import EmptyVocabularyError, KernelBuildError
 
 # Learning-rate floor, as a fraction of the initial rate.
 LR_FLOOR_FRACTION = 1e-4
+
+# The compiler and flags of the training kernel, part of its cache key. No
+# -ffast-math and no -march: the model bytes rely on unfused, unreordered
+# float arithmetic (see _skipgram.c).
+KERNEL_BUILD = (
+    *shlex.split(sysconfig.get_config_var("CC") or "cc"),
+    "-O3", "-ffp-contract=off", "-shared", "-fPIC",
+)
+_SOURCE = Path(__file__).with_name("_skipgram.c")
+_kernel = None  # the loaded entry point; see load_kernel
 
 
 @dataclass(frozen=True)
@@ -159,26 +184,129 @@ def _initial_vectors(n_entries: int, dimensions: int, rng_seed: int) -> np.ndarr
     return rows
 
 
-def load_scipy():
-    """Import and return ``scipy.special.expit``, the trainer's logistic function.
+def _cache_dir() -> Path:
+    return Path(tempfile.gettempdir()) / f"sessionvalue-{os.getuid()}"
 
-    ``train`` calls this once per training; importing scipy takes about a
-    quarter of a second, so commands that never train (every ``cor`` command)
-    do not load it. A caller timing ``train`` calls this first, so that the
-    import stays out of the measurement.
+
+def _private_dir(directory: Path) -> Path:
+    """``directory``, created with mode 0o700 if missing; refused unless it is
+    a real directory of this user that neither group nor others can write."""
+    directory.mkdir(mode=0o700, parents=True, exist_ok=True)
+    st = os.lstat(directory)
+    if not stat.S_ISDIR(st.st_mode) or st.st_uid != os.getuid() or st.st_mode & 0o022:
+        raise KernelBuildError(
+            f"refusing kernel cache {directory}: it must be a directory owned by uid "
+            f"{os.getuid()} that group and others cannot write (mode {stat.filemode(st.st_mode)}, "
+            f"owner {st.st_uid})"
+        )
+    return directory
+
+
+def _kernel_file(directory: Path) -> Path:
+    """The kernel's path in ``directory``, named by the sha256 of its C source
+    and of ``KERNEL_BUILD``."""
+    key = hashlib.sha256(_SOURCE.read_bytes())
+    key.update("\0".join(KERNEL_BUILD).encode())
+    return directory / f"skipgram-{key.hexdigest()}.so"
+
+
+def _build(directory: Path) -> Path:
+    """Compile the kernel into ``directory`` unless it is there already.
+
+    The compiler writes a unique temporary file that ``os.replace`` then moves
+    into place, so processes building the same key at once each end with a
+    complete file.
     """
-    from scipy.special import expit
+    target = _kernel_file(_private_dir(directory))
+    if target.is_file():
+        return target
+    fd, tmp = tempfile.mkstemp(prefix=f".{target.name}.", dir=directory)
+    os.close(fd)
+    command = [*KERNEL_BUILD, str(_SOURCE), "-lm", "-o", tmp]
+    try:
+        try:
+            done = subprocess.run(command, capture_output=True, text=True)
+        except OSError as exc:
+            raise KernelBuildError(f"{shlex.join(command)} could not run: {exc}") from exc
+        if done.returncode != 0:
+            raise KernelBuildError(
+                f"{shlex.join(command)} exited with {done.returncode}: {done.stderr.strip()}"
+            )
+        os.replace(tmp, target)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return target
 
-    return expit
+
+def _load(directory: Path):
+    """Build the kernel into ``directory`` if needed, load it and return its
+    entry point, whose argument types refuse arrays of another dtype or shape
+    and arrays that are not C-contiguous."""
+    kernel = ctypes.CDLL(str(_build(directory))).sv_skipgram_train
+    i64 = ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
+    kernel.argtypes = [
+        ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS,WRITEABLE"),  # syn0
+        ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS,WRITEABLE"),  # syn1
+        ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE"),  # neu
+        ctypes.c_int64,  # dims
+        i64, i64, ctypes.c_int64,  # tokens, sentence_offsets, n_sentences
+        i64, ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS"), i64,  # path arrays
+        ctypes.c_int64, ctypes.c_int64, ctypes.c_double, ctypes.c_double,
+    ]
+    kernel.restype = None
+    return kernel
 
 
-def _step(l2: np.ndarray, v: np.ndarray, one_minus_code: np.ndarray, alpha: float, expit) -> None:
-    """One gradient step of context vector ``v`` against the center's path rows
-    ``l2`` (with ``1 - code`` per row), updating both in place."""
-    g = alpha * (one_minus_code - expit(l2 @ v))
-    neu = g @ l2
-    l2 += g[:, None] * v
-    v += neu
+def load_kernel():
+    """The compiled training loop, built on first use into a per-user cache
+    directory and loaded once per process. A caller timing ``train`` calls
+    this first, so that the compile stays out of the measurement."""
+    global _kernel
+    if _kernel is None:
+        _kernel = _load(_cache_dir())
+    return _kernel
+
+
+def _offsets(lengths: list[int]) -> np.ndarray:
+    out = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=out[1:])
+    return out
+
+
+def _sentences(dataset: Dataset, vocab: Vocabulary) -> list[list[int]]:
+    """Each session's clicks as vocabulary indices, tokens below min_count dropped."""
+    index = vocab.index
+    return [[index[c.product] for c in s.clicks if c.product in index] for s in dataset.sessions]
+
+
+def _fit(dataset: Dataset, hyper: Hyperparams) -> tuple[Vocabulary, np.ndarray]:
+    """The vocabulary and the unrounded input vectors of one training."""
+    kernel = load_kernel()
+    vocab = build_vocab(dataset, hyper.min_count)
+    sents = _sentences(dataset, vocab)
+    n = len(vocab)
+    syn0 = _initial_vectors(n, hyper.dimensions, hyper.rng_seed)
+    syn1 = np.zeros((max(n - 1, 0), hyper.dimensions), dtype=np.float64)
+    codes = np.fromiter((c for e in vocab.entries for c in e.code), dtype=np.float64)
+    kernel(
+        syn0, syn1, np.empty(hyper.dimensions), hyper.dimensions,
+        np.fromiter((w for s in sents for w in s), dtype=np.int64),
+        _offsets([len(s) for s in sents]), len(sents),
+        np.fromiter((p for e in vocab.entries for p in e.points), dtype=np.int64),
+        1.0 - codes, _offsets([len(e.points) for e in vocab.entries]),
+        hyper.iterations, hyper.window, hyper.initial_learning_rate,
+        hyper.initial_learning_rate * LR_FLOOR_FRACTION,
+    )
+    return vocab, syn0
+
+
+def _rounded(vocab: Vocabulary, syn0: np.ndarray, hyper: Hyperparams) -> EmbeddingModel:
+    """The model of unrounded input vectors ``syn0``: read-only vectors rounded
+    to ``hyper.rounding_digits`` decimals."""
+    vectors = np.round(syn0, hyper.rounding_digits)
+    vectors.setflags(write=False)
+    return EmbeddingModel(vocabulary=vocab, vectors=vectors, hyper=hyper)
 
 
 def train(dataset: Dataset, hyper: Hyperparams) -> EmbeddingModel:
@@ -187,49 +315,10 @@ def train(dataset: Dataset, hyper: Hyperparams) -> EmbeddingModel:
     Epochs iterate sessions in corpus order; tokens below min_count are
     dropped before windowing. For each center token, every in-window context
     token's input vector is updated against the center's Huffman path,
-    sequentially, with the per-token linearly decayed learning rate.
-
-    The center's path rows are gathered from ``syn1`` once, updated in place
-    across the window and written back after it. This is the same arithmetic
-    as gathering and scattering them per context: within one window only the
-    center's path rows of ``syn1`` change, and a path never repeats a node.
+    sequentially, with the per-token linearly decayed learning rate. The loop
+    runs in the compiled kernel (``_skipgram.c``), one call per training.
     """
-    expit = load_scipy()
-    vocab = build_vocab(dataset, hyper.min_count)
-    index = vocab.index
-    sentences = [[index[c.product] for c in s.clicks if c.product in index] for s in dataset.sessions]
-    points = [np.array(e.points, dtype=np.int64) for e in vocab.entries]
-    one_minus_code = [1.0 - np.array(e.code, dtype=np.float64) for e in vocab.entries]
-
-    n = len(vocab)
-    syn0 = _initial_vectors(n, hyper.dimensions, hyper.rng_seed)
-    syn1 = np.zeros((max(n - 1, 0), hyper.dimensions), dtype=np.float64)
-
-    budget = hyper.iterations * sum(len(s) for s in sentences)
-    lr0 = hyper.initial_learning_rate
-    lr_floor = lr0 * LR_FLOOR_FRACTION
-    window = hyper.window
-
-    processed = 0
-    for _ in range(hyper.iterations):
-        for sent in sentences:
-            m = len(sent)
-            for i, w in enumerate(sent):
-                alpha = max(lr0 * (1.0 - processed / budget), lr_floor)
-                processed += 1
-                pts = points[w]
-                if pts.size == 0:
-                    continue
-                omc = one_minus_code[w]
-                l2 = syn1[pts]
-                for j in range(max(i - window, 0), min(m, i + window + 1)):
-                    if j != i:
-                        _step(l2, syn0[sent[j]], omc, alpha, expit)
-                syn1[pts] = l2
-
-    vectors = np.round(syn0, hyper.rounding_digits)
-    vectors.setflags(write=False)
-    return EmbeddingModel(vocabulary=vocab, vectors=vectors, hyper=hyper)
+    return _rounded(*_fit(dataset, hyper), hyper)
 
 
 def _cosine_sims(model: EmbeddingModel, seed_idx: int, norms: np.ndarray) -> np.ndarray:

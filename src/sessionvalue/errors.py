@@ -77,3 +77,8 @@ class ConfigError(SessionValueError):
     def __init__(self, key: str, reason: str):
         self.key = key
         super().__init__(f"config key {key!r}: {reason}")
+
+
+class KernelBuildError(SessionValueError):
+    """The compiled training kernel could not be built, or its cache
+    directory is not safe to load from."""

@@ -5,15 +5,33 @@ matrix (itself checked against from-scratch rebuilds), ``top_k`` ranks one
 seed's neighbours by a scan of every pair count, and ``top_k_similar`` ranks
 one seed of an embedding model. The package ships ``session_top_k``,
 ``all_top_k`` and ``all_top_k_similar``; none of these three runs in it.
+
+``fit_numpy`` and ``train_numpy`` are the skip-gram trainer as a numpy loop,
+one ``step`` per (center, context) pair; the package trains with the
+compiled kernel instead.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
+import numpy as np
+from scipy.special import expit
+
 from sessionvalue.cor import CoocMatrix, RecommendationList
-from sessionvalue.corpus import Session
-from sessionvalue.embed import EmbeddingModel, _norms, _rank_similar
+from sessionvalue.corpus import Dataset, Session
+from sessionvalue.embed import (
+    LR_FLOOR_FRACTION,
+    EmbeddingModel,
+    Hyperparams,
+    Vocabulary,
+    _initial_vectors,
+    _norms,
+    _rank_similar,
+    _rounded,
+    _sentences,
+    build_vocab,
+)
 from sessionvalue.errors import MatrixUnderflowError
 
 
@@ -70,3 +88,58 @@ def top_k_similar(model: EmbeddingModel, seed: str, k: int) -> RecommendationLis
     if idx is None:
         return None
     return _rank_similar(model, idx, k, _norms(model))
+
+
+def step(l2: np.ndarray, v: np.ndarray, one_minus_code: np.ndarray, alpha: float) -> None:
+    """One gradient step of context vector ``v`` against the center's path rows
+    ``l2`` (with ``1 - code`` per row), updating both in place."""
+    g = alpha * (one_minus_code - expit(l2 @ v))
+    neu = g @ l2
+    l2 += g[:, None] * v
+    v += neu
+
+
+def fit_numpy(dataset: Dataset, hyper: Hyperparams) -> tuple[Vocabulary, np.ndarray]:
+    """The vocabulary and unrounded input vectors, trained by a numpy loop.
+
+    The center's path rows are gathered from ``syn1`` once, updated in place
+    across the window and written back after it. This is the same arithmetic
+    as gathering and scattering them per context: within one window only the
+    center's path rows of ``syn1`` change, and a path never repeats a node.
+    """
+    vocab = build_vocab(dataset, hyper.min_count)
+    sentences = _sentences(dataset, vocab)
+    points = [np.array(e.points, dtype=np.int64) for e in vocab.entries]
+    one_minus_code = [1.0 - np.array(e.code, dtype=np.float64) for e in vocab.entries]
+
+    n = len(vocab)
+    syn0 = _initial_vectors(n, hyper.dimensions, hyper.rng_seed)
+    syn1 = np.zeros((max(n - 1, 0), hyper.dimensions), dtype=np.float64)
+
+    budget = hyper.iterations * sum(len(s) for s in sentences)
+    lr0 = hyper.initial_learning_rate
+    lr_floor = lr0 * LR_FLOOR_FRACTION
+    window = hyper.window
+
+    processed = 0
+    for _ in range(hyper.iterations):
+        for sent in sentences:
+            m = len(sent)
+            for i, w in enumerate(sent):
+                alpha = max(lr0 * (1.0 - processed / budget), lr_floor)
+                processed += 1
+                pts = points[w]
+                if pts.size == 0:
+                    continue
+                omc = one_minus_code[w]
+                l2 = syn1[pts]
+                for j in range(max(i - window, 0), min(m, i + window + 1)):
+                    if j != i:
+                        step(l2, syn0[sent[j]], omc, alpha)
+                syn1[pts] = l2
+    return vocab, syn0
+
+
+def train_numpy(dataset: Dataset, hyper: Hyperparams) -> EmbeddingModel:
+    """``embed.train`` with the numpy loop in place of the compiled kernel."""
+    return _rounded(*fit_numpy(dataset, hyper), hyper)

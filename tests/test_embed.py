@@ -2,13 +2,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from scipy.special import expit
 
 from sessionvalue.embed import (
     Hyperparams,
     _huffman,
     _initial_vectors,
-    _step,
     all_top_k_similar,
     build_vocab,
     dump_model,
@@ -17,7 +15,7 @@ from sessionvalue.embed import (
 from sessionvalue.errors import EmptyVocabularyError
 
 from helpers import mk_dataset
-from oracles import top_k_similar
+from oracles import step, top_k_similar
 
 FAST = Hyperparams(dimensions=16, iterations=2, min_count=1, rng_seed=9)
 
@@ -204,8 +202,8 @@ def path_loss(v: np.ndarray, l2: np.ndarray, codes: np.ndarray) -> float:
 
 
 class TestGradient:
-    """``embed._step``, the trainer's update, is one gradient-descent step on
-    ``path_loss`` for both the context vector and the path rows."""
+    """``oracles.step``, the numpy trainer's update, is one gradient-descent
+    step on ``path_loss`` for both the context vector and the path rows."""
 
     def _setup_path(self):
         # center word's Huffman path in a 3-product vocabulary
@@ -236,7 +234,7 @@ class TestGradient:
         grad_l2 = self._numeric_gradient(lambda x: path_loss(v, x, cds), l2)
         alpha = 0.05
         new_v, new_l2 = v.copy(), l2.copy()
-        _step(new_l2, new_v, 1.0 - cds, alpha, expit)
+        step(new_l2, new_v, 1.0 - cds, alpha)
         # both updates are taken at the pre-step point: x_new = x - alpha * dL/dx
         assert np.allclose((v - new_v) / alpha, grad_v, rtol=1e-6, atol=1e-9)
         assert np.allclose((l2 - new_l2) / alpha, grad_l2, rtol=1e-6, atol=1e-9)
@@ -244,7 +242,7 @@ class TestGradient:
     def test_single_update_decreases_path_loss(self):
         syn0, l2, cds = self._setup_path()
         before = path_loss(syn0[1], l2, cds)
-        _step(l2, syn0[1], 1.0 - cds, 0.05, expit)
+        step(l2, syn0[1], 1.0 - cds, 0.05)
         after = path_loss(syn0[1], l2, cds)
         assert after < before
 

@@ -1,0 +1,240 @@
+"""The compiled training kernel: its rounding margin, its edge cases and its build.
+
+``embed.train`` runs its loop in ``_skipgram.c``; ``tests/test_train_oracle.py``
+compares it with the numpy trainer ``oracles.train_numpy`` on small random
+corpora. This file covers what that comparison cannot: how far the golden
+trainings sit from a rounding boundary, inputs at the kernel's edges, and the
+compile-and-cache step.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from sessionvalue import embed
+from sessionvalue.config import load_run_config
+from sessionvalue.corpus import load_dataset
+from sessionvalue.embed import Hyperparams, _fit, _initial_vectors, build_vocab, dump_model, train
+from sessionvalue.errors import KernelBuildError, SessionValueError
+
+from conftest import CONFIG_DIR
+from helpers import mk_dataset
+from oracles import fit_numpy, train_numpy
+
+TESTS = Path(__file__).resolve().parent
+GOLDEN = TESTS / "golden"
+SRC = TESTS.parent / "src"
+
+# The smallest unrounded distance to a rounding boundary must be at least this
+# multiple of the kernel-versus-numpy drift. Measured: 6.3e5 on the benchmark
+# training (margin 2.2e-9, drift 3.5e-15) and 3.7e8 on the smoke training
+# (margin 1.9e-7, drift 5.0e-16). At the full.yaml shape it is only about
+# 2,000 (margin 1.6e-10, drift 8.0e-14), so this is a floor for the golden
+# trainings, not a bound for every input.
+MARGIN_OVER_DRIFT = 100_000
+
+
+def rounding_margin_and_drift(dataset, hyper: Hyperparams) -> tuple[float, float]:
+    """The smallest distance from any unrounded kernel component to a rounding
+    boundary, and the largest kernel-versus-numpy difference of a component."""
+    _, kernel = _fit(dataset, hyper)
+    _, oracle = fit_numpy(dataset, hyper)
+    scale = 10.0 ** hyper.rounding_digits
+    scaled = kernel * scale
+    margin = float(np.min(np.abs(scaled - np.floor(scaled) - 0.5))) / scale
+    drift = float(np.max(np.abs(kernel - oracle)))
+    return margin, drift
+
+
+@pytest.mark.parametrize("name", ["benchmark", "smoke"])
+def test_golden_training_rounding_margin_dwarfs_drift(name):
+    hyper = load_run_config(CONFIG_DIR / f"{name}.yaml").hyper
+    dataset = load_dataset(GOLDEN / name / "sessions.jsonl", GOLDEN / name / "catalog.jsonl")
+    margin, drift = rounding_margin_and_drift(dataset, hyper)
+    assert margin >= MARGIN_OVER_DRIFT * drift, (margin, drift)
+
+
+class TestEdges:
+    def test_long_huffman_paths_match_oracle(self):
+        # Fibonacci frequencies make a caterpillar tree: the rarest products
+        # have paths of n - 1 nodes.
+        fib = [1, 1]
+        while len(fib) < 16:
+            fib.append(fib[-1] + fib[-2])
+        tokens = []
+        for depth in range(max(fib)):
+            tokens += [f"P{i:02d}" for i, f in enumerate(fib) if depth < f]
+        specs = [(f"s{i:04d}", 0, tokens[i:i + 12]) for i in range(0, len(tokens), 12)]
+        dataset = mk_dataset(specs)
+        hyper = Hyperparams(dimensions=4, iterations=1, window=2, min_count=1, rng_seed=1)
+        assert max(len(e.points) for e in build_vocab(dataset, 1).entries) >= 15
+        assert dump_model(train(dataset, hyper)) == dump_model(train_numpy(dataset, hyper))
+
+    def test_one_entry_vocabulary_keeps_the_init(self):
+        # syn1 has zero rows and every path is empty: nothing is trained.
+        dataset = mk_dataset([("a", 0, ["A", "A", "A"]), ("b", 0, ["B"])])
+        hyper = Hyperparams(dimensions=4, window=2, min_count=2, rng_seed=3)
+        vocab, syn0 = _fit(dataset, hyper)
+        assert vocab.products == ("A",)
+        assert np.array_equal(syn0, _initial_vectors(1, 4, 3))
+        assert dump_model(train(dataset, hyper)) == dump_model(train_numpy(dataset, hyper))
+
+    def test_sentences_shorter_than_the_window(self):
+        dataset = mk_dataset([("a", 0, ["A", "B"]), ("b", 0, ["C"]), ("c", 0, ["B", "C", "A"])])
+        hyper = Hyperparams(dimensions=4, window=5, min_count=1)
+        assert np.allclose(_fit(dataset, hyper)[1], fit_numpy(dataset, hyper)[1], rtol=0, atol=1e-15)
+        assert dump_model(train(dataset, hyper)) == dump_model(train_numpy(dataset, hyper))
+
+
+def _kernel_args() -> list:
+    """Valid arguments for a two-entry vocabulary and one two-token sentence."""
+    def ints(*values):
+        return np.array(values, dtype=np.int64)
+
+    return [
+        np.zeros((2, 4)), np.zeros((1, 4)), np.zeros(4), 4,  # syn0, syn1, neu, dims
+        ints(0, 1), ints(0, 2), 1,  # tokens, sentence offsets, sentences
+        ints(0, 0), np.array([1.0, 0.0]), ints(0, 1, 2),  # points, 1 - code, path offsets
+        1, 1, 0.025, 0.0000025,  # iterations, window, learning rate and its floor
+    ]
+
+
+def test_kernel_runs_on_valid_arguments():
+    args = _kernel_args()
+    args[0][:] = 0.1
+    embed.load_kernel()(*args)
+    assert not np.array_equal(args[0], np.full((2, 4), 0.1))
+
+
+@pytest.mark.parametrize("position", [0, 1, 2, 4, 5, 7, 8, 9])
+def test_non_contiguous_array_cannot_reach_kernel(position):
+    args = _kernel_args()
+    wide = np.repeat(args[position], 2, axis=-1)
+    args[position] = wide[..., ::2]
+    assert not args[position].flags.c_contiguous
+    with pytest.raises(ctypes.ArgumentError):
+        embed.load_kernel()(*args)
+
+
+@pytest.mark.parametrize("position", [0, 4, 8])
+def test_wrong_dtype_cannot_reach_kernel(position):
+    args = _kernel_args()
+    other = np.int32 if args[position].dtype == np.float64 else np.float64
+    args[position] = args[position].astype(other)
+    with pytest.raises(ctypes.ArgumentError):
+        embed.load_kernel()(*args)
+
+
+class TestBuild:
+    def test_cache_directory_is_private(self, tmp_path):
+        cache = tmp_path / "cache"
+        built = embed._build(cache)
+        assert built.parent == cache and built.is_file()
+        assert cache.stat().st_mode & 0o077 == 0
+        assert [p.name for p in cache.iterdir()] == [built.name]
+        assert embed._build(cache) == built
+
+    def test_source_or_flags_change_the_file_name(self, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        base = embed._kernel_file(cache)
+        source = tmp_path / "_skipgram.c"
+        source.write_text(embed._SOURCE.read_text() + "/* edited */\n")
+        with monkeypatch.context() as m:
+            m.setattr(embed, "_SOURCE", source)
+            edited = embed._kernel_file(cache)
+        with monkeypatch.context() as m:
+            m.setattr(embed, "KERNEL_BUILD", embed.KERNEL_BUILD + ("-DSV_UNUSED",))
+            flagged = embed._kernel_file(cache)
+        assert len({base, edited, flagged}) == 3
+        assert embed._kernel_file(cache) == base
+
+    def test_missing_compiler_names_the_command(self, tmp_path, monkeypatch):
+        missing = str(tmp_path / "no-such-cc")
+        monkeypatch.setattr(embed, "KERNEL_BUILD", (missing, *embed.KERNEL_BUILD[1:]))
+        with pytest.raises(KernelBuildError, match="no-such-cc") as info:
+            embed._build(tmp_path / "cache")
+        assert isinstance(info.value, SessionValueError)
+        assert "No such file" in str(info.value)
+        assert list((tmp_path / "cache").iterdir()) == []
+
+    def test_failing_compiler_reports_its_stderr(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(embed, "KERNEL_BUILD", embed.KERNEL_BUILD + ("-fno-such-option",))
+        with pytest.raises(KernelBuildError) as info:
+            embed._build(tmp_path / "cache")
+        # Named once in the command and again in the compiler's own stderr.
+        assert str(info.value).count("-fno-such-option") >= 2
+        assert list((tmp_path / "cache").iterdir()) == []
+
+    @pytest.mark.parametrize("mode", [0o770, 0o702, 0o777])
+    def test_writable_by_others_is_refused(self, tmp_path, mode):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        cache.chmod(mode)
+        with pytest.raises(KernelBuildError, match="refusing kernel cache"):
+            embed._build(cache)
+        assert list(cache.iterdir()) == []
+
+    def test_other_owner_is_refused(self, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        cache.mkdir(mode=0o700)
+        uid = os.getuid()
+        monkeypatch.setattr(os, "getuid", lambda: uid + 1)
+        with pytest.raises(KernelBuildError, match="refusing kernel cache"):
+            embed._build(cache)
+
+    def test_symlink_is_refused(self, tmp_path):
+        real = tmp_path / "real"
+        real.mkdir(mode=0o700)
+        (tmp_path / "cache").symlink_to(real)
+        with pytest.raises(KernelBuildError, match="refusing kernel cache"):
+            embed._build(tmp_path / "cache")
+
+    def test_concurrent_builds_both_load_a_correct_kernel(self, tmp_path):
+        """Two processes build the same key into an empty cache at once; each
+        loads its result and trains a model identical to the oracle's."""
+        script = (
+            "import sys, time\n"
+            "from pathlib import Path\n"
+            "from sessionvalue import embed\n"
+            "from helpers import mk_dataset\n"
+            "cache, ready, go = map(Path, sys.argv[1:4])\n"
+            "ready.touch()\n"
+            "deadline = time.monotonic() + 60\n"
+            "while not go.exists() and time.monotonic() < deadline:\n"
+            "    time.sleep(0.001)\n"
+            "embed._kernel = embed._load(cache)\n"
+            "ds = mk_dataset([('a', 0, list('ABCAB')), ('b', 0, list('CBA'))])\n"
+            "hyper = embed.Hyperparams(dimensions=6, iterations=2, window=2, min_count=1)\n"
+            "sys.stdout.write(embed.dump_model(embed.train(ds, hyper)))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), str(TESTS)])}
+        cache, go = tmp_path / "cache", tmp_path / "go"
+        readies = [tmp_path / f"ready{i}" for i in range(2)]
+        children = [
+            subprocess.Popen(
+                [sys.executable, "-c", script, str(cache), str(ready), str(go)],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+            )
+            for ready in readies
+        ]
+        try:
+            deadline = time.monotonic() + 60
+            while not all(r.exists() for r in readies) and time.monotonic() < deadline:
+                time.sleep(0.001)
+        finally:
+            go.touch()
+        results = [child.communicate(timeout=120) for child in children]
+        ds = mk_dataset([("a", 0, list("ABCAB")), ("b", 0, list("CBA"))])
+        expected = dump_model(train_numpy(ds, Hyperparams(dimensions=6, iterations=2, window=2, min_count=1)))
+        for child, (out, err) in zip(children, results):
+            assert child.returncode == 0, err
+            assert out == expected
+        assert [p.name for p in cache.iterdir()] == [embed._kernel_file(cache).name]
