@@ -16,7 +16,6 @@ from .corpus import (
     heterogeneity_ratio,
     leave_one_out,
     load_dataset,
-    sessionize,
     slice_days,
 )
 from .cor import CoocMatrix, RecommendationList, all_top_k, build_matrix

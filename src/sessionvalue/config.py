@@ -72,6 +72,8 @@ class LifecycleSection:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
+        if self.hr_level is not None and self.hr_level < 0:
+            raise ValueError(f"hr_level must be >= 0, got {self.hr_level}")
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ import logging
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable
 
 from .atomic import write_jsonl
 from .errors import (
@@ -34,8 +34,6 @@ from .errors import (
 log = logging.getLogger(__name__)
 
 SECONDS_PER_DAY = 86_400
-# 30 minutes: the conventional web-analytics inactivity cut.
-DEFAULT_SESSION_GAP = 1_800
 MAX_PRODUCT_ID_LEN = 64
 MAX_CATEGORY_DEPTH = 6
 
@@ -232,31 +230,6 @@ class EvalLog:
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
-
-
-def sessionize(
-    events: Sequence[ClickEvent],
-    gap: int = DEFAULT_SESSION_GAP,
-    id_prefix: str = "s",
-) -> list[Session]:
-    """Split one user's ordered click stream at inactivity gaps of >= ``gap`` seconds.
-
-    Consecutive events closer than ``gap`` share a session. Raises
-    UnsortedEventsError naming the first offending index on unsorted input.
-    """
-    if gap <= 0:
-        raise ValueError(f"gap must be > 0, got {gap}")
-    for i in range(1, len(events)):
-        if events[i].t < events[i - 1].t:
-            raise UnsortedEventsError(i)
-    sessions: list[Session] = []
-    start = 0
-    for i in range(1, len(events) + 1):
-        if i == len(events) or events[i].t - events[i - 1].t >= gap:
-            sid = f"{id_prefix}-{len(sessions):06d}"
-            sessions.append(Session(session_id=sid, clicks=tuple(events[start:i])))
-            start = i
-    return sessions
 
 
 def leave_one_out(dataset: Dataset, session_id: str) -> DeltaDataset:

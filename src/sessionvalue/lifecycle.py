@@ -17,8 +17,8 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .atomic import write_csv
-from .cor import RecommendationList, all_top_k, build_matrix
-from .corpus import Dataset, Session, heterogeneity_ratio, slice_days
+from .cor import RecommendationList, _rank
+from .corpus import Dataset, Session, heterogeneity_ratio
 from .kpi import mean
 
 log = logging.getLogger(__name__)
@@ -120,7 +120,15 @@ def trajectories(dataset: Dataset, plan: FramePlan, k: int = 5) -> list[CvTrajec
     cohort_day + f - 1, so with window_days >= n_frames the cohort stays
     inside every window. Frames beyond the last data day are clipped (and
     flagged via a warning).
+
+    ``cv_score`` reads only the lists of the cohort's products, so only their
+    neighbour counts are kept: frame 1 adds every day of its window, each
+    later frame adds the day that enters and subtracts the day that leaves.
+    Ranking the positive counts by (count desc, id asc) gives the same lists
+    as ``all_top_k`` of a rebuilt window.
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     cohort_day = plan.cohort_day if plan.cohort_day is not None else dataset.min_day
     cohort = [s for s in dataset.sessions if s.day == cohort_day]
     if not cohort:
@@ -133,11 +141,34 @@ def trajectories(dataset: Dataset, plan: FramePlan, k: int = 5) -> list[CvTrajec
         log.warning(
             "frame plan clipped to %d frames (data ends at day %d)", n_frames, max_day
         )
+    tracked = frozenset().union(*(s.unique_products for s in cohort))
+    by_day: dict[int, list[tuple[frozenset[str], frozenset[str]]]] = {}
+    for s in dataset.sessions:
+        if touched := s.unique_products & tracked:
+            by_day.setdefault(s.day, []).append((touched, s.unique_products))
+    counts: dict[str, dict[str, int]] = {p: {} for p in tracked}
+
+    def slide(day: int, step: int) -> None:
+        for touched, unique in by_day.get(day, ()):
+            for p in touched:
+                row = counts[p]
+                for q in unique:
+                    if q != p:
+                        row[q] = row.get(q, 0) + step
+
+    for day in by_day:
+        if cohort_day - plan.window_days < day < cohort_day:
+            slide(day, 1)
     series: dict[str, list[int]] = {s.session_id: [] for s in cohort}
     for frame in range(1, n_frames + 1):
         end_day = cohort_day + frame - 1
-        window = slice_days(dataset, end_day=end_day, n_days=plan.window_days)
-        topk = all_top_k(build_matrix(window), k)
+        slide(end_day, 1)
+        if frame > 1:
+            slide(end_day - plan.window_days, -1)
+        topk = {
+            p: RecommendationList(seed=p, items=_rank([n for n in row.items() if n[1] > 0], k))
+            for p, row in counts.items()
+        }
         for session in cohort:
             series[session.session_id].append(cv_score(session, topk))
     out = []

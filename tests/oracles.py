@@ -9,6 +9,10 @@ one seed of an embedding model. The package ships ``session_top_k``,
 ``fit_numpy`` and ``train_numpy`` are the skip-gram trainer as a numpy loop,
 one ``step`` per (center, context) pair; the package trains with the
 compiled kernel instead.
+
+``trajectories_rebuild`` is the lifecycle study with every frame's window
+rebuilt from scratch (``slice_days``, ``build_matrix``, ``all_top_k``); the
+package slides neighbour counts of the cohort's products instead.
 """
 
 from __future__ import annotations
@@ -18,8 +22,8 @@ from itertools import combinations
 import numpy as np
 from scipy.special import expit
 
-from sessionvalue.cor import CoocMatrix, RecommendationList
-from sessionvalue.corpus import Dataset, Session
+from sessionvalue.cor import CoocMatrix, RecommendationList, all_top_k, build_matrix
+from sessionvalue.corpus import Dataset, Session, slice_days
 from sessionvalue.embed import (
     LR_FLOOR_FRACTION,
     EmbeddingModel,
@@ -33,6 +37,7 @@ from sessionvalue.embed import (
     build_vocab,
 )
 from sessionvalue.errors import MatrixUnderflowError
+from sessionvalue.lifecycle import CvTrajectory, FramePlan, classify_impact, cv_score, ols
 
 
 def remove_session(matrix: CoocMatrix, session: Session) -> CoocMatrix:
@@ -143,3 +148,28 @@ def fit_numpy(dataset: Dataset, hyper: Hyperparams) -> tuple[Vocabulary, np.ndar
 def train_numpy(dataset: Dataset, hyper: Hyperparams) -> EmbeddingModel:
     """``embed.train`` with the numpy loop in place of the compiled kernel."""
     return _rounded(*fit_numpy(dataset, hyper), hyper)
+
+
+def trajectories_rebuild(dataset: Dataset, plan: FramePlan, k: int) -> list[CvTrajectory]:
+    """``lifecycle.trajectories`` with each frame's model rebuilt from its window."""
+    cohort_day = plan.cohort_day if plan.cohort_day is not None else dataset.min_day
+    cohort = [s for s in dataset.sessions if s.day == cohort_day]
+    n_frames = min(plan.n_frames, dataset.max_day - cohort_day + 1)
+    series: dict[str, list[int]] = {s.session_id: [] for s in cohort}
+    for frame in range(1, n_frames + 1):
+        window = slice_days(dataset, end_day=cohort_day + frame - 1, n_days=plan.window_days)
+        topk = all_top_k(build_matrix(window), k)
+        for session in cohort:
+            series[session.session_id].append(cv_score(session, topk))
+    out = []
+    for session in cohort:
+        scores = series[session.session_id]
+        slope, intercept = ols(scores)
+        out.append(CvTrajectory(
+            session_id=session.session_id,
+            scores=tuple(scores),
+            slope=slope,
+            intercept=intercept,
+            impact=classify_impact(slope, intercept),
+        ))
+    return sorted(out, key=lambda t: t.session_id)

@@ -47,6 +47,35 @@ curve:
 """
 
 
+def run_without_kernel(tmp_path, command):
+    """Run ``command`` on the golden benchmark inputs in a subprocess with a
+    private temporary directory. Asserts that it succeeds, that no kernel
+    cache directory appears there and that the process never loads the
+    ``vr`` kernel."""
+    golden = Path(__file__).resolve().parent / "golden" / "benchmark"
+    for name in ("sessions.jsonl", "catalog.jsonl", "eval.jsonl"):
+        shutil.copyfile(golden / name, tmp_path / name)
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    script = (
+        "import sys\n"
+        "from sessionvalue import embed\n"
+        "from sessionvalue.cli import main\n"
+        "main.main(args=sys.argv[1:], standalone_mode=False)\n"
+        "assert embed._kernel is None, 'the kernel was loaded'\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "TMPDIR": str(tmp)}
+    done = subprocess.run(
+        [sys.executable, "-c", script, *command,
+         "--config", str(BENCHMARK_CONFIG), "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert list(tmp.iterdir()) == []
+
+
 @pytest.fixture()
 def runner():
     return CliRunner()
@@ -225,32 +254,9 @@ class TestValue:
         assert (tmp_path / "records_cor.csv").is_file()
 
     def test_cor_value_never_builds_or_loads_kernel(self, tmp_path):
-        """``cor`` trains nothing, so it must not pay for the ``vr`` kernel:
-        no cache directory appears in the (private) temporary directory and
-        the process never loads the kernel."""
-        golden = Path(__file__).resolve().parent / "golden" / "benchmark"
-        for name in ("sessions.jsonl", "catalog.jsonl", "eval.jsonl"):
-            shutil.copyfile(golden / name, tmp_path / name)
-        tmp = tmp_path / "tmp"
-        tmp.mkdir()
-        script = (
-            "import sys\n"
-            "from sessionvalue import embed\n"
-            "from sessionvalue.cli import main\n"
-            "main.main(args=sys.argv[1:], standalone_mode=False)\n"
-            "assert embed._kernel is None, 'the kernel was loaded'\n"
-        )
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path, "TMPDIR": str(tmp)}
-        done = subprocess.run(
-            [sys.executable, "-c", script, "value", "--engine", "cor",
-             "--config", str(BENCHMARK_CONFIG), "--out", str(tmp_path)],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert done.returncode == 0, done.stderr
+        """``cor`` trains nothing, so it must not pay for the ``vr`` kernel."""
+        run_without_kernel(tmp_path, ["value", "--engine", "cor"])
         assert (tmp_path / "records_cor.csv").is_file()
-        assert list(tmp.iterdir()) == []
 
     def test_histogram_counts_match_records(self, workspace, runner):
         config, out = workspace
@@ -273,6 +279,12 @@ class TestLifecycleCommand:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 4
         assert sum(float(r["percentage"]) for r in rows) == pytest.approx(100.0, abs=0.1)
+
+    def test_never_builds_or_loads_kernel(self, tmp_path):
+        """The lifecycle study ranks ``cor`` counts only; it must not pay for
+        the ``vr`` kernel."""
+        run_without_kernel(tmp_path, ["lifecycle"])
+        assert (tmp_path / "trajectories.csv").is_file()
 
 
 class TestCurveCommand:

@@ -105,6 +105,7 @@ class TestOutOfRangeRejectedAtLoad:
         ("  neutral_band: 0.0005\n", "  neutral_band: -1\n", "harness.neutral_band"),
         ("  neutral_band: 0.0005\n", "  neutral_band: 0.0005\n  bin_width: 0\n", "harness.bin_width"),
         ("  n_frames: 2\n  k: 5\n", "  n_frames: 2\n  k: 0\n", "lifecycle.k"),
+        ("lifecycle:\n", "lifecycle:\n  hr_level: -1\n", "lifecycle.hr_level"),
         ("    rng_seed: 3\n", "    rng_seed: -1\n", "harness.sample.rng_seed"),
         ("  day_grid: [2, 3]\n  k: 5\n", "  day_grid: [2, 3]\n  k: 0\n", "curve.k"),
         ("  day_grid: [2, 3]\n", "  day_grid: [3, 2]\n", "curve.day_grid"),

@@ -20,7 +20,6 @@ from sessionvalue.corpus import (
     read_eval_log,
     read_sessions,
     require_in_catalog,
-    sessionize,
     slice_days,
     write_catalog,
     write_dataset,
@@ -44,50 +43,15 @@ def clicks_at(times, product="A"):
     return [ClickEvent(t=t, product=product) for t in times]
 
 
-class TestSessionize:
-    def test_all_gaps_below_threshold_single_session(self):
-        out = sessionize(clicks_at([0, 100, 200]), gap=1800)
-        assert len(out) == 1
-        assert out[0].length == 3
-
-    def test_gap_at_threshold_splits(self):
-        out = sessionize(clicks_at([0, 100, 2000]), gap=1800)
-        assert [s.length for s in out] == [2, 1]
-
-    def test_empty_stream(self):
-        assert sessionize([], gap=1800) == []
-
-    def test_unsorted_input_names_offending_index(self):
-        events = clicks_at([0, 50, 40, 60])
+class TestSession:
+    def test_unsorted_clicks_name_offending_index(self):
         with pytest.raises(UnsortedEventsError) as err:
-            sessionize(events, gap=1800)
+            Session(session_id="x", clicks=tuple(clicks_at([0, 50, 40, 60])))
         assert err.value.index == 2
 
-    def test_gap_must_be_positive(self):
-        with pytest.raises(ValueError):
-            sessionize(clicks_at([0]), gap=0)
-
     def test_day_from_first_click(self):
-        out = sessionize(clicks_at([3 * SECONDS_PER_DAY + 5]), gap=10)
-        assert out[0].day == 3
-
-    @given(
-        st.lists(st.integers(min_value=0, max_value=5000), min_size=0, max_size=40),
-        st.integers(min_value=1, max_value=900),
-    )
-    def test_partition_property(self, deltas, gap):
-        times = []
-        t = 0
-        for d in deltas:
-            t += d
-            times.append(t)
-        events = clicks_at(times)
-        out = sessionize(events, gap=gap)
-        recovered = [c for s in out for c in s.clicks]
-        assert recovered == events
-        for s in out:
-            for a, b in zip(s.clicks, s.clicks[1:]):
-                assert b.t - a.t < gap
+        clicks = clicks_at([3 * SECONDS_PER_DAY + 5, 4 * SECONDS_PER_DAY])
+        assert Session(session_id="x", clicks=tuple(clicks)).day == 3
 
 
 # A valid one-line file per reader; the property test replaces one field at a time.

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import logging
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from sessionvalue.cor import RecommendationList, all_top_k, build_matrix
+from sessionvalue.corpus import load_dataset
 from sessionvalue.lifecycle import (
     CvTrajectory,
     FramePlan,
@@ -18,6 +21,9 @@ from sessionvalue.lifecycle import (
 from sessionvalue.synthgen import GenConfig, generate
 
 from helpers import mk_catalog, mk_dataset, mk_session
+from oracles import trajectories_rebuild
+
+BENCHMARK = Path(__file__).resolve().parent / "golden" / "benchmark"
 
 
 def rl(seed, ids):
@@ -149,6 +155,11 @@ class TestTrajectories:
         assert len(trajs[0].scores) == 3  # days 0..2 exist
         assert any("clipped" in rec.message for rec in caplog.records)
 
+    def test_k_below_one_rejected(self):
+        ds = mk_dataset([("x", 0, ["A", "B"])])
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            trajectories(ds, FramePlan(window_days=1, n_frames=1, cohort_day=0), k=0)
+
     def test_all_zero_series_is_no_impact(self):
         # cohort session shares no pair support with anything
         ds = mk_dataset([("x", 0, ["A"]), ("bg", 0, ["B", "C"]), ("bg2", 1, ["B", "C"])])
@@ -156,6 +167,86 @@ class TestTrajectories:
         x = next(t for t in trajs if t.session_id == "x")
         assert set(x.scores) == {0}
         assert x.impact is Impact.NO_IMPACT
+
+
+def build(sessions):
+    return mk_dataset([(f"s{i}", day, clicks) for i, (day, clicks) in enumerate(sessions)])
+
+
+# Few products, so rank ties are common; days 0-6 leave gaps and a short tail.
+day_sessions = st.tuples(
+    st.integers(min_value=0, max_value=6),
+    st.lists(st.sampled_from("ABCDE"), min_size=1, max_size=4),
+)
+frame_plans = st.builds(
+    FramePlan,
+    window_days=st.integers(min_value=1, max_value=6),
+    n_frames=st.integers(min_value=1, max_value=8),
+    cohort_day=st.none() | st.integers(min_value=0, max_value=6),
+)
+
+
+class TestSlidingCountsMatchRebuild:
+    """``trajectories`` slides the cohort products' neighbour counts from frame
+    to frame; the oracle rebuilds every frame's window from scratch."""
+
+    @settings(
+        max_examples=300, derandomize=True, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        sessions=st.lists(day_sessions, min_size=1, max_size=12),
+        plan=frame_plans,
+        k=st.integers(min_value=1, max_value=4),
+    )
+    # window shorter than the frame count: the cohort leaves the window
+    @example(
+        sessions=[(0, ["A", "B"]), (0, ["A", "C"]), (1, ["A", "C"]), (2, ["B", "D"]),
+                  (3, ["A", "D"])],
+        plan=FramePlan(window_days=2, n_frames=4, cohort_day=0), k=1,
+    )
+    # a cohort after the first data day: days before the cohort leave the window
+    @example(
+        sessions=[(0, ["A", "B"]), (0, ["A", "B"]), (1, ["A", "C"]), (2, ["A", "C", "D"]),
+                  (3, ["A", "D"]), (4, ["B", "C"])],
+        plan=FramePlan(window_days=3, n_frames=3, cohort_day=2), k=2,
+    )
+    # clipped: the data ends before the last frame
+    @example(
+        sessions=[(1, ["A", "B"]), (1, ["B", "C"]), (2, ["A", "C"]), (3, ["A", "B"])],
+        plan=FramePlan(window_days=2, n_frames=8, cohort_day=1), k=1,
+    )
+    # days without sessions inside the window (2, 3) and at the edge that leaves it (1)
+    @example(
+        sessions=[(0, ["A", "B"]), (0, ["A", "C"]), (4, ["A", "C"]), (5, ["B", "C"]),
+                  (6, ["A", "C"])],
+        plan=FramePlan(window_days=4, n_frames=7, cohort_day=0), k=2,
+    )
+    # B's only co-session with A leaves the window: B must drop out of A's list
+    @example(
+        sessions=[(0, ["A", "B"]), (1, ["A", "C"])],
+        plan=FramePlan(window_days=1, n_frames=2, cohort_day=0), k=4,
+    )
+    def test_equals_rebuild(self, sessions, plan, k):
+        ds = build(sessions)
+        assert trajectories(ds, plan, k) == trajectories_rebuild(ds, plan, k)
+
+    def test_neighbour_whose_count_returns_to_zero_drops_out(self):
+        ds = build([(0, ["A", "B"]), (1, ["A", "C"])])
+        (x,) = trajectories(ds, FramePlan(window_days=1, n_frames=2, cohort_day=0), k=4)
+        # frame 2 holds only day 1: A's list is [C], and B is no seed at all
+        assert x.scores == (2, 0)
+
+    @pytest.mark.parametrize("plan", [
+        FramePlan(window_days=5, n_frames=4),
+        FramePlan(window_days=2, n_frames=6),
+        FramePlan(window_days=3, n_frames=4, cohort_day=2),
+        FramePlan(window_days=1, n_frames=9, cohort_day=3),
+    ])
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_equals_rebuild_on_benchmark_inputs(self, plan, k):
+        ds = load_dataset(BENCHMARK / "sessions.jsonl", BENCHMARK / "catalog.jsonl")
+        assert trajectories(ds, plan, k) == trajectories_rebuild(ds, plan, k)
 
 
 class TestClassStats:
