@@ -18,7 +18,7 @@ import click
 
 from . import curve, kpi, lifecycle, sensitivity, synthgen
 from .atomic import atomic_open, write_csv
-from .config import RunConfig, load_run_config
+from .config import LifecycleSection, RunConfig, load_run_config
 from .corpus import (
     Dataset,
     EvalLog,
@@ -274,6 +274,20 @@ def value(config_path: str, out_override: str | None, summary_mode: str, engine:
     ])
 
 
+def _check_cohort(dataset: Dataset, section: LifecycleSection) -> None:
+    """Refuse, before any trajectory is computed, a cohort day without
+    sessions and an ``hr_level`` that a cohort product's category path lacks."""
+    day, cohort = lifecycle.cohort_of(dataset, section.plan)
+    if not cohort:
+        raise click.ClickException(
+            f"lifecycle.cohort_day {day} holds no session; "
+            f"the data covers days {dataset.min_day} to {dataset.max_day}"
+        )
+    if section.hr_level is not None:
+        for product in sorted(frozenset().union(*(s.unique_products for s in cohort))):
+            dataset.catalog.token_at(product, section.hr_level)
+
+
 @main.command(name="lifecycle")
 @_common_options
 @_wrap_errors
@@ -281,6 +295,7 @@ def lifecycle_cmd(config_path: str, out_override: str | None, summary_mode: str)
     """Rolling-window CV trajectories and impact-class statistics."""
     rc, out_dir = _prepare(config_path, out_override)
     dataset, _ = _load_data(rc, out_dir, need_eval=False)
+    _check_cohort(dataset, rc.lifecycle)
     trajs = lifecycle.trajectories(dataset, rc.lifecycle.plan, k=rc.lifecycle.k)
     stats = lifecycle.class_stats(trajs, dataset, hr_level=rc.lifecycle.hr_level)
     lifecycle.write_trajectories_csv(trajs, out_dir / "trajectories.csv")

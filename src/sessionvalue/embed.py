@@ -100,7 +100,7 @@ class Vocabulary:
     def index(self) -> dict[str, int]:
         return {e.product: i for i, e in enumerate(self.entries)}
 
-    @property
+    @cached_property
     def products(self) -> tuple[str, ...]:
         return tuple(e.product for e in self.entries)
 
@@ -248,7 +248,7 @@ def _load(directory: Path):
     kernel.argtypes = [
         ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS,WRITEABLE"),  # syn0
         ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS,WRITEABLE"),  # syn1
-        ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE"),  # neu
+        ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE"),  # scratch
         ctypes.c_int64,  # dims
         i64, i64, ctypes.c_int64,  # tokens, sentence_offsets, n_sentences
         i64, ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS"), i64,  # path arrays
@@ -289,8 +289,9 @@ def _fit(dataset: Dataset, hyper: Hyperparams) -> tuple[Vocabulary, np.ndarray]:
     syn0 = _initial_vectors(n, hyper.dimensions, hyper.rng_seed)
     syn1 = np.zeros((max(n - 1, 0), hyper.dimensions), dtype=np.float64)
     codes = np.fromiter((c for e in vocab.entries for c in e.code), dtype=np.float64)
+    longest_path = max(len(e.points) for e in vocab.entries)
     kernel(
-        syn0, syn1, np.empty(hyper.dimensions), hyper.dimensions,
+        syn0, syn1, np.empty(longest_path), hyper.dimensions,
         np.fromiter((w for s in sents for w in s), dtype=np.int64),
         _offsets([len(s) for s in sents]), len(sents),
         np.fromiter((p for e in vocab.entries for p in e.points), dtype=np.int64),

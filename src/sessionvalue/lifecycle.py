@@ -113,6 +113,13 @@ def classify_impact(slope: float, intercept: float, eps: float = DEFAULT_EPS) ->
     return Impact.DECREASING
 
 
+def cohort_of(dataset: Dataset, plan: FramePlan) -> tuple[int, list[Session]]:
+    """The plan's cohort day (the first data day if unset) and its sessions,
+    in corpus order."""
+    day = plan.cohort_day if plan.cohort_day is not None else dataset.min_day
+    return day, [s for s in dataset.sessions if s.day == day]
+
+
 def trajectories(dataset: Dataset, plan: FramePlan, k: int = 5) -> list[CvTrajectory]:
     """CV series for the cohort-day sessions over daily-shifting windows.
 
@@ -129,8 +136,7 @@ def trajectories(dataset: Dataset, plan: FramePlan, k: int = 5) -> list[CvTrajec
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    cohort_day = plan.cohort_day if plan.cohort_day is not None else dataset.min_day
-    cohort = [s for s in dataset.sessions if s.day == cohort_day]
+    cohort_day, cohort = cohort_of(dataset, plan)
     if not cohort:
         log.warning("empty cohort for day %d; no trajectories", cohort_day)
         return []

@@ -280,6 +280,29 @@ class TestLifecycleCommand:
         assert len(rows) == 4
         assert sum(float(r["percentage"]) for r in rows) == pytest.approx(100.0, abs=0.1)
 
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ("hr_level: 9", "has no category at level 9"),
+            ("cohort_day: 400", "lifecycle.cohort_day 400 holds no session; the data covers days 0 to 3"),
+        ],
+    )
+    def test_unusable_cohort_fails_before_any_trajectory(
+        self, workspace, runner, monkeypatch, setting, message
+    ):
+        config, out = workspace
+        config.write_text(BASE_CONFIG.replace("lifecycle:\n", f"lifecycle:\n  {setting}\n"))
+
+        def never(*args, **kwargs):
+            raise AssertionError("trajectories computed")
+
+        monkeypatch.setattr("sessionvalue.lifecycle.trajectories", never)
+        result = runner.invoke(main, ["lifecycle", "--config", str(config), "--out", str(out)])
+        assert result.exit_code != 0
+        assert message in result.output
+        assert not (out / "trajectories.csv").exists()
+        assert not (out / "lifecycle_stats.csv").exists()
+
     def test_never_builds_or_loads_kernel(self, tmp_path):
         """The lifecycle study ranks ``cor`` counts only; it must not pay for
         the ``vr`` kernel."""

@@ -1,10 +1,12 @@
-"""The compiled training kernel: its rounding margin, its edge cases and its build.
+"""The compiled training kernel: its bitwise oracle, its rounding margin, its
+edge cases and its build.
 
 ``embed.train`` runs its loop in ``_skipgram.c``; ``tests/test_train_oracle.py``
 compares it with the numpy trainer ``oracles.train_numpy`` on small random
-corpora. This file covers what that comparison cannot: how far the golden
-trainings sit from a rounding boundary, inputs at the kernel's edges, and the
-compile-and-cache step.
+corpora. This file covers what that comparison cannot: that the interleaved
+loop leaves every unrounded bit as the node-by-node loop of
+``skipgram_reference.c`` does, how far the golden trainings sit from a rounding
+boundary, inputs at the kernel's edges, and the compile-and-cache step.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from sessionvalue import embed
 from sessionvalue.config import load_run_config
@@ -62,20 +65,112 @@ def test_golden_training_rounding_margin_dwarfs_drift(name):
     assert margin >= MARGIN_OVER_DRIFT * drift, (margin, drift)
 
 
+def interleaved_sessions(counts: list[int], length: int) -> list[list[str]]:
+    """Product ``P<i>`` clicked ``counts[i]`` times, the products interleaved
+    round by round, cut into sessions of ``length`` clicks."""
+    tokens = []
+    for depth in range(max(counts)):
+        tokens += [f"P{i:02d}" for i, c in enumerate(counts) if depth < c]
+    return [tokens[i:i + length] for i in range(0, len(tokens), length)]
+
+
+def sessions_dataset(sessions: list[list[str]]):
+    return mk_dataset([(f"s{i:04d}", 0, products) for i, products in enumerate(sessions)])
+
+
+def longest_path(dataset, min_count: int) -> int:
+    return max(len(e.points) for e in build_vocab(dataset, min_count).entries)
+
+
+# Fibonacci frequencies make a caterpillar tree: the rarest products have paths
+# of n - 1 nodes, so the paths take every length from 1 to 15. That leaves every
+# remainder after the kernel's 8-node dot blocks and its 2-row update passes.
+FIBONACCI = [1, 1]
+while len(FIBONACCI) < 16:
+    FIBONACCI.append(FIBONACCI[-1] + FIBONACCI[-2])
+CATERPILLAR = interleaved_sessions(FIBONACCI, 12)
+
+
+@pytest.fixture(scope="module")
+def reference_kernel(tmp_path_factory):
+    """``skipgram_reference.c``, the node-by-node loop, built with the
+    production ``KERNEL_BUILD`` and typed like the production entry point."""
+    target = tmp_path_factory.mktemp("reference") / "skipgram_reference.so"
+    command = [*embed.KERNEL_BUILD, str(TESTS / "skipgram_reference.c"), "-lm", "-o", str(target)]
+    subprocess.run(command, check=True, capture_output=True)
+    kernel = ctypes.CDLL(str(target)).sv_skipgram_train
+    kernel.argtypes = embed.load_kernel().argtypes
+    kernel.restype = None
+    return kernel
+
+
+def assert_bit_identical(reference, dataset, hyper: Hyperparams) -> None:
+    """Run one ``_fit`` through the kernel and, on copies of the same inputs
+    (with ``neu`` scratch), through the reference loop: the unrounded ``syn0``
+    and ``syn1`` must be equal bit for bit."""
+    kernel = embed.load_kernel()
+    pairs = []
+
+    def both(syn0, syn1, scratch, dims, *rest):
+        ref0, ref1 = syn0.copy(), syn1.copy()
+        reference(ref0, ref1, np.empty(dims), dims, *rest)
+        kernel(syn0, syn1, scratch, dims, *rest)
+        pairs.extend([(syn0, ref0), (syn1, ref1)])
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(embed, "_kernel", both)
+        _fit(dataset, hyper)
+    assert len(pairs) == 2
+    for trained, expected in pairs:
+        assert trained.tobytes() == expected.tobytes()
+
+
+class TestReferenceLoop:
+    """The interleaved kernel against the node-by-node loop it replaced: the
+    unrounded vectors must agree bit for bit, not just after rounding."""
+
+    @settings(
+        max_examples=60,
+        derandomize=True,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        # Powers of two make lopsided Huffman trees, so paths of many lengths.
+        sessions=st.builds(
+            interleaved_sessions,
+            st.lists(st.integers(0, 7).map(lambda e: 1 << e), min_size=1, max_size=20),
+            st.integers(1, 15),
+        ),
+        hyper=st.builds(
+            Hyperparams,
+            # Below, at and around one and several 8-wide update blocks.
+            dimensions=st.sampled_from([1, 7, 8, 9, 15, 16, 17, 33]),
+            iterations=st.integers(1, 2),
+            window=st.integers(1, 4),
+            min_count=st.just(1),
+            rng_seed=st.integers(0, 5),
+        ),
+    )
+    @example(sessions=CATERPILLAR, hyper=Hyperparams(dimensions=17, window=2, min_count=1))
+    @example(sessions=CATERPILLAR, hyper=Hyperparams(dimensions=8, iterations=2, min_count=1))
+    # A one-entry vocabulary: every path is empty and the scratch has no room.
+    @example(sessions=[["A", "A", "A"], ["B"]], hyper=Hyperparams(dimensions=9, min_count=2))
+    def test_matches_reference_bit_for_bit(self, reference_kernel, sessions, hyper):
+        assert_bit_identical(reference_kernel, sessions_dataset(sessions), hyper)
+
+    def test_golden_benchmark_inputs(self, reference_kernel):
+        hyper = load_run_config(CONFIG_DIR / "benchmark.yaml").hyper
+        assert hyper.dimensions == 200
+        dataset = load_dataset(GOLDEN / "benchmark" / "sessions.jsonl", GOLDEN / "benchmark" / "catalog.jsonl")
+        assert_bit_identical(reference_kernel, dataset, hyper)
+
+
 class TestEdges:
     def test_long_huffman_paths_match_oracle(self):
-        # Fibonacci frequencies make a caterpillar tree: the rarest products
-        # have paths of n - 1 nodes.
-        fib = [1, 1]
-        while len(fib) < 16:
-            fib.append(fib[-1] + fib[-2])
-        tokens = []
-        for depth in range(max(fib)):
-            tokens += [f"P{i:02d}" for i, f in enumerate(fib) if depth < f]
-        specs = [(f"s{i:04d}", 0, tokens[i:i + 12]) for i in range(0, len(tokens), 12)]
-        dataset = mk_dataset(specs)
+        dataset = sessions_dataset(CATERPILLAR)
         hyper = Hyperparams(dimensions=4, iterations=1, window=2, min_count=1, rng_seed=1)
-        assert max(len(e.points) for e in build_vocab(dataset, 1).entries) >= 15
+        assert longest_path(dataset, 1) >= 15
         assert dump_model(train(dataset, hyper)) == dump_model(train_numpy(dataset, hyper))
 
     def test_one_entry_vocabulary_keeps_the_init(self):
@@ -95,14 +190,15 @@ class TestEdges:
 
 
 def _kernel_args() -> list:
-    """Valid arguments for a two-entry vocabulary and one two-token sentence."""
+    """Valid arguments for the three-entry vocabulary of ``_huffman([2, 1, 1])``,
+    whose longest path has two nodes, and one three-token sentence."""
     def ints(*values):
         return np.array(values, dtype=np.int64)
 
     return [
-        np.zeros((2, 4)), np.zeros((1, 4)), np.zeros(4), 4,  # syn0, syn1, neu, dims
-        ints(0, 1), ints(0, 2), 1,  # tokens, sentence offsets, sentences
-        ints(0, 0), np.array([1.0, 0.0]), ints(0, 1, 2),  # points, 1 - code, path offsets
+        np.zeros((3, 4)), np.zeros((2, 4)), np.zeros(2), 4,  # syn0, syn1, scratch, dims
+        ints(0, 1, 2), ints(0, 3), 1,  # tokens, sentence offsets, sentences
+        ints(1, 1, 0, 1, 0), np.array([0.0, 1.0, 0.0, 1.0, 1.0]), ints(0, 1, 3, 5),  # paths
         1, 1, 0.025, 0.0000025,  # iterations, window, learning rate and its floor
     ]
 
@@ -111,7 +207,29 @@ def test_kernel_runs_on_valid_arguments():
     args = _kernel_args()
     args[0][:] = 0.1
     embed.load_kernel()(*args)
-    assert not np.array_equal(args[0], np.full((2, 4), 0.1))
+    assert not np.array_equal(args[0], np.full((3, 4), 0.1))
+
+
+def test_scratch_of_exactly_the_longest_path_is_enough():
+    """``_fit`` passes one scratch double per node of the longest path, and
+    the kernel writes nothing past it."""
+    dataset = sessions_dataset(CATERPILLAR)
+    hyper = Hyperparams(dimensions=9, window=2, min_count=1)
+    kernel = embed.load_kernel()
+    calls = []
+
+    def guarded(syn0, syn1, scratch, *rest):
+        padded = np.full(len(scratch) + 8, -7.0)
+        kernel(syn0, syn1, padded[:len(scratch)], *rest)
+        calls.append((len(scratch), padded[len(scratch):]))
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(embed, "_kernel", guarded)
+        _, syn0 = _fit(dataset, hyper)
+    [(size, guard)] = calls
+    assert size == longest_path(dataset, 1) >= 15
+    assert np.array_equal(guard, np.full(8, -7.0))
+    assert syn0.tobytes() == _fit(dataset, hyper)[1].tobytes()
 
 
 @pytest.mark.parametrize("position", [0, 1, 2, 4, 5, 7, 8, 9])
@@ -124,7 +242,7 @@ def test_non_contiguous_array_cannot_reach_kernel(position):
         embed.load_kernel()(*args)
 
 
-@pytest.mark.parametrize("position", [0, 4, 8])
+@pytest.mark.parametrize("position", [0, 2, 4, 8])
 def test_wrong_dtype_cannot_reach_kernel(position):
     args = _kernel_args()
     other = np.int32 if args[position].dtype == np.float64 else np.float64

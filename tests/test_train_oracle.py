@@ -32,7 +32,7 @@ sessions_st = st.lists(
 )
 hyper_st = st.builds(
     Hyperparams,
-    dimensions=st.integers(1, 8),
+    dimensions=st.integers(1, 20),
     iterations=st.integers(1, 3),
     window=st.integers(1, 4),
     min_count=st.integers(1, 3),
