@@ -254,7 +254,7 @@ def value(config_path: str, out_override: str | None, summary_mode: str, engine:
     records = sensitivity.run_loo(
         _engine(rc, engine), dataset, eval_log, rc.harness, jobs=jobs, session_ids=session_ids
     )
-    hist = sensitivity.histogram(records, rc.harness.bin_width, rc.harness.neutral_band)
+    hist = sensitivity.histogram(records, rc.harness)
     sensitivity.write_records_csv(records, out_dir / f"records_{engine}.csv")
     sensitivity.write_histogram_csv(hist, out_dir / f"histogram_{engine}.csv")
     summary = sensitivity.summarize(records)

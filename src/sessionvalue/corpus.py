@@ -9,7 +9,8 @@ The on-disk interchange formats are UTF-8 JSON Lines:
 Writers emit canonical bytes (fixed key order, compact separators, sorted
 member lists) so that load/save round trips are byte-exact. Every reader is one
 call to ``read_jsonl`` with a per-line parser; the constructors validate the
-values, and any malformed line raises DatasetFormatError naming its file and line.
+values, the parsers refuse a repeated session id or product, and any malformed
+line raises DatasetFormatError naming its file and line.
 """
 
 from __future__ import annotations
@@ -286,15 +287,27 @@ def write_sessions(sessions: Iterable[Session], path: str | Path) -> None:
     ))
 
 
+def _unique_ids(parse: Callable[[Any], Any]) -> Callable[[Any], Any]:
+    """``parse``, refusing a session id that an earlier line of the file holds."""
+    seen: set[str] = set()
+
+    def checked(doc: Any):
+        item = parse(doc)
+        if item.session_id in seen:
+            raise ValueError(f"duplicate session_id {item.session_id!r}")
+        seen.add(item.session_id)
+        return item
+
+    return checked
+
+
 def _session(doc: Any) -> Session:
     clicks = tuple(ClickEvent(t=c["t"], product=c["p"]) for c in doc["clicks"])
     return Session(session_id=doc["session_id"], clicks=clicks)
 
 
 def read_sessions(path: str | Path) -> list[Session]:
-    sessions = read_jsonl(path, "session", _session)
-    validate_unique_ids(sessions)
-    return sessions
+    return read_jsonl(path, "session", _unique_ids(_session))
 
 
 def write_catalog(catalog: Catalog, path: str | Path) -> None:
@@ -344,4 +357,4 @@ def _eval_session(doc: Any) -> EvalSession:
 
 
 def read_eval_log(path: str | Path) -> EvalLog:
-    return EvalLog(sessions=tuple(read_jsonl(path, "eval", _eval_session)))
+    return EvalLog(sessions=tuple(read_jsonl(path, "eval", _unique_ids(_eval_session))))

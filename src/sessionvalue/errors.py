@@ -52,10 +52,8 @@ class EmptyVocabularyError(SessionValueError):
 
 
 class MatrixUnderflowError(SessionValueError):
-    """A decrement drove a co-occurrence count or membership below zero.
-
-    Signals that the removed session was not part of the matrix build.
-    """
+    """A product of the session being left out is missing from the
+    co-occurrence matrix: the session was not part of the matrix build."""
 
 
 class PlantFailedError(SessionValueError):

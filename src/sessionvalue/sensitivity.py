@@ -23,25 +23,18 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from . import cor, embed
 from .atomic import write_csv
 from .cor import RecommendationList
-from .corpus import Dataset, EvalLog, leave_one_out
+from .corpus import Dataset, EvalLog
 from .errors import EmptyVocabularyError, UndefinedBaselineError, UnknownSessionError
 from .kpi import EvalIndex, index_eval, rate_from_totals, totals
 
 log = logging.getLogger(__name__)
-
-
-class ChangeKind(Enum):
-    SAME_LIST = "same_list"
-    REORDERED_ONLY = "reordered_only"
-    MEMBERSHIP_CHANGED = "membership_changed"
-    SEED_MISSING = "seed_missing"
 
 
 class Constellation(Enum):
@@ -53,19 +46,18 @@ class Constellation(Enum):
 
 @dataclass(frozen=True)
 class OutputDiff:
-    """Per-seed comparison of two top-k maps; scores are ignored, only the
-    ranked id sequences matter. ``change_kinds`` lists changed seeds only
-    (unchanged seeds are implicitly SAME_LIST)."""
+    """The seeds, in seed order, whose ranked id sequences differ between two
+    top-k maps (see ``diff_topk``); scores are ignored."""
 
-    change_kinds: Mapping[str, ChangeKind]
+    changed_seeds: tuple[str, ...]
 
     @property
     def changed(self) -> bool:
-        return bool(self.change_kinds)
+        return bool(self.changed_seeds)
 
     @property
     def n_changed_seeds(self) -> int:
-        return len(self.change_kinds)
+        return len(self.changed_seeds)
 
 
 @dataclass(frozen=True)
@@ -124,8 +116,12 @@ class HarnessConfig:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.neutral_band < 0:
             raise ValueError(f"neutral_band must be >= 0, got {self.neutral_band}")
+        if self.revenue_base <= 0:
+            raise ValueError(f"revenue_base must be > 0, got {self.revenue_base}")
         if self.bin_width <= 0:
             raise ValueError(f"bin_width must be > 0, got {self.bin_width}")
+        if self.vr_exhaustive_limit < 0:
+            raise ValueError(f"vr_exhaustive_limit must be >= 0, got {self.vr_exhaustive_limit}")
 
 
 @dataclass(frozen=True)
@@ -176,8 +172,9 @@ class VrEngine:
         return embed.all_top_k_similar(model, k)
 
     def delta_lists(self, base_model, base_topk, dataset: Dataset, session_id: str, k: int):
+        kept = tuple(s for s in dataset.sessions if s.session_id != session_id)
         try:
-            model = embed.train(leave_one_out(dataset, session_id).materialized, self.hyper)
+            model = embed.train(Dataset(sessions=kept, catalog=dataset.catalog), self.hyper)
         except EmptyVocabularyError:
             return {seed: None for seed in base_topk}
         lists = self.top_k_map(model, k)
@@ -212,52 +209,30 @@ def verify_stability(dataset: Dataset, engine, k: int = 5) -> StabilityReport:
                     ),
                 )
         return StabilityReport(stable=False, detail="serialized models differ in length")
-    topk_a = engine.top_k_map(first, k)
-    topk_b = engine.top_k_map(second, k)
-    for seed in sorted(set(topk_a) | set(topk_b)):
-        la = topk_a.get(seed)
-        lb = topk_b.get(seed)
-        if la is None or lb is None or la.product_ids != lb.product_ids:
-            return StabilityReport(
-                stable=False, detail=f"top-k lists diverge at seed {seed!r}"
-            )
+    diff = diff_topk(engine.top_k_map(first, k), engine.top_k_map(second, k))
+    if diff.changed:
+        return StabilityReport(
+            stable=False, detail=f"top-k lists diverge at seed {diff.changed_seeds[0]!r}"
+        )
     return StabilityReport(stable=True, detail="two runs byte-identical")
 
 
-def _change_kind(
-    base: RecommendationList | None, delta: RecommendationList | None
-) -> ChangeKind | None:
-    """How one seed's list changed; None when it did not (or exists on neither side)."""
-    if delta is None:
-        return None if base is None else ChangeKind.SEED_MISSING
-    if base is None:
-        return ChangeKind.MEMBERSHIP_CHANGED
-    ids_base = base.product_ids
-    ids_delta = delta.product_ids
-    if ids_base == ids_delta:
-        return None
-    if sorted(ids_base) == sorted(ids_delta):
-        return ChangeKind.REORDERED_ONLY
-    return ChangeKind.MEMBERSHIP_CHANGED
-
-
-def _diff(base: Mapping, delta: Mapping, seeds) -> OutputDiff:
-    """The changes of ``seeds`` in seed order; a seed absent from a map has no list there."""
-    kinds = {}
-    for seed in sorted(seeds):
-        kind = _change_kind(base.get(seed), delta.get(seed))
-        if kind is not None:
-            kinds[seed] = kind
-    return OutputDiff(kinds)
-
-
 def diff_topk(
-    base: Mapping[str, RecommendationList],
-    delta: Mapping[str, RecommendationList],
+    base: Mapping[str, RecommendationList | None],
+    delta: Mapping[str, RecommendationList | None],
+    seeds: Iterable[str] | None = None,
 ) -> OutputDiff:
-    """Compare ranked id sequences per seed. Seeds lost by the delta map count
-    as SEED_MISSING; seeds the delta gained count as MEMBERSHIP_CHANGED."""
-    return _diff(base, delta, base.keys() | delta.keys())
+    """The seeds whose ranked id sequences differ, out of ``seeds`` (every seed
+    of either map when None). A seed absent from a map, or None there, has no
+    list, so a list on one side only is a change."""
+    def ids(rl: RecommendationList | None) -> tuple[str, ...] | None:
+        return None if rl is None else rl.product_ids
+
+    if seeds is None:
+        seeds = base.keys() | delta.keys()
+    return OutputDiff(tuple(
+        seed for seed in sorted(seeds) if ids(base.get(seed)) != ids(delta.get(seed))
+    ))
 
 
 def relative_cr_change(cr_base: float, cr_delta: float) -> float:
@@ -301,10 +276,10 @@ def _price(base: _Baseline, session_id: str) -> SensitivityRecord:
     integer view/order totals by their contributions, so ``cr_delta`` equals
     ``conversion_rate(aggregate_pairs(delta_topk, eval_log))`` bit for bit."""
     lists = base.engine.delta_lists(base.model, base.topk, base.dataset, session_id, base.cfg.k)
-    diff = _diff(base.topk, lists, lists)
-    kinds = diff.change_kinds
-    old_ordered, old_views = totals(base.eval_index, {s: base.topk.get(s) for s in kinds})
-    new_ordered, new_views = totals(base.eval_index, {s: lists[s] for s in kinds})
+    diff = diff_topk(base.topk, lists, lists)
+    changed = diff.changed_seeds
+    old_ordered, old_views = totals(base.eval_index, {s: base.topk.get(s) for s in changed})
+    new_ordered, new_views = totals(base.eval_index, {s: lists[s] for s in changed})
     cr_delta = rate_from_totals(
         base.n_ordered - old_ordered + new_ordered, base.n_views - old_views + new_views
     )
@@ -372,36 +347,26 @@ class Histogram:
     """Delta-CR distribution with the near-zero records pooled in a neutral bin."""
 
     neutral: int
-    neutral_band: float
-    bin_width: float
     bins: tuple[tuple[float, float, int], ...]
 
-    def total(self) -> int:
-        return self.neutral + sum(count for _, _, count in self.bins)
 
-
-def histogram(
-    records: Sequence[SensitivityRecord],
-    bin_width: float = 0.001,
-    neutral_band: float = 0.0005,
-) -> Histogram:
-    """Bin relative CR changes into half-open intervals of ``bin_width`` aligned
-    at zero; records within the neutral band pool into one distinguished bin."""
-    if bin_width <= 0:
-        raise ValueError(f"bin_width must be > 0, got {bin_width}")
+def histogram(records: Sequence[SensitivityRecord], cfg: HarnessConfig) -> Histogram:
+    """Bin relative CR changes into half-open intervals of ``cfg.bin_width``
+    aligned at zero; records within ``cfg.neutral_band`` pool into one
+    distinguished bin."""
     neutral = 0
     counts: dict[int, int] = {}
     for record in records:
         rel = record.rel_cr_change
-        if abs(rel) <= neutral_band:
+        if abs(rel) <= cfg.neutral_band:
             neutral += 1
             continue
-        idx = math.floor(rel / bin_width)
+        idx = math.floor(rel / cfg.bin_width)
         counts[idx] = counts.get(idx, 0) + 1
     bins = tuple(
-        (idx * bin_width, (idx + 1) * bin_width, counts[idx]) for idx in sorted(counts)
+        (idx * cfg.bin_width, (idx + 1) * cfg.bin_width, counts[idx]) for idx in sorted(counts)
     )
-    return Histogram(neutral=neutral, neutral_band=neutral_band, bin_width=bin_width, bins=bins)
+    return Histogram(neutral=neutral, bins=bins)
 
 
 # ---------------------------------------------------------------------------

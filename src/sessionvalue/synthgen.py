@@ -32,7 +32,7 @@ from .corpus import (
 )
 from .errors import DatasetFormatError, PlantFailedError, UnknownSessionError
 from .kpi import index_eval, rate_from_totals, totals
-from .sensitivity import CorEngine, VrEngine
+from .sensitivity import CorEngine, VrEngine, diff_topk
 
 log = logging.getLogger(__name__)
 
@@ -367,11 +367,8 @@ def duplicates_still_no_impact(dataset: Dataset, source_sid: str, copies: int, k
     if one_clone not in dataset.by_id:
         raise UnknownSessionError(one_clone)
     matrix = build_matrix(dataset)
-    base = all_top_k(matrix, k)
-    return all(
-        rl is not None and rl.product_ids == base[seed].product_ids
-        for seed, rl in session_top_k(matrix, dataset.by_id[one_clone], k).items()
-    )
+    lists = session_top_k(matrix, dataset.by_id[one_clone], k)
+    return not diff_topk(all_top_k(matrix, k), lists, lists).changed
 
 
 # ---------------------------------------------------------------------------

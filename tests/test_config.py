@@ -104,6 +104,9 @@ class TestOutOfRangeRejectedAtLoad:
         ("harness:\n  k: 5\n", "harness:\n  k: 0\n", "harness.k"),
         ("  neutral_band: 0.0005\n", "  neutral_band: -1\n", "harness.neutral_band"),
         ("  neutral_band: 0.0005\n", "  neutral_band: 0.0005\n  bin_width: 0\n", "harness.bin_width"),
+        ("  revenue_base: 1000000.0\n", "  revenue_base: -1.0\n", "harness.revenue_base"),
+        ("  revenue_base: 1000000.0\n", "  revenue_base: 0\n", "harness.revenue_base"),
+        ("  vr_exhaustive_limit: 100\n", "  vr_exhaustive_limit: -5\n", "harness.vr_exhaustive_limit"),
         ("  n_frames: 2\n  k: 5\n", "  n_frames: 2\n  k: 0\n", "lifecycle.k"),
         ("lifecycle:\n", "lifecycle:\n  hr_level: -1\n", "lifecycle.hr_level"),
         ("    rng_seed: 3\n", "    rng_seed: -1\n", "harness.sample.rng_seed"),

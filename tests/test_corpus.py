@@ -106,11 +106,13 @@ class TestDatasetIO:
 
     def test_duplicate_session_id_names_id(self, tmp_path):
         path = tmp_path / "s.jsonl"
-        line = '{"session_id":"dup","clicks":[{"t":0,"p":"A"}]}\n'
-        path.write_text(line + line)
-        with pytest.raises(DuplicateSessionIdError) as err:
-            read_sessions(path)
-        assert err.value.session_id == "dup"
+        session = '{"session_id":"dup","clicks":[{"t":0,"p":"A"}]}\n'
+        evals = '{"session_id":"dup","viewed":["A"],"ordered":[]}\n'
+        for read, text in ((read_sessions, session + session), (read_eval_log, evals + evals)):
+            path.write_text(text)
+            with pytest.raises(DatasetFormatError, match="'dup'") as err:
+                read(path)
+            assert err.value.line_no == 2, read.__name__
 
     def test_malformed_line_reports_line_number(self, tmp_path):
         path = tmp_path / "s.jsonl"

@@ -21,7 +21,6 @@ from sessionvalue.corpus import leave_one_out
 from sessionvalue.errors import UndefinedBaselineError
 from sessionvalue.kpi import aggregate_pairs, conversion_rate
 from sessionvalue.sensitivity import (
-    ChangeKind,
     CorEngine,
     HarnessConfig,
     classify,
@@ -146,8 +145,10 @@ def test_session_top_k_equals_removal(sessions, k):
 def test_seed_missing_reported():
     dataset, eval_log = build([["A", "B"], ["E", "F", "A"], ["A", "B"]], [(["E", "A"], ["F", "B"])])
     record = next(r for r in price(dataset, eval_log, 2) if r.session_id == "s1")
-    assert record.diff.change_kinds["E"] is ChangeKind.SEED_MISSING
-    assert record.diff.change_kinds["F"] is ChangeKind.SEED_MISSING
+    assert {"E", "F"} <= set(record.diff.changed_seeds)
+    matrix = cor.build_matrix(dataset)
+    lists = CorEngine().delta_lists(matrix, cor.all_top_k(matrix, 2), dataset, "s1", 2)
+    assert lists["E"] is None and lists["F"] is None
 
 
 def test_zero_views_reads_zero_and_warns_on_both_paths(caplog):

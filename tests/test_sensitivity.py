@@ -9,7 +9,6 @@ from sessionvalue.embed import Hyperparams
 from sessionvalue.errors import UndefinedBaselineError, UnknownSessionError
 from sessionvalue.kpi import rate_from_totals
 from sessionvalue.sensitivity import (
-    ChangeKind,
     Constellation,
     CorEngine,
     HarnessConfig,
@@ -79,6 +78,29 @@ class TestVerifyStability:
         assert not report.stable
         assert "diverge" in report.detail
 
+    def test_topk_divergence_names_first_seed(self):
+        # identical dumps, different lists: the second fit ranks B's list
+        # differently and gains a seed D, so the report names B, the first
+        class RerankingEngine:
+            def __init__(self):
+                self.calls = 0
+
+            def fit(self, dataset):
+                self.calls += 1
+                return self.calls
+
+            def top_k_map(self, model, k):
+                if model == 1:
+                    return {"A": rl("A", ["B"]), "B": rl("B", ["A", "C"])}
+                return {"A": rl("A", ["B"]), "B": rl("B", ["C", "A"]), "D": rl("D", ["A"])}
+
+            def serialize(self, model):
+                return b"same bytes"
+
+        report = verify_stability(mk_dataset([("s", 0, ["A"])]), RerankingEngine())
+        assert not report.stable
+        assert report.detail == "top-k lists diverge at seed 'B'"
+
 
 class TestDiffTopk:
     def test_identical_maps(self):
@@ -92,32 +114,43 @@ class TestDiffTopk:
         delta = {"A": rl("A", ["C", "B"])}
         diff = diff_topk(base, delta)
         assert diff.changed
-        assert diff.change_kinds["A"] is ChangeKind.REORDERED_ONLY
+        assert diff.changed_seeds == ("A",)
 
     def test_membership_change_detected(self):
         base = {"A": rl("A", ["B", "C"])}
         delta = {"A": rl("A", ["B", "D"])}
         diff = diff_topk(base, delta)
-        assert diff.change_kinds["A"] is ChangeKind.MEMBERSHIP_CHANGED
+        assert diff.changed_seeds == ("A",)
 
     def test_seed_missing_counts_as_changed(self):
         base = {"A": rl("A", ["B"]), "B": rl("B", ["A"])}
         delta = {"A": rl("A", ["B"])}
         diff = diff_topk(base, delta)
         assert diff.changed
-        assert diff.change_kinds["B"] is ChangeKind.SEED_MISSING
+        assert diff.changed_seeds == ("B",)
+        assert diff_topk(base, {"A": rl("A", ["B"]), "B": None}).changed_seeds == ("B",)
 
     def test_extra_delta_seed_counts_as_changed(self):
         base = {"A": rl("A", ["B"])}
         delta = {"A": rl("A", ["B"]), "Z": rl("Z", ["A"])}
         diff = diff_topk(base, delta)
         assert diff.changed
-        assert diff.change_kinds["Z"] is ChangeKind.MEMBERSHIP_CHANGED
+        assert diff.changed_seeds == ("Z",)
 
     def test_scores_ignored(self):
         base = {"A": RecommendationList(seed="A", items=(("B", 3.0),))}
         delta = {"A": RecommendationList(seed="A", items=(("B", 2.0),))}
         assert not diff_topk(base, delta).changed
+
+    def test_only_given_seeds_compared(self):
+        base = {"A": rl("A", ["B"]), "B": rl("B", ["A"]), "C": rl("C", ["A"])}
+        delta = {"A": rl("A", ["C"]), "B": rl("B", ["C"])}
+        assert diff_topk(base, delta).changed_seeds == ("A", "B", "C")
+        assert diff_topk(base, delta, ["B"]).changed_seeds == ("B",)
+        assert diff_topk(base, delta, {"C", "A"}).changed_seeds == ("A", "C")
+        # a seed on neither side has no list on either, so it did not change
+        assert not diff_topk(base, delta, ["Z"]).changed
+        assert not diff_topk(base, delta, []).changed
 
 
 class TestValueFormula:
@@ -149,8 +182,8 @@ class TestValueFormula:
             assert np.sign(value) == -np.sign(rel)
 
 
-UNCHANGED = OutputDiff(change_kinds={})
-CHANGED = OutputDiff(change_kinds={"A": ChangeKind.REORDERED_ONLY})
+UNCHANGED = OutputDiff(changed_seeds=())
+CHANGED = OutputDiff(changed_seeds=("A",))
 
 
 class TestClassify:
@@ -251,7 +284,7 @@ class TestRunVrLoo:
         assert len(records) == 1
         record = records[0]
         assert not record.diff.changed
-        assert all(k is not ChangeKind.SEED_MISSING for k in record.diff.change_kinds.values())
+        assert record.diff.changed_seeds == ()
         assert record.cr_delta == record.cr_base
         assert record.constellation is Constellation.NO_OUTPUT_CHANGE
 
@@ -264,7 +297,12 @@ class TestRunVrLoo:
         records = run_loo(VrEngine(hyper), ds, ev, HarnessConfig(k=3), session_ids=("holds-x",))
         diff = records[0].diff
         assert diff.changed
-        assert diff.change_kinds["X"] is ChangeKind.SEED_MISSING
+        assert "X" in diff.changed_seeds
+        engine = VrEngine(hyper)
+        model = engine.fit(ds)
+        base_topk = engine.top_k_map(model, 3)
+        assert "X" in base_topk
+        assert engine.delta_lists(model, base_topk, ds, "holds-x", 3)["X"] is None
 
     def test_session_emptying_the_vocabulary_prices_every_seed_missing(self, caplog):
         # without "ab" no product reaches min_count=2: the retrain has no
@@ -276,8 +314,11 @@ class TestRunVrLoo:
         (vr,) = run_loo(VrEngine(hyper), ds, ev, cfg, session_ids=("ab",))
         with caplog.at_level("WARNING", logger="sessionvalue.kpi"):
             (cr,) = run_loo(CorEngine(), ds, ev, cfg, session_ids=("ab",))
-        expected = {"A": ChangeKind.SEED_MISSING, "B": ChangeKind.SEED_MISSING}
-        assert dict(vr.diff.change_kinds) == dict(cr.diff.change_kinds) == expected
+        assert vr.diff.changed_seeds == cr.diff.changed_seeds == ("A", "B")
+        for engine in (VrEngine(hyper), CorEngine()):
+            model = engine.fit(ds)
+            base_topk = engine.top_k_map(model, 3)
+            assert engine.delta_lists(model, base_topk, ds, "ab", 3) == {"A": None, "B": None}
         assert "zero views" in caplog.text
         for record in (vr, cr):
             assert record.cr_base == 0.5
@@ -340,28 +381,31 @@ def fake_record(rel: float) -> SensitivityRecord:
 
 class TestHistogram:
     def test_two_values_one_bin(self):
-        hist = histogram([fake_record(0.0051), fake_record(0.0052)], bin_width=0.001)
+        hist = histogram([fake_record(0.0051), fake_record(0.0052)], HarnessConfig(bin_width=0.001))
         assert hist.bins == ((0.005, 0.006, 2),)
         assert hist.neutral == 0
 
     def test_all_zero_pools_neutral(self):
-        hist = histogram([fake_record(0.0) for _ in range(5)])
+        hist = histogram([fake_record(0.0) for _ in range(5)], HarnessConfig())
         assert hist.neutral == 5
         assert hist.bins == ()
 
     def test_conservation_on_random_records(self):
         rng = np.random.default_rng(0)
         records = [fake_record(float(r)) for r in rng.normal(scale=0.004, size=500)]
-        hist = histogram(records, bin_width=0.001, neutral_band=0.0005)
-        assert hist.total() == 500
+        hist = histogram(records, HarnessConfig(bin_width=0.001, neutral_band=0.0005))
+        assert hist.neutral + sum(count for _, _, count in hist.bins) == 500
 
     def test_negative_values_bin_left_of_zero(self):
-        hist = histogram([fake_record(-0.0007)], bin_width=0.001)
+        hist = histogram([fake_record(-0.0007)], HarnessConfig(bin_width=0.001))
         ((lo, hi, count),) = hist.bins
         assert lo == pytest.approx(-0.001)
         assert hi == pytest.approx(0.0)
         assert count == 1
 
     def test_bin_width_validation(self):
-        with pytest.raises(ValueError):
-            histogram([], bin_width=0.0)
+        # histogram takes its settings from HarnessConfig, which refuses these
+        with pytest.raises(ValueError, match="bin_width"):
+            HarnessConfig(bin_width=0.0)
+        with pytest.raises(ValueError, match="neutral_band"):
+            HarnessConfig(neutral_band=-0.001)

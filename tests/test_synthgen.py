@@ -4,11 +4,11 @@ import io
 
 import pytest
 
-from sessionvalue.cor import all_top_k, build_matrix
+from sessionvalue.cor import all_top_k, build_matrix, session_top_k
 from sessionvalue.corpus import Dataset, EvalLog, EvalSession, write_sessions
 from sessionvalue.errors import PlantFailedError, UnknownSessionError
 from sessionvalue.kpi import aggregate_pairs, conversion_rate
-from sessionvalue.sensitivity import ChangeKind, Constellation, CorEngine, HarnessConfig, run_loo
+from sessionvalue.sensitivity import Constellation, CorEngine, HarnessConfig, run_loo
 from sessionvalue.synthgen import (
     TOXIC_MIN_REL_GAIN,
     GenConfig,
@@ -131,7 +131,11 @@ class TestToxicPlant:
         # the plant alternates seed, junk, ...: without it, the junk leaves the
         # seed's list and the displaced alternative comes back
         seed = with_plant.by_id[toxic_id].clicks[0].product
-        assert record.diff.change_kinds[seed] is ChangeKind.MEMBERSHIP_CHANGED
+        assert seed in record.diff.changed_seeds
+        matrix = build_matrix(with_plant)
+        base = all_top_k(matrix, 5)[seed]
+        delta = session_top_k(matrix, with_plant.by_id[toxic_id], 5)[seed]
+        assert set(base.product_ids) != set(delta.product_ids)
 
     def test_eval_log_without_orders_has_no_rate_to_corrupt(self):
         ds, ev, truth = generate(small_config())
@@ -216,6 +220,13 @@ class TestDuplicatePlant:
             s: rl.product_ids for s, rl in all_top_k(build_matrix(without), 5).items()
         }
         assert ids_before == ids_after
+
+    def test_tied_pair_reorders_on_removal(self):
+        # (A,B) = 1 + 2 clones = 3 ties (A,C) = 3, and B ranks first on the
+        # tie; without one clone (A,B) = 2, so A's list turns to C, B
+        ds = mk_dataset([("a", 0, ["A", "B"])] + [(f"c{i}", 0, ["A", "C"]) for i in range(3)])
+        planted = plant_duplicate_sessions(ds, "a", copies=2)
+        assert not duplicates_still_no_impact(planted, "a", 2, 5)
 
 
 class TestGenConfigValidation:
