@@ -14,13 +14,12 @@ from .corpus import (
     EvalSession,
     Session,
     heterogeneity_ratio,
-    leave_one_out,
     load_dataset,
     slice_days,
 )
 from .cor import CoocMatrix, RecommendationList, all_top_k, build_matrix
 from .embed import EmbeddingModel, Hyperparams, Vocabulary, all_top_k_similar, train
-from .kpi import PairCounts, aggregate_pairs, conversion_rate, feature_scale, snp
+from .kpi import feature_scale, snp
 from .sensitivity import (
     Constellation,
     CorEngine,
@@ -36,6 +35,6 @@ from .sensitivity import (
     session_value,
     verify_stability,
 )
-from .synthgen import GenConfig, GroundTruth, PlantKind, generate, plant_duplicate_sessions, plant_toxic_session
+from .synthgen import GenConfig, GroundTruth, PlantKind, generate, plant_toxic_session
 
 __version__ = "0.1.0"

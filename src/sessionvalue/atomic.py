@@ -11,7 +11,8 @@ Tables are encoded here and nowhere else. ``write_csv`` writes UTF-8 CSV with
 ``\\n`` line ends; ``csv`` writes a float as its ``repr`` (shortest round-trip
 digits) and ``None`` as an empty field, so writers hand over plain values.
 ``write_jsonl`` writes one compact JSON document per line, non-ASCII text
-unescaped.
+unescaped. ``write_json`` writes one JSON document indented by two spaces, keys
+sorted, non-ASCII text escaped.
 """
 
 from __future__ import annotations
@@ -52,3 +53,9 @@ def write_jsonl(path: str | Path, docs: Iterable) -> None:
     with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         for doc in docs:
             fh.write(json.dumps(doc, separators=(",", ":"), ensure_ascii=False) + "\n")
+
+
+def write_json(path: str | Path, doc) -> None:
+    """One JSON document, indented, keys sorted, with a final newline."""
+    with atomic_open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")

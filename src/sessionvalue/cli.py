@@ -17,11 +17,10 @@ from pathlib import Path
 import click
 
 from . import curve, kpi, lifecycle, sensitivity, synthgen
-from .atomic import atomic_open, write_csv
+from .atomic import atomic_open, write_csv, write_json
 from .config import LifecycleSection, RunConfig, load_run_config
 from .corpus import (
     Dataset,
-    EvalLog,
     load_dataset,
     read_eval_log,
     require_in_catalog,
@@ -102,11 +101,6 @@ def _engine(rc: RunConfig, name: str):
     return CorEngine() if name == "cor" else VrEngine(hyper=rc.hyper)
 
 
-def _write_json(doc: dict, path: Path) -> None:
-    with atomic_open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
 def _emit_summary(summary_mode: str, summary: dict, text_lines: list[str]) -> None:
     if summary_mode == "json":
         click.echo(json.dumps(summary, indent=2, sort_keys=True))
@@ -115,40 +109,15 @@ def _emit_summary(summary_mode: str, summary: dict, text_lines: list[str]) -> No
             click.echo(line)
 
 
-def synth_pipeline(rc: RunConfig) -> tuple[Dataset, EvalLog, synthgen.GroundTruth, str | None]:
-    """Generate per config and apply the configured plants, in a fixed order:
-    duplicates first (so the toxic verification sees the final dataset), then
-    the toxic plant, then a re-check that the duplicates still have no impact."""
-    if rc.synth is None:
-        raise SessionValueError("config has no synth section (rng_seed and counts required)")
-    dataset, eval_log, truth = synthgen.generate(rc.synth)
-
-    k = rc.harness.k
-    dup = rc.plants.duplicates
-    dup_source = None
-    if dup is not None:
-        dataset, truth, dup_source = synthgen.plant_no_impact_duplicates(
-            dataset, truth, copies=dup.copies, k=k
-        )
-    tox = rc.plants.toxic
-    if tox is not None:
-        dataset, truth = synthgen.plant_toxic_session(
-            dataset, eval_log, truth, tox.rng_seed, k=k, vr_hyper=rc.hyper
-        )
-        if dup is not None and not synthgen.duplicates_still_no_impact(
-            dataset, dup_source, dup.copies, k
-        ):
-            raise SessionValueError("toxic plant invalidated the duplicate plant; change plant seeds")
-    return dataset, eval_log, truth, dup_source
-
-
 @main.command()
 @_common_options
 @_wrap_errors
 def synth(config_path: str, out_override: str | None, summary_mode: str) -> None:
     """Generate the synthetic dataset, eval log and ground truth."""
     rc, out_dir = _prepare(config_path, out_override)
-    dataset, eval_log, truth, _ = synth_pipeline(rc)
+    if rc.synth is None:
+        raise click.ClickException("config has no synth section (rng_seed and counts required)")
+    dataset, eval_log, truth, _ = synthgen.synthesize(rc.synth, rc.plants, rc.harness.k, rc.hyper)
 
     write_dataset(dataset, out_dir / "sessions.jsonl", out_dir / "catalog.jsonl")
     write_eval_log(eval_log, out_dir / "eval.jsonl")
@@ -224,7 +193,7 @@ def stability(config_path: str, out_override: str | None, summary_mode: str) -> 
     for name in ("cor", "vr"):
         report = sensitivity.verify_stability(dataset, _engine(rc, name), rc.harness.k)
         results[name] = {"stable": report.stable, "detail": report.detail}
-    _write_json(results, out_dir / "stability.json")
+    write_json(out_dir / "stability.json", results)
     _emit_summary(summary_mode, results, [
         f"{name}: {'PASS' if results[name]['stable'] else 'FAIL'}" for name in ("cor", "vr")
     ])
@@ -259,7 +228,7 @@ def value(config_path: str, out_override: str | None, summary_mode: str, engine:
     sensitivity.write_histogram_csv(hist, out_dir / f"histogram_{engine}.csv")
     summary = sensitivity.summarize(records)
     summary["engine"] = engine
-    _write_json(summary, out_dir / f"summary_{engine}.json")
+    write_json(out_dir / f"summary_{engine}.json", summary)
     counts = summary["constellations"]
     _emit_summary(summary_mode, summary, [
         f"records: {summary['n_records']}",

@@ -1,20 +1,22 @@
 """Run configuration: one YAML document, one section per dataclass.
 
 Each section is read straight into the dataclass that owns it (``synth`` ->
-``GenConfig``, ``embed`` -> ``Hyperparams``, ``plants`` -> ``PlantsConfig``,
-``harness`` -> ``sensitivity.HarnessConfig``, ``lifecycle`` -> ``FramePlan``
-plus ``k`` and ``hr_level``, ``curve`` -> ``CurvePlan``). The keys are the
+``synthgen.GenConfig``, ``embed`` -> ``Hyperparams``, ``plants`` ->
+``synthgen.PlantsConfig``, ``harness`` -> ``sensitivity.HarnessConfig``,
+``lifecycle`` -> ``FramePlan`` plus ``k`` and ``hr_level``, ``curve`` ->
+``CurvePlan``). The keys are the
 dataclass's field names, the accepted types come from its annotations and the
 defaults are its defaults, so a parameter is declared once. Unknown keys, wrong
 types, missing required keys and values the dataclass refuses all raise
 ``ConfigError`` naming the dotted key. Settings no recipe varies (the toxic
-plant's size and threshold, the Zipf popularity exponent) are constants of
-``synthgen``, not keys.
+plant's size, threshold and candidate budget, the Zipf popularity exponent)
+are constants of ``synthgen``, not keys.
 
 Relative paths (``output_dir`` and the ``paths`` section) resolve against the
-working directory; files not listed under ``paths`` default to well-known names
-inside the output directory, so a synth run feeds the downstream commands
-without extra wiring.
+working directory. ``paths`` names the input files the commands read
+(``sessions``, ``catalog``, ``eval``); one not listed defaults to its
+well-known name inside the output directory, so a synth run feeds the
+downstream commands without extra wiring.
 """
 
 from __future__ import annotations
@@ -32,35 +34,13 @@ from .embed import Hyperparams
 from .errors import ConfigError
 from .lifecycle import FramePlan
 from .sensitivity import HarnessConfig, SampleSpec
-from .synthgen import GenConfig
+from .synthgen import GenConfig, PlantsConfig
 
 DEFAULT_FILENAMES = {
     "sessions": "sessions.jsonl",
     "catalog": "catalog.jsonl",
     "eval": "eval.jsonl",
-    "truth": "truth.json",
 }
-
-
-@dataclass(frozen=True)
-class ToxicPlantConfig:
-    rng_seed: int
-
-
-@dataclass(frozen=True)
-class DuplicatePlantConfig:
-    copies: int = 3
-
-    def __post_init__(self) -> None:
-        if self.copies < 2:
-            raise ValueError(f"copies must be >= 2 so one clone's removal is absorbable, "
-                             f"got {self.copies}")
-
-
-@dataclass(frozen=True)
-class PlantsConfig:
-    toxic: ToxicPlantConfig | None = None
-    duplicates: DuplicatePlantConfig | None = None
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ from .corpus import (
     SECONDS_PER_DAY,
     read_jsonl,
 )
+from .embed import Hyperparams
 from .errors import DatasetFormatError, PlantFailedError, UnknownSessionError
 from .kpi import index_eval, rate_from_totals, totals
 from .sensitivity import CorEngine, VrEngine, diff_topk
@@ -76,6 +77,27 @@ class GenConfig:
             raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
+@dataclass(frozen=True)
+class ToxicPlantConfig:
+    rng_seed: int
+
+
+@dataclass(frozen=True)
+class DuplicatePlantConfig:
+    copies: int = 3
+
+    def __post_init__(self) -> None:
+        if self.copies < 2:
+            raise ValueError(f"copies must be >= 2 so one clone's removal is absorbable, "
+                             f"got {self.copies}")
+
+
+@dataclass(frozen=True)
+class PlantsConfig:
+    toxic: ToxicPlantConfig | None = None
+    duplicates: DuplicatePlantConfig | None = None
+
+
 class PlantKind(Enum):
     TOXIC = "toxic"
     DUPLICATE = "duplicate"
@@ -97,6 +119,7 @@ MAX_SESSION_LENGTH = 50
 MAX_EVAL_VIEWS = 12
 POPULARITY_EXPONENT = 1.0  # Zipf exponent of product popularity
 TOXIC_REPEATS = 25  # (seed, junk) click pairs in a toxic plant
+TOXIC_RETRIES = 100  # candidates a toxic plant tries before it gives up
 TOXIC_MIN_REL_GAIN = 0.001  # least relative CR drop a toxic plant must cause
 
 
@@ -244,22 +267,20 @@ def plant_toxic_session(
     eval_log: EvalLog,
     truth: GroundTruth,
     rng_seed: int,
+    hyper: Hyperparams,
     *,
     k: int = 5,
-    retries: int = 100,
-    vr_hyper=None,
 ) -> tuple[Dataset, GroundTruth]:
     """Append one high-frequency session that provably lowers the conversion rate.
 
     The plant clicks a viewed seed and a never-co-ordered junk product
     ``TOXIC_REPEATS`` times each; the junk's raised count ranks it ahead of the
     seed's k-th alternative, so the junk displaces it. Every candidate is
-    verified by brute force: fit each engine (``cor``, plus ``vr`` when
-    ``vr_hyper`` is given, as ``synth`` always does) on the dataset with the
-    plant and require its conversion rate to sit more than
-    ``TOXIC_MIN_REL_GAIN`` below the baseline's, relative (so a later
-    leave-one-out of the plant is safely outside the neutral band). Gives up
-    with PlantFailedError after ``retries`` candidates.
+    verified by brute force: fit each engine (``cor``, then ``vr`` with
+    ``hyper``) on the dataset with the plant and require its conversion rate
+    to sit more than ``TOXIC_MIN_REL_GAIN`` below the baseline's, relative
+    (so a later leave-one-out of the plant is safely outside the neutral
+    band). Gives up with PlantFailedError after ``TOXIC_RETRIES`` candidates.
     """
     index = index_eval(eval_log)
 
@@ -268,10 +289,11 @@ def plant_toxic_session(
 
     base_matrix = build_matrix(dataset)
     base_topk = all_top_k(base_matrix, k)
-    baselines = [(CorEngine(), rate_from_totals(*totals(index, base_topk)))]
-    if vr_hyper is not None:
-        vr_engine = VrEngine(vr_hyper)
-        baselines.append((vr_engine, rate(vr_engine, dataset)))
+    vr_engine = VrEngine(hyper)
+    baselines = [
+        (CorEngine(), rate_from_totals(*totals(index, base_topk))),
+        (vr_engine, rate(vr_engine, dataset)),
+    ]
     if any(base_cr <= 0.0 for _, base_cr in baselines):
         raise PlantFailedError("baseline conversion rate is zero; no rate to corrupt")
 
@@ -299,7 +321,7 @@ def plant_toxic_session(
 
     attempts = 0
     for idx in order:
-        if attempts >= retries:
+        if attempts >= TOXIC_RETRIES:
             break
         attempts += 1
         seed, junk = candidates[int(idx)]
@@ -318,15 +340,10 @@ def plant_toxic_session(
     raise PlantFailedError(f"no verifiable toxic plant after {attempts} attempts")
 
 
-def plant_duplicate_sessions(dataset: Dataset, session_id: str, copies: int) -> Dataset:
-    """Append ``copies`` clones of a session, byte-identical except for fresh ids."""
-    if copies < 1:
-        raise ValueError(f"copies must be >= 1, got {copies}")
-    if session_id not in dataset.by_id:
-        raise UnknownSessionError(session_id)
-    source = dataset.by_id[session_id]
+def _with_clones(dataset: Dataset, source: Session, copies: int) -> Dataset:
+    """Append ``copies`` clones of ``source``, byte-identical except for fresh ids."""
     clones = tuple(
-        Session(session_id=cid, clicks=source.clicks) for cid in clone_ids(session_id, copies)
+        Session(session_id=cid, clicks=source.clicks) for cid in clone_ids(source.session_id, copies)
     )
     return Dataset(sessions=dataset.sessions + clones, catalog=dataset.catalog)
 
@@ -338,7 +355,7 @@ def clone_ids(session_id: str, copies: int) -> tuple[str, ...]:
 def plant_no_impact_duplicates(
     dataset: Dataset,
     truth: GroundTruth,
-    copies: int = 3,
+    config: DuplicatePlantConfig,
     k: int = 5,
 ) -> tuple[Dataset, GroundTruth, str]:
     """Clone the first session whose clones provably leave every top-k list alone.
@@ -347,28 +364,47 @@ def plant_no_impact_duplicates(
     must survive the removal of one clone (count gaps large enough to absorb
     a single decrement).
     """
-    if copies < 2:
-        raise ValueError("need copies >= 2 so a single clone removal is absorbable")
+    copies = config.copies
     for source in dataset.sessions:
-        planted = plant_duplicate_sessions(dataset, source.session_id, copies)
-        if duplicates_still_no_impact(planted, source.session_id, copies, k):
+        planted = _with_clones(dataset, source, copies)
+        if duplicates_still_no_impact(planted, source.session_id, k):
             added = tuple((cid, PlantKind.DUPLICATE) for cid in clone_ids(source.session_id, copies))
             log.info("duplicate plant accepted: %d clones of %s", copies, source.session_id)
             return planted, GroundTruth(affinity=truth.affinity, planted=truth.planted + added), source.session_id
     raise PlantFailedError("no session admits a no-impact duplicate plant on this dataset")
 
 
-def duplicates_still_no_impact(dataset: Dataset, source_sid: str, copies: int, k: int) -> bool:
+def duplicates_still_no_impact(dataset: Dataset, source_sid: str, k: int) -> bool:
     """Check a duplicate plant against the current dataset: every ranked id
     sequence must survive the exact leave-one-out of one clone (also the
     re-check after later plants shifted co-occurrence counts). Only the
     clone's own products can change, so only their lists are compared."""
-    one_clone = clone_ids(source_sid, copies)[0]
+    one_clone = clone_ids(source_sid, 1)[0]
     if one_clone not in dataset.by_id:
         raise UnknownSessionError(one_clone)
     matrix = build_matrix(dataset)
     lists = session_top_k(matrix, dataset.by_id[one_clone], k)
     return not diff_topk(all_top_k(matrix, k), lists, lists).changed
+
+
+def synthesize(
+    gen: GenConfig, plants: PlantsConfig, k: int, hyper: Hyperparams
+) -> tuple[Dataset, EvalLog, GroundTruth, str | None]:
+    """Generate per ``gen`` and apply the configured plants, in a fixed order:
+    duplicates first (so the toxic verification sees the final dataset), then
+    the toxic plant, then a re-check that the duplicates still have no impact.
+    Also returns the duplicated session's id (None without that plant)."""
+    dataset, eval_log, truth = generate(gen)
+    dup_source = None
+    if plants.duplicates is not None:
+        dataset, truth, dup_source = plant_no_impact_duplicates(dataset, truth, plants.duplicates, k)
+    if plants.toxic is not None:
+        dataset, truth = plant_toxic_session(
+            dataset, eval_log, truth, plants.toxic.rng_seed, hyper, k=k
+        )
+        if dup_source is not None and not duplicates_still_no_impact(dataset, dup_source, k):
+            raise PlantFailedError("toxic plant invalidated the duplicate plant; change plant seeds")
+    return dataset, eval_log, truth, dup_source
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from sessionvalue.cli import synth_pipeline
 from sessionvalue.config import load_run_config
+from sessionvalue.synthgen import synthesize
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 BENCHMARK_CONFIG = CONFIG_DIR / "benchmark.yaml"
@@ -20,5 +20,5 @@ def benchmark_rc():
 @pytest.fixture(scope="session")
 def benchmark_data(benchmark_rc):
     """The pinned benchmark fixture: generated data plus oracle-verified plants."""
-    dataset, eval_log, truth, dup_source = synth_pipeline(benchmark_rc)
-    return dataset, eval_log, truth, dup_source
+    rc = benchmark_rc
+    return synthesize(rc.synth, rc.plants, rc.harness.k, rc.hyper)

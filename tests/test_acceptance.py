@@ -152,9 +152,7 @@ def test_planted_redundancy_no_output_change(benchmark_data, benchmark_rc, cor_r
     dataset, _, truth, dup_source = benchmark_data
     clones = [sid for sid, kind in truth.planted if kind is PlantKind.DUPLICATE]
     assert len(clones) == benchmark_rc.plants.duplicates.copies
-    assert duplicates_still_no_impact(
-        dataset, dup_source, benchmark_rc.plants.duplicates.copies, benchmark_rc.harness.k
-    )
+    assert duplicates_still_no_impact(dataset, dup_source, benchmark_rc.harness.k)
     by_id = {r.session_id: r for r in cor_records}
     for sid in clones:
         assert by_id[sid].constellation is Constellation.NO_OUTPUT_CHANGE

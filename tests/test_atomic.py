@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from sessionvalue.atomic import atomic_open, write_csv
+from sessionvalue.atomic import atomic_open, write_csv, write_json
 from sessionvalue.corpus import read_sessions, write_sessions
 
 from helpers import mk_session
@@ -47,3 +47,9 @@ def test_failed_first_write_leaves_nothing(tmp_path):
             fh.write(b"partial")
             raise KeyboardInterrupt
     assert list(tmp_path.iterdir()) == []
+
+
+def test_json_document_indented_with_sorted_keys(tmp_path):
+    path = tmp_path / "summary.json"
+    write_json(path, {"b": 0.5, "a": [1, "é"]})
+    assert path.read_bytes() == b'{\n  "a": [\n    1,\n    "\\u00e9"\n  ],\n  "b": 0.5\n}\n'

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from sessionvalue import synthgen
 from sessionvalue.cli import main
 
 from conftest import BENCHMARK_CONFIG
@@ -131,6 +132,20 @@ class TestSynth:
         assert result.exit_code == 0
         summary = json.loads(result.output)
         assert summary["n_sessions"] == 50
+
+    def test_invalidated_duplicate_plant_exits_1(self, runner, tmp_path, monkeypatch):
+        check = synthgen.duplicates_still_no_impact
+        monkeypatch.setattr(
+            synthgen, "duplicates_still_no_impact",
+            lambda dataset, sid, k: "toxic-000" not in dataset.by_id and check(dataset, sid, k),
+        )
+        config = tmp_path / "plants.yaml"
+        config.write_text(BASE_CONFIG + "plants:\n  toxic:\n    rng_seed: 3\n  duplicates: {}\n")
+        out = tmp_path / "o"
+        result = runner.invoke(main, ["synth", "--config", str(config), "--out", str(out)])
+        assert result.exit_code == 1
+        assert "Error: toxic plant invalidated the duplicate plant" in result.output
+        assert list(out.iterdir()) == []
 
 
 class TestTrainRecommend:

@@ -141,6 +141,7 @@ class TestMessagesNameTheKey:
         ("synth:\n  popularity_exponent: 1.0\n", "'synth.popularity_exponent': unknown key"),
         ("synth:\n  n_products: 5\n", "'synth': missing required keys: n_categories_top, .*, days, rng_seed"),
         ("output_dir: 5\n", "'output_dir': expected str, got int"),
+        ("paths:\n  truth: elsewhere/truth.json\n", "'paths.truth': unknown key"),
     ])
     def test_rejected(self, tmp_path, text, message):
         with pytest.raises(ConfigError, match=message):

@@ -4,21 +4,27 @@ import io
 
 import pytest
 
+from sessionvalue import synthgen
 from sessionvalue.cor import all_top_k, build_matrix, session_top_k
 from sessionvalue.corpus import Dataset, EvalLog, EvalSession, write_sessions
+from sessionvalue.embed import Hyperparams
 from sessionvalue.errors import PlantFailedError, UnknownSessionError
 from sessionvalue.kpi import aggregate_pairs, conversion_rate
-from sessionvalue.sensitivity import Constellation, CorEngine, HarnessConfig, run_loo
+from sessionvalue.sensitivity import Constellation, CorEngine, HarnessConfig, VrEngine, run_loo
 from sessionvalue.synthgen import (
     TOXIC_MIN_REL_GAIN,
+    DuplicatePlantConfig,
     GenConfig,
     PlantKind,
+    PlantsConfig,
+    ToxicPlantConfig,
+    _with_clones,
     duplicates_still_no_impact,
     generate,
-    plant_duplicate_sessions,
     plant_no_impact_duplicates,
     plant_toxic_session,
     read_truth,
+    synthesize,
     write_truth,
 )
 
@@ -29,6 +35,9 @@ BASE = dict(
     n_train_sessions=80, n_eval_sessions=200, days=4,
     order_base_rate=0.08, intent_stickiness=0.85,
 )
+
+
+HYPER = Hyperparams(dimensions=8, iterations=1, min_count=2, rng_seed=5)
 
 
 def small_config(seed=7, **overrides):
@@ -103,7 +112,7 @@ class TestGenerate:
 @pytest.fixture(scope="module")
 def planted():
     ds, ev, truth = generate(small_config())
-    out_ds, out_truth = plant_toxic_session(ds, ev, truth, rng_seed=99, k=5)
+    out_ds, out_truth = plant_toxic_session(ds, ev, truth, 99, HYPER, k=5)
     return ds, ev, out_ds, out_truth
 
 
@@ -146,7 +155,7 @@ class TestToxicPlant:
             )
         )
         with pytest.raises(PlantFailedError, match="baseline conversion rate is zero"):
-            plant_toxic_session(ds, no_orders, truth, rng_seed=99, k=5)
+            plant_toxic_session(ds, no_orders, truth, 99, HYPER, k=5)
 
     def test_uniform_orders_defeat_planting(self):
         # every alternative is ordered everywhere: displacement cannot drop CR
@@ -157,41 +166,59 @@ class TestToxicPlant:
         _, _, truth = generate(small_config())
         empty_truth = type(truth)(affinity={}, planted=())
         with pytest.raises(PlantFailedError):
-            plant_toxic_session(ds, ev, empty_truth, rng_seed=1, k=3, retries=50)
+            plant_toxic_session(ds, ev, empty_truth, 1, HYPER, k=3)
 
-    def test_retry_budget_respected(self):
+    def test_retry_budget_respected(self, monkeypatch):
+        monkeypatch.setattr(synthgen, "TOXIC_RETRIES", 0)
         ds, ev, truth = generate(small_config())
-        with pytest.raises(PlantFailedError):
-            plant_toxic_session(ds, ev, truth, rng_seed=99, k=5, retries=0)
+        with pytest.raises(PlantFailedError, match="after 0 attempts"):
+            plant_toxic_session(ds, ev, truth, 99, HYPER, k=5)
+
+    def test_vr_check_can_reject(self, monkeypatch):
+        # vr recommends the same lists with or without any plant, so its rate
+        # never drops: candidates that pass the cor check must still fail
+        ds, ev, truth = generate(small_config())
+        fixed = all_top_k(build_matrix(ds), 5)
+        vr_lists = []
+
+        def top_k_map(self, model, k):
+            vr_lists.append(k)
+            return fixed
+
+        monkeypatch.setattr(VrEngine, "fit", lambda self, data: None)
+        monkeypatch.setattr(VrEngine, "top_k_map", top_k_map)
+        with pytest.raises(PlantFailedError, match="no verifiable toxic plant"):
+            plant_toxic_session(ds, ev, truth, 99, HYPER, k=5)
+        assert len(vr_lists) > 1  # the baseline, then every candidate cor accepted
 
 
 class TestDuplicatePlant:
     def test_pair_count_rises_by_copies(self):
         ds = mk_dataset([("orig", 0, ["A", "B"]), ("other", 0, ["A", "C"])])
-        out = plant_duplicate_sessions(ds, "orig", copies=3)
+        out = _with_clones(ds, ds.by_id["orig"], 3)
         assert build_matrix(out).count("A", "B") == 1 + 3
         assert len(out.sessions) == 5
 
     def test_clones_identical_except_id(self):
         ds = mk_dataset([("orig", 0, ["A", "B"])])
-        out = plant_duplicate_sessions(ds, "orig", copies=2)
+        out = _with_clones(ds, ds.by_id["orig"], 2)
         clones = [s for s in out.sessions if s.session_id.startswith("orig-dup")]
         assert len(clones) == 2
         assert all(c.clicks == ds.by_id["orig"].clicks for c in clones)
 
     def test_zero_copies_rejected(self):
-        ds = mk_dataset([("orig", 0, ["A", "B"])])
-        with pytest.raises(ValueError):
-            plant_duplicate_sessions(ds, "orig", copies=0)
+        # the config is the one copies check; the plant takes the config
+        with pytest.raises(ValueError, match="copies must be >= 2"):
+            DuplicatePlantConfig(copies=0)
 
     def test_unknown_session(self):
         ds = mk_dataset([("orig", 0, ["A", "B"])])
         with pytest.raises(UnknownSessionError):
-            plant_duplicate_sessions(ds, "ghost", copies=1)
+            duplicates_still_no_impact(ds, "ghost", 5)
 
     def test_verified_plant_yields_no_output_change_records(self):
         ds, ev, truth = generate(small_config())
-        planted, truth2, source = plant_no_impact_duplicates(ds, truth, copies=3, k=5)
+        planted, truth2, source = plant_no_impact_duplicates(ds, truth, DuplicatePlantConfig(copies=3), k=5)
         clone_sids = [sid for sid, kind in truth2.planted if kind is PlantKind.DUPLICATE]
         assert len(clone_sids) == 3
         records = run_loo(CorEngine(), planted, ev, HarnessConfig(k=5))
@@ -199,7 +226,7 @@ class TestDuplicatePlant:
         for sid in clone_sids:
             assert by_id[sid].constellation is Constellation.NO_OUTPUT_CHANGE
             assert by_id[sid].cr_delta == by_id[sid].cr_base
-        assert duplicates_still_no_impact(planted, source, 3, 5)
+        assert duplicates_still_no_impact(planted, source, 5)
 
     def test_gap_absorbs_single_removal(self):
         # constructed fixture: every pair gap >= 2, verified by hand counts
@@ -207,7 +234,7 @@ class TestDuplicatePlant:
             [("a1", 0, ["A", "B"]), ("a2", 0, ["A", "B"]), ("a3", 0, ["A", "B"]),
              ("b1", 0, ["A", "C"])]
         )
-        planted = plant_duplicate_sessions(ds, "a1", copies=2)
+        planted = _with_clones(ds, ds.by_id["a1"], 2)
         # (A,B) = 5, (A,C) = 1: removing one clone keeps B on top everywhere
         ids_before = {
             s: rl.product_ids for s, rl in all_top_k(build_matrix(planted), 5).items()
@@ -225,8 +252,44 @@ class TestDuplicatePlant:
         # (A,B) = 1 + 2 clones = 3 ties (A,C) = 3, and B ranks first on the
         # tie; without one clone (A,B) = 2, so A's list turns to C, B
         ds = mk_dataset([("a", 0, ["A", "B"])] + [(f"c{i}", 0, ["A", "C"]) for i in range(3)])
-        planted = plant_duplicate_sessions(ds, "a", copies=2)
-        assert not duplicates_still_no_impact(planted, "a", 2, 5)
+        planted = _with_clones(ds, ds.by_id["a"], 2)
+        assert not duplicates_still_no_impact(planted, "a", 5)
+
+
+DUP, TOXIC = PlantKind.DUPLICATE, PlantKind.TOXIC
+
+
+class TestSynthesize:
+    @pytest.mark.parametrize("plants, kinds", [
+        (PlantsConfig(), []),
+        (PlantsConfig(duplicates=DuplicatePlantConfig(copies=2)), [DUP, DUP]),
+        (PlantsConfig(toxic=ToxicPlantConfig(rng_seed=99)), [TOXIC]),
+        (PlantsConfig(toxic=ToxicPlantConfig(rng_seed=99), duplicates=DuplicatePlantConfig()),
+         [DUP, DUP, DUP, TOXIC]),
+    ], ids=["none", "duplicates", "toxic", "both"])
+    def test_plants_appended_in_order(self, plants, kinds):
+        base, base_eval, base_truth = generate(small_config())
+        dataset, eval_log, truth, dup_source = synthesize(small_config(), plants, 5, HYPER)
+        assert [kind for _, kind in truth.planted] == kinds
+        n = len(base.sessions)
+        assert dataset.sessions[:n] == base.sessions
+        assert [s.session_id for s in dataset.sessions[n:]] == [sid for sid, _ in truth.planted]
+        assert eval_log == base_eval
+        assert truth.affinity == base_truth.affinity
+        if DUP in kinds:
+            assert duplicates_still_no_impact(dataset, dup_source, 5)
+        else:
+            assert dup_source is None
+
+    def test_toxic_plant_invalidating_duplicates_fails(self, monkeypatch):
+        check = synthgen.duplicates_still_no_impact
+        monkeypatch.setattr(
+            synthgen, "duplicates_still_no_impact",
+            lambda dataset, sid, k: "toxic-000" not in dataset.by_id and check(dataset, sid, k),
+        )
+        plants = PlantsConfig(toxic=ToxicPlantConfig(rng_seed=99), duplicates=DuplicatePlantConfig())
+        with pytest.raises(PlantFailedError, match="toxic plant invalidated the duplicate plant"):
+            synthesize(small_config(), plants, 5, HYPER)
 
 
 class TestGenConfigValidation:
