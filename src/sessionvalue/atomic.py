@@ -11,8 +11,9 @@ Tables are encoded here and nowhere else. ``write_csv`` writes UTF-8 CSV with
 ``\\n`` line ends; ``csv`` writes a float as its ``repr`` (shortest round-trip
 digits) and ``None`` as an empty field, so writers hand over plain values.
 ``write_jsonl`` writes one compact JSON document per line, non-ASCII text
-unescaped. ``write_json`` writes one JSON document indented by two spaces, keys
-sorted, non-ASCII text escaped.
+unescaped. ``write_json`` writes one JSON document as ``json_text`` encodes it:
+indented by two spaces, keys sorted, non-ASCII text escaped, with a final
+newline; the CLI prints its JSON summaries with the same encoder.
 """
 
 from __future__ import annotations
@@ -55,7 +56,12 @@ def write_jsonl(path: str | Path, docs: Iterable) -> None:
             fh.write(json.dumps(doc, separators=(",", ":"), ensure_ascii=False) + "\n")
 
 
-def write_json(path: str | Path, doc) -> None:
+def json_text(doc) -> str:
     """One JSON document, indented, keys sorted, with a final newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def write_json(path: str | Path, doc) -> None:
+    """One JSON document, encoded by ``json_text``."""
     with atomic_open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        fh.write(json_text(doc))

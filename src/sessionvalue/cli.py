@@ -10,14 +10,13 @@ by nature.
 from __future__ import annotations
 
 import functools
-import json
 import logging
 from pathlib import Path
 
 import click
 
 from . import curve, kpi, lifecycle, sensitivity, synthgen
-from .atomic import atomic_open, write_csv, write_json
+from .atomic import atomic_open, json_text, write_csv, write_json
 from .config import LifecycleSection, RunConfig, load_run_config
 from .corpus import (
     Dataset,
@@ -103,7 +102,7 @@ def _engine(rc: RunConfig, name: str):
 
 def _emit_summary(summary_mode: str, summary: dict, text_lines: list[str]) -> None:
     if summary_mode == "json":
-        click.echo(json.dumps(summary, indent=2, sort_keys=True))
+        click.echo(json_text(summary), nl=False)
     else:
         for line in text_lines:
             click.echo(line)

@@ -11,7 +11,13 @@ vectors, so model dumps and rankings are byte-stable across runs.
 The training loop is the C function in ``_skipgram.c``, called once per
 training through ``ctypes``. It is compiled on first use with the pinned
 ``KERNEL_BUILD`` command into a per-user cache directory under the system
-temporary directory, and loaded once per process.
+temporary directory, and loaded once per process. Its update pass exists in a
+generic and an AVX2 copy with the same bits; each call runs the AVX2 copy
+where the CPU has AVX2.
+
+``all_top_k_similar`` orders each seed's cosines with one ``np.lexsort`` on
+(cosine desc, product id asc); ``tests/oracles.py`` keeps the sort of
+(product, cosine) tuples it replaced.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from pathlib import Path
 import numpy as np
 from numpy.ctypeslib import ndpointer
 
-from .cor import RecommendationList, _rank, _rank_order
+from .cor import RecommendationList, _rank_order
 from .corpus import Dataset
 from .errors import EmptyVocabularyError, KernelBuildError
 
@@ -47,6 +53,7 @@ KERNEL_BUILD = (
 )
 _SOURCE = Path(__file__).with_name("_skipgram.c")
 _kernel = None  # the loaded entry point; see load_kernel
+_init_rows: dict[tuple[int, int], np.ndarray] = {}  # see _initial_vectors
 
 
 @dataclass(frozen=True)
@@ -176,12 +183,19 @@ def build_vocab(dataset: Dataset, min_count: int) -> Vocabulary:
 
 
 def _initial_vectors(n_entries: int, dimensions: int, rng_seed: int) -> np.ndarray:
-    """Input-vector init keyed by (rng_seed, entry index, dimension index)."""
-    rows = np.empty((n_entries, dimensions), dtype=np.float64)
-    for i in range(n_entries):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([rng_seed, i])))
-        rows[i] = (rng.random(dimensions) - 0.5) / dimensions
-    return rows
+    """Input-vector init keyed by (rng_seed, entry index, dimension index), as
+    a fresh writable array. Row i depends only on (rng_seed, i, dimensions),
+    so the rows are built once per process for the largest vocabulary seen and
+    copied for every training that needs no more: a leave-one-out delta never
+    does, and pool workers inherit the baseline's rows."""
+    rows = _init_rows.get((rng_seed, dimensions))
+    if rows is None or len(rows) < n_entries:
+        rows = np.empty((n_entries, dimensions), dtype=np.float64)
+        for i in range(n_entries):
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([rng_seed, i])))
+            rows[i] = (rng.random(dimensions) - 0.5) / dimensions
+        _init_rows[(rng_seed, dimensions)] = rows
+    return rows[:n_entries].copy()
 
 
 def _cache_dir() -> Path:
@@ -329,27 +343,32 @@ def _cosine_sims(model: EmbeddingModel, seed_idx: int, norms: np.ndarray) -> np.
     return np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0)
 
 
-def _rank_similar(
-    model: EmbeddingModel, seed_idx: int, k: int, norms: np.ndarray
-) -> RecommendationList:
-    sims = _cosine_sims(model, seed_idx, norms)
-    products = model.vocabulary.products
-    candidates = [(products[i], float(sims[i])) for i in range(len(products)) if i != seed_idx]
-    return RecommendationList(seed=products[seed_idx], items=_rank(candidates, k))
-
-
 def _norms(model: EmbeddingModel) -> np.ndarray:
     return np.sqrt(np.sum(model.vectors * model.vectors, axis=1))
 
 
 def all_top_k_similar(model: EmbeddingModel, k: int) -> dict[str, RecommendationList]:
     """One cosine ranking per vocabulary product over the rounded vectors,
-    ties by ascending product id."""
+    ties by ascending product id.
+
+    Each seed's cosines are one matrix-vector product, ordered by one
+    ``np.lexsort`` on (cosine desc, id rank asc); the first k + 1 entries hold
+    the top k once the seed itself is dropped.
+    """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     norms = _norms(model)
-    index = model.vocabulary.index
-    return {seed: _rank_similar(model, index[seed], k, norms) for seed in sorted(index)}
+    products = model.vocabulary.products
+    by_id = sorted(range(len(products)), key=products.__getitem__)
+    id_rank = np.empty(len(by_id), dtype=np.int64)
+    id_rank[by_id] = np.arange(len(by_id))
+    lists = {}
+    for i in by_id:
+        sims = _cosine_sims(model, i, norms)
+        first = np.lexsort((id_rank, -sims))[:k + 1].tolist()
+        items = tuple((products[j], float(sims[j])) for j in first if j != i)[:k]
+        lists[products[i]] = RecommendationList(seed=products[i], items=items)
+    return lists
 
 
 def dump_model(model: EmbeddingModel) -> str:

@@ -80,3 +80,12 @@ class ConfigError(SessionValueError):
 class KernelBuildError(SessionValueError):
     """The compiled training kernel could not be built, or its cache
     directory is not safe to load from."""
+
+
+class WorkerDiedError(SessionValueError):
+    def __init__(self, jobs: int):
+        self.jobs = jobs
+        super().__init__(
+            f"a leave-one-out worker process (of --jobs {jobs}) died before it returned its "
+            "records, for example killed for lack of memory; no records were written"
+        )

@@ -20,6 +20,7 @@ from __future__ import annotations
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -31,7 +32,7 @@ from . import cor, embed
 from .atomic import write_csv
 from .cor import RecommendationList
 from .corpus import Dataset, EvalLog
-from .errors import EmptyVocabularyError, UndefinedBaselineError, UnknownSessionError
+from .errors import EmptyVocabularyError, UndefinedBaselineError, UnknownSessionError, WorkerDiedError
 from .kpi import EvalIndex, index_eval, rate_from_totals, totals
 
 log = logging.getLogger(__name__)
@@ -317,7 +318,7 @@ def run_loo(
     The baseline model, its lists and the eval index are built once; per
     session ``engine.delta_lists`` gives the lists that may change. Records
     are ordered by session_id and independent of ``jobs``, the number of
-    worker processes.
+    worker processes. A worker that dies raises ``WorkerDiedError``.
     """
     if session_ids is None:
         session_ids = sorted(dataset.by_id)
@@ -338,8 +339,11 @@ def run_loo(
     )
     if jobs <= 1:
         return [_price(base, sid) for sid in session_ids]
-    with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker, initargs=(base,)) as pool:
-        return list(pool.map(_price_in_worker, session_ids))
+    try:
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker, initargs=(base,)) as pool:
+            return list(pool.map(_price_in_worker, session_ids))
+    except BrokenProcessPool as exc:
+        raise WorkerDiedError(jobs) from exc
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 from sessionvalue.corpus import (
     Catalog,
     ClickEvent,
@@ -11,6 +13,7 @@ from sessionvalue.corpus import (
     Session,
     SECONDS_PER_DAY,
 )
+from sessionvalue.sensitivity import CorEngine
 
 
 def mk_session(sid: str, products: list[str], day: int = 0, spacing: int = 10) -> Session:
@@ -48,3 +51,12 @@ def mk_eval(specs: list[tuple[str, list[str], list[str]]]) -> EvalLog:
             for sid, viewed, ordered in specs
         )
     )
+
+
+class DyingEngine(CorEngine):
+    """``CorEngine`` whose leave-one-out step ends its process at once, as a
+    pool worker killed for lack of memory would end. Only for ``jobs >= 2``:
+    in the calling process it would end the test run."""
+
+    def delta_lists(self, base_model, base_topk, dataset, session_id, k):
+        os._exit(1)

@@ -3,12 +3,14 @@
 ``remove_session`` is an exact incremental removal from a co-occurrence
 matrix (itself checked against from-scratch rebuilds), ``top_k`` ranks one
 seed's neighbours by a scan of every pair count, and ``top_k_similar`` ranks
-one seed of an embedding model. The package ships ``session_top_k``,
-``all_top_k`` and ``all_top_k_similar``; none of these three runs in it.
+one seed of an embedding model by a sort of (product, cosine) tuples. The
+package ships ``session_top_k``, ``all_top_k`` and ``all_top_k_similar`` (one
+``np.lexsort`` per seed); none of these three runs in it.
 
 ``fit_numpy`` and ``train_numpy`` are the skip-gram trainer as a numpy loop,
-one ``step`` per (center, context) pair; the package trains with the
-compiled kernel instead.
+one ``step`` per (center, context) pair, from ``initial_vectors`` built anew
+on every call; the package trains with the compiled kernel instead, from
+initial rows it keeps between trainings.
 
 ``trajectories_rebuild`` is the lifecycle study with every frame's window
 rebuilt from scratch (``slice_days``, ``build_matrix``, ``all_top_k``); the
@@ -22,16 +24,15 @@ from itertools import combinations
 import numpy as np
 from scipy.special import expit
 
-from sessionvalue.cor import CoocMatrix, RecommendationList, all_top_k, build_matrix
+from sessionvalue.cor import CoocMatrix, RecommendationList, _rank, all_top_k, build_matrix
 from sessionvalue.corpus import Dataset, Session, slice_days
 from sessionvalue.embed import (
     LR_FLOOR_FRACTION,
     EmbeddingModel,
     Hyperparams,
     Vocabulary,
-    _initial_vectors,
+    _cosine_sims,
     _norms,
-    _rank_similar,
     _rounded,
     _sentences,
     build_vocab,
@@ -84,6 +85,15 @@ def top_k(matrix: CoocMatrix, seed: str, k: int) -> RecommendationList | None:
     return RecommendationList(seed=seed, items=tuple(neighbors[:k]))
 
 
+def _rank_similar(
+    model: EmbeddingModel, seed_idx: int, k: int, norms: np.ndarray
+) -> RecommendationList:
+    sims = _cosine_sims(model, seed_idx, norms)
+    products = model.vocabulary.products
+    candidates = [(products[i], float(sims[i])) for i in range(len(products)) if i != seed_idx]
+    return RecommendationList(seed=products[seed_idx], items=_rank(candidates, k))
+
+
 def top_k_similar(model: EmbeddingModel, seed: str, k: int) -> RecommendationList | None:
     """Cosine ranking over rounded vectors, ties by ascending product id; an
     unknown seed has no list (None)."""
@@ -93,6 +103,16 @@ def top_k_similar(model: EmbeddingModel, seed: str, k: int) -> RecommendationLis
     if idx is None:
         return None
     return _rank_similar(model, idx, k, _norms(model))
+
+
+def initial_vectors(n_entries: int, dimensions: int, rng_seed: int) -> np.ndarray:
+    """``embed._initial_vectors`` computed row by row on every call, with no
+    rows kept from an earlier call."""
+    rows = np.empty((n_entries, dimensions), dtype=np.float64)
+    for i in range(n_entries):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([rng_seed, i])))
+        rows[i] = (rng.random(dimensions) - 0.5) / dimensions
+    return rows
 
 
 def step(l2: np.ndarray, v: np.ndarray, one_minus_code: np.ndarray, alpha: float) -> None:
@@ -118,7 +138,7 @@ def fit_numpy(dataset: Dataset, hyper: Hyperparams) -> tuple[Vocabulary, np.ndar
     one_minus_code = [1.0 - np.array(e.code, dtype=np.float64) for e in vocab.entries]
 
     n = len(vocab)
-    syn0 = _initial_vectors(n, hyper.dimensions, hyper.rng_seed)
+    syn0 = initial_vectors(n, hyper.dimensions, hyper.rng_seed)
     syn1 = np.zeros((max(n - 1, 0), hyper.dimensions), dtype=np.float64)
 
     budget = hyper.iterations * sum(len(s) for s in sentences)

@@ -11,10 +11,11 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from sessionvalue import synthgen
+from sessionvalue import cli, synthgen
 from sessionvalue.cli import main
 
 from conftest import BENCHMARK_CONFIG
+from helpers import DyingEngine
 
 BASE_CONFIG = """\
 synth:
@@ -192,6 +193,26 @@ class TestValue:
         assert sum(summary["constellations"].values()) == 50
         with open(out / "records_cor.csv") as fh:
             assert len(list(csv.DictReader(fh))) == 50
+
+    def test_summary_json_prints_the_summary_file(self, workspace, runner):
+        config, out = workspace
+        result = runner.invoke(main, [
+            "value", "--config", str(config), "--out", str(out), "--engine", "cor", "--summary", "json",
+        ])
+        assert result.exit_code == 0, result.output
+        assert result.stdout_bytes == (out / "summary_cor.json").read_bytes()
+
+    def test_dead_worker_is_one_error_line(self, workspace, runner, monkeypatch):
+        config, out = workspace
+        monkeypatch.setattr(cli, "_engine", lambda rc, name: DyingEngine())
+        result = runner.invoke(main, [
+            "value", "--config", str(config), "--out", str(out), "--engine", "cor", "--jobs", "2",
+        ])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # a clean exit, no traceback
+        [line] = result.stderr.splitlines()
+        assert line.startswith("Error: a leave-one-out worker process (of --jobs 2) died")
+        assert not (out / "records_cor.csv").exists()
 
     def test_eval_product_missing_from_catalog_rejected(self, workspace, runner):
         config, out = workspace

@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sessionvalue.embed import (
+    EmbeddingModel,
     Hyperparams,
+    VocabEntry,
+    Vocabulary,
     _huffman,
     _initial_vectors,
     all_top_k_similar,
@@ -15,7 +21,7 @@ from sessionvalue.embed import (
 from sessionvalue.errors import EmptyVocabularyError
 
 from helpers import mk_dataset
-from oracles import step, top_k_similar
+from oracles import initial_vectors, step, top_k_similar
 
 FAST = Hyperparams(dimensions=16, iterations=2, min_count=1, rng_seed=9)
 
@@ -125,6 +131,15 @@ class TestTrainDeterminism:
         assert np.array_equal(a[:2], c)
         assert np.abs(a).max() <= 0.5 / 8
 
+    def test_kept_init_rows_equal_fresh_ones(self):
+        # Growing, shrinking (a copy of kept rows), other seeds and widths.
+        for n, dims, seed in [(3, 5, 11), (7, 5, 11), (2, 5, 11), (7, 5, 12), (4, 6, 11), (7, 5, 11)]:
+            rows = _initial_vectors(n, dims, seed)
+            assert rows.tobytes() == initial_vectors(n, dims, seed).tobytes()
+            assert rows.shape == (n, dims) and rows.flags.writeable and rows.flags.owndata
+            # The kernel trains syn0 in place: no later training may see it.
+            rows[:] = 9.0
+
 
 class TestTrainedGeometry:
     def test_cooccurring_products_more_similar(self):
@@ -193,6 +208,57 @@ class TestSimilarity:
         model = train(repeated_pairs([("A", "B", 5)]), FAST)
         with pytest.raises(ValueError):
             top_k_similar(model, "A", 0)
+        with pytest.raises(ValueError):
+            all_top_k_similar(model, 0)
+
+
+def vector_model(rows: list[list[float]], ids: list[str]) -> EmbeddingModel:
+    """A model whose entry ``i`` is product ``ids[i]`` with vector ``rows[i]``."""
+    vectors = np.array(rows, dtype=np.float64)
+    return EmbeddingModel(
+        vocabulary=Vocabulary(tuple(VocabEntry(p, 1, (), ()) for p in ids)),
+        vectors=vectors,
+        hyper=Hyperparams(dimensions=vectors.shape[1]),
+    )
+
+
+@st.composite
+def vector_models(draw) -> EmbeddingModel:
+    """Up to 12 entries in a vocabulary order unlike id order, with components
+    from a few values, so that equal rows (exact ties) and all-zero rows
+    are common."""
+    n = draw(st.integers(1, 12))
+    dims = draw(st.integers(1, 4))
+    component = st.sampled_from([0.0, -0.0, 0.25, 0.5, -0.5, 1.0, -1.0])
+    rows = draw(st.lists(st.lists(component, min_size=dims, max_size=dims), min_size=n, max_size=n))
+    return vector_model(rows, draw(st.permutations([f"p{i:02d}" for i in range(n)])))
+
+
+def signed_scores(topk) -> dict:
+    """Each list's scores with their sign, which ``==`` on floats ignores."""
+    return {seed: [math.copysign(1.0, score) for _, score in rl.items] for seed, rl in topk.items()}
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(model=vector_models(), k=st.integers(1, 14))
+@example(model=vector_model([[0.5, -1.0]], ["p00"]), k=1)
+@example(model=vector_model([[0.0, 0.0], [0.0, -0.0], [1.0, 0.5]], ["p02", "p00", "p01"]), k=5)
+@example(model=vector_model([[1.0], [1.0], [1.0], [-1.0]], ["p03", "p01", "p02", "p00"]), k=2)
+def test_all_top_k_similar_equals_the_sorting_oracle(model, k):
+    """The lexsort ranking against ``oracles.top_k_similar``, which sorts
+    (product, cosine) tuples, seed by seed: the same seeds in the same order,
+    the same lists, the same scores with the same signs of zero."""
+    fast = all_top_k_similar(model, k)
+    oracle = {seed: top_k_similar(model, seed, k) for seed in sorted(model.vocabulary.products)}
+    assert list(fast) == list(oracle)
+    assert fast == oracle
+    assert signed_scores(fast) == signed_scores(oracle)
+    zero = {p for p, row in zip(model.vocabulary.products, model.vectors) if not row.any()}
+    for seed, rl in fast.items():
+        assert len(rl.items) == min(k, len(model.vocabulary) - 1)
+        for product, score in rl.items:
+            if seed in zero or product in zero:
+                assert (score, math.copysign(1.0, score)) == (0.0, 1.0)
 
 
 def path_loss(v: np.ndarray, l2: np.ndarray, codes: np.ndarray) -> float:

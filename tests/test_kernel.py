@@ -104,11 +104,44 @@ def reference_kernel(tmp_path_factory):
     return kernel
 
 
-def assert_bit_identical(reference, dataset, hyper: Hyperparams) -> None:
-    """Run one ``_fit`` through the kernel and, on copies of the same inputs
-    (with ``neu`` scratch), through the reference loop: the unrounded ``syn0``
-    and ``syn1`` must be equal bit for bit."""
-    kernel = embed.load_kernel()
+def kernel_library() -> ctypes.CDLL:
+    """The production kernel's shared library, built if needed."""
+    return ctypes.CDLL(str(embed._build(embed._cache_dir())))
+
+
+def kernel_copy(name: str):
+    """The production kernel's entry point with the ``name`` copy of the
+    update pass, typed like ``sv_skipgram_train``. The AVX2 copy is skipped
+    only where ``__builtin_cpu_supports`` says the CPU has no AVX2."""
+    library = kernel_library()
+    if name == "avx2" and not library.sv_skipgram_cpu_has_avx2():
+        pytest.skip("this CPU has no AVX2 (__builtin_cpu_supports), so the AVX2 copy cannot run")
+    kernel = getattr(library, f"sv_skipgram_train_{name}")
+    kernel.argtypes = embed.load_kernel().argtypes
+    kernel.restype = None
+    return kernel
+
+
+def test_dispatch_runs_the_avx2_copy_on_an_avx2_cpu():
+    """``sv_skipgram_train`` runs the entry point ``sv_skipgram_pick``
+    returns: the AVX2 copy exactly where the CPU has AVX2."""
+    library = kernel_library()
+    library.sv_skipgram_pick.restype = ctypes.c_void_p
+    has_avx2 = library.sv_skipgram_cpu_has_avx2()
+    expected = library.sv_skipgram_train_avx2 if has_avx2 else library.sv_skipgram_train_generic
+    assert library.sv_skipgram_pick() == ctypes.cast(expected, ctypes.c_void_p).value
+    cpuinfo = Path("/proc/cpuinfo")
+    if cpuinfo.is_file():
+        flags = {f for line in cpuinfo.read_text().splitlines() if line.startswith("flags") for f in line.split()}
+        assert bool(has_avx2) == ("avx2" in flags)
+
+
+def assert_bit_identical(reference, dataset, hyper: Hyperparams, kernel=None) -> None:
+    """Run one ``_fit`` through ``kernel`` (the loaded entry point when None)
+    and, on copies of the same inputs (with ``neu`` scratch), through the
+    reference loop: the unrounded ``syn0`` and ``syn1`` must be equal bit for
+    bit."""
+    kernel = kernel or embed.load_kernel()
     pairs = []
 
     def both(syn0, syn1, scratch, dims, *rest):
@@ -126,14 +159,20 @@ def assert_bit_identical(reference, dataset, hyper: Hyperparams) -> None:
 
 
 class TestReferenceLoop:
-    """The interleaved kernel against the node-by-node loop it replaced: the
-    unrounded vectors must agree bit for bit, not just after rounding."""
+    """The generic copy of the interleaved kernel against the node-by-node
+    loop it replaced: the unrounded vectors must agree bit for bit, not just
+    after rounding. ``TestReferenceLoopAvx2`` runs the same cases against the
+    AVX2 copy."""
+
+    copy = "generic"
 
     @settings(
         max_examples=60,
         derandomize=True,
         deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
+        # Both classes run this method; derandomized, it keeps no replay
+        # database that the two could confuse.
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.differing_executors],
     )
     @given(
         # Powers of two make lopsided Huffman trees, so paths of many lengths.
@@ -144,8 +183,9 @@ class TestReferenceLoop:
         ),
         hyper=st.builds(
             Hyperparams,
-            # Below, at and around one and several 8-wide update blocks.
-            dimensions=st.sampled_from([1, 7, 8, 9, 15, 16, 17, 33]),
+            # Below, at and around one and several 4-wide vectors and 8-wide
+            # update blocks.
+            dimensions=st.sampled_from([1, 3, 4, 5, 7, 8, 9, 12, 15, 16, 17, 20, 33]),
             iterations=st.integers(1, 2),
             window=st.integers(1, 4),
             min_count=st.just(1),
@@ -156,14 +196,22 @@ class TestReferenceLoop:
     @example(sessions=CATERPILLAR, hyper=Hyperparams(dimensions=8, iterations=2, min_count=1))
     # A one-entry vocabulary: every path is empty and the scratch has no room.
     @example(sessions=[["A", "A", "A"], ["B"]], hyper=Hyperparams(dimensions=9, min_count=2))
+    @example(sessions=CATERPILLAR, hyper=Hyperparams(dimensions=13, window=3, min_count=1))
     def test_matches_reference_bit_for_bit(self, reference_kernel, sessions, hyper):
-        assert_bit_identical(reference_kernel, sessions_dataset(sessions), hyper)
+        assert_bit_identical(reference_kernel, sessions_dataset(sessions), hyper, kernel_copy(self.copy))
 
     def test_golden_benchmark_inputs(self, reference_kernel):
         hyper = load_run_config(CONFIG_DIR / "benchmark.yaml").hyper
         assert hyper.dimensions == 200
         dataset = load_dataset(GOLDEN / "benchmark" / "sessions.jsonl", GOLDEN / "benchmark" / "catalog.jsonl")
-        assert_bit_identical(reference_kernel, dataset, hyper)
+        assert_bit_identical(reference_kernel, dataset, hyper, kernel_copy(self.copy))
+
+
+class TestReferenceLoopAvx2(TestReferenceLoop):
+    """``TestReferenceLoop`` against the AVX2 copy, which the dispatch runs on
+    a CPU with AVX2."""
+
+    copy = "avx2"
 
 
 class TestEdges:

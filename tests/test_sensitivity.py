@@ -6,7 +6,7 @@ import pytest
 from sessionvalue.cor import RecommendationList, all_top_k, build_matrix
 from sessionvalue.corpus import Dataset
 from sessionvalue.embed import Hyperparams
-from sessionvalue.errors import UndefinedBaselineError, UnknownSessionError
+from sessionvalue.errors import SessionValueError, UndefinedBaselineError, UnknownSessionError, WorkerDiedError
 from sessionvalue.kpi import rate_from_totals
 from sessionvalue.sensitivity import (
     Constellation,
@@ -26,7 +26,7 @@ from sessionvalue.sensitivity import (
 )
 from sessionvalue.synthgen import GenConfig, generate
 
-from helpers import mk_dataset, mk_eval
+from helpers import DyingEngine, mk_dataset, mk_eval
 
 
 def rl(seed, ids):
@@ -365,6 +365,14 @@ def test_deterministic_and_jobs_invariant(engine):
     assert first == second
     assert first == parallel
     assert [r.session_id for r in first] == sorted(sample)
+
+
+def test_dead_worker_raises_one_clear_error():
+    ds, ev, _ = generate(small_config(n_train_sessions=12, n_eval_sessions=40))
+    with pytest.raises(WorkerDiedError, match="worker process") as info:
+        run_loo(DyingEngine(), ds, ev, HarnessConfig(k=3, revenue_base=1e6), jobs=2)
+    assert isinstance(info.value, SessionValueError)
+    assert "BrokenProcessPool" in type(info.value.__cause__).__name__
 
 
 def fake_record(rel: float) -> SensitivityRecord:
