@@ -26,26 +26,30 @@
  *     path_dots sums up to 8 of them at once, each one still a sequential
  *     sum in d order;
  *   - gradients: g_p = alpha * (1 - code_p - 1 / (1 + exp(-f_p))), unchanged;
- *   - update: blocked over d, 8 components at a time plus a scalar tail, with
- *     the path nodes inner. neu[d] starts from 0.0 and adds g_p * l2_p[d] in
- *     path order, each row read before its own update. As the rows are
- *     distinct, no node sees another node's update, which is the value the
- *     node-by-node loop reads too. Each row then takes l2_p[d] += g_p * v[d]
- *     from the unchanged v, and finally v[d] += neu[d].
+ *   - update: blocked over d, 8 components at a time plus a scalar tail. The
+ *     block's 8 components of v and of neu stay in vector registers while
+ *     the path rows pass through one at a time, in path order. neu starts
+ *     from 0.0 and adds g_p * l2_p[d], each row read before its own update.
+ *     As the rows are distinct, no node sees another node's update, which is
+ *     the value the node-by-node loop reads too. Each row then takes
+ *     l2_p[d] += g_p * v[d] from the unchanged v, and finally v[d] += neu[d].
  * tests/skipgram_reference.c keeps the node-by-node loop as the oracle that
  * tests/test_kernel.py compares bit for bit with this one.
  *
- * The update pass is about three quarters of the time, and it exists in two
- * copies from one body: a generic one, and one compiled with
- * target("avx2"), whose 8-wide blocks run as two 4-wide vectors instead of
- * four 2-wide ones. sv_skipgram_train runs the AVX2 copy when
+ * Measured with timing-only variants that skip one pass (one training at the
+ * 60-day slice of the full.yaml shape, AVX2), the dots take about 45% of the
+ * time and the update about 50%. The update is written once with GCC vector
+ * types and defined twice: a generic copy with 16-byte vectors, four per
+ * block, and a copy compiled with target("avx2") with 32-byte vectors, two
+ * per block. sv_skipgram_train runs the AVX2 copy when
  * __builtin_cpu_supports says the CPU has AVX2, and the generic copy
  * otherwise; each is also exported as its own entry point. The dots stay
- * generic in both: an AVX2 build of them was slower. The bits are the same,
+ * generic in both: an AVX2 build of them was slower, because each node's
+ * sum is bound by the latency of its chain of adds. The bits are the same,
  * because target("avx2") does not enable FMA, -ffp-contract=off still holds,
- * and no sum is reassociated: a wider vector does the same IEEE operations
- * lane by lane. No -mavx2 or -march flag is used, so the build still runs on
- * a CPU without AVX2.
+ * and no sum is reassociated: a vector operation does the same IEEE
+ * operation lane by lane, on the same operands in the same order. No -mavx2
+ * or -march flag is used, so the build still runs on a CPU without AVX2.
  *
  * Layout: syn0 is n_entries x dims and syn1 is (n_entries - 1) x dims, both
  * row-major. Sentence s is tokens[sentence_offsets[s] .. sentence_offsets[s+1]).
@@ -57,6 +61,7 @@
  */
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 #define BLOCK 8
 
@@ -101,61 +106,6 @@ static void path_dots(
     }
 }
 
-/* The update of one (center, context) step: g holds the path's gradients
- * and v is the context's row of syn0. The block's neu and v stay in two
- * 8-entry local arrays, and each pass over them takes two path rows, in path
- * order, so neu is loaded and stored once per two rows. The loop over the
- * block is kept a loop, so that the compiler turns it into vector operations
- * (2-wide in the generic copy, 4-wide in the AVX2 copy), which are exact lane
- * by lane; fully unrolled, it stays scalar (measured slower). */
-static inline __attribute__((always_inline)) void path_update(
-    double *restrict syn1, const int64_t *points, int64_t n,
-    const double *restrict g, double *restrict v, int64_t dims)
-{
-    int64_t d = 0;
-    for (; d + BLOCK <= dims; d += BLOCK) {
-        double x[BLOCK], neu[BLOCK];
-        for (int k = 0; k < BLOCK; k++) {
-            x[k] = v[d + k];
-            neu[k] = 0.0;
-        }
-        int64_t p = 0;
-        for (; p + 2 <= n; p += 2) {
-            double *restrict a = syn1 + points[p] * dims + d;
-            double *restrict b = syn1 + points[p + 1] * dims + d;
-            const double ga = g[p], gb = g[p + 1];
-#pragma GCC unroll 1
-            for (int k = 0; k < BLOCK; k++) {
-                neu[k] += ga * a[k];
-                a[k] += ga * x[k];
-                neu[k] += gb * b[k];
-                b[k] += gb * x[k];
-            }
-        }
-        if (p < n) {
-            double *restrict l2 = syn1 + points[p] * dims + d;
-            const double gp = g[p];
-#pragma GCC unroll 1
-            for (int k = 0; k < BLOCK; k++) {
-                neu[k] += gp * l2[k];
-                l2[k] += gp * x[k];
-            }
-        }
-        for (int k = 0; k < BLOCK; k++)
-            v[d + k] = x[k] + neu[k];
-    }
-    for (; d < dims; d++) {
-        const double x = v[d];
-        double neu = 0.0;
-        for (int64_t p = 0; p < n; p++) {
-            double *restrict l2 = syn1 + points[p] * dims + d;
-            neu += g[p] * *l2;
-            *l2 += g[p] * x;
-        }
-        v[d] = x + neu;
-    }
-}
-
 /* AVX2 and the CPU check exist on x86 only. Elsewhere the AVX2 copy below is
  * a second generic copy, which the dispatch never picks. */
 #if defined(__x86_64__) || defined(__i386__)
@@ -166,21 +116,67 @@ static inline __attribute__((always_inline)) void path_update(
 #define CPU_HAS_AVX2() 0
 #endif
 
-/* The two copies of the update: one for the build's baseline instruction
- * set, and one compiled for AVX2 that only runs where the CPU has it. */
 #define UPDATE_PARAMS \
     double *restrict syn1, const int64_t *points, int64_t n, \
     const double *restrict g, double *restrict v, int64_t dims
 
-static void path_update_generic(UPDATE_PARAMS)
-{
-    path_update(syn1, points, n, g, v, dims);
-}
+/* The update of one (center, context) step: g holds the path's gradients
+ * and v is the context's row of syn0. One body, defined twice with the GCC
+ * vector type `vec`: each 8-double block of v and of neu is held in
+ * BLOCK / LANES vector locals, which stay in registers, and the path rows
+ * pass through it one at a time, in path order: load the row's block,
+ * neu += g * row, row += g * x, store the row. Then v = x + neu. Loads and
+ * stores go through memcpy, which makes no alignment or aliasing claim. A
+ * scalar g times a vector multiplies each lane by g, so every component
+ * sees the operations of the node-by-node loop, in its order. The remaining
+ * dims % 8 components run in a scalar loop. */
+#define DEFINE_PATH_UPDATE(name, attributes, vec)                              \
+    attributes static void name(UPDATE_PARAMS)                                 \
+    {                                                                          \
+        enum { LANES = sizeof(vec) / sizeof(double), NVEC = BLOCK / LANES };   \
+        int64_t d = 0;                                                         \
+        for (; d + BLOCK <= dims; d += BLOCK) {                                \
+            vec x[NVEC], neu[NVEC];                                            \
+            for (int k = 0; k < NVEC; k++) {                                   \
+                memcpy(&x[k], v + d + k * LANES, sizeof(vec));                 \
+                neu[k] = (vec){0};                                             \
+            }                                                                  \
+            for (int64_t p = 0; p < n; p++) {                                  \
+                double *row = syn1 + points[p] * dims + d;                     \
+                const double gp = g[p];                                        \
+                for (int k = 0; k < NVEC; k++) {                               \
+                    vec a;                                                     \
+                    memcpy(&a, row + k * LANES, sizeof(vec));                  \
+                    neu[k] += gp * a;                                          \
+                    a += gp * x[k];                                            \
+                    memcpy(row + k * LANES, &a, sizeof(vec));                  \
+                }                                                              \
+            }                                                                  \
+            for (int k = 0; k < NVEC; k++) {                                   \
+                const vec out = x[k] + neu[k];                                 \
+                memcpy(v + d + k * LANES, &out, sizeof(vec));                  \
+            }                                                                  \
+        }                                                                      \
+        for (; d < dims; d++) {                                                \
+            const double x = v[d];                                             \
+            double neu = 0.0;                                                  \
+            for (int64_t p = 0; p < n; p++) {                                  \
+                double *restrict l2 = syn1 + points[p] * dims + d;             \
+                neu += g[p] * *l2;                                             \
+                *l2 += g[p] * x;                                               \
+            }                                                                  \
+            v[d] = x + neu;                                                    \
+        }                                                                      \
+    }
 
-TARGET_AVX2 static void path_update_avx2(UPDATE_PARAMS)
-{
-    path_update(syn1, points, n, g, v, dims);
-}
+/* The two copies of the update: 16-byte vectors for the build's baseline
+ * instruction set, and 32-byte vectors compiled for AVX2, which only runs
+ * where the CPU has it. Each copy needs its own width: without AVX, gcc
+ * lowers a 32-byte vector into slow pieces. */
+typedef double vec2 __attribute__((vector_size(16)));
+typedef double vec4 __attribute__((vector_size(32)));
+DEFINE_PATH_UPDATE(path_update_generic, , vec2)
+DEFINE_PATH_UPDATE(path_update_avx2, TARGET_AVX2, vec4)
 
 #define TRAIN_PARAMS \
     double *restrict syn0, double *restrict syn1, double *restrict scratch, int64_t dims, \

@@ -210,18 +210,9 @@ def value(config_path: str, out_override: str | None, summary_mode: str, engine:
     """Leave-one-out session valuation: records, histogram and summary files."""
     rc, out_dir = _prepare(config_path, out_override)
     dataset, eval_log = _load_data(rc, out_dir)
-    session_ids = None  # cor always prices every session
-    if engine == "vr":
-        if rc.harness.sample is not None:
-            session_ids = rc.harness.sample.pick(dataset)
-        elif len(dataset.sessions) > rc.harness.vr_exhaustive_limit:
-            raise click.ClickException(
-                f"exhaustive VR leave-one-out over {len(dataset.sessions)} sessions is not "
-                f"tractable (limit {rc.harness.vr_exhaustive_limit}); configure harness.sample"
-            )
-    records = sensitivity.run_loo(
-        _engine(rc, engine), dataset, eval_log, rc.harness, jobs=jobs, session_ids=session_ids
-    )
+    eng = _engine(rc, engine)
+    session_ids = sensitivity.sessions_to_price(eng, dataset, rc.harness)
+    records = sensitivity.run_loo(eng, dataset, eval_log, rc.harness, jobs=jobs, session_ids=session_ids)
     hist = sensitivity.histogram(records, rc.harness)
     sensitivity.write_records_csv(records, out_dir / f"records_{engine}.csv")
     sensitivity.write_histogram_csv(hist, out_dir / f"histogram_{engine}.csv")

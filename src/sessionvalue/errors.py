@@ -60,6 +60,16 @@ class PlantFailedError(SessionValueError):
     """No verifiable toxic plant was found within the retry budget."""
 
 
+class ExhaustiveVrRefusedError(SessionValueError):
+    def __init__(self, n_sessions: int, limit: int):
+        self.n_sessions = n_sessions
+        self.limit = limit
+        super().__init__(
+            f"exhaustive VR leave-one-out over {n_sessions} sessions is not "
+            f"tractable (limit {limit}); configure harness.sample"
+        )
+
+
 class UndefinedBaselineError(SessionValueError):
     def __init__(self) -> None:
         super().__init__("baseline conversion rate is zero; relative change undefined")

@@ -32,7 +32,13 @@ from . import cor, embed
 from .atomic import write_csv
 from .cor import RecommendationList
 from .corpus import Dataset, EvalLog
-from .errors import EmptyVocabularyError, UndefinedBaselineError, UnknownSessionError, WorkerDiedError
+from .errors import (
+    EmptyVocabularyError,
+    ExhaustiveVrRefusedError,
+    UndefinedBaselineError,
+    UnknownSessionError,
+    WorkerDiedError,
+)
 from .kpi import EvalIndex, index_eval, rate_from_totals, totals
 
 log = logging.getLogger(__name__)
@@ -307,6 +313,21 @@ def _init_worker(base: _Baseline) -> None:
 
 def _price_in_worker(session_id: str) -> SensitivityRecord:
     return _price(_worker_baseline, session_id)
+
+
+def sessions_to_price(engine, dataset: Dataset, cfg: HarnessConfig) -> tuple[str, ...] | None:
+    """The ``session_ids`` that ``run_loo`` prices with ``engine``; None
+    prices every session. ``CorEngine`` prices every session. ``VrEngine``
+    prices ``cfg.sample`` when one is set; without one, every session up to
+    ``cfg.vr_exhaustive_limit`` sessions, and above it the run is refused
+    with ``ExhaustiveVrRefusedError``, because every delta is a full retrain."""
+    if not isinstance(engine, VrEngine):
+        return None
+    if cfg.sample is not None:
+        return cfg.sample.pick(dataset)
+    if len(dataset.sessions) > cfg.vr_exhaustive_limit:
+        raise ExhaustiveVrRefusedError(len(dataset.sessions), cfg.vr_exhaustive_limit)
+    return None
 
 
 def run_loo(

@@ -28,10 +28,9 @@ from .corpus import (
     EvalSession,
     Session,
     SECONDS_PER_DAY,
-    read_jsonl,
 )
 from .embed import Hyperparams
-from .errors import DatasetFormatError, PlantFailedError, UnknownSessionError
+from .errors import PlantFailedError, UnknownSessionError
 from .kpi import index_eval, rate_from_totals, totals
 from .sensitivity import CorEngine, VrEngine, diff_topk
 
@@ -419,15 +418,3 @@ def write_truth(truth: GroundTruth, path: str | Path) -> None:
     }
     write_jsonl(path, [doc])
 
-
-def _truth(doc) -> GroundTruth:
-    affinity = {(a, b): float(value) for a, b, value in doc["affinity"]}
-    planted = tuple((sid, PlantKind(kind)) for sid, kind in doc["planted"])
-    return GroundTruth(affinity=affinity, planted=planted)
-
-
-def read_truth(path: str | Path) -> GroundTruth:
-    truths = read_jsonl(path, "truth", _truth)
-    if len(truths) != 1:
-        raise DatasetFormatError(str(path), 1, f"a truth file holds one line, found {len(truths)}")
-    return truths[0]

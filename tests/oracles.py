@@ -15,17 +15,21 @@ initial rows it keeps between trainings.
 ``trajectories_rebuild`` is the lifecycle study with every frame's window
 rebuilt from scratch (``slice_days``, ``build_matrix``, ``all_top_k``); the
 package slides neighbour counts of the cohort's products instead.
+
+``read_truth`` reads back the ground-truth file that ``synthgen.write_truth``
+writes; only tests read it.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 from scipy.special import expit
 
 from sessionvalue.cor import CoocMatrix, RecommendationList, _rank, all_top_k, build_matrix
-from sessionvalue.corpus import Dataset, Session, slice_days
+from sessionvalue.corpus import Dataset, Session, read_jsonl, slice_days
 from sessionvalue.embed import (
     LR_FLOOR_FRACTION,
     EmbeddingModel,
@@ -37,8 +41,9 @@ from sessionvalue.embed import (
     _sentences,
     build_vocab,
 )
-from sessionvalue.errors import MatrixUnderflowError
+from sessionvalue.errors import DatasetFormatError, MatrixUnderflowError
 from sessionvalue.lifecycle import CvTrajectory, FramePlan, classify_impact, cv_score, ols
+from sessionvalue.synthgen import GroundTruth, PlantKind
 
 
 def remove_session(matrix: CoocMatrix, session: Session) -> CoocMatrix:
@@ -193,3 +198,16 @@ def trajectories_rebuild(dataset: Dataset, plan: FramePlan, k: int) -> list[CvTr
             impact=classify_impact(slope, intercept),
         ))
     return sorted(out, key=lambda t: t.session_id)
+
+
+def _truth(doc) -> GroundTruth:
+    affinity = {(a, b): float(value) for a, b, value in doc["affinity"]}
+    planted = tuple((sid, PlantKind(kind)) for sid, kind in doc["planted"])
+    return GroundTruth(affinity=affinity, planted=planted)
+
+
+def read_truth(path: str | Path) -> GroundTruth:
+    truths = read_jsonl(path, "truth", _truth)
+    if len(truths) != 1:
+        raise DatasetFormatError(str(path), 1, f"a truth file holds one line, found {len(truths)}")
+    return truths[0]

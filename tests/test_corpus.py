@@ -34,9 +34,9 @@ from sessionvalue.errors import (
     UnknownSessionError,
     UnsortedEventsError,
 )
-from sessionvalue.synthgen import read_truth
 
 from helpers import mk_catalog, mk_dataset, mk_session
+from oracles import read_truth
 
 
 def clicks_at(times, product="A"):

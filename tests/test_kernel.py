@@ -84,7 +84,8 @@ def longest_path(dataset, min_count: int) -> int:
 
 # Fibonacci frequencies make a caterpillar tree: the rarest products have paths
 # of n - 1 nodes, so the paths take every length from 1 to 15. That leaves every
-# remainder after the kernel's 8-node dot blocks and its 2-row update passes.
+# remainder after the kernel's 8-node dot blocks, and it runs paths of every
+# length through the update's vector registers.
 FIBONACCI = [1, 1]
 while len(FIBONACCI) < 16:
     FIBONACCI.append(FIBONACCI[-1] + FIBONACCI[-2])
@@ -183,22 +184,28 @@ class TestReferenceLoop:
         ),
         hyper=st.builds(
             Hyperparams,
-            # Below, at and around one and several 4-wide vectors and 8-wide
-            # update blocks.
-            dimensions=st.sampled_from([1, 3, 4, 5, 7, 8, 9, 12, 15, 16, 17, 20, 33]),
+            # Every tail length of an 8-double update block, below and above
+            # one block, and at one, two and four blocks.
+            dimensions=st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 20, 32, 33]),
             iterations=st.integers(1, 2),
             window=st.integers(1, 4),
             min_count=st.just(1),
             rng_seed=st.integers(0, 5),
         ),
     )
-    @example(sessions=CATERPILLAR, hyper=Hyperparams(dimensions=17, window=2, min_count=1))
     @example(sessions=CATERPILLAR, hyper=Hyperparams(dimensions=8, iterations=2, min_count=1))
     # A one-entry vocabulary: every path is empty and the scratch has no room.
     @example(sessions=[["A", "A", "A"], ["B"]], hyper=Hyperparams(dimensions=9, min_count=2))
     @example(sessions=CATERPILLAR, hyper=Hyperparams(dimensions=13, window=3, min_count=1))
     def test_matches_reference_bit_for_bit(self, reference_kernel, sessions, hyper):
         assert_bit_identical(reference_kernel, sessions_dataset(sessions), hyper, kernel_copy(self.copy))
+
+    @pytest.mark.parametrize("dimensions", [*range(1, 18), 33])
+    def test_caterpillar_every_block_tail(self, reference_kernel, dimensions):
+        """Each tail length of an 8-double block, below and above one block,
+        against paths of every length from 1 to 15."""
+        hyper = Hyperparams(dimensions=dimensions, window=2, min_count=1)
+        assert_bit_identical(reference_kernel, sessions_dataset(CATERPILLAR), hyper, kernel_copy(self.copy))
 
     def test_golden_benchmark_inputs(self, reference_kernel):
         hyper = load_run_config(CONFIG_DIR / "benchmark.yaml").hyper

@@ -6,13 +6,20 @@ import pytest
 from sessionvalue.cor import RecommendationList, all_top_k, build_matrix
 from sessionvalue.corpus import Dataset
 from sessionvalue.embed import Hyperparams
-from sessionvalue.errors import SessionValueError, UndefinedBaselineError, UnknownSessionError, WorkerDiedError
+from sessionvalue.errors import (
+    ExhaustiveVrRefusedError,
+    SessionValueError,
+    UndefinedBaselineError,
+    UnknownSessionError,
+    WorkerDiedError,
+)
 from sessionvalue.kpi import rate_from_totals
 from sessionvalue.sensitivity import (
     Constellation,
     CorEngine,
     HarnessConfig,
     OutputDiff,
+    SampleSpec,
     SensitivityRecord,
     VrEngine,
     classify,
@@ -21,6 +28,7 @@ from sessionvalue.sensitivity import (
     relative_cr_change,
     run_loo,
     session_value,
+    sessions_to_price,
     summarize,
     verify_stability,
 )
@@ -253,6 +261,35 @@ class TestRunCorLoo:
 
 
 VR_HYPER = Hyperparams(dimensions=8, iterations=1, min_count=5, rng_seed=3)
+
+
+class TestSessionsToPrice:
+    """Which sessions ``value`` prices: every one under ``cor``; under ``vr``
+    the sample, or every one up to ``vr_exhaustive_limit``."""
+
+    DATASET = mk_dataset([(f"s{i}", 0, ["A", "B"]) for i in range(5)])
+
+    def test_cor_prices_every_session_above_the_limit(self):
+        assert sessions_to_price(CorEngine(), self.DATASET, HarnessConfig(vr_exhaustive_limit=1)) is None
+
+    def test_vr_sample_is_priced_above_the_limit(self):
+        cfg = HarnessConfig(vr_exhaustive_limit=1, sample=SampleSpec(size=2, rng_seed=3))
+        picked = sessions_to_price(VrEngine(VR_HYPER), self.DATASET, cfg)
+        assert picked == cfg.sample.pick(self.DATASET)
+        assert len(picked) == 2
+
+    @pytest.mark.parametrize("limit", [5, 200])
+    def test_vr_without_sample_up_to_the_limit_prices_every_session(self, limit):
+        assert sessions_to_price(VrEngine(VR_HYPER), self.DATASET, HarnessConfig(vr_exhaustive_limit=limit)) is None
+
+    def test_vr_without_sample_over_the_limit_is_refused(self):
+        with pytest.raises(ExhaustiveVrRefusedError) as info:
+            sessions_to_price(VrEngine(VR_HYPER), self.DATASET, HarnessConfig(vr_exhaustive_limit=4))
+        assert isinstance(info.value, SessionValueError)
+        assert str(info.value) == (
+            "exhaustive VR leave-one-out over 5 sessions is not tractable (limit 4); "
+            "configure harness.sample"
+        )
 
 
 class TestRunVrLoo:

@@ -15,6 +15,7 @@ from sessionvalue.synthgen import (
     TOXIC_MIN_REL_GAIN,
     DuplicatePlantConfig,
     GenConfig,
+    GroundTruth,
     PlantKind,
     PlantsConfig,
     ToxicPlantConfig,
@@ -23,12 +24,12 @@ from sessionvalue.synthgen import (
     generate,
     plant_no_impact_duplicates,
     plant_toxic_session,
-    read_truth,
     synthesize,
     write_truth,
 )
 
-from helpers import mk_dataset, mk_eval
+from helpers import mk_catalog, mk_dataset, mk_eval
+from oracles import read_truth
 
 BASE = dict(
     n_products=30, n_categories_top=3, n_categories_fine=9,
@@ -167,6 +168,34 @@ class TestToxicPlant:
         empty_truth = type(truth)(affinity={}, planted=())
         with pytest.raises(PlantFailedError):
             plant_toxic_session(ds, ev, empty_truth, 1, HYPER, k=3)
+
+    def test_displacement_below_the_gain_is_rejected(self, monkeypatch):
+        # Only A is viewed. Its cor list is B (3 sessions), C (2) and z (1).
+        # The junk products j0-j3 are in the catalog, never clicked and never
+        # ordered, so each is a candidate: a plant ties it with z at one
+        # session, and it displaces z by id. z holds 1 of A's 1,201 orders, so
+        # the rate drops, but by 1/1,200, less than TOXIC_MIN_REL_GAIN.
+        ds = mk_dataset(
+            [(f"b{i}", 0, ["A", "B"]) for i in range(3)]
+            + [(f"c{i}", 0, ["A", "C"]) for i in range(2)]
+            + [("z", 0, ["A", "z", "z"])],
+            catalog=mk_catalog(["A", "B", "C", "j0", "j1", "j2", "j3", "z"]),
+        )
+        ev = mk_eval([(f"e{i:03d}", ["A"], ["B", "C", "z"] if i == 0 else ["B", "C"]) for i in range(600)])
+        base = all_top_k(build_matrix(ds), 3)
+        plant = synthgen._plant_session("toxic-000", "A", "j0", ds.max_day)
+        with_plant = all_top_k(build_matrix(Dataset(sessions=ds.sessions + (plant,), catalog=ds.catalog)), 3)
+        assert base["A"].product_ids == ("B", "C", "z")
+        assert with_plant["A"].product_ids == ("B", "C", "j0")
+        cr_base = conversion_rate(aggregate_pairs(base, ev))
+        cr_with = conversion_rate(aggregate_pairs(with_plant, ev))
+        assert 0 < (cr_base - cr_with) / cr_with < TOXIC_MIN_REL_GAIN
+        with pytest.raises(PlantFailedError, match="no verifiable toxic plant after 4 attempts"):
+            plant_toxic_session(ds, ev, GroundTruth(affinity={}), 1, HYPER, k=3)
+        # the gain alone rejects them: without it, the first candidate passes
+        monkeypatch.setattr(synthgen, "TOXIC_MIN_REL_GAIN", 0.0)
+        _, truth = plant_toxic_session(ds, ev, GroundTruth(affinity={}), 1, HYPER, k=3)
+        assert truth.planted == (("toxic-000", PlantKind.TOXIC),)
 
     def test_retry_budget_respected(self, monkeypatch):
         monkeypatch.setattr(synthgen, "TOXIC_RETRIES", 0)
