@@ -8,13 +8,21 @@
  *
  * These rules keep the model dump byte-identical to the numpy trainer
  * (tests/oracles.py) after rounding:
- *   - every dot product is a sequential sum;
+ *   - every dot product is summed in the lane order: lane k (k = 0..7) starts
+ *     at 0.0 and adds l2[d] * v[d] for every d = k (mod 8) below
+ *     dims - dims % 8, in increasing d; then
+ *     f = ((l0 + l4) + (l2 + l6)) + ((l1 + l5) + (l3 + l7)), and the
+ *     dims % 8 tail components are added one at a time, in d order. Below
+ *     8 dimensions this is a sequential sum;
  *   - neu is accumulated from a path row before that row is updated;
  *   - the logistic function is 1 / (1 + exp(-f));
  *   - the build disables floating-point contraction (no fused multiply-add)
  *     and never reassociates (no -ffast-math);
  *   - syn1 rows are updated in place, which is exact because a Huffman path
  *     never visits a node twice.
+ * The numpy trainer's matrix products (BLAS calls) sum in orders of their
+ * own, so the unrounded vectors of the two differ in the last bits, far below
+ * the rounding (tests/test_kernel.py measures how far).
  *
  * The reference trainer takes a (center, context) step node by node: dot,
  * gradient, then the update of neu and of the node's row. This loop does the
@@ -23,8 +31,8 @@
  *   - dots: the context vector v changes only once the whole path is done,
  *     each path row is read before it is written, and a path never repeats a
  *     node. So the dots f_p = l2_p . v of all path nodes are independent.
- *     path_dots sums up to 8 of them at once, each one still a sequential
- *     sum in d order;
+ *     The path's nodes go in groups that share each pass over v, and each
+ *     node's 8 lanes are vector locals;
  *   - gradients: g_p = alpha * (1 - code_p - 1 / (1 + exp(-f_p))), unchanged;
  *   - update: blocked over d, 8 components at a time plus a scalar tail. The
  *     block's 8 components of v and of neu stay in vector registers while
@@ -33,23 +41,28 @@
  *     As the rows are distinct, no node sees another node's update, which is
  *     the value the node-by-node loop reads too. Each row then takes
  *     l2_p[d] += g_p * v[d] from the unchanged v, and finally v[d] += neu[d].
- * tests/skipgram_reference.c keeps the node-by-node loop as the oracle that
- * tests/test_kernel.py compares bit for bit with this one.
+ * tests/skipgram_reference.c keeps the node-by-node loop, with the lane-order
+ * dot written as a plain scalar loop, as the oracle that tests/test_kernel.py
+ * compares bit for bit with this one.
  *
- * Measured with timing-only variants that skip one pass (one training at the
- * 60-day slice of the full.yaml shape, AVX2), the dots take about 45% of the
- * time and the update about 50%. The update is written once with GCC vector
- * types and defined twice: a generic copy with 16-byte vectors, four per
- * block, and a copy compiled with target("avx2") with 32-byte vectors, two
- * per block. sv_skipgram_train runs the AVX2 copy when
- * __builtin_cpu_supports says the CPU has AVX2, and the generic copy
- * otherwise; each is also exported as its own entry point. The dots stay
- * generic in both: an AVX2 build of them was slower, because each node's
- * sum is bound by the latency of its chain of adds. The bits are the same,
- * because target("avx2") does not enable FMA, -ffp-contract=off still holds,
- * and no sum is reassociated: a vector operation does the same IEEE
- * operation lane by lane, on the same operands in the same order. No -mavx2
- * or -march flag is used, so the build still runs on a CPU without AVX2.
+ * Both passes are written once with GCC vector types and defined three
+ * times: a generic copy with 16-byte vectors (four per 8-double block), a
+ * copy compiled with target("avx2") with 32-byte vectors (two per block) and
+ * a copy compiled with target("avx512f") with 64-byte vectors (one per
+ * block). The lane order is what adding vector halves gives, so the three
+ * copies compute the same bits. sv_skipgram_train runs the AVX-512 copy when
+ * __builtin_cpu_supports says the CPU has AVX-512F, else the AVX2 copy when
+ * it has AVX2, else the generic copy; each is also exported as its own entry
+ * point. The bits hold because -ffp-contract=off keeps every multiply and
+ * add apart in every copy (AVX-512F has fused multiply-add instructions, but
+ * nothing contracts into them) and no sum is reassociated: a vector
+ * operation does the same IEEE operation lane by lane, on the same operands
+ * in the same order.
+ * No -mavx2, -mavx512f or -march flag is used, so the build still runs on a
+ * CPU without them. Measured with timing-only variants that skip one pass
+ * (one training at the 60-day slice of the full.yaml shape, AVX2 and
+ * AVX-512 copies), the dots take about a quarter of the time and the update
+ * about two thirds.
  *
  * Layout: syn0 is n_entries x dims and syn1 is (n_entries - 1) x dims, both
  * row-major. Sentence s is tokens[sentence_offsets[s] .. sentence_offsets[s+1]).
@@ -65,64 +78,79 @@
 
 #define BLOCK 8
 
-/* f[p] = syn1[points[p]] . v for the first `width` nodes, one sequential sum
- * each, interleaved so that the `width` chains overlap. Inlined with a
- * constant width, the accumulators stay in registers. */
-static inline __attribute__((always_inline)) void dot_chains(
-    int width, const double *restrict syn1, const int64_t *points,
-    const double *restrict v, int64_t dims, double *restrict f)
-{
-    const double *row[BLOCK];
-    double acc[BLOCK];
-    for (int k = 0; k < width; k++) {
-        row[k] = syn1 + points[k] * dims;
-        acc[k] = 0.0;
-    }
-    for (int64_t d = 0; d < dims; d++)
-        for (int k = 0; k < width; k++)
-            acc[k] += row[k][d] * v[d];
-    for (int k = 0; k < width; k++)
-        f[k] = acc[k];
-}
-
-/* The dots of the whole path: blocks of 8 nodes, then the remaining 1 to 7
- * nodes in one pass, so that no node's sum waits alone on the latency of its
- * adds. */
-static void path_dots(
-    const double *restrict syn1, const int64_t *points, int64_t n,
-    const double *restrict v, int64_t dims, double *restrict f)
-{
-    int64_t p = 0;
-    for (; p + BLOCK <= n; p += BLOCK)
-        dot_chains(BLOCK, syn1, points + p, v, dims, f + p);
-    switch (n - p) {
-    case 7: dot_chains(7, syn1, points + p, v, dims, f + p); break;
-    case 6: dot_chains(6, syn1, points + p, v, dims, f + p); break;
-    case 5: dot_chains(5, syn1, points + p, v, dims, f + p); break;
-    case 4: dot_chains(4, syn1, points + p, v, dims, f + p); break;
-    case 3: dot_chains(3, syn1, points + p, v, dims, f + p); break;
-    case 2: dot_chains(2, syn1, points + p, v, dims, f + p); break;
-    case 1: dot_chains(1, syn1, points + p, v, dims, f + p); break;
-    }
-}
-
-/* AVX2 and the CPU check exist on x86 only. Elsewhere the AVX2 copy below is
- * a second generic copy, which the dispatch never picks. */
+/* AVX2, AVX-512 and the CPU checks exist on x86 only. Elsewhere the AVX2 and
+ * AVX-512 copies below are more generic copies, which the dispatch never
+ * picks. */
 #if defined(__x86_64__) || defined(__i386__)
 #define TARGET_AVX2 __attribute__((target("avx2")))
-#define CPU_HAS_AVX2() (__builtin_cpu_init(), __builtin_cpu_supports("avx2"))
+#define TARGET_AVX512 __attribute__((target("avx512f")))
+#define CPU_HAS(feature) (__builtin_cpu_init(), __builtin_cpu_supports(feature))
 #else
 #define TARGET_AVX2
-#define CPU_HAS_AVX2() 0
+#define TARGET_AVX512
+#define CPU_HAS(feature) 0
 #endif
+
+#define DOTS_PARAMS \
+    const double *restrict syn1, const int64_t *points, int64_t n, \
+    const double *restrict v, int64_t dims, double *restrict f
+
+/* f[p] = syn1[points[p]] . v for every node of the path, in the lane order:
+ * lane k of the BLOCK lanes starts at 0.0 and adds row[d] * v[d] for every
+ * d = k (mod BLOCK) below dims - dims % BLOCK, in increasing d; then
+ * f = ((l0 + l4) + (l2 + l6)) + ((l1 + l5) + (l3 + l7)), and the tail
+ * components are added one at a time, in d order. The lanes are BLOCK / LANES
+ * vector locals of the GCC vector type `vec`, so each copy adds the same
+ * operands in the same order whatever its width. NODES nodes share each pass
+ * over v, so that their chains of adds overlap; in the last group, the nodes
+ * past the path's end read the group's first row, and their sums are
+ * dropped. A pass holds NODES x NVEC accumulators and NVEC vectors of v:
+ * 4 nodes in the wider copies, 2 in the generic copy, where 4 would spill
+ * accumulators out of its 16 SSE registers. */
+#define DEFINE_PATH_DOTS(name, attributes, vec)                                \
+    attributes static void name(DOTS_PARAMS)                                   \
+    {                                                                          \
+        enum { LANES = sizeof(vec) / sizeof(double), NVEC = BLOCK / LANES };   \
+        enum { NODES = NVEC > 2 ? 2 : 4 };                                     \
+        const int64_t body = dims - dims % BLOCK;                              \
+        for (int64_t p = 0; p < n; p += NODES) {                               \
+            const double *row[NODES];                                          \
+            vec acc[NODES][NVEC];                                              \
+            for (int j = 0; j < NODES; j++) {                                  \
+                row[j] = syn1 + points[p + j < n ? p + j : p] * dims;          \
+                for (int k = 0; k < NVEC; k++)                                 \
+                    acc[j][k] = (vec){0};                                      \
+            }                                                                  \
+            for (int64_t d = 0; d < body; d += BLOCK) {                        \
+                vec x[NVEC];                                                   \
+                for (int k = 0; k < NVEC; k++)                                 \
+                    memcpy(&x[k], v + d + k * LANES, sizeof(vec));             \
+                for (int j = 0; j < NODES; j++)                                \
+                    for (int k = 0; k < NVEC; k++) {                           \
+                        vec a;                                                 \
+                        memcpy(&a, row[j] + d + k * LANES, sizeof(vec));       \
+                        acc[j][k] += a * x[k];                                 \
+                    }                                                          \
+            }                                                                  \
+            for (int j = 0; j < NODES && p + j < n; j++) {                     \
+                double l[BLOCK];                                               \
+                memcpy(l, acc[j], sizeof(l));                                  \
+                double s = ((l[0] + l[4]) + (l[2] + l[6]))                     \
+                         + ((l[1] + l[5]) + (l[3] + l[7]));                    \
+                for (int64_t d = body; d < dims; d++)                          \
+                    s += row[j][d] * v[d];                                     \
+                f[p + j] = s;                                                  \
+            }                                                                  \
+        }                                                                      \
+    }
 
 #define UPDATE_PARAMS \
     double *restrict syn1, const int64_t *points, int64_t n, \
     const double *restrict g, double *restrict v, int64_t dims
 
 /* The update of one (center, context) step: g holds the path's gradients
- * and v is the context's row of syn0. One body, defined twice with the GCC
- * vector type `vec`: each 8-double block of v and of neu is held in
+ * and v is the context's row of syn0. One body, defined three times with
+ * the GCC vector type `vec`: each 8-double block of v and of neu is held in
  * BLOCK / LANES vector locals, which stay in registers, and the path rows
  * pass through it one at a time, in path order: load the row's block,
  * neu += g * row, row += g * x, store the row. Then v = x + neu. Loads and
@@ -169,14 +197,20 @@ static void path_dots(
         }                                                                      \
     }
 
-/* The two copies of the update: 16-byte vectors for the build's baseline
- * instruction set, and 32-byte vectors compiled for AVX2, which only runs
- * where the CPU has it. Each copy needs its own width: without AVX, gcc
- * lowers a 32-byte vector into slow pieces. */
+/* The three copies of both passes: 16-byte vectors for the build's baseline
+ * instruction set, 32-byte vectors compiled for AVX2 and 64-byte vectors
+ * compiled for AVX-512, each of which only runs where the CPU has it. Each
+ * copy needs its own width: without AVX, gcc lowers a 32-byte vector into
+ * slow pieces. */
 typedef double vec2 __attribute__((vector_size(16)));
 typedef double vec4 __attribute__((vector_size(32)));
+typedef double vec8 __attribute__((vector_size(64)));
+DEFINE_PATH_DOTS(path_dots_generic, , vec2)
+DEFINE_PATH_DOTS(path_dots_avx2, TARGET_AVX2, vec4)
+DEFINE_PATH_DOTS(path_dots_avx512, TARGET_AVX512, vec8)
 DEFINE_PATH_UPDATE(path_update_generic, , vec2)
 DEFINE_PATH_UPDATE(path_update_avx2, TARGET_AVX2, vec4)
+DEFINE_PATH_UPDATE(path_update_avx512, TARGET_AVX512, vec8)
 
 #define TRAIN_PARAMS \
     double *restrict syn0, double *restrict syn1, double *restrict scratch, int64_t dims, \
@@ -187,10 +221,10 @@ DEFINE_PATH_UPDATE(path_update_avx2, TARGET_AVX2, vec4)
     syn0, syn1, scratch, dims, tokens, sentence_offsets, n_sentences, \
     points, one_minus_code, path_offsets, iterations, window, lr0, lr_floor
 
-/* The whole training with `update` as the update pass. Inlined into each
- * entry point below with a constant `update`, so that it makes a direct call. */
+/* The whole training with `dots` and `update` as its passes. Inlined into
+ * each entry point below with constant passes, so that it makes direct calls. */
 static inline __attribute__((always_inline)) void train(
-    void (*update)(UPDATE_PARAMS), TRAIN_PARAMS)
+    void (*dots)(DOTS_PARAMS), void (*update)(UPDATE_PARAMS), TRAIN_PARAMS)
 {
     const double budget = (double)(iterations * sentence_offsets[n_sentences]);
     int64_t processed = 0;
@@ -215,7 +249,7 @@ static inline __attribute__((always_inline)) void train(
                     if (j == i)
                         continue;
                     double *v = syn0 + sent[j] * dims;
-                    path_dots(syn1, path, n, v, dims, scratch);
+                    dots(syn1, path, n, v, dims, scratch);
                     for (int64_t p = 0; p < n; p++)
                         scratch[p] = alpha * (omc[p] - 1.0 / (1.0 + exp(-scratch[p])));
                     update(syn1, path, n, scratch, v, dims);
@@ -225,30 +259,46 @@ static inline __attribute__((always_inline)) void train(
     }
 }
 
-/* The training with each copy of the update. Both are exported, so that the
- * tests can compare each one with the reference loop. */
+/* The training with each copy of the passes. All three are exported, so that
+ * the tests can compare each one with the reference loop. */
 void sv_skipgram_train_generic(TRAIN_PARAMS)
 {
-    train(path_update_generic, TRAIN_ARGS);
+    train(path_dots_generic, path_update_generic, TRAIN_ARGS);
 }
 
 void sv_skipgram_train_avx2(TRAIN_PARAMS)
 {
-    train(path_update_avx2, TRAIN_ARGS);
+    train(path_dots_avx2, path_update_avx2, TRAIN_ARGS);
+}
+
+void sv_skipgram_train_avx512(TRAIN_PARAMS)
+{
+    train(path_dots_avx512, path_update_avx512, TRAIN_ARGS);
 }
 
 /* Whether this CPU runs AVX2 instructions. */
 int sv_skipgram_cpu_has_avx2(void)
 {
-    return CPU_HAS_AVX2() != 0;
+    return CPU_HAS("avx2") != 0;
+}
+
+/* Whether this CPU (and its operating system) runs AVX-512F instructions. */
+int sv_skipgram_cpu_has_avx512(void)
+{
+    return CPU_HAS("avx512f") != 0;
 }
 
 typedef void train_fn(TRAIN_PARAMS);
 
-/* The entry point that sv_skipgram_train runs on this CPU. */
+/* The entry point that sv_skipgram_train runs on this CPU: the widest copy
+ * it runs. */
 train_fn *sv_skipgram_pick(void)
 {
-    return sv_skipgram_cpu_has_avx2() ? sv_skipgram_train_avx2 : sv_skipgram_train_generic;
+    if (sv_skipgram_cpu_has_avx512())
+        return sv_skipgram_train_avx512;
+    if (sv_skipgram_cpu_has_avx2())
+        return sv_skipgram_train_avx2;
+    return sv_skipgram_train_generic;
 }
 
 void sv_skipgram_train(TRAIN_PARAMS)

@@ -11,9 +11,9 @@ vectors, so model dumps and rankings are byte-stable across runs.
 The training loop is the C function in ``_skipgram.c``, called once per
 training through ``ctypes``. It is compiled on first use with the pinned
 ``KERNEL_BUILD`` command into a per-user cache directory under the system
-temporary directory, and loaded once per process. Its update pass exists in a
-generic and an AVX2 copy with the same bits; each call runs the AVX2 copy
-where the CPU has AVX2.
+temporary directory, and loaded once per process. Its dot and update passes
+exist in a generic, an AVX2 and an AVX-512 copy with the same bits; each call
+runs the widest copy the CPU has.
 
 ``all_top_k_similar`` orders each seed's cosines with one ``np.lexsort`` on
 (cosine desc, product id asc); ``tests/oracles.py`` keeps the sort of

@@ -11,7 +11,13 @@
  *
  * These rules keep the model dump byte-identical to the numpy trainer
  * (tests/oracles.py) after rounding:
- *   - every dot product is a sequential sum;
+ *   - every dot product is summed in the lane order: lane k (k = 0..7) starts
+ *     at 0.0 and adds l2[d] * v[d] for every d = k (mod 8) below
+ *     dims - dims % 8, in increasing d; then
+ *     f = ((l0 + l4) + (l2 + l6)) + ((l1 + l5) + (l3 + l7)), and the
+ *     dims % 8 tail components are added one at a time, in d order. Here it
+ *     is a plain scalar loop over d with 8 accumulators, lane d % 8; the
+ *     production kernel holds the lanes in vectors;
  *   - neu is accumulated from a path row before that row is updated;
  *   - the logistic function is 1 / (1 + exp(-f));
  *   - the build disables floating-point contraction (no fused multiply-add)
@@ -36,6 +42,7 @@ void sv_skipgram_train(
     int64_t iterations, int64_t window, double lr0, double lr_floor)
 {
     const double budget = (double)(iterations * sentence_offsets[n_sentences]);
+    const int64_t body = dims - dims % 8;
     int64_t processed = 0;
     for (int64_t it = 0; it < iterations; it++) {
         for (int64_t s = 0; s < n_sentences; s++) {
@@ -59,8 +66,12 @@ void sv_skipgram_train(
                     memset(neu, 0, (size_t)dims * sizeof(double));
                     for (int64_t p = first; p < last; p++) {
                         double *l2 = syn1 + points[p] * dims;
-                        double f = 0.0;
-                        for (int64_t d = 0; d < dims; d++)
+                        double lane[8] = {0.0};
+                        for (int64_t d = 0; d < body; d++)
+                            lane[d % 8] += l2[d] * v[d];
+                        double f = ((lane[0] + lane[4]) + (lane[2] + lane[6]))
+                                 + ((lane[1] + lane[5]) + (lane[3] + lane[7]));
+                        for (int64_t d = body; d < dims; d++)
                             f += l2[d] * v[d];
                         const double g = alpha * (one_minus_code[p] - 1.0 / (1.0 + exp(-f)));
                         for (int64_t d = 0; d < dims; d++) {

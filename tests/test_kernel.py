@@ -37,10 +37,10 @@ GOLDEN = TESTS / "golden"
 SRC = TESTS.parent / "src"
 
 # The smallest unrounded distance to a rounding boundary must be at least this
-# multiple of the kernel-versus-numpy drift. Measured: 6.3e5 on the benchmark
-# training (margin 2.2e-9, drift 3.5e-15) and 3.7e8 on the smoke training
-# (margin 1.9e-7, drift 5.0e-16). At the full.yaml shape it is only about
-# 2,000 (margin 1.6e-10, drift 8.0e-14), so this is a floor for the golden
+# multiple of the kernel-versus-numpy drift. Measured: 6.2e5 on the benchmark
+# training (margin 2.2e-9, drift 3.6e-15) and 4.8e8 on the smoke training
+# (margin 1.9e-7, drift 3.9e-16). At the full.yaml shape it is only about
+# 1,500 (margin 1.6e-10, drift 1.1e-13), so this is a floor for the golden
 # trainings, not a bound for every input.
 MARGIN_OVER_DRIFT = 100_000
 
@@ -84,8 +84,8 @@ def longest_path(dataset, min_count: int) -> int:
 
 # Fibonacci frequencies make a caterpillar tree: the rarest products have paths
 # of n - 1 nodes, so the paths take every length from 1 to 15. That leaves every
-# remainder after the kernel's 8-node dot blocks, and it runs paths of every
-# length through the update's vector registers.
+# remainder after the kernel's groups of 2 or 4 dot nodes, and it runs paths of
+# every length through the update's vector registers.
 FIBONACCI = [1, 1]
 while len(FIBONACCI) < 16:
     FIBONACCI.append(FIBONACCI[-1] + FIBONACCI[-2])
@@ -110,31 +110,40 @@ def kernel_library() -> ctypes.CDLL:
     return ctypes.CDLL(str(embed._build(embed._cache_dir())))
 
 
+# The copies that need a CPU feature, with the flag ``__builtin_cpu_supports``
+# and ``/proc/cpuinfo`` name it by.
+CPU_FLAG = {"avx2": "avx2", "avx512": "avx512f"}
+
+
 def kernel_copy(name: str):
     """The production kernel's entry point with the ``name`` copy of the
-    update pass, typed like ``sv_skipgram_train``. The AVX2 copy is skipped
-    only where ``__builtin_cpu_supports`` says the CPU has no AVX2."""
+    dot and update passes, typed like ``sv_skipgram_train``. The AVX2 and
+    AVX-512 copies are skipped only where ``__builtin_cpu_supports`` says the
+    CPU lacks their feature."""
     library = kernel_library()
-    if name == "avx2" and not library.sv_skipgram_cpu_has_avx2():
-        pytest.skip("this CPU has no AVX2 (__builtin_cpu_supports), so the AVX2 copy cannot run")
+    if name in CPU_FLAG and not getattr(library, f"sv_skipgram_cpu_has_{name}")():
+        pytest.skip(f"this CPU has no {CPU_FLAG[name]} (__builtin_cpu_supports), so the {name} copy cannot run")
     kernel = getattr(library, f"sv_skipgram_train_{name}")
     kernel.argtypes = embed.load_kernel().argtypes
     kernel.restype = None
     return kernel
 
 
-def test_dispatch_runs_the_avx2_copy_on_an_avx2_cpu():
+def test_dispatch_runs_the_widest_copy_the_cpu_has():
     """``sv_skipgram_train`` runs the entry point ``sv_skipgram_pick``
-    returns: the AVX2 copy exactly where the CPU has AVX2."""
+    returns: the AVX-512 copy where the CPU has AVX-512F, else the AVX2 copy
+    where it has AVX2, else the generic copy; and each check agrees with the
+    CPU's flags in ``/proc/cpuinfo``."""
     library = kernel_library()
     library.sv_skipgram_pick.restype = ctypes.c_void_p
-    has_avx2 = library.sv_skipgram_cpu_has_avx2()
-    expected = library.sv_skipgram_train_avx2 if has_avx2 else library.sv_skipgram_train_generic
+    has = {name: bool(getattr(library, f"sv_skipgram_cpu_has_{name}")()) for name in CPU_FLAG}
+    picked = "avx512" if has["avx512"] else "avx2" if has["avx2"] else "generic"
+    expected = getattr(library, f"sv_skipgram_train_{picked}")
     assert library.sv_skipgram_pick() == ctypes.cast(expected, ctypes.c_void_p).value
     cpuinfo = Path("/proc/cpuinfo")
     if cpuinfo.is_file():
         flags = {f for line in cpuinfo.read_text().splitlines() if line.startswith("flags") for f in line.split()}
-        assert bool(has_avx2) == ("avx2" in flags)
+        assert has == {name: flag in flags for name, flag in CPU_FLAG.items()}
 
 
 def assert_bit_identical(reference, dataset, hyper: Hyperparams, kernel=None) -> None:
@@ -162,8 +171,8 @@ def assert_bit_identical(reference, dataset, hyper: Hyperparams, kernel=None) ->
 class TestReferenceLoop:
     """The generic copy of the interleaved kernel against the node-by-node
     loop it replaced: the unrounded vectors must agree bit for bit, not just
-    after rounding. ``TestReferenceLoopAvx2`` runs the same cases against the
-    AVX2 copy."""
+    after rounding. ``TestReferenceLoopAvx2`` and ``TestReferenceLoopAvx512``
+    run the same cases against the AVX2 and AVX-512 copies."""
 
     copy = "generic"
 
@@ -171,8 +180,8 @@ class TestReferenceLoop:
         max_examples=60,
         derandomize=True,
         deadline=None,
-        # Both classes run this method; derandomized, it keeps no replay
-        # database that the two could confuse.
+        # Three classes run this method; derandomized, it keeps no replay
+        # database that they could confuse.
         suppress_health_check=[HealthCheck.too_slow, HealthCheck.differing_executors],
     )
     @given(
@@ -184,8 +193,9 @@ class TestReferenceLoop:
         ),
         hyper=st.builds(
             Hyperparams,
-            # Every tail length of an 8-double update block, below and above
-            # one block, and at one, two and four blocks.
+            # Every tail length of an 8-double block (the dot lanes and the
+            # update), below and above one block, and at one, two and four
+            # blocks.
             dimensions=st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 20, 32, 33]),
             iterations=st.integers(1, 2),
             window=st.integers(1, 4),
@@ -216,9 +226,16 @@ class TestReferenceLoop:
 
 class TestReferenceLoopAvx2(TestReferenceLoop):
     """``TestReferenceLoop`` against the AVX2 copy, which the dispatch runs on
-    a CPU with AVX2."""
+    a CPU with AVX2 but without AVX-512F."""
 
     copy = "avx2"
+
+
+class TestReferenceLoopAvx512(TestReferenceLoop):
+    """``TestReferenceLoop`` against the AVX-512 copy, which the dispatch runs
+    on a CPU with AVX-512F."""
+
+    copy = "avx512"
 
 
 class TestEdges:
@@ -307,6 +324,14 @@ def test_wrong_dtype_cannot_reach_kernel(position):
 
 
 class TestBuild:
+    @pytest.mark.parametrize("source", [embed._SOURCE, TESTS / "skipgram_reference.c"], ids=lambda p: p.name)
+    def test_source_compiles_without_warnings(self, tmp_path, source):
+        """``KERNEL_BUILD`` with ``-Wall -Wextra -Werror`` builds both C
+        sources, so dead code such as an unused static function fails here."""
+        command = [*embed.KERNEL_BUILD, "-Wall", "-Wextra", "-Werror", str(source), "-lm", "-o", str(tmp_path / "out.so")]
+        done = subprocess.run(command, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+
     def test_cache_directory_is_private(self, tmp_path):
         cache = tmp_path / "cache"
         built = embed._build(cache)
