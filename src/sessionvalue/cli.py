@@ -4,7 +4,8 @@ Every command is driven by one YAML config (checked-in experiment recipes run
 as-is) and is idempotent: identical config and inputs produce byte-identical
 output files, regardless of ``--jobs``. The one exception is the measured
 ``cpu_seconds`` column of the curve table, which is machine- and run-dependent
-by nature.
+by nature. Each command prints its run summary to stdout as one JSON document
+(``atomic.json_text``).
 """
 
 from __future__ import annotations
@@ -59,10 +60,6 @@ def _common_options(fn):
         "--out", "out_override", default=None, type=click.Path(file_okay=False),
         help="Output directory (overrides the config's output_dir).",
     )(fn)
-    fn = click.option(
-        "--summary", "summary_mode", type=click.Choice(["text", "json"]), default="text",
-        help="Print the run summary as text or machine-readable JSON.",
-    )(fn)
     return fn
 
 
@@ -100,18 +97,10 @@ def _engine(rc: RunConfig, name: str):
     return CorEngine() if name == "cor" else VrEngine(hyper=rc.hyper)
 
 
-def _emit_summary(summary_mode: str, summary: dict, text_lines: list[str]) -> None:
-    if summary_mode == "json":
-        click.echo(json_text(summary), nl=False)
-    else:
-        for line in text_lines:
-            click.echo(line)
-
-
 @main.command()
 @_common_options
 @_wrap_errors
-def synth(config_path: str, out_override: str | None, summary_mode: str) -> None:
+def synth(config_path: str, out_override: str | None) -> None:
     """Generate the synthetic dataset, eval log and ground truth."""
     rc, out_dir = _prepare(config_path, out_override)
     if rc.synth is None:
@@ -122,30 +111,22 @@ def synth(config_path: str, out_override: str | None, summary_mode: str) -> None
     write_eval_log(eval_log, out_dir / "eval.jsonl")
     write_truth(truth, out_dir / "truth.json")
 
-    mean_len = kpi.mean(s.length for s in dataset.sessions)
     summary = {
         "n_sessions": len(dataset.sessions),
         "n_products": len(dataset.catalog.products),
-        "mean_session_length": mean_len,
+        "mean_session_length": kpi.mean(s.length for s in dataset.sessions),
         "n_eval_sessions": len(eval_log.sessions),
         "planted": [[sid, kind.value] for sid, kind in truth.planted],
         "out_dir": str(out_dir),
     }
-    _emit_summary(summary_mode, summary, [
-        f"sessions: {summary['n_sessions']}",
-        f"products: {summary['n_products']}",
-        f"mean session length: {mean_len:.3f}",
-        f"eval sessions: {summary['n_eval_sessions']}",
-        f"planted: {summary['planted']}",
-        f"wrote sessions.jsonl catalog.jsonl eval.jsonl truth.json to {out_dir}",
-    ])
+    click.echo(json_text(summary), nl=False)
 
 
 @main.command()
 @_common_options
 @click.option("--engine", type=click.Choice(["cor", "vr"]), required=True)
 @_wrap_errors
-def train(config_path: str, out_override: str | None, summary_mode: str, engine: str) -> None:
+def train(config_path: str, out_override: str | None, engine: str) -> None:
     """Train one recommender and write its canonical model dump."""
     rc, out_dir = _prepare(config_path, out_override)
     dataset, _ = _load_data(rc, out_dir, need_eval=False)
@@ -158,14 +139,14 @@ def train(config_path: str, out_override: str | None, summary_mode: str, engine:
         len(model.session_membership) if engine == "cor" else len(model.vocabulary)
     )
     summary = {"engine": engine, "n_products": n_products, "model_file": str(out_dir / filename)}
-    _emit_summary(summary_mode, summary, [f"{engine}: {n_products} products -> {out_dir / filename}"])
+    click.echo(json_text(summary), nl=False)
 
 
 @main.command()
 @_common_options
 @click.option("--engine", type=click.Choice(["cor", "vr"]), required=True)
 @_wrap_errors
-def recommend(config_path: str, out_override: str | None, summary_mode: str, engine: str) -> None:
+def recommend(config_path: str, out_override: str | None, engine: str) -> None:
     """Write the top-k lists of every seed product as CSV."""
     rc, out_dir = _prepare(config_path, out_override)
     dataset, _ = _load_data(rc, out_dir, need_eval=False)
@@ -178,25 +159,23 @@ def recommend(config_path: str, out_override: str | None, summary_mode: str, eng
         for rank, (product, score) in enumerate(topk[seed].items, start=1)
     ))
     summary = {"engine": engine, "n_seeds": len(topk), "recs_file": str(out_path)}
-    _emit_summary(summary_mode, summary, [f"{engine}: {len(topk)} seed lists -> {out_path}"])
+    click.echo(json_text(summary), nl=False)
 
 
 @main.command()
 @_common_options
 @_wrap_errors
-def stability(config_path: str, out_override: str | None, summary_mode: str) -> None:
+def stability(config_path: str, out_override: str | None) -> None:
     """Train each engine twice and verify byte-identical models (the stability gate)."""
     rc, out_dir = _prepare(config_path, out_override)
     dataset, _ = _load_data(rc, out_dir, need_eval=False)
-    results = {}
+    summary = {}
     for name in ("cor", "vr"):
         report = sensitivity.verify_stability(dataset, _engine(rc, name), rc.harness.k)
-        results[name] = {"stable": report.stable, "detail": report.detail}
-    write_json(out_dir / "stability.json", results)
-    _emit_summary(summary_mode, results, [
-        f"{name}: {'PASS' if results[name]['stable'] else 'FAIL'}" for name in ("cor", "vr")
-    ])
-    if not all(r["stable"] for r in results.values()):
+        summary[name] = {"stable": report.stable, "detail": report.detail}
+    write_json(out_dir / "stability.json", summary)
+    click.echo(json_text(summary), nl=False)
+    if not all(r["stable"] for r in summary.values()):
         raise click.ClickException("stability gate failed")
 
 
@@ -206,7 +185,7 @@ def stability(config_path: str, out_override: str | None, summary_mode: str) -> 
 @click.option("--jobs", default=1, show_default=True, type=click.IntRange(min=1),
               help="Worker processes pricing sessions in parallel.")
 @_wrap_errors
-def value(config_path: str, out_override: str | None, summary_mode: str, engine: str, jobs: int) -> None:
+def value(config_path: str, out_override: str | None, engine: str, jobs: int) -> None:
     """Leave-one-out session valuation: records, histogram and summary files."""
     rc, out_dir = _prepare(config_path, out_override)
     dataset, eval_log = _load_data(rc, out_dir)
@@ -219,18 +198,7 @@ def value(config_path: str, out_override: str | None, summary_mode: str, engine:
     summary = sensitivity.summarize(records)
     summary["engine"] = engine
     write_json(out_dir / f"summary_{engine}.json", summary)
-    counts = summary["constellations"]
-    _emit_summary(summary_mode, summary, [
-        f"records: {summary['n_records']}",
-        "constellations: " + " ".join(f"{name}={counts[name]}" for name in sorted(counts)),
-        (
-            "rel CR change: "
-            f"min={summary['rel_cr_change']['min']:.6f} "
-            f"mean={summary['rel_cr_change']['mean']:.6f} "
-            f"max={summary['rel_cr_change']['max']:.6f}"
-        ),
-        f"wrote records_{engine}.csv histogram_{engine}.csv summary_{engine}.json to {out_dir}",
-    ])
+    click.echo(json_text(summary), nl=False)
 
 
 def _check_cohort(dataset: Dataset, section: LifecycleSection) -> None:
@@ -250,7 +218,7 @@ def _check_cohort(dataset: Dataset, section: LifecycleSection) -> None:
 @main.command(name="lifecycle")
 @_common_options
 @_wrap_errors
-def lifecycle_cmd(config_path: str, out_override: str | None, summary_mode: str) -> None:
+def lifecycle_cmd(config_path: str, out_override: str | None) -> None:
     """Rolling-window CV trajectories and impact-class statistics."""
     rc, out_dir = _prepare(config_path, out_override)
     dataset, _ = _load_data(rc, out_dir, need_eval=False)
@@ -263,17 +231,13 @@ def lifecycle_cmd(config_path: str, out_override: str | None, summary_mode: str)
         "cohort_size": stats.cohort_size,
         "classes": {row.impact.value: row.n_sessions for row in stats.rows},
     }
-    _emit_summary(summary_mode, summary, [
-        f"cohort: {stats.cohort_size} sessions",
-        "classes: " + " ".join(f"{row.impact.value}={row.n_sessions}" for row in stats.rows),
-        f"wrote trajectories.csv lifecycle_stats.csv to {out_dir}",
-    ])
+    click.echo(json_text(summary), nl=False)
 
 
 @main.command(name="curve")
 @_common_options
 @_wrap_errors
-def curve_cmd(config_path: str, out_override: str | None, summary_mode: str) -> None:
+def curve_cmd(config_path: str, out_override: str | None) -> None:
     """Learning-curve KPI table and feature-scaled plot data."""
     rc, out_dir = _prepare(config_path, out_override)
     if rc.curve is None:
@@ -294,11 +258,7 @@ def curve_cmd(config_path: str, out_override: str | None, summary_mode: str) -> 
             for row in rows
         ]
     }
-    _emit_summary(summary_mode, summary, [
-        f"{row.days:>4} days: {row.n_sessions} sessions, "
-        f"{row.n_products} products, snp={row.snp:.4f}, cr={row.cr:.6f}"
-        for row in rows
-    ] + [f"wrote curve_table.csv curve_scaled.csv to {out_dir}"])
+    click.echo(json_text(summary), nl=False)
 
 
 if __name__ == "__main__":

@@ -48,10 +48,6 @@ class CoocMatrix:
     counts: dict[Pair, int] = field(default_factory=dict)
     session_membership: dict[str, int] = field(default_factory=dict)
 
-    @property
-    def products(self) -> frozenset[str]:
-        return frozenset(self.session_membership)
-
     def count(self, a: str, b: str) -> int:
         return self.counts.get(product_pair(a, b), 0)
 

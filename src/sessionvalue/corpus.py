@@ -128,9 +128,6 @@ class Catalog:
         for product, path in self.paths.items():
             validate_category_path(product, path)
 
-    def __contains__(self, product: str) -> bool:
-        return product in self.paths
-
     def path(self, product: str) -> tuple[str, ...]:
         try:
             return self.paths[product]
@@ -165,13 +162,6 @@ class Dataset:
     @cached_property
     def by_id(self) -> dict[str, Session]:
         return {s.session_id: s for s in self.sessions}
-
-    @cached_property
-    def products(self) -> frozenset[str]:
-        out: set[str] = set()
-        for s in self.sessions:
-            out |= s.unique_products
-        return frozenset(out)
 
     @property
     def min_day(self) -> int:

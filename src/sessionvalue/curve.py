@@ -29,7 +29,6 @@ class CurvePlan:
     hyper: embed.Hyperparams
     end_day: int | None = None  # None: the dataset's last day
     k: int = 5
-    correction_c: float = 1.0
     unit_value: float = 1.0
 
     def __post_init__(self) -> None:
@@ -41,8 +40,6 @@ class CurvePlan:
             raise ValueError("day_grid must be strictly ascending")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.correction_c <= 0:
-            raise ValueError(f"correction_c must be > 0, got {self.correction_c}")
         if self.unit_value <= 0:
             raise ValueError(f"unit_value must be > 0, got {self.unit_value}")
 
@@ -81,7 +78,7 @@ def run_curve(dataset: Dataset, eval_log: EvalLog, plan: CurvePlan) -> list[Curv
         cpu_seconds = time.process_time() - started
 
         recs = embed.all_top_k_similar(model, plan.k)
-        cr = kpi.rate_from_totals(*kpi.totals(eval_index, recs), plan.correction_c)
+        cr = kpi.rate_from_totals(*kpi.totals(eval_index, recs))
         n_products = len(model.vocabulary)
         total_revenue = kpi.revenue(n_products, cr, plan.unit_value)
         added = [s for s in sliced.sessions if s.session_id not in prev_session_ids]

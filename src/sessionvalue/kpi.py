@@ -102,23 +102,21 @@ def aggregate_pairs(recs: Mapping[str, RecommendationList], eval_log: EvalLog) -
     return PairCounts(counts=acc)
 
 
-def conversion_rate(pairs: PairCounts, c: float = 1.0) -> float:
-    """Total orders over total views, scaled by the correction constant ``c``."""
-    return rate_from_totals(pairs.total_ordered(), pairs.total_views(), c)
+def conversion_rate(pairs: PairCounts) -> float:
+    """Total orders over total views."""
+    return rate_from_totals(pairs.total_ordered(), pairs.total_views())
 
 
-def rate_from_totals(n_ordered: int, n_views: int, c: float = 1.0) -> float:
-    """``n_ordered / n_views`` scaled by the correction constant ``c``.
+def rate_from_totals(n_ordered: int, n_views: int) -> float:
+    """``n_ordered / n_views``.
 
     Zero total views is not an error: the rate is reported as 0.0 and flagged
     via a warning (there is nothing to convert).
     """
-    if c <= 0:
-        raise ValueError(f"correction constant c must be > 0, got {c}")
     if n_views == 0:
         log.warning("conversion rate has zero views; reporting 0.0")
         return 0.0
-    return n_ordered / n_views * c
+    return n_ordered / n_views
 
 
 def revenue(n_products: int, cr: float, unit_value: float = 1.0) -> float:

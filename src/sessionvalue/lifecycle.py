@@ -25,7 +25,7 @@ log = logging.getLogger(__name__)
 
 # The classification rule's "= 0" is exact-arithmetic language; floating OLS
 # needs a tolerance.
-DEFAULT_EPS = 1e-9
+EPS = 1e-9
 
 
 class Impact(Enum):
@@ -99,16 +99,12 @@ def ols(scores: Sequence[float]) -> tuple[float, float]:
     return float(fit.slope), float(fit.intercept)
 
 
-def classify_impact(slope: float, intercept: float, eps: float = DEFAULT_EPS) -> Impact:
-    if eps < 0:
-        raise ValueError(f"eps must be >= 0, got {eps}")
-    if abs(slope) <= eps:
-        if abs(intercept) <= eps:
-            return Impact.NO_IMPACT
-        if intercept > eps:
+def classify_impact(slope: float, intercept: float) -> Impact:
+    if abs(slope) <= EPS:
+        if intercept > EPS:
             return Impact.STABLE
-        return Impact.NO_IMPACT  # negative intercept with flat slope: no visibility
-    if slope > eps:
+        return Impact.NO_IMPACT  # zero or negative intercept with flat slope: no visibility
+    if slope > EPS:
         return Impact.INCREASING
     return Impact.DECREASING
 

@@ -31,7 +31,7 @@ import numpy as np
 from . import cor, embed
 from .atomic import write_csv
 from .cor import RecommendationList
-from .corpus import Dataset, EvalLog
+from .corpus import Dataset, EvalLog, leave_one_out
 from .errors import (
     EmptyVocabularyError,
     ExhaustiveVrRefusedError,
@@ -179,9 +179,8 @@ class VrEngine:
         return embed.all_top_k_similar(model, k)
 
     def delta_lists(self, base_model, base_topk, dataset: Dataset, session_id: str, k: int):
-        kept = tuple(s for s in dataset.sessions if s.session_id != session_id)
         try:
-            model = embed.train(Dataset(sessions=kept, catalog=dataset.catalog), self.hyper)
+            model = embed.train(leave_one_out(dataset, session_id).materialized, self.hyper)
         except EmptyVocabularyError:
             return {seed: None for seed in base_topk}
         lists = self.top_k_map(model, k)

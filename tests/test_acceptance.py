@@ -172,8 +172,7 @@ def test_rate_and_heterogeneity_formulas():
     pairs = aggregate_pairs(recs, eval_log)
     assert pairs.counts[("A", "B")] == (3, 1)
     assert pairs.counts[("A", "C")] == (3, 1)
-    assert conversion_rate(pairs, c=1.0) == 2 / 6
-    assert conversion_rate(pairs, c=3.0) == 2 / 6 * 3.0
+    assert conversion_rate(pairs) == 2 / 6
 
     catalog = mk_catalog([], paths={"A": ("cat1",), "B": ("cat1",), "C": ("cat2",)})
     session = mk_session("s", ["A", "B", "C"])

@@ -97,6 +97,29 @@ def read_bytes(directory: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir()) if p.is_file()}
 
 
+@pytest.mark.parametrize("command", [
+    ["synth"],
+    ["train", "--engine", "cor"],
+    ["recommend", "--engine", "vr"],
+    ["stability"],
+    ["value", "--engine", "cor"],
+    ["lifecycle"],
+    ["curve"],
+], ids=lambda command: command[0])
+def test_stdout_is_one_json_document(workspace, runner, command):
+    """Every command prints its run summary, and nothing else, as one JSON
+    object; ``value`` prints the bytes of its summary file."""
+    config, out = workspace
+    result = runner.invoke(main, command + ["--config", str(config), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    summary = json.loads(result.stdout)
+    assert isinstance(summary, dict) and summary
+    if command[0] == "synth":
+        assert summary["n_sessions"] == 50
+    if command[0] == "value":
+        assert result.stdout_bytes == (out / "summary_cor.json").read_bytes()
+
+
 class TestSynth:
     def test_writes_all_files(self, workspace):
         _, out = workspace
@@ -124,15 +147,6 @@ class TestSynth:
         result = runner.invoke(main, ["synth", "--config", str(config), "--out", str(tmp_path / "o")])
         assert result.exit_code != 0
         assert "bogus_section" in result.output
-
-    def test_summary_json_mode(self, workspace, runner):
-        config, out = workspace
-        result = runner.invoke(
-            main, ["synth", "--config", str(config), "--out", str(out), "--summary", "json"]
-        )
-        assert result.exit_code == 0
-        summary = json.loads(result.output)
-        assert summary["n_sessions"] == 50
 
     def test_invalidated_duplicate_plant_exits_1(self, runner, tmp_path, monkeypatch):
         check = synthgen.duplicates_still_no_impact
@@ -176,9 +190,9 @@ class TestStability:
         config, out = workspace
         result = runner.invoke(main, ["stability", "--config", str(config), "--out", str(out)])
         assert result.exit_code == 0, result.output
-        assert result.output.count("PASS") == 2
-        report = json.loads((out / "stability.json").read_text())
-        assert report["cor"]["stable"] and report["vr"]["stable"]
+        summary = json.loads(result.stdout)
+        assert summary["cor"]["stable"] and summary["vr"]["stable"]
+        assert json.loads((out / "stability.json").read_text()) == summary
 
 
 class TestValue:
@@ -193,14 +207,6 @@ class TestValue:
         assert sum(summary["constellations"].values()) == 50
         with open(out / "records_cor.csv") as fh:
             assert len(list(csv.DictReader(fh))) == 50
-
-    def test_summary_json_prints_the_summary_file(self, workspace, runner):
-        config, out = workspace
-        result = runner.invoke(main, [
-            "value", "--config", str(config), "--out", str(out), "--engine", "cor", "--summary", "json",
-        ])
-        assert result.exit_code == 0, result.output
-        assert result.stdout_bytes == (out / "summary_cor.json").read_bytes()
 
     def test_dead_worker_is_one_error_line(self, workspace, runner, monkeypatch):
         config, out = workspace

@@ -106,14 +106,13 @@ class TestOutOfRangeRejectedAtLoad:
         ("  neutral_band: 0.0005\n", "  neutral_band: 0.0005\n  bin_width: 0\n", "harness.bin_width"),
         ("  revenue_base: 1000000.0\n", "  revenue_base: -1.0\n", "harness.revenue_base"),
         ("  revenue_base: 1000000.0\n", "  revenue_base: 0\n", "harness.revenue_base"),
-        ("  vr_exhaustive_limit: 100\n", "  vr_exhaustive_limit: -5\n", "harness.vr_exhaustive_limit"),
+        ("  sample:\n", "  vr_exhaustive_limit: -5\n  sample:\n", "harness.vr_exhaustive_limit"),
         ("  n_frames: 2\n  k: 5\n", "  n_frames: 2\n  k: 0\n", "lifecycle.k"),
         ("lifecycle:\n", "lifecycle:\n  hr_level: -1\n", "lifecycle.hr_level"),
         ("    rng_seed: 3\n", "    rng_seed: -1\n", "harness.sample.rng_seed"),
         ("  day_grid: [2, 3]\n  k: 5\n", "  day_grid: [2, 3]\n  k: 0\n", "curve.k"),
         ("  day_grid: [2, 3]\n", "  day_grid: [3, 2]\n", "curve.day_grid"),
         ("curve:\n", "plants:\n  duplicates:\n    copies: 1\ncurve:\n", "plants.duplicates.copies"),
-        ("  day_grid: [2, 3]\n", "  day_grid: [2, 3]\n  correction_c: 0\n", "curve.correction_c"),
         ("  day_grid: [2, 3]\n", "  day_grid: [2, 3]\n  unit_value: 0\n", "curve.unit_value"),
     ])
     def test_key_named(self, tmp_path, old, new, key):
@@ -142,6 +141,7 @@ class TestMessagesNameTheKey:
         ("synth:\n  n_products: 5\n", "'synth': missing required keys: n_categories_top, .*, days, rng_seed"),
         ("output_dir: 5\n", "'output_dir': expected str, got int"),
         ("paths:\n  truth: elsewhere/truth.json\n", "'paths.truth': unknown key"),
+        ("curve:\n  day_grid: [1, 2]\n  correction_c: 1.0\n", "'curve.correction_c': unknown key"),
     ])
     def test_rejected(self, tmp_path, text, message):
         with pytest.raises(ConfigError, match=message):

@@ -27,13 +27,13 @@ class TestBuildMatrix:
     def test_empty_dataset(self):
         ds = Dataset(sessions=(), catalog=mk_catalog([]))
         m = build_matrix(ds)
-        assert m.counts == {} and m.products == frozenset()
+        assert m.counts == {} and m.session_membership == {}
 
     def test_no_self_pairs(self):
         ds = mk_dataset([("1", 0, ["A", "A"])])
         m = build_matrix(ds)
         assert m.counts == {}
-        assert m.products == {"A"}
+        assert m.session_membership == {"A": 1}
 
     def test_order_free(self):
         specs = [("1", 0, ["A", "B"]), ("2", 0, ["B", "C"]), ("3", 1, ["A", "C", "B"])]
@@ -55,8 +55,8 @@ class TestRemoveSession:
         m = build_matrix(ds)
         out = remove_session(m, ds.by_id["1"])
         assert ("A", "C") not in out.counts
-        assert "C" not in out.products
-        assert "A" in out.products  # still held by session 2
+        assert "C" not in out.session_membership
+        assert out.session_membership["A"] == 1  # still held by session 2
 
     def test_underflow_detected(self):
         ds = mk_dataset([("1", 0, ["A", "B"])])
@@ -132,7 +132,7 @@ class TestAllTopK:
             ds, _, _ = generate(cfg)
             m = build_matrix(ds)
             out = all_top_k(m, 3)
-            for seed_product in m.products:
+            for seed_product in m.session_membership:
                 assert out[seed_product] == top_k(m, seed_product, 3)
 
     def test_empty_matrix(self):

@@ -67,29 +67,16 @@ class TestAggregatePairs:
 class TestConversionRate:
     def test_direct_formula(self):
         pairs = PairCounts(counts={("A", "B"): (100, 5)})
-        assert conversion_rate(pairs, c=1.0) == 0.05
+        assert conversion_rate(pairs) == 0.05
 
     def test_all_zero_orders(self):
         pairs = PairCounts(counts={("A", "B"): (10, 0)})
         assert conversion_rate(pairs) == 0.0
 
-    def test_linear_in_c(self):
-        pairs = PairCounts(counts={("A", "B"): (40, 3), ("A", "C"): (60, 2)})
-        assert conversion_rate(pairs, c=2.0) == 2.0 * conversion_rate(pairs, c=1.0)
-
     def test_zero_views_flagged_not_thrown(self, caplog):
         with caplog.at_level(logging.WARNING):
             assert conversion_rate(PairCounts(counts={})) == 0.0
         assert any("zero views" in rec.message for rec in caplog.records)
-
-    def test_c_validation(self):
-        with pytest.raises(ValueError):
-            conversion_rate(PairCounts(counts={}), c=0)
-
-    def test_bounded_by_c(self):
-        pairs = PairCounts(counts={("A", "B"): (7, 7), ("B", "C"): (3, 1)})
-        c = 1.7
-        assert 0.0 <= conversion_rate(pairs, c=c) <= c
 
     def test_rate_depends_only_on_ranked_ids(self):
         # two models with identical lists but different scores: bitwise-equal CR
@@ -124,21 +111,19 @@ ALTS = VIEWED + "UV"
         ),
         max_size=6,
     ),
-    c=st.floats(min_value=0.01, max_value=10.0),
 )
 @example(
     lists={"A": ["B", "U"], "B": None, "G": ["A"]},
     evals=[(["A", "B"], ["B"]), (["A"], [])],
-    c=1.0,
 )
-def test_totals_match_aggregate_pairs_oracle(lists, evals, c):
+def test_totals_match_aggregate_pairs_oracle(lists, evals):
     """The production rate path equals the per-pair oracle, bit for bit."""
     recs = {seed: None if alts is None else rl(seed, alts) for seed, alts in lists.items()}
     eval_log = mk_eval([(f"e{i}", viewed, ordered) for i, (viewed, ordered) in enumerate(evals)])
     pairs = aggregate_pairs(recs, eval_log)
     got = totals(index_eval(eval_log), recs)
     assert got == (pairs.total_ordered(), pairs.total_views())
-    assert rate_from_totals(*got, c).hex() == conversion_rate(pairs, c).hex()
+    assert rate_from_totals(*got).hex() == conversion_rate(pairs).hex()
 
 
 class TestRevenue:

@@ -97,10 +97,6 @@ class TestClassifyImpact:
         assert classify_impact(5e-10, 5e-10) is Impact.NO_IMPACT
         assert classify_impact(5e-10, 2.0) is Impact.STABLE
 
-    def test_eps_validation(self):
-        with pytest.raises(ValueError):
-            classify_impact(0.0, 0.0, eps=-1.0)
-
 
 class TestTrajectories:
     def test_static_data_constant_series(self):
