@@ -88,34 +88,66 @@ class ClickEvent:
         validate_product_id(self.product)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Session:
-    """Chronologically ordered product-page clicks of one user visit."""
+    """Chronologically ordered product-page clicks of one user visit.
+
+    The clicks are held as two parallel columns, ``times`` and ``products``;
+    ``clicks`` derives the ``ClickEvent`` view from them. Both constructors,
+    ``Session(session_id, clicks)`` and ``Session.from_columns``, run the
+    same checks with the same messages as ``ClickEvent``'s.
+    """
 
     session_id: str
-    clicks: tuple[ClickEvent, ...]
+    times: tuple[int, ...]
+    products: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.session_id, str) or not self.session_id:
-            raise ValueError(f"session_id must be a non-empty string, got {self.session_id!r}")
-        if not self.clicks:
-            raise ValueError(f"session {self.session_id!r} has no clicks")
-        for i in range(1, len(self.clicks)):
-            if self.clicks[i].t < self.clicks[i - 1].t:
+    def __init__(self, session_id: str, clicks: Iterable[ClickEvent]) -> None:
+        clicks = tuple(clicks)
+        self._fill(session_id, tuple(c.t for c in clicks), tuple(c.product for c in clicks))
+
+    @classmethod
+    def from_columns(cls, session_id: str, times: Iterable[int], products: Iterable[str]) -> Session:
+        session = cls.__new__(cls)
+        session._fill(session_id, tuple(times), tuple(products))
+        return session
+
+    def _fill(self, session_id: str, times: tuple[int, ...], products: tuple[str, ...]) -> None:
+        if not isinstance(session_id, str) or not session_id:
+            raise ValueError(f"session_id must be a non-empty string, got {session_id!r}")
+        if not times:
+            raise ValueError(f"session {session_id!r} has no clicks")
+        if len(products) != len(times):
+            raise ValueError(f"session {session_id!r} has {len(times)} times but {len(products)} products")
+        previous = 0
+        for i, t in enumerate(times):
+            if type(t) is not int:  # exact: a bool, float or string time is refused
+                raise TypeError(f"click timestamp must be an integer, got {t!r}")
+            if t < previous:
+                if t < 0:
+                    raise ValueError(f"click timestamp must be >= 0, got {t}")
                 raise UnsortedEventsError(i)
+            previous = t
+        try:
+            first_seen = dict.fromkeys(products)
+        except TypeError:  # an unhashable product: refuse the first invalid one as ClickEvent would
+            first_seen = dict.fromkeys(map(validate_product_id, products))
+        for product in first_seen:
+            validate_product_id(product)
+        setattr_ = object.__setattr__
+        setattr_(self, "session_id", session_id)
+        setattr_(self, "times", times)
+        setattr_(self, "products", products)
+        setattr_(self, "day", times[0] // SECONDS_PER_DAY)  # a session never straddles day buckets
+        setattr_(self, "unique_products", frozenset(first_seen))
 
     @property
-    def day(self) -> int:
-        """Day bucket of the first click; a session never straddles buckets."""
-        return self.clicks[0].t // SECONDS_PER_DAY
+    def clicks(self) -> tuple[ClickEvent, ...]:
+        return tuple(ClickEvent(t=t, product=p) for t, p in zip(self.times, self.products))
 
     @property
     def length(self) -> int:
-        return len(self.clicks)
-
-    @cached_property
-    def unique_products(self) -> frozenset[str]:
-        return frozenset(c.product for c in self.clicks)
+        return len(self.times)
 
 
 @dataclass(frozen=True)
@@ -154,7 +186,7 @@ class Dataset:
 
     def __post_init__(self) -> None:
         validate_unique_ids(self.sessions)
-        require_in_catalog((p for s in self.sessions for p in s.unique_products), self.catalog)
+        require_in_catalog(frozenset().union(*(s.unique_products for s in self.sessions)), self.catalog)
 
     def __len__(self) -> int:
         return len(self.sessions)
@@ -272,7 +304,7 @@ def read_jsonl(path: str | Path, what: str, parse: Callable[[Any], Any]) -> list
 
 def write_sessions(sessions: Iterable[Session], path: str | Path) -> None:
     write_jsonl(path, (
-        {"session_id": s.session_id, "clicks": [{"t": c.t, "p": c.product} for c in s.clicks]}
+        {"session_id": s.session_id, "clicks": [{"t": t, "p": p} for t, p in zip(s.times, s.products)]}
         for s in sessions
     ))
 
@@ -292,8 +324,8 @@ def _unique_ids(parse: Callable[[Any], Any]) -> Callable[[Any], Any]:
 
 
 def _session(doc: Any) -> Session:
-    clicks = tuple(ClickEvent(t=c["t"], product=c["p"]) for c in doc["clicks"])
-    return Session(session_id=doc["session_id"], clicks=clicks)
+    clicks = doc["clicks"]
+    return Session.from_columns(doc["session_id"], [c["t"] for c in clicks], [c["p"] for c in clicks])
 
 
 def read_sessions(path: str | Path) -> list[Session]:

@@ -168,8 +168,8 @@ def build_vocab(dataset: Dataset, min_count: int) -> Vocabulary:
     """Token-level frequencies (repeated clicks count) filtered at ``min_count``."""
     freq: dict[str, int] = {}
     for session in dataset.sessions:
-        for click in session.clicks:
-            freq[click.product] = freq.get(click.product, 0) + 1
+        for product in session.products:
+            freq[product] = freq.get(product, 0) + 1
     kept = [(p, f) for p, f in freq.items() if f >= min_count]
     if not kept:
         raise EmptyVocabularyError(min_count)
@@ -291,7 +291,7 @@ def _offsets(lengths: list[int]) -> np.ndarray:
 def _sentences(dataset: Dataset, vocab: Vocabulary) -> list[list[int]]:
     """Each session's clicks as vocabulary indices, tokens below min_count dropped."""
     index = vocab.index
-    return [[index[c.product] for c in s.clicks if c.product in index] for s in dataset.sessions]
+    return [[index[p] for p in s.products if p in index] for s in dataset.sessions]
 
 
 def _fit(dataset: Dataset, hyper: Hyperparams) -> tuple[Vocabulary, np.ndarray]:

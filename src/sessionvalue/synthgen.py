@@ -22,7 +22,6 @@ from .atomic import write_jsonl
 from .cor import all_top_k, build_matrix, session_top_k
 from .corpus import (
     Catalog,
-    ClickEvent,
     Dataset,
     EvalLog,
     EvalSession,
@@ -215,8 +214,7 @@ def generate(config: GenConfig) -> tuple[Dataset, EvalLog, GroundTruth]:
         start = day * SECONDS_PER_DAY + int(train_rng.integers(0, 75_000))
         gaps = train_rng.integers(1, 181, size=max(length - 1, 0))
         ts = start + np.concatenate(([0], np.cumsum(gaps))) if length > 1 else np.array([start])
-        clicks = tuple(ClickEvent(t=int(ts[j]), product=products[steps[j]]) for j in range(length))
-        raw_sessions.append(Session(session_id=f"s{i:06d}", clicks=clicks))
+        raw_sessions.append(Session.from_columns(f"s{i:06d}", ts.tolist(), [products[j] for j in steps]))
     raw_sessions.sort(key=lambda s: (s.day, s.session_id))
     dataset = Dataset(sessions=tuple(raw_sessions), catalog=catalog)
 
@@ -254,11 +252,8 @@ def generate(config: GenConfig) -> tuple[Dataset, EvalLog, GroundTruth]:
 
 def _plant_session(session_id: str, seed: str, junk: str, day: int) -> Session:
     start = day * SECONDS_PER_DAY + 1_000
-    clicks = []
-    for i in range(TOXIC_REPEATS):
-        clicks.append(ClickEvent(t=start + 2 * i, product=seed))
-        clicks.append(ClickEvent(t=start + 2 * i + 1, product=junk))
-    return Session(session_id=session_id, clicks=tuple(clicks))
+    times = range(start, start + 2 * TOXIC_REPEATS)
+    return Session.from_columns(session_id, times, [seed, junk] * TOXIC_REPEATS)
 
 
 def plant_toxic_session(
@@ -342,7 +337,8 @@ def plant_toxic_session(
 def _with_clones(dataset: Dataset, source: Session, copies: int) -> Dataset:
     """Append ``copies`` clones of ``source``, byte-identical except for fresh ids."""
     clones = tuple(
-        Session(session_id=cid, clicks=source.clicks) for cid in clone_ids(source.session_id, copies)
+        Session.from_columns(cid, source.times, source.products)
+        for cid in clone_ids(source.session_id, copies)
     )
     return Dataset(sessions=dataset.sessions + clones, catalog=dataset.catalog)
 

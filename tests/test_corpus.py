@@ -25,6 +25,7 @@ from sessionvalue.corpus import (
     write_dataset,
     write_sessions,
 )
+from sessionvalue.embed import Hyperparams, train
 from sessionvalue.errors import (
     DatasetFormatError,
     DuplicateSessionIdError,
@@ -52,6 +53,116 @@ class TestSession:
     def test_day_from_first_click(self):
         clicks = clicks_at([3 * SECONDS_PER_DAY + 5, 4 * SECONDS_PER_DAY])
         assert Session(session_id="x", clicks=tuple(clicks)).day == 3
+
+    def test_columns_must_have_equal_lengths(self):
+        with pytest.raises(ValueError, match="2 times but 1 products"):
+            Session.from_columns("x", (0, 1), ("A",))
+
+
+PRINTABLE_IDS = st.text(st.characters(min_codepoint=0x21, max_codepoint=0x7E), min_size=1, max_size=3)
+
+
+@st.composite
+def click_columns(draw):
+    """A valid session's (times, products): sorted times from >= 1, so that
+    an unsorted pair never needs a negative time."""
+    products = draw(st.lists(PRINTABLE_IDS, min_size=1, max_size=10))
+    start = draw(st.integers(1, 5 * SECONDS_PER_DAY))
+    gaps = draw(st.lists(st.integers(0, 300), min_size=len(products) - 1, max_size=len(products) - 1))
+    times = [start]
+    for gap in gaps:
+        times.append(times[-1] + gap)
+    return times, products
+
+
+def with_fault(times, products, fault, i):
+    """``times``/``products`` with one fault at click ``i`` (``i >= 1`` for the
+    faults that need an earlier click)."""
+    times, products = list(times), list(products)
+    if fault == "bool time":
+        times[i] = True
+    elif fault == "float time":
+        times[i] = float(times[i])
+    elif fault == "negative later time":
+        times[i] = -1
+    elif fault == "unsorted pair":
+        times[i] = times[i - 1] - 1
+    elif fault == "empty product":
+        products[i] = ""
+    elif fault == "long product":
+        products[i] = "p" * 65
+    elif fault == "non-printable product":
+        products[i] = "a\x00b"
+    elif fault == "unhashable product":
+        products[i] = [products[i]]
+    return times, products
+
+
+def construct_both(sid, times, products):
+    """The outcome of each constructor: the session, or (exception type, message)."""
+    outcomes = []
+    for build in (
+        lambda: Session(sid, [ClickEvent(t=t, product=p) for t, p in zip(times, products)]),
+        lambda: Session.from_columns(sid, times, products),
+    ):
+        try:
+            outcomes.append(build())
+        except Exception as exc:  # noqa: BLE001 - the comparison is the test
+            outcomes.append((type(exc), str(exc)))
+    return outcomes
+
+
+class TestConstructorsAgree:
+    """``Session(sid, clicks)`` and ``Session.from_columns`` are one check and one value."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(columns=click_columns())
+    def test_valid_clicks(self, columns):
+        times, products = columns
+        by_clicks, by_columns = construct_both("s", times, products)
+        assert by_clicks == by_columns
+        assert hash(by_clicks) == hash(by_columns)
+        assert by_clicks.day == by_columns.day == times[0] // SECONDS_PER_DAY
+        assert by_clicks.unique_products == by_columns.unique_products == frozenset(products)
+        assert by_clicks.length == by_columns.length == len(times)
+        assert by_columns.clicks == tuple(ClickEvent(t=t, product=p) for t, p in zip(times, products))
+        assert Session("s", by_columns.clicks) == by_columns
+
+    FAULTS = ("bool time", "float time", "negative later time", "unsorted pair",
+              "empty product", "long product", "non-printable product", "unhashable product")
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(columns=click_columns(), data=st.data())
+    def test_one_fault_same_error(self, fault, columns, data):
+        times, products = columns
+        first = 1 if fault in ("negative later time", "unsorted pair") else 0
+        if len(times) <= first:
+            times, products = times * 2, products * 2
+        i = data.draw(st.integers(first, len(times) - 1))
+        bad_times, bad_products = with_fault(times, products, fault, i)
+        by_clicks, by_columns = construct_both("s", bad_times, bad_products)
+        assert isinstance(by_clicks, tuple) and by_clicks == by_columns
+        if fault == "negative later time":
+            assert by_columns == (ValueError, "click timestamp must be >= 0, got -1")
+        if fault == "unsorted pair":
+            assert by_columns[0] is UnsortedEventsError
+
+    def test_loading_and_training_build_no_click_event(self, tmp_path, monkeypatch):
+        ds = mk_dataset([("a", 0, ["A", "B", "A"]), ("b", 1, ["B", "C"]), ("c", 1, ["A", "C"])])
+        sessions_path, catalog_path = tmp_path / "s.jsonl", tmp_path / "c.jsonl"
+        write_dataset(ds, sessions_path, catalog_path)
+
+        def refuse(self):
+            raise AssertionError("a ClickEvent was built")
+
+        monkeypatch.setattr(ClickEvent, "__post_init__", refuse)
+        with pytest.raises(AssertionError):
+            ds.sessions[0].clicks
+        assert tuple(read_sessions(sessions_path)) == ds.sessions
+        loaded = load_dataset(sessions_path, catalog_path)
+        assert loaded == ds
+        train(loaded, Hyperparams(dimensions=8, iterations=1, min_count=1, rng_seed=3))
 
 
 # A valid one-line file per reader; the property test replaces one field at a time.
