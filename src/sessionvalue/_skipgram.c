@@ -34,13 +34,24 @@
  *     The path's nodes go in groups that share each pass over v, and each
  *     node's 8 lanes are vector locals;
  *   - gradients: g_p = alpha * (1 - code_p - 1 / (1 + exp(-f_p))), unchanged;
- *   - update: blocked over d, 8 components at a time plus a scalar tail. The
- *     block's 8 components of v and of neu stay in vector registers while
- *     the path rows pass through one at a time, in path order. neu starts
- *     from 0.0 and adds g_p * l2_p[d], each row read before its own update.
- *     As the rows are distinct, no node sees another node's update, which is
- *     the value the node-by-node loop reads too. Each row then takes
- *     l2_p[d] += g_p * v[d] from the unchanged v, and finally v[d] += neu[d].
+ *   - update: in sweeps over d. A sweep holds its components of v and of neu
+ *     in vector registers while the path rows pass through one at a time, in
+ *     path order. neu starts from 0.0 and adds g_p * l2_p[d], each row read
+ *     before its own update. As the rows are distinct, no node sees another
+ *     node's update, which is the value the node-by-node loop reads too.
+ *     Each row then takes l2_p[d] += g_p * v[d] from the unchanged v, and
+ *     finally v[d] += neu[d]. A sweep covers SWEEP 8-double blocks while they
+ *     fit, then one block, then the dims % 8 tail one component at a time.
+ *     Every component gets the same operations in the same order in any
+ *     sweep, so SWEEP changes no bit. With one block per sweep, each vector
+ *     of neu is one chain of n dependent adds; more blocks give independent
+ *     chains that overlap. The AVX-512 copy takes 5 blocks (40 doubles, so
+ *     200 dimensions are exactly 5 sweeps): its 32 registers hold 10 vectors
+ *     of v and neu. The AVX2 copy keeps one block, because 2 or 3 blocks per
+ *     sweep made it slower (one training at the 60-day slice of the
+ *     full.yaml shape: 120 ms with one block, 136 and 135 ms with 2 and 3,
+ *     medians of 21 interleaved rounds). The generic copy keeps one block:
+ *     one block already takes 8 of its 16 SSE registers for v and neu.
  * tests/skipgram_reference.c keeps the node-by-node loop, with the lane-order
  * dot written as a plain scalar loop, as the oracle that tests/test_kernel.py
  * compares bit for bit with this one.
@@ -59,10 +70,11 @@
  * operation does the same IEEE operation lane by lane, on the same operands
  * in the same order.
  * No -mavx2, -mavx512f or -march flag is used, so the build still runs on a
- * CPU without them. Measured with timing-only variants that skip one pass
- * (one training at the 60-day slice of the full.yaml shape, AVX2 and
- * AVX-512 copies), the dots take about a quarter of the time and the update
- * about two thirds.
+ * CPU without them. Measured with timing-only variants that skip one part
+ * (one training at the shape of the vr-loo benchmark inputs, 600 sessions
+ * and 200 dimensions, AVX-512 copy, medians of 31 interleaved rounds), the
+ * update takes about 55% of the time, the dots about 35% and libm's exp
+ * about 13%.
  *
  * Layout: syn0 is n_entries x dims and syn1 is (n_entries - 1) x dims, both
  * row-major. Sentence s is tokens[sentence_offsets[s] .. sentence_offsets[s+1]).
@@ -148,53 +160,58 @@
     double *restrict syn1, const int64_t *points, int64_t n, \
     const double *restrict g, double *restrict v, int64_t dims
 
+/* One sweep of the update over the W vectors of type T that start at
+ * component d: the W vectors of v and of neu stay in registers, and the path
+ * rows pass through them one at a time, in path order: load the row's
+ * vectors, neu += g * row, row += g * x, store them. Then v = x + neu, and d
+ * moves past the sweep. Loads and stores go through memcpy, which makes no
+ * alignment or aliasing claim. A scalar g times a vector multiplies each lane
+ * by g, so every component sees the operations of the node-by-node loop, in
+ * its order, whatever T and W are. */
+#define UPDATE_SWEEP(T, W)                                                     \
+    do {                                                                       \
+        enum { L = sizeof(T) / sizeof(double) };                               \
+        T x[W], neu[W];                                                        \
+        for (int k = 0; k < (W); k++) {                                        \
+            memcpy(&x[k], v + d + k * L, sizeof(T));                           \
+            neu[k] = (T){0};                                                   \
+        }                                                                      \
+        for (int64_t p = 0; p < n; p++) {                                      \
+            double *row = syn1 + points[p] * dims + d;                         \
+            const double gp = g[p];                                            \
+            for (int k = 0; k < (W); k++) {                                    \
+                T a;                                                           \
+                memcpy(&a, row + k * L, sizeof(T));                            \
+                neu[k] += gp * a;                                              \
+                a += gp * x[k];                                                \
+                memcpy(row + k * L, &a, sizeof(T));                            \
+            }                                                                  \
+        }                                                                      \
+        for (int k = 0; k < (W); k++) {                                        \
+            const T out = x[k] + neu[k];                                       \
+            memcpy(v + d + k * L, &out, sizeof(T));                            \
+        }                                                                      \
+        d += (W) * L;                                                          \
+    } while (0)
+
 /* The update of one (center, context) step: g holds the path's gradients
- * and v is the context's row of syn0. One body, defined three times with
- * the GCC vector type `vec`: each 8-double block of v and of neu is held in
- * BLOCK / LANES vector locals, which stay in registers, and the path rows
- * pass through it one at a time, in path order: load the row's block,
- * neu += g * row, row += g * x, store the row. Then v = x + neu. Loads and
- * stores go through memcpy, which makes no alignment or aliasing claim. A
- * scalar g times a vector multiplies each lane by g, so every component
- * sees the operations of the node-by-node loop, in its order. The remaining
- * dims % 8 components run in a scalar loop. */
-#define DEFINE_PATH_UPDATE(name, attributes, vec)                              \
+ * and v is the context's row of syn0. One body, defined three times with the
+ * GCC vector type `vec` and SWEEP, the number of 8-double blocks per sweep
+ * over the path rows: sweeps of SWEEP blocks while they fit, then one block
+ * at a time, then the dims % 8 tail one component at a time. Each component
+ * is in exactly one sweep, so the bits do not depend on SWEEP (see the
+ * header for the counts each copy uses). */
+#define DEFINE_PATH_UPDATE(name, attributes, vec, SWEEP)                       \
     attributes static void name(UPDATE_PARAMS)                                 \
     {                                                                          \
-        enum { LANES = sizeof(vec) / sizeof(double), NVEC = BLOCK / LANES };   \
+        enum { NVEC = BLOCK / (sizeof(vec) / sizeof(double)) };                \
         int64_t d = 0;                                                         \
-        for (; d + BLOCK <= dims; d += BLOCK) {                                \
-            vec x[NVEC], neu[NVEC];                                            \
-            for (int k = 0; k < NVEC; k++) {                                   \
-                memcpy(&x[k], v + d + k * LANES, sizeof(vec));                 \
-                neu[k] = (vec){0};                                             \
-            }                                                                  \
-            for (int64_t p = 0; p < n; p++) {                                  \
-                double *row = syn1 + points[p] * dims + d;                     \
-                const double gp = g[p];                                        \
-                for (int k = 0; k < NVEC; k++) {                               \
-                    vec a;                                                     \
-                    memcpy(&a, row + k * LANES, sizeof(vec));                  \
-                    neu[k] += gp * a;                                          \
-                    a += gp * x[k];                                            \
-                    memcpy(row + k * LANES, &a, sizeof(vec));                  \
-                }                                                              \
-            }                                                                  \
-            for (int k = 0; k < NVEC; k++) {                                   \
-                const vec out = x[k] + neu[k];                                 \
-                memcpy(v + d + k * LANES, &out, sizeof(vec));                  \
-            }                                                                  \
-        }                                                                      \
-        for (; d < dims; d++) {                                                \
-            const double x = v[d];                                             \
-            double neu = 0.0;                                                  \
-            for (int64_t p = 0; p < n; p++) {                                  \
-                double *restrict l2 = syn1 + points[p] * dims + d;             \
-                neu += g[p] * *l2;                                             \
-                *l2 += g[p] * x;                                               \
-            }                                                                  \
-            v[d] = x + neu;                                                    \
-        }                                                                      \
+        while (d + (SWEEP) * BLOCK <= dims)                                    \
+            UPDATE_SWEEP(vec, (SWEEP) * NVEC);                                 \
+        while (d + BLOCK <= dims)                                              \
+            UPDATE_SWEEP(vec, NVEC);                                           \
+        while (d < dims)                                                       \
+            UPDATE_SWEEP(double, 1);                                           \
     }
 
 /* The three copies of both passes: 16-byte vectors for the build's baseline
@@ -208,9 +225,9 @@ typedef double vec8 __attribute__((vector_size(64)));
 DEFINE_PATH_DOTS(path_dots_generic, , vec2)
 DEFINE_PATH_DOTS(path_dots_avx2, TARGET_AVX2, vec4)
 DEFINE_PATH_DOTS(path_dots_avx512, TARGET_AVX512, vec8)
-DEFINE_PATH_UPDATE(path_update_generic, , vec2)
-DEFINE_PATH_UPDATE(path_update_avx2, TARGET_AVX2, vec4)
-DEFINE_PATH_UPDATE(path_update_avx512, TARGET_AVX512, vec8)
+DEFINE_PATH_UPDATE(path_update_generic, , vec2, 1)
+DEFINE_PATH_UPDATE(path_update_avx2, TARGET_AVX2, vec4, 1)
+DEFINE_PATH_UPDATE(path_update_avx512, TARGET_AVX512, vec8, 5)
 
 #define TRAIN_PARAMS \
     double *restrict syn0, double *restrict syn1, double *restrict scratch, int64_t dims, \

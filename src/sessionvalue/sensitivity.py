@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import logging
 import math
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -329,6 +330,14 @@ def sessions_to_price(engine, dataset: Dataset, cfg: HarnessConfig) -> tuple[str
     return None
 
 
+def _pool_context():
+    """The pool's start method: ``fork`` where the platform has it, so that
+    the workers start from the parent's memory, with the kernel loaded and no
+    package to import again; else the platform's default. The records do not
+    depend on it, because each worker's state arrives through ``initargs``."""
+    return multiprocessing.get_context("fork" if "fork" in multiprocessing.get_all_start_methods() else None)
+
+
 def run_loo(
     engine, dataset: Dataset, eval_log: EvalLog, cfg: HarnessConfig, jobs: int = 1,
     session_ids: Sequence[str] | None = None,
@@ -338,7 +347,8 @@ def run_loo(
     The baseline model, its lists and the eval index are built once; per
     session ``engine.delta_lists`` gives the lists that may change. Records
     are ordered by session_id and independent of ``jobs``, the number of
-    worker processes. A worker that dies raises ``WorkerDiedError``.
+    worker processes (at most one per session). A worker that dies raises
+    ``WorkerDiedError``.
     """
     if session_ids is None:
         session_ids = sorted(dataset.by_id)
@@ -360,7 +370,10 @@ def run_loo(
     if jobs <= 1:
         return [_price(base, sid) for sid in session_ids]
     try:
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker, initargs=(base,)) as pool:
+        with ProcessPoolExecutor(
+            max_workers=min(jobs, len(session_ids)), mp_context=_pool_context(),
+            initializer=_init_worker, initargs=(base,),
+        ) as pool:
             return list(pool.map(_price_in_worker, session_ids))
     except BrokenProcessPool as exc:
         raise WorkerDiedError(jobs) from exc

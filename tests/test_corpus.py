@@ -256,6 +256,31 @@ class TestDatasetIO:
                 read(path)
             assert err.value.line_no == 2, text
 
+    def test_each_distinct_product_is_validated_once_per_file(self, tmp_path, monkeypatch):
+        """``read_sessions`` validates a product id the first time the file
+        holds it, not once per session; a second file starts afresh, and an
+        invalid id in a later session still names its line."""
+        from sessionvalue import corpus
+
+        path = tmp_path / "s.jsonl"
+        write_sessions([mk_session(f"s{i}", ["A", "B", "A"][i % 2:], day=0) for i in range(6)], path)
+        calls, validate = [], corpus.validate_product_id
+
+        def counted(product):
+            calls.append(product)
+            return validate(product)
+
+        monkeypatch.setattr(corpus, "validate_product_id", counted)
+        read_sessions(path)
+        assert sorted(calls) == ["A", "B"]
+        read_sessions(path)
+        assert sorted(calls) == ["A", "A", "B", "B"]
+        with path.open("a") as fh:
+            fh.write('{"session_id":"bad","clicks":[{"t":0,"p":"A"},{"t":1,"p":"C\\n"}]}\n')
+        with pytest.raises(DatasetFormatError, match="non-printable") as err:
+            read_sessions(path)
+        assert err.value.line_no == 7
+
     def test_non_utf8_line_reports_line_number(self, tmp_path):
         path = tmp_path / "s.jsonl"
         path.write_bytes(b'{"session_id":"ok","clicks":[{"t":0,"p":"A"}]}\n{"session_id":"\xff"}\n')

@@ -210,10 +210,12 @@ class TestReferenceLoop:
     def test_matches_reference_bit_for_bit(self, reference_kernel, sessions, hyper):
         assert_bit_identical(reference_kernel, sessions_dataset(sessions), hyper, kernel_copy(self.copy))
 
-    @pytest.mark.parametrize("dimensions", [*range(1, 18), 33])
+    @pytest.mark.parametrize("dimensions", [*range(1, 18), 33, 40, 41, 47, 48, 56, 64, 79, 80, 83, 91])
     def test_caterpillar_every_block_tail(self, reference_kernel, dimensions):
         """Each tail length of an 8-double block, below and above one block,
-        against paths of every length from 1 to 15."""
+        against paths of every length from 1 to 15; and from 40 on, each part
+        of the update: whole sweeps of the AVX-512 copy's 5 blocks, 1 to 4
+        blocks left over after them, and the tail, alone and together."""
         hyper = Hyperparams(dimensions=dimensions, window=2, min_count=1)
         assert_bit_identical(reference_kernel, sessions_dataset(CATERPILLAR), hyper, kernel_copy(self.copy))
 

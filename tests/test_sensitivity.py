@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
+from sessionvalue import sensitivity
 from sessionvalue.cor import RecommendationList, all_top_k, build_matrix
 from sessionvalue.corpus import Dataset
 from sessionvalue.embed import Hyperparams
@@ -402,6 +405,38 @@ def test_deterministic_and_jobs_invariant(engine):
     assert first == second
     assert first == parallel
     assert [r.session_id for r in first] == sorted(sample)
+
+
+@pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+def test_pool_records_equal_serial_under_every_start_method(method, monkeypatch):
+    """Each worker's state arrives through ``initargs``, so a pool started by
+    any method the platform has prices as the serial loop does."""
+    ds, ev, _ = generate(small_config(n_train_sessions=30, n_eval_sessions=80))
+    sample = tuple(sorted(ds.by_id)[:3])
+    cfg = HarnessConfig(k=3, revenue_base=1e6)
+    serial = run_loo(VrEngine(VR_HYPER), ds, ev, cfg, jobs=1, session_ids=sample)
+    monkeypatch.setattr(sensitivity, "_pool_context", lambda: multiprocessing.get_context(method))
+    assert run_loo(VrEngine(VR_HYPER), ds, ev, cfg, jobs=2, session_ids=sample) == serial
+
+
+def test_pool_forks_where_it_can_and_starts_one_worker_per_session_at_most(monkeypatch):
+    if "fork" in multiprocessing.get_all_start_methods():
+        assert sensitivity._pool_context().get_start_method() == "fork"
+    started = []
+    pool = sensitivity.ProcessPoolExecutor
+
+    def recording(**kwargs):
+        started.append(kwargs["max_workers"])
+        return pool(**kwargs)
+
+    monkeypatch.setattr(sensitivity, "ProcessPoolExecutor", recording)
+    ds, ev, _ = generate(small_config(n_train_sessions=12, n_eval_sessions=40))
+    sample = tuple(sorted(ds.by_id)[:2])
+    cfg = HarnessConfig(k=3, revenue_base=1e6)
+    assert run_loo(CorEngine(), ds, ev, cfg, jobs=8, session_ids=sample) == run_loo(
+        CorEngine(), ds, ev, cfg, jobs=1, session_ids=sample
+    )
+    assert started == [2]
 
 
 def test_dead_worker_raises_one_clear_error():
