@@ -7,7 +7,8 @@ its smallest distance from an unrounded vector component to a rounding
 boundary is 1.6e-10 (2.2e-9 on benchmark), and its smallest cosine gap within
 a seed's top k+1 is 6.4e-6 (2.5e-4). So these tests pin its bytes too, as
 sha256 digests rather than 4,500-line files: the ``synth`` outputs, the
-``cor`` valuation, and one ``vr`` baseline training with its top-k lists.
+``cor`` model dump, top-k lists and valuation, and one ``vr`` baseline
+training with its top-k lists.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ FULL_CONFIG = CONFIG_DIR / "full.yaml"
 DIGESTS = {
     "sessions.jsonl": "74f3186c3bc5266fb2f83b576dca30cffd48dcd4d12ba1fdb7d9e3209200b0c6",
     "eval.jsonl": "3a8ed89c96bd96469cf84bd51dc0bb4d006bbdc03e90edf18aeed634ba8e7129",
+    "cor_matrix.tsv": "d37236d36ac6c193ff76a7a61ff5a4e640e5f1cb565f6d0a86a9a299a845a0a8",
+    "recs_cor.csv": "e46568377b1da172113495482d88ffba7787f2521060728f2f3a21c0594145b9",
     "records_cor.csv": "1318a96217df75111df4309a8945b5b748a47cbae9bf3f1adfa8bf3d4b83fb3d",
     "summary_cor.json": "60d33130477cc66b6b44ac8bebf1a050a02f4bce5987029c453d4870e175f0ac",
 }
@@ -50,9 +53,11 @@ def topk_text(topk) -> str:
 
 @pytest.fixture(scope="module")
 def full_dir(tmp_path_factory):
-    """``synth`` and then ``value --engine cor`` on the full recipe."""
+    """``synth``, then ``train``, ``recommend`` and ``value`` with
+    ``--engine cor`` on the full recipe."""
     out = tmp_path_factory.mktemp("full")
-    for command in (["synth"], ["value", "--engine", "cor"]):
+    cor = ["--engine", "cor"]
+    for command in (["synth"], ["train", *cor], ["recommend", *cor], ["value", *cor]):
         result = CliRunner().invoke(main, command + ["--config", str(FULL_CONFIG), "--out", str(out)])
         assert result.exit_code == 0, result.output
     return out

@@ -3,10 +3,13 @@
 ``tests/golden/smoke`` is the ``configs/smoke.yaml`` run (synth, vr value,
 lifecycle, curve). ``tests/golden/benchmark`` pins the benchmark inputs that
 ``synth`` writes (plants included), the ``cor`` and ``vr`` valuations,
-lifecycle study and learning curve of those inputs, and the ``vr`` model
-trained on them with the full hyperparameters (200 dimensions, 5
-iterations). Every file must match byte for byte, except the
-curve's measured ``cpu_seconds`` column (CPU time of each training call).
+lifecycle study and learning curve of those inputs, the ``cor`` model dump
+and top-k lists, and the ``vr`` model trained on them with the full
+hyperparameters (200 dimensions, 5 iterations). Every file must match byte
+for byte, except the curve's measured ``cpu_seconds`` column (CPU time of
+each training call). ``recs_vr.csv`` is not pinned: its cosine scores come
+from a BLAS ``gemv``, whose last bits depend on the kernel the host's BLAS
+picks.
 """
 
 from __future__ import annotations
@@ -78,6 +81,14 @@ def _run_on_benchmark_inputs(tmp_path, command: list[str], outputs: tuple[str, .
 def test_benchmark_cor_value_matches_golden(tmp_path):
     outputs = ("records_cor.csv", "histogram_cor.csv", "summary_cor.json")
     _run_on_benchmark_inputs(tmp_path, ["value", "--engine", "cor"], outputs)
+
+
+def test_benchmark_cor_model_matches_golden(tmp_path):
+    _run_on_benchmark_inputs(tmp_path, ["train", "--engine", "cor"], ("cor_matrix.tsv",))
+
+
+def test_benchmark_cor_recs_match_golden(tmp_path):
+    _run_on_benchmark_inputs(tmp_path, ["recommend", "--engine", "cor"], ("recs_cor.csv",))
 
 
 def test_benchmark_vr_model_matches_golden(tmp_path):
