@@ -1,7 +1,9 @@
 """Co-occurrence recommender (COR): symmetric pair counts, frequency-ranked top-k.
 
 A pair (x, y) counts the number of sessions whose *unique* product set
-contains both x and y; repeated clicks within one session count once.
+contains both x and y; repeated clicks within one session count once. The
+counts form one table of ranked rows (``CoocMatrix``), all counted by
+``_add_pairs``, the step ``build_matrix`` shares with the lifecycle window.
 Rankings order neighbors by decreasing count, ties broken by ascending
 product id, which makes every list totally ordered and reproducible.
 """
@@ -9,19 +11,13 @@ product id, which makes every list totally ordered and reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import islice
 from operator import itemgetter
 
 from .corpus import Dataset, Session
 from .errors import MatrixUnderflowError
 
-Pair = tuple[str, str]
-
-
-def product_pair(a: str, b: str) -> Pair:
-    """Canonical unordered key: lexicographically smaller id first."""
-    return (a, b) if a < b else (b, a)
+Rows = dict[str, dict[str, int]]
 
 
 @dataclass(frozen=True)
@@ -38,46 +34,41 @@ class RecommendationList:
 
 @dataclass(eq=True)
 class CoocMatrix:
-    """Sparse symmetric co-occurrence counts over unordered product pairs.
+    """Symmetric co-occurrence counts as one ranked row per paired product.
 
-    ``session_membership[p]`` counts sessions whose unique set contains p, so
-    the observed-product index survives exact removals. Instances are treated
-    as immutable values (``adjacency`` is derived once and cached).
+    ``rows[p][q]`` counts the sessions whose unique set holds both p and q;
+    no row holds p itself or a zero. Each row dict is built in ranking order
+    (count desc, id asc), so ``rows[p][q]`` answers a count lookup and
+    iterating ``rows[p]`` gives p's ranking. ``session_membership[p]`` counts
+    sessions whose unique set contains p, so the observed-product index
+    survives exact removals. Instances are treated as immutable values.
     """
 
-    counts: dict[Pair, int] = field(default_factory=dict)
+    rows: Rows = field(default_factory=dict)
     session_membership: dict[str, int] = field(default_factory=dict)
 
     def count(self, a: str, b: str) -> int:
-        return self.counts.get(product_pair(a, b), 0)
-
-    @cached_property
-    def adjacency(self) -> dict[str, list[tuple[str, int]]]:
-        """Each product's neighbours with their pair counts, in ranking order
-        (count desc, id asc). Products without a pair have no entry."""
-        adjacency: dict[str, list[tuple[str, int]]] = {}
-        for (a, b), c in self.counts.items():
-            adjacency.setdefault(a, []).append((b, c))
-            adjacency.setdefault(b, []).append((a, c))
-        for neighbors in adjacency.values():
-            _rank_order(neighbors)
-        return adjacency
+        return self.rows.get(a, {}).get(b, 0)
 
 
-def _session_pairs(session: Session) -> list[Pair]:
-    unique = sorted(session.unique_products)
-    return [(unique[i], unique[j]) for i in range(len(unique)) for j in range(i + 1, len(unique))]
+def _add_pairs(rows: Rows, seeds: frozenset[str], unique: frozenset[str], step: int) -> None:
+    """Add ``step`` to ``rows[p][q]`` for each p in ``seeds`` and each other q in ``unique``."""
+    for p in seeds:
+        row = rows.setdefault(p, {})
+        for q in unique:
+            if q != p:
+                row[q] = row.get(q, 0) + step
 
 
 def build_matrix(dataset: Dataset) -> CoocMatrix:
-    counts: dict[Pair, int] = {}
+    counts: Rows = {}
     membership: dict[str, int] = {}
-    for session in dataset.sessions:
-        for p in sorted(session.unique_products):
+    for unique in (session.unique_products for session in dataset.sessions):
+        for p in unique:
             membership[p] = membership.get(p, 0) + 1
-        for pair in _session_pairs(session):
-            counts[pair] = counts.get(pair, 0) + 1
-    return CoocMatrix(counts=counts, session_membership=membership)
+        _add_pairs(counts, unique, unique, 1)
+    rows = {p: dict(_rank(list(row.items()))) for p, row in counts.items() if row}
+    return CoocMatrix(rows=rows, session_membership=membership)
 
 
 def _rank_order(neighbors: list[tuple[str, float]]) -> None:
@@ -86,7 +77,8 @@ def _rank_order(neighbors: list[tuple[str, float]]) -> None:
     neighbors.sort(key=itemgetter(1), reverse=True)
 
 
-def _rank(neighbors: list[tuple[str, float]], k: int) -> tuple[tuple[str, float], ...]:
+def _rank(neighbors: list[tuple[str, float]], k: int | None = None) -> tuple[tuple[str, float], ...]:
+    """The first k of ``neighbors`` in ranking order; all of them without k."""
     _rank_order(neighbors)
     return tuple(neighbors[:k])
 
@@ -96,9 +88,9 @@ def all_top_k(matrix: CoocMatrix, k: int) -> dict[str, RecommendationList]:
     empty list."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    adjacency = matrix.adjacency
+    rows = matrix.rows
     return {
-        seed: RecommendationList(seed=seed, items=tuple(adjacency.get(seed, ())[:k]))
+        seed: RecommendationList(seed=seed, items=tuple(islice(rows.get(seed, {}).items(), k)))
         for seed in sorted(matrix.session_membership)
     }
 
@@ -125,18 +117,15 @@ def session_top_k(
             out[seed] = None
             continue
         # Only co-members' counts drop, so the new top k lies among the
-        # lowered co-members and the first k other neighbours in base order.
-        lowered = [
-            (p, c - 1)
-            for p in members
-            if p != seed and (c := matrix.counts[product_pair(seed, p)]) > 1
-        ]
-        others = islice((n for n in matrix.adjacency.get(seed, ()) if n[0] not in members), k)
+        # lowered co-members and the first k other neighbours in row order.
+        row = matrix.rows.get(seed, {})
+        lowered = [(p, c - 1) for p in members if p != seed and (c := row[p]) > 1]
+        others = islice((n for n in row.items() if n[0] not in members), k)
         out[seed] = RecommendationList(seed=seed, items=_rank(lowered + list(others), k))
     return out
 
 
 def dump_matrix(matrix: CoocMatrix) -> str:
     """Canonical text dump: sorted ``a<TAB>b<TAB>count`` lines, byte-exact across runs."""
-    lines = [f"{a}\t{b}\t{c}" for (a, b), c in sorted(matrix.counts.items())]
-    return "".join(line + "\n" for line in lines)
+    entries = sorted((a, b, c) for a, row in matrix.rows.items() for b, c in row.items() if a < b)
+    return "".join(f"{a}\t{b}\t{c}\n" for a, b, c in entries)

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .atomic import write_csv
-from .cor import RecommendationList, _rank
+from .cor import RecommendationList, _add_pairs, _rank
 from .corpus import Dataset, Session, heterogeneity_ratio
 from .kpi import mean
 
@@ -125,10 +125,10 @@ def trajectories(dataset: Dataset, plan: FramePlan, k: int = 5) -> list[CvTrajec
     flagged via a warning).
 
     ``cv_score`` reads only the lists of the cohort's products, so only their
-    neighbour counts are kept: frame 1 adds every day of its window, each
-    later frame adds the day that enters and subtracts the day that leaves.
-    Ranking the positive counts by (count desc, id asc) gives the same lists
-    as ``all_top_k`` of a rebuilt window.
+    co-occurrence rows are kept: frame 1 adds every day of its window, each
+    later frame adds the day that enters and subtracts the day that leaves,
+    through ``build_matrix``'s counting step ``cor._add_pairs``. Ranking the
+    positive counts gives the same lists as ``all_top_k`` of a rebuilt window.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -152,11 +152,7 @@ def trajectories(dataset: Dataset, plan: FramePlan, k: int = 5) -> list[CvTrajec
 
     def slide(day: int, step: int) -> None:
         for touched, unique in by_day.get(day, ()):
-            for p in touched:
-                row = counts[p]
-                for q in unique:
-                    if q != p:
-                        row[q] = row.get(q, 0) + step
+            _add_pairs(counts, touched, unique, step)
 
     for day in by_day:
         if cohort_day - plan.window_days < day < cohort_day:

@@ -1,8 +1,9 @@
 """Slow reference implementations the package's fast paths are tested against.
 
 ``remove_session`` is an exact incremental removal from a co-occurrence
-matrix (itself checked against from-scratch rebuilds), ``top_k`` ranks one
-seed's neighbours by a scan of every pair count, and ``top_k_similar`` ranks
+matrix (itself checked against from-scratch rebuilds), ``pair_counts`` counts
+every session's pairs by brute force, ``top_k`` ranks one seed's neighbours
+by a scan of every row of the table, and ``top_k_similar`` ranks
 one seed of an embedding model by a sort of (product, cosine) tuples. The
 package ships ``session_top_k``, ``all_top_k`` and ``all_top_k_similar`` (one
 ``np.lexsort`` per seed); none of these three runs in it.
@@ -22,6 +23,7 @@ writes; only tests read it.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
 from pathlib import Path
 
@@ -50,9 +52,10 @@ def remove_session(matrix: CoocMatrix, session: Session) -> CoocMatrix:
     """Exact incremental removal; equals a from-scratch rebuild without the session.
 
     The input matrix is left untouched. Decrements that would go below zero
-    raise MatrixUnderflowError (the session was never in the build).
+    raise MatrixUnderflowError (the session was never in the build). Every
+    row is re-sorted by (count desc, id asc), so the result ranks as a build.
     """
-    counts = dict(matrix.counts)
+    rows = {p: dict(row) for p, row in matrix.rows.items()}
     membership = dict(matrix.session_membership)
     for p in session.unique_products:
         current = membership.get(p, 0)
@@ -62,30 +65,43 @@ def remove_session(matrix: CoocMatrix, session: Session) -> CoocMatrix:
             del membership[p]
         else:
             membership[p] = current - 1
-    for pair in combinations(sorted(session.unique_products), 2):
-        current = counts.get(pair, 0)
+    for a, b in combinations(sorted(session.unique_products), 2):
+        current = rows.get(a, {}).get(b, 0)
         if current <= 0:
-            raise MatrixUnderflowError(f"pair {pair!r} not present in matrix")
-        if current == 1:
-            del counts[pair]
-        else:
-            counts[pair] = current - 1
-    return CoocMatrix(counts=counts, session_membership=membership)
+            raise MatrixUnderflowError(f"pair {(a, b)!r} not present in matrix")
+        for p, q in ((a, b), (b, a)):
+            if current == 1:
+                del rows[p][q]
+            else:
+                rows[p][q] = current - 1
+    ranked = {p: dict(sorted(row.items(), key=lambda n: (-n[1], n[0]))) for p, row in rows.items() if row}
+    return CoocMatrix(rows=ranked, session_membership=membership)
+
+
+def pair_counts(dataset: Dataset) -> dict[str, dict[str, int]]:
+    """``build_matrix(dataset).rows`` as a set of counts, by brute force: each
+    unordered pair of a session's unique set, in both directions."""
+    ordered = Counter(
+        pair
+        for session in dataset.sessions
+        for a, b in combinations(sorted(session.unique_products), 2)
+        for pair in ((a, b), (b, a))
+    )
+    rows: dict[str, dict[str, int]] = {}
+    for (p, q), c in ordered.items():
+        rows.setdefault(p, {})[q] = c
+    return rows
 
 
 def top_k(matrix: CoocMatrix, seed: str, k: int) -> RecommendationList | None:
     """Highest-count neighbors of ``seed``, ties by ascending id; an unknown
-    seed has no list (None)."""
+    seed has no list (None). Reads the seed's column of every row and sorts it
+    itself, so it trusts neither the seed's own row nor any row's order."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if seed not in matrix.session_membership:
         return None
-    neighbors = []
-    for (a, b), c in matrix.counts.items():
-        if a == seed:
-            neighbors.append((b, c))
-        elif b == seed:
-            neighbors.append((a, c))
+    neighbors = [(p, row[seed]) for p, row in matrix.rows.items() if seed in row]
     neighbors.sort(key=lambda n: (-n[1], n[0]))
     return RecommendationList(seed=seed, items=tuple(neighbors[:k]))
 

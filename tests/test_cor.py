@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sessionvalue.cor import CoocMatrix, all_top_k, build_matrix, dump_matrix
 from sessionvalue.corpus import Dataset
@@ -8,7 +11,7 @@ from sessionvalue.errors import MatrixUnderflowError
 from sessionvalue.synthgen import GenConfig, generate
 
 from helpers import mk_catalog, mk_dataset
-from oracles import remove_session, top_k
+from oracles import pair_counts, remove_session, top_k
 
 
 class TestBuildMatrix:
@@ -17,7 +20,7 @@ class TestBuildMatrix:
         m = build_matrix(ds)
         assert m.count("A", "B") == 2
         assert m.count("A", "C") == 1
-        assert ("B", "C") not in m.counts
+        assert m.count("B", "C") == 0 and "C" not in m.rows["B"]
 
     def test_repeat_clicks_count_once(self):
         ds = mk_dataset([("1", 0, ["A", "A", "B"])])
@@ -27,19 +30,50 @@ class TestBuildMatrix:
     def test_empty_dataset(self):
         ds = Dataset(sessions=(), catalog=mk_catalog([]))
         m = build_matrix(ds)
-        assert m.counts == {} and m.session_membership == {}
+        assert m.rows == {} and m.session_membership == {}
 
     def test_no_self_pairs(self):
         ds = mk_dataset([("1", 0, ["A", "A"])])
         m = build_matrix(ds)
-        assert m.counts == {}
+        assert m.rows == {}
         assert m.session_membership == {"A": 1}
 
     def test_order_free(self):
         specs = [("1", 0, ["A", "B"]), ("2", 0, ["B", "C"]), ("3", 1, ["A", "C", "B"])]
         ds = mk_dataset(specs)
         ds_rev = mk_dataset(list(reversed(specs)))
-        assert build_matrix(ds).counts == build_matrix(ds_rev).counts
+        ranked = [{p: list(row.items()) for p, row in build_matrix(d).rows.items()} for d in (ds, ds_rev)]
+        assert ranked[0] == ranked[1]
+
+    def test_rows_iterate_in_ranking_order(self):
+        ds = mk_dataset([("1", 0, ["A", "D"]), ("2", 0, ["A", "C", "B"]), ("3", 0, ["C", "A"])])
+        m = build_matrix(ds)
+        assert list(m.rows["A"].items()) == [("C", 2), ("B", 1), ("D", 1)]
+        assert m.count("A", "C") == m.count("C", "A") == 2
+
+
+def _dataset(sessions: list[list[str]]):
+    return mk_dataset([(str(i), 0, clicks) for i, clicks in enumerate(sessions)])
+
+
+class TestTableProperties:
+    """``build_matrix`` against brute-force counts over random small datasets."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        sessions=st.lists(
+            st.lists(st.sampled_from("ABCDEFG"), min_size=1, max_size=7), max_size=12
+        )
+    )
+    def test_rows_equal_brute_force_counts(self, sessions):
+        ds = _dataset(sessions)
+        m = build_matrix(ds)
+        assert m.rows == pair_counts(ds)
+        for p, row in m.rows.items():
+            assert row and p not in row and min(row.values()) > 0
+            assert all(m.rows[q][p] == c for q, c in row.items())
+            assert list(row.items()) == sorted(row.items(), key=lambda n: (-n[1], n[0]))
+        assert m.session_membership == Counter(p for clicks in sessions for p in set(clicks))
 
 
 class TestRemoveSession:
@@ -54,7 +88,7 @@ class TestRemoveSession:
         ds = mk_dataset([("1", 0, ["A", "C"]), ("2", 0, ["A", "B"])])
         m = build_matrix(ds)
         out = remove_session(m, ds.by_id["1"])
-        assert ("A", "C") not in out.counts
+        assert out.count("A", "C") == 0 and "C" not in out.rows
         assert "C" not in out.session_membership
         assert out.session_membership["A"] == 1  # still held by session 2
 
