@@ -52,10 +52,6 @@ class TestBuildMatrix:
         assert m.count("A", "C") == m.count("C", "A") == 2
 
 
-def _dataset(sessions: list[list[str]]):
-    return mk_dataset([(str(i), 0, clicks) for i, clicks in enumerate(sessions)])
-
-
 class TestTableProperties:
     """``build_matrix`` against brute-force counts over random small datasets."""
 
@@ -66,7 +62,7 @@ class TestTableProperties:
         )
     )
     def test_rows_equal_brute_force_counts(self, sessions):
-        ds = _dataset(sessions)
+        ds = mk_dataset([(str(i), 0, clicks) for i, clicks in enumerate(sessions)])
         m = build_matrix(ds)
         assert m.rows == pair_counts(ds)
         for p, row in m.rows.items():
