@@ -87,29 +87,21 @@ class Hyperparams:
 
 
 @dataclass(frozen=True)
-class VocabEntry:
-    product: str
-    frequency: int
-    code: tuple[int, ...]
-    points: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class Vocabulary:
-    """Entries sorted by descending token frequency, ties by ascending product id."""
+    """The products kept at ``min_count`` and their token frequencies, sorted
+    by descending frequency, ties by ascending product id. A product's
+    position is its entry index: its row of the vectors and its leaf of the
+    Huffman tree, which ``_huffman`` builds from ``frequencies`` per training."""
 
-    entries: tuple[VocabEntry, ...]
+    products: tuple[str, ...]
+    frequencies: tuple[int, ...]
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.products)
 
     @cached_property
     def index(self) -> dict[str, int]:
-        return {e.product: i for i, e in enumerate(self.entries)}
-
-    @cached_property
-    def products(self) -> tuple[str, ...]:
-        return tuple(e.product for e in self.entries)
+        return {p: i for i, p in enumerate(self.products)}
 
 
 @dataclass(eq=False)
@@ -119,16 +111,18 @@ class EmbeddingModel:
     hyper: Hyperparams
 
 
-def _huffman(frequencies: list[int]) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """Binary Huffman codes and root-to-leaf internal-node paths.
+def _huffman(frequencies: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Huffman tree of ``frequencies`` as the kernel reads it: ``(points,
+    code, offsets)``.
 
-    Uses the classic two-pointer construction over counts sorted descending;
-    tie decisions fall on fixed pointer order, so the tree is a pure function
-    of the frequency list.
+    Entry i's root-to-leaf path of internal nodes is
+    ``points[offsets[i]:offsets[i + 1]]`` (node ``n - 2`` is the root), and
+    ``code`` holds its branch bits at the same positions; a one-entry
+    vocabulary has an empty path. Uses the classic two-pointer construction
+    over counts sorted descending; tie decisions fall on fixed pointer order,
+    so the tree is a pure function of the frequency list.
     """
     n = len(frequencies)
-    if n == 1:
-        return [()], [()]
     count = list(frequencies) + [1 << 62] * (n - 1)
     parent = [0] * (2 * n - 1)
     binary = [0] * (2 * n - 1)
@@ -148,20 +142,20 @@ def _huffman(frequencies: list[int]) -> tuple[list[tuple[int, ...]], list[tuple[
         parent[min1] = n + a
         parent[min2] = n + a
         binary[min2] = 1
-    root = 2 * n - 2
-    codes: list[tuple[int, ...]] = []
-    points: list[tuple[int, ...]] = []
+    # A child's index is below its parent's, so depths fill from the root down.
+    depth = [0] * (2 * n - 1)
+    for node in range(2 * n - 3, -1, -1):
+        depth[node] = depth[parent[node]] + 1
+    offsets = _offsets(depth[:n])
+    points = np.empty(offsets[-1], dtype=np.int64)
+    code = np.empty(offsets[-1], dtype=np.float64)
     for leaf in range(n):
-        code_up: list[int] = []
-        point_up: list[int] = []
         node = leaf
-        while node != root:
-            code_up.append(binary[node])
-            point_up.append(parent[node] - n)
+        for at in range(offsets[leaf + 1] - 1, offsets[leaf] - 1, -1):
+            points[at] = parent[node] - n
+            code[at] = binary[node]
             node = parent[node]
-        codes.append(tuple(reversed(code_up)))
-        points.append(tuple(reversed(point_up)))
-    return codes, points
+    return points, code, offsets
 
 
 def build_vocab(dataset: Dataset, min_count: int) -> Vocabulary:
@@ -174,12 +168,8 @@ def build_vocab(dataset: Dataset, min_count: int) -> Vocabulary:
     if not kept:
         raise EmptyVocabularyError(min_count)
     _rank_order(kept)
-    codes, points = _huffman([f for _, f in kept])
-    entries = tuple(
-        VocabEntry(product=p, frequency=f, code=codes[i], points=points[i])
-        for i, (p, f) in enumerate(kept)
-    )
-    return Vocabulary(entries=entries)
+    products, frequencies = zip(*kept)
+    return Vocabulary(products, frequencies)
 
 
 def _initial_vectors(n_entries: int, dimensions: int, rng_seed: int) -> np.ndarray:
@@ -302,14 +292,12 @@ def _fit(dataset: Dataset, hyper: Hyperparams) -> tuple[Vocabulary, np.ndarray]:
     n = len(vocab)
     syn0 = _initial_vectors(n, hyper.dimensions, hyper.rng_seed)
     syn1 = np.zeros((max(n - 1, 0), hyper.dimensions), dtype=np.float64)
-    codes = np.fromiter((c for e in vocab.entries for c in e.code), dtype=np.float64)
-    longest_path = max(len(e.points) for e in vocab.entries)
+    points, code, offsets = _huffman(vocab.frequencies)
     kernel(
-        syn0, syn1, np.empty(longest_path), hyper.dimensions,
+        syn0, syn1, np.empty(np.diff(offsets).max()), hyper.dimensions,
         np.fromiter((w for s in sents for w in s), dtype=np.int64),
         _offsets([len(s) for s in sents]), len(sents),
-        np.fromiter((p for e in vocab.entries for p in e.points), dtype=np.int64),
-        1.0 - codes, _offsets([len(e.points) for e in vocab.entries]),
+        points, 1.0 - code, offsets,
         hyper.iterations, hyper.window, hyper.initial_learning_rate,
         hyper.initial_learning_rate * LR_FLOOR_FRACTION,
     )
@@ -376,7 +364,7 @@ def dump_model(model: EmbeddingModel) -> str:
     entry with vector components printed at exactly ``rounding_digits`` decimals."""
     digits = model.hyper.rounding_digits
     lines = [f"{len(model.vocabulary)} {model.hyper.dimensions}"]
-    for i, entry in enumerate(model.vocabulary.entries):
-        comps = " ".join(f"{x:.{digits}f}" for x in model.vectors[i])
-        lines.append(f"{entry.product} {comps}")
+    for product, row in zip(model.vocabulary.products, model.vectors):
+        comps = " ".join(f"{x:.{digits}f}" for x in row)
+        lines.append(f"{product} {comps}")
     return "".join(line + "\n" for line in lines)

@@ -3,11 +3,12 @@
 The conversion rate aggregates order/view counts over all (seed, alternative)
 pairs realized by a model's top-k lists, so it depends on the model *only*
 through those lists: two models with identical lists produce bitwise-equal
-rates on the same evaluation log. Each seed's pairs contribute integer counts
-of their own (``seed_pairs``), so replacing a few lists moves the totals by
+rates on the same evaluation log. Each seed's list contributes integer counts
+of its own (see ``totals``), so replacing a few lists moves the totals by
 exactly those lists' contributions. Every production rate is
-``rate_from_totals(*totals(index, lists))``; ``aggregate_pairs`` and
-``conversion_rate`` are the per-pair reference it is checked against.
+``rate_from_totals(*totals(index, lists))``; ``aggregate_pairs``, a scan of
+the eval log one session at a time, and ``conversion_rate`` are the per-pair
+reference it is checked against.
 
 The module holds formulas only; the learning curve's table row, which
 gathers them per model, is ``curve.CurveRow``.
@@ -60,31 +61,24 @@ def index_eval(eval_log: EvalLog) -> EvalIndex:
     return EvalIndex(views=views, orders=orders)
 
 
-def seed_pairs(
-    index: EvalIndex, seed: str, rl: RecommendationList | None
-) -> dict[tuple[str, str], tuple[int, int]]:
-    """(n_views, n_ordered) of each (seed, alternative) pair of one seed's list.
-
-    Every eval session viewing the seed views each alternative once; it
-    orders the alternative iff the alternative is in its ordered set. A seed
-    without a list, or viewed by no eval session, contributes nothing.
-    """
-    views = index.views.get(seed, 0)
-    if rl is None or not views:
-        return {}
-    orders = index.orders.get(seed, {})
-    return {(seed, alt): (views, orders.get(alt, 0)) for alt, _score in rl.items}
-
-
 def totals(
     index: EvalIndex, lists: Mapping[str, RecommendationList | None]
 ) -> tuple[int, int]:
-    """(n_ordered, n_views) summed over the pairs of every list in ``lists``."""
+    """(n_ordered, n_views) summed over the (seed, alternative) pairs of every
+    list in ``lists``.
+
+    Every eval session viewing a seed views each alternative of its list
+    once; it orders the alternative iff the alternative is in its ordered
+    set. A seed without a list, or viewed by no eval session, contributes
+    nothing.
+    """
     n_ordered = n_views = 0
     for seed, rl in lists.items():
-        for views, ordered in seed_pairs(index, seed, rl).values():
-            n_views += views
-            n_ordered += ordered
+        if rl is None:
+            continue
+        orders = index.orders.get(seed, {})
+        n_views += index.views.get(seed, 0) * len(rl.items)
+        n_ordered += sum(orders.get(alt, 0) for alt, _score in rl.items)
     return n_ordered, n_views
 
 
@@ -95,10 +89,15 @@ def aggregate_pairs(recs: Mapping[str, RecommendationList], eval_log: EvalLog) -
     seed was viewed within it; n_ordered increments iff the alternative is in
     the session's ordered set. Seeds absent from ``recs`` contribute nothing.
     """
-    index = index_eval(eval_log)
     acc: dict[tuple[str, str], tuple[int, int]] = {}
-    for seed, rl in recs.items():
-        acc.update(seed_pairs(index, seed, rl))
+    for es in eval_log.sessions:
+        for seed in es.viewed:
+            rl = recs.get(seed)
+            if rl is None:
+                continue
+            for alt, _score in rl.items:
+                views, ordered = acc.get((seed, alt), (0, 0))
+                acc[seed, alt] = (views + 1, ordered + (alt in es.ordered))
     return PairCounts(counts=acc)
 
 

@@ -62,8 +62,8 @@ class ClassRow:
     impact: Impact
     n_sessions: int
     percentage: float
-    mean_hr: float
-    mean_unique_len: float
+    mean_hr: float | None
+    mean_unique_len: float | None
 
 
 @dataclass(frozen=True)
@@ -191,7 +191,8 @@ def class_stats(
     dataset: Dataset,
     hr_level: int | None = None,
 ) -> ClassStats:
-    """Per-class counts, percentages, mean heterogeneity ratio and mean unique length."""
+    """Per-class counts, percentages, mean heterogeneity ratio and mean unique
+    length; both means are None for a class with no sessions."""
     grouped: dict[Impact, list[Session]] = {impact: [] for impact in Impact}
     for t in trajectories_:
         grouped[t.impact].append(dataset.by_id[t.session_id])
@@ -204,14 +205,10 @@ def class_stats(
                 impact=impact,
                 n_sessions=len(sessions),
                 percentage=100.0 * len(sessions) / total if total else 0.0,
-                mean_hr=mean(
-                    heterogeneity_ratio(s, dataset.catalog, hr_level) for s in sessions
-                )
+                mean_hr=mean(heterogeneity_ratio(s, dataset.catalog, hr_level) for s in sessions)
                 if sessions
-                else float("nan"),
-                mean_unique_len=mean(len(s.unique_products) for s in sessions)
-                if sessions
-                else float("nan"),
+                else None,
+                mean_unique_len=mean(len(s.unique_products) for s in sessions) if sessions else None,
             )
         )
     return ClassStats(rows=tuple(rows), cohort_size=total)
@@ -232,7 +229,6 @@ def write_trajectories_csv(trajectories_: Sequence[CvTrajectory], path: str | Pa
 
 def write_class_stats_csv(stats: ClassStats, path: str | Path) -> None:
     write_csv(path, ("impact", "n_sessions", "percentage", "mean_hr", "mean_unique_len"), (
-        (row.impact.value, row.n_sessions, row.percentage)
-        + ((None, None) if row.n_sessions == 0 else (row.mean_hr, row.mean_unique_len))
+        (row.impact.value, row.n_sessions, row.percentage, row.mean_hr, row.mean_unique_len)
         for row in stats.rows
     ))

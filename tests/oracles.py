@@ -38,6 +38,7 @@ from sessionvalue.embed import (
     Hyperparams,
     Vocabulary,
     _cosine_sims,
+    _huffman,
     _norms,
     _rounded,
     _sentences,
@@ -155,8 +156,10 @@ def fit_numpy(dataset: Dataset, hyper: Hyperparams) -> tuple[Vocabulary, np.ndar
     """
     vocab = build_vocab(dataset, hyper.min_count)
     sentences = _sentences(dataset, vocab)
-    points = [np.array(e.points, dtype=np.int64) for e in vocab.entries]
-    one_minus_code = [1.0 - np.array(e.code, dtype=np.float64) for e in vocab.entries]
+    flat_points, flat_code, offsets = _huffman(vocab.frequencies)
+    paths = [slice(a, b) for a, b in zip(offsets[:-1], offsets[1:])]
+    points = [flat_points[path] for path in paths]
+    one_minus_code = [1.0 - flat_code[path] for path in paths]
 
     n = len(vocab)
     syn0 = initial_vectors(n, hyper.dimensions, hyper.rng_seed)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import heapq
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +11,6 @@ from hypothesis import example, given, settings, strategies as st
 from sessionvalue.embed import (
     EmbeddingModel,
     Hyperparams,
-    VocabEntry,
     Vocabulary,
     _huffman,
     _initial_vectors,
@@ -41,13 +42,12 @@ class TestBuildVocab:
     def test_min_count_threshold(self):
         ds = mk_dataset([("1", 0, ["A"] * 7 + ["B"] * 5 + ["C"] * 4)])
         vocab = build_vocab(ds, min_count=5)
-        assert [(e.product, e.frequency) for e in vocab.entries] == [("A", 7), ("B", 5)]
+        assert vocab == Vocabulary(("A", "B"), (7, 5))
 
     def test_frequency_is_token_level(self):
         ds = mk_dataset([("1", 0, ["A", "A", "B"]), ("2", 0, ["A"])])
         vocab = build_vocab(ds, min_count=1)
-        assert vocab.entries[0] .product == "A"
-        assert vocab.entries[0].frequency == 3
+        assert vocab == Vocabulary(("A", "B"), (3, 1))
 
     def test_tie_broken_by_product_id(self):
         ds = mk_dataset([("1", 0, ["B"] * 5 + ["A"] * 5)])
@@ -56,9 +56,10 @@ class TestBuildVocab:
 
     def test_two_leaf_huffman_codes(self):
         ds = mk_dataset([("1", 0, ["A"] * 7 + ["B"] * 5)])
-        vocab = build_vocab(ds, min_count=5)
-        assert all(len(e.code) == 1 for e in vocab.entries)
-        assert all(len(e.code) == len(e.points) for e in vocab.entries)
+        points, code, offsets = _huffman(build_vocab(ds, min_count=5).frequencies)
+        assert offsets.tolist() == [0, 1, 2]
+        assert points.tolist() == [0, 0]
+        assert sorted(code.tolist()) == [0.0, 1.0]
 
     def test_empty_vocab_error(self):
         ds = mk_dataset([("1", 0, ["A", "B"])])
@@ -73,20 +74,53 @@ class TestBuildVocab:
 
     @pytest.mark.parametrize("freqs", [[9], [5, 5], [10, 7, 3], [8, 8, 8, 8], [40, 20, 10, 5, 3, 1]])
     def test_huffman_is_prefix_free_and_complete(self, freqs):
-        codes, points = _huffman(freqs)
-        assert len(codes) == len(freqs)
-        if len(freqs) == 1:
-            assert codes == [()]
-            return
-        # Kraft equality for a full binary tree
-        assert sum(2.0 ** -len(c) for c in codes) == pytest.approx(1.0)
-        as_strings = ["".join(map(str, c)) for c in codes]
-        for i, a in enumerate(as_strings):
-            for j, b in enumerate(as_strings):
-                if i != j:
-                    assert not b.startswith(a)
-        for pts in points:
-            assert all(0 <= p < len(freqs) - 1 for p in pts)
+        check_huffman_arrays(freqs)
+
+
+def heap_weighted_path_length(frequencies: list[int]) -> int:
+    """``sum(f_i * len_i)`` of a Huffman code, built with a heap: every merge
+    adds its weight once for each leaf below it."""
+    heap = list(frequencies)
+    heapq.heapify(heap)
+    total = 0
+    while len(heap) > 1:
+        merged = heapq.heappop(heap) + heapq.heappop(heap)
+        total += merged
+        heapq.heappush(heap, merged)
+    return total
+
+
+def check_huffman_arrays(freqs: list[int]) -> None:
+    """``_huffman``'s flat arrays hold a complete, prefix-free code of minimal
+    weighted length, each path walking internal nodes from the root down."""
+    n = len(freqs)
+    points, code, offsets = _huffman(tuple(freqs))
+    assert len(offsets) == n + 1 and offsets[0] == 0
+    assert (np.diff(offsets) >= 0).all()
+    assert offsets[-1] == len(points) == len(code)
+    assert set(code.tolist()) <= {0.0, 1.0}
+    spans = list(zip(offsets[:-1], offsets[1:]))
+    paths = [points[a:b].tolist() for a, b in spans]
+    codes = ["".join(str(int(bit)) for bit in code[a:b]) for a, b in spans]
+    if n > 1:
+        assert sum(Fraction(1, 2 ** len(c)) for c in codes) == 1
+    for i, a in enumerate(codes):
+        assert not any(b.startswith(a) for j, b in enumerate(codes) if j != i)
+    node_at: dict[str, int] = {}  # a code prefix names one internal node
+    for path, c in zip(paths, codes):
+        assert path[:1] == ([n - 2] if n > 1 else [])
+        assert len(set(path)) == len(path) and all(0 <= p <= n - 2 for p in path)
+        for depth, node in enumerate(path):
+            assert node_at.setdefault(c[:depth], node) == node
+    assert sorted(node_at.values()) == list(range(n - 1))
+    lengths = np.diff(offsets).tolist()
+    assert sum(f * d for f, d in zip(freqs, lengths)) == heap_weighted_path_length(freqs)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(st.integers(1, 60), min_size=1, max_size=40).map(lambda f: sorted(f, reverse=True)))
+def test_huffman_arrays_are_an_optimal_prefix_code(freqs):
+    check_huffman_arrays(freqs)
 
 
 class TestTrainDeterminism:
@@ -216,7 +250,7 @@ def vector_model(rows: list[list[float]], ids: list[str]) -> EmbeddingModel:
     """A model whose entry ``i`` is product ``ids[i]`` with vector ``rows[i]``."""
     vectors = np.array(rows, dtype=np.float64)
     return EmbeddingModel(
-        vocabulary=Vocabulary(tuple(VocabEntry(p, 1, (), ()) for p in ids)),
+        vocabulary=Vocabulary(tuple(ids), (1,) * len(ids)),
         vectors=vectors,
         hyper=Hyperparams(dimensions=vectors.shape[1]),
     )
@@ -278,10 +312,9 @@ class TestGradient:
         rng = np.random.default_rng(0)
         syn0 = rng.normal(scale=0.2, size=(3, 6))
         syn1 = rng.normal(scale=0.2, size=(2, 6))
-        entry = vocab.entries[0]
-        l2 = syn1[np.array(entry.points, dtype=np.int64)]
-        cds = np.array(entry.code, dtype=np.float64)
-        return syn0, l2, cds
+        points, code, offsets = _huffman(vocab.frequencies)
+        path = slice(offsets[0], offsets[1])
+        return syn0, syn1[points[path]], code[path]
 
     @staticmethod
     def _numeric_gradient(loss, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -321,9 +354,8 @@ def scalar_reference_train(dataset, hyper):
 
     vocab = build_vocab(dataset, hyper.min_count)
     index = vocab.index
-    sentences = [
-        [index[c.product] for c in s.clicks if c.product in index] for s in dataset.sessions
-    ]
+    sentences = [[index[p] for p in s.products if p in index] for s in dataset.sessions]
+    points, code, offsets = _huffman(vocab.frequencies)
     syn0 = [list(row) for row in _initial_vectors(len(vocab), hyper.dimensions, hyper.rng_seed)]
     syn1 = [[0.0] * hyper.dimensions for _ in range(max(len(vocab) - 1, 0))]
     budget = hyper.iterations * sum(len(s) for s in sentences)
@@ -336,8 +368,8 @@ def scalar_reference_train(dataset, hyper):
             for i in range(n):
                 alpha = max(lr0 * (1.0 - processed / budget), floor)
                 processed += 1
-                entry = vocab.entries[sent[i]]
-                if not entry.points:
+                path = slice(offsets[sent[i]], offsets[sent[i] + 1])
+                if path.start == path.stop:
                     continue
                 lo = max(0, i - hyper.window)
                 hi = min(n, i + hyper.window + 1)
@@ -347,10 +379,10 @@ def scalar_reference_train(dataset, hyper):
                     ctx = sent[j]
                     v = list(syn0[ctx])
                     neu = [0.0] * hyper.dimensions
-                    for point, code in zip(entry.points, entry.code):
+                    for point, bit in zip(points[path], code[path]):
                         row = syn1[point]
                         f = sum(a * b for a, b in zip(row, v))
-                        g = alpha * (1.0 - code - float(expit(f)))
+                        g = alpha * (1.0 - bit - float(expit(f)))
                         old = list(row)
                         for d in range(hyper.dimensions):
                             neu[d] += g * old[d]

@@ -25,7 +25,15 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from sessionvalue import embed
 from sessionvalue.config import load_run_config
 from sessionvalue.corpus import load_dataset
-from sessionvalue.embed import Hyperparams, _fit, _initial_vectors, build_vocab, dump_model, train
+from sessionvalue.embed import (
+    Hyperparams,
+    _fit,
+    _huffman,
+    _initial_vectors,
+    build_vocab,
+    dump_model,
+    train,
+)
 from sessionvalue.errors import KernelBuildError, SessionValueError
 
 from conftest import CONFIG_DIR
@@ -79,7 +87,8 @@ def sessions_dataset(sessions: list[list[str]]):
 
 
 def longest_path(dataset, min_count: int) -> int:
-    return max(len(e.points) for e in build_vocab(dataset, min_count).entries)
+    _, _, offsets = _huffman(build_vocab(dataset, min_count).frequencies)
+    return int(np.diff(offsets).max())
 
 
 # Fibonacci frequencies make a caterpillar tree: the rarest products have paths
@@ -304,6 +313,28 @@ def test_scratch_of_exactly_the_longest_path_is_enough():
     assert size == longest_path(dataset, 1) >= 15
     assert np.array_equal(guard, np.full(8, -7.0))
     assert syn0.tobytes() == _fit(dataset, hyper)[1].tobytes()
+
+
+def test_kernel_reads_the_huffman_arrays():
+    """``_fit`` hands the kernel ``_huffman``'s points and offsets as they
+    are, and ``1 - code`` for the branch bits."""
+    dataset = sessions_dataset(CATERPILLAR)
+    hyper = Hyperparams(dimensions=4, window=2, min_count=1)
+    kernel = embed.load_kernel()
+    calls = []
+
+    def spy(*args):
+        calls.append([np.array(a) for a in args[7:10]])
+        kernel(*args)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(embed, "_kernel", spy)
+        vocab, _ = _fit(dataset, hyper)
+    points, code, offsets = _huffman(vocab.frequencies)
+    [(got_points, got_one_minus_code, got_offsets)] = calls
+    assert got_points.tolist() == points.tolist()
+    assert got_one_minus_code.tolist() == (1.0 - code).tolist()
+    assert got_offsets.tolist() == offsets.tolist()
 
 
 @pytest.mark.parametrize("position", [0, 1, 2, 4, 5, 7, 8, 9])

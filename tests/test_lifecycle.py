@@ -264,6 +264,12 @@ class TestClassStats:
         assert by_impact[Impact.STABLE].percentage == 100.0
         assert by_impact[Impact.NO_IMPACT].n_sessions == 0
 
+    def test_empty_class_has_no_means(self):
+        ds = mk_dataset([("s0", 0, ["A", "B"])])
+        stats = class_stats([self.mk_trajectory("s0", Impact.STABLE)], ds)
+        empty = [(row.mean_hr, row.mean_unique_len) for row in stats.rows if row.n_sessions == 0]
+        assert empty == [(None, None)] * 3
+
     def test_mean_hr_matches_hand_computation(self):
         catalog = mk_catalog([], paths={"A": ("c1",), "B": ("c1",), "C": ("c2",)})
         ds = mk_dataset(

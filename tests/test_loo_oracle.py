@@ -3,10 +3,10 @@
 ``run_loo(CorEngine(), ...)`` re-ranks only the left-out session's products
 and moves the conversion rate by integer view/order totals. The oracle
 rebuilds the matrix from the dataset without the session, ranks every seed,
-diffs the full maps and recomputes the rate with ``aggregate_pairs``, itself
-checked against a per-eval-session scan that shares no code with
-``kpi.seed_pairs``. Records must agree field by field, with the rates
-compared bit for bit.
+diffs the full maps and recomputes the rate with ``aggregate_pairs``, which
+scans the eval log one session at a time and shares no code with
+``kpi.totals``; ``scan_cr`` checks it on every call. Records must agree field
+by field, with the rates compared bit for bit.
 """
 
 from __future__ import annotations
