@@ -160,7 +160,7 @@ def load_run_config(path: str | Path) -> RunConfig:
     try:
         with open(config_path, encoding="utf-8") as fh:
             doc = yaml.safe_load(fh)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, RecursionError) as exc:  # nesting too deep for the parser
         raise ConfigError(str(config_path), f"invalid YAML ({exc})") from exc
     if not isinstance(doc, (dict, type(None))):
         raise ConfigError(str(config_path), f"expected a mapping, got {type(doc).__name__}")

@@ -9,8 +9,11 @@ The on-disk interchange formats are UTF-8 JSON Lines:
 Writers emit canonical bytes (fixed key order, compact separators, sorted
 member lists) so that load/save round trips are byte-exact. Every reader is one
 call to ``read_jsonl`` with a per-line parser; the constructors validate the
-values, the parsers refuse a repeated session id or product, and any malformed
-line raises DatasetFormatError naming its file and line.
+values, the parsers refuse a repeated session id or product (one set of seen
+ids per file), and any malformed line, a line nested too deep to decode
+included, raises DatasetFormatError naming its file and line. ``read_jsonl``
+decodes each line to what ``json.loads`` gives, with the same error message,
+but by one ``raw_decode`` call where it can.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import json
 import logging
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
@@ -88,6 +92,20 @@ class ClickEvent:
         validate_product_id(self.product)
 
 
+def _refuse_times(times: tuple[int, ...]) -> None:
+    """Raise the error for the first click time that is not an int, is
+    negative or comes before the one ahead of it."""
+    previous = 0
+    for i, t in enumerate(times):
+        if type(t) is not int:  # exact: a bool, float or string time is refused
+            raise TypeError(f"click timestamp must be an integer, got {t!r}")
+        if t < previous:
+            if t < 0:
+                raise ValueError(f"click timestamp must be >= 0, got {t}")
+            raise UnsortedEventsError(i)
+        previous = t
+
+
 @dataclass(frozen=True, init=False)
 class Session:
     """Chronologically ordered product-page clicks of one user visit.
@@ -125,13 +143,9 @@ class Session:
         if len(products) != len(times):
             raise ValueError(f"session {session_id!r} has {len(times)} times but {len(products)} products")
         previous = 0
-        for i, t in enumerate(times):
-            if type(t) is not int:  # exact: a bool, float or string time is refused
-                raise TypeError(f"click timestamp must be an integer, got {t!r}")
-            if t < previous:
-                if t < 0:
-                    raise ValueError(f"click timestamp must be >= 0, got {t}")
-                raise UnsortedEventsError(i)
+        for t in times:
+            if type(t) is not int or t < previous:
+                _refuse_times(times)
             previous = t
         try:
             first_seen = dict.fromkeys(products)
@@ -242,7 +256,8 @@ class EvalSession:
             raise ValueError(f"eval session_id must be a non-empty string, got {self.session_id!r}")
         if not self.viewed:
             raise ValueError(f"eval session {self.session_id!r} has an empty viewed set")
-        if not all(isinstance(p, str) for p in self.viewed | self.ordered):
+        if not (all(map(isinstance, self.viewed, repeat(str)))
+                and all(map(isinstance, self.ordered, repeat(str)))):
             raise ValueError(f"eval session {self.session_id!r} has a product id that is not a string")
 
 
@@ -296,16 +311,37 @@ def heterogeneity_ratio(session: Session, catalog: Catalog, level: int | None = 
 # ---------------------------------------------------------------------------
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+_JSON_SPACE = " \t\r\n"
+
+
 def read_jsonl(path: str | Path, what: str, parse: Callable[[Any], Any]) -> list:
-    """``parse`` each non-blank line's JSON value; a line it refuses is a DatasetFormatError."""
+    """``parse`` each non-blank line's JSON value; a line it refuses is a DatasetFormatError.
+
+    A line is decoded as ``json.loads(line.decode("utf-8"))`` would decode it.
+    The fast path is one ``raw_decode`` of the text without its JSON
+    whitespace, kept only when the value ends where that text ends; any other
+    line goes through ``json.loads`` itself, so a refused line raises the same
+    message, column included. Nesting too deep to decode is refused too.
+    """
     out = []
     with open(path, "rb") as fh:  # decoded per line, so a non-UTF-8 line names its number
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                out.append(parse(json.loads(line.decode("utf-8"))))
-            except (KeyError, TypeError, ValueError, OverflowError, UnsortedEventsError) as exc:
+                text = line.decode("utf-8")
+                stripped = text.strip(_JSON_SPACE)
+                try:
+                    doc, end = _raw_decode(stripped)
+                except ValueError:
+                    end = -1
+                if end != len(stripped):
+                    doc = json.loads(text)
+                out.append(parse(doc))
+            except (
+                KeyError, TypeError, ValueError, OverflowError, RecursionError, UnsortedEventsError
+            ) as exc:
                 raise DatasetFormatError(str(path), line_no, f"malformed {what} line ({exc})") from exc
     return out
 
@@ -317,22 +353,16 @@ def write_sessions(sessions: Iterable[Session], path: str | Path) -> None:
     ))
 
 
-def _unique_ids(parse: Callable[[Any], Any]) -> Callable[[Any], Any]:
-    """``parse``, refusing a session id that an earlier line of the file holds."""
-    seen: set[str] = set()
-
-    def checked(doc: Any):
-        item = parse(doc)
-        if item.session_id in seen:
-            raise ValueError(f"duplicate session_id {item.session_id!r}")
-        seen.add(item.session_id)
-        return item
-
-    return checked
+def _refuse_repeat(session_id: str, seen: set[str]) -> None:
+    """Refuse a session id that an earlier line of the file holds; remember it."""
+    if session_id in seen:
+        raise ValueError(f"duplicate session_id {session_id!r}")
+    seen.add(session_id)
 
 
 def read_sessions(path: str | Path) -> list[Session]:
     checked: set[str] = set()  # the product ids validated so far in this file
+    seen: set[str] = set()  # the session ids read so far in this file
 
     def parse(doc: Any) -> Session:
         clicks = doc["clicks"]
@@ -341,9 +371,10 @@ def read_sessions(path: str | Path) -> list[Session]:
         # about 1 MB more peak memory on the vr-loo benchmark inputs.
         times, products = tuple([c["t"] for c in clicks]), tuple([c["p"] for c in clicks])
         session._fill(doc["session_id"], times, products, checked)
+        _refuse_repeat(session.session_id, seen)
         return session
 
-    return read_jsonl(path, "session", _unique_ids(parse))
+    return read_jsonl(path, "session", parse)
 
 
 def write_catalog(catalog: Catalog, path: str | Path) -> None:
@@ -385,12 +416,15 @@ def write_eval_log(eval_log: EvalLog, path: str | Path) -> None:
     ))
 
 
-def _eval_session(doc: Any) -> EvalSession:
-    viewed, ordered = doc["viewed"], doc.get("ordered", [])
-    if type(viewed) is not list or type(ordered) is not list:  # frozenset() would split a string
-        raise TypeError("viewed and ordered must be lists of product ids")
-    return EvalSession(doc["session_id"], frozenset(viewed), frozenset(ordered))
-
-
 def read_eval_log(path: str | Path) -> EvalLog:
-    return EvalLog(sessions=tuple(read_jsonl(path, "eval", _unique_ids(_eval_session))))
+    seen: set[str] = set()  # the session ids read so far in this file
+
+    def parse(doc: Any) -> EvalSession:
+        viewed, ordered = doc["viewed"], doc.get("ordered", [])
+        if type(viewed) is not list or type(ordered) is not list:  # frozenset() would split a string
+            raise TypeError("viewed and ordered must be lists of product ids")
+        session = EvalSession(doc["session_id"], frozenset(viewed), frozenset(ordered))
+        _refuse_repeat(session.session_id, seen)
+        return session
+
+    return EvalLog(sessions=tuple(read_jsonl(path, "eval", parse)))

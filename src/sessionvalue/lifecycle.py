@@ -78,14 +78,15 @@ def cv_score(session: Session, topk: Mapping[str, RecommendationList]) -> int:
     Both products must be in the session's unique set; (a, b) and (b, a)
     count separately because seed and recommendation roles are asymmetric.
     """
-    products = sorted(session.unique_products)
+    products = session.unique_products
     score = 0
     for seed in products:
         rl = topk.get(seed)
         if rl is None:
             continue
-        recommended = set(rl.product_ids)
-        score += sum(1 for other in products if other != seed and other in recommended)
+        for other, _ in rl.items:  # a list holds each id once
+            if other != seed and other in products:
+                score += 1
     return score
 
 
@@ -116,6 +117,14 @@ def cohort_of(dataset: Dataset, plan: FramePlan) -> tuple[int, list[Session]]:
     return day, [s for s in dataset.sessions if s.day == day]
 
 
+def _top(row: dict[str, int], k: int) -> tuple[tuple[str, int], ...]:
+    """The first k of ``row``'s positive counts in ranking order. Only a count
+    at least the k-th largest can be among them, so only those are ranked."""
+    counts = sorted(row.values(), reverse=True)
+    floor = max(counts[k - 1], 1) if len(counts) >= k else 1
+    return _rank([n for n in row.items() if n[1] >= floor], k)
+
+
 def trajectories(dataset: Dataset, plan: FramePlan, k: int = 5) -> list[CvTrajectory]:
     """CV series for the cohort-day sessions over daily-shifting windows.
 
@@ -129,6 +138,11 @@ def trajectories(dataset: Dataset, plan: FramePlan, k: int = 5) -> list[CvTrajec
     later frame adds the day that enters and subtracts the day that leaves,
     through ``build_matrix``'s counting step ``cor._add_pairs``. Ranking the
     positive counts gives the same lists as ``all_top_k`` of a rebuilt window.
+
+    Frame 1 ranks every cohort product's row; each later frame re-ranks only
+    the rows its slide touched. A score reads only the ranked ids of the
+    session's own products, so a session none of whose products changed its
+    ids since the last frame repeats its last score instead of being scored.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -144,34 +158,43 @@ def trajectories(dataset: Dataset, plan: FramePlan, k: int = 5) -> list[CvTrajec
             "frame plan clipped to %d frames (data ends at day %d)", n_frames, max_day
         )
     tracked = frozenset().union(*(s.unique_products for s in cohort))
+    first_day, last_day = cohort_day - plan.window_days, cohort_day + n_frames - 1
     by_day: dict[int, list[tuple[frozenset[str], frozenset[str]]]] = {}
-    for s in dataset.sessions:
-        if touched := s.unique_products & tracked:
-            by_day.setdefault(s.day, []).append((touched, s.unique_products))
+    for s in dataset.sessions:  # only the days some frame's window holds
+        if first_day < s.day <= last_day and not tracked.isdisjoint(unique := s.unique_products):
+            by_day.setdefault(s.day, []).append((unique & tracked, unique))
     counts: dict[str, dict[str, int]] = {p: {} for p in tracked}
+    moved: set[str] = set(tracked)  # the rows to re-rank: all of them for frame 1
 
     def slide(day: int, step: int) -> None:
         for touched, unique in by_day.get(day, ()):
             _add_pairs(counts, touched, unique, step)
+            moved.update(touched)
 
     for day in by_day:
-        if cohort_day - plan.window_days < day < cohort_day:
+        if day < cohort_day:
             slide(day, 1)
-    series: dict[str, list[int]] = {s.session_id: [] for s in cohort}
+    topk: dict[str, RecommendationList] = {}
+    series: list[list[int]] = [[] for _ in cohort]
     for frame in range(1, n_frames + 1):
         end_day = cohort_day + frame - 1
         slide(end_day, 1)
         if frame > 1:
             slide(end_day - plan.window_days, -1)
-        topk = {
-            p: RecommendationList(seed=p, items=_rank([n for n in row.items() if n[1] > 0], k))
-            for p, row in counts.items()
-        }
-        for session in cohort:
-            series[session.session_id].append(cv_score(session, topk))
+        changed: set[str] = set()  # the seeds whose ranked ids moved
+        for p in moved:
+            before = topk.get(p)
+            topk[p] = rl = RecommendationList(seed=p, items=_top(counts[p], k))
+            if before is None or before.product_ids != rl.product_ids:
+                changed.add(p)
+        moved.clear()
+        for session, scores in zip(cohort, series):
+            if scores and changed.isdisjoint(session.unique_products):
+                scores.append(scores[-1])
+            else:
+                scores.append(cv_score(session, topk))
     out = []
-    for session in cohort:
-        scores = series[session.session_id]
+    for session, scores in zip(cohort, series):
         slope, intercept = ols(scores)
         out.append(
             CvTrajectory(

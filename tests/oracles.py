@@ -14,8 +14,13 @@ on every call; the package trains with the compiled kernel instead, from
 initial rows it keeps between trainings.
 
 ``trajectories_rebuild`` is the lifecycle study with every frame's window
-rebuilt from scratch (``slice_days``, ``build_matrix``, ``all_top_k``); the
-package slides neighbour counts of the cohort's products instead.
+rebuilt from scratch (``slice_days``, ``build_matrix``, ``all_top_k``) and
+every cohort session scored on every frame by ``cv_score_scan``; the package
+slides neighbour counts of the cohort's products instead, re-ranks only the
+rows a slide moved and scores only the sessions whose lists changed.
+
+``read_jsonl_loads`` is ``corpus.read_jsonl`` decoding every line with
+``json.loads``; the package tries one ``raw_decode`` of the stripped line first.
 
 ``read_truth`` reads back the ground-truth file that ``synthgen.write_truth``
 writes; only tests read it.
@@ -23,6 +28,7 @@ writes; only tests read it.
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from itertools import combinations
 from pathlib import Path
@@ -44,8 +50,8 @@ from sessionvalue.embed import (
     _sentences,
     build_vocab,
 )
-from sessionvalue.errors import DatasetFormatError, MatrixUnderflowError
-from sessionvalue.lifecycle import CvTrajectory, FramePlan, classify_impact, cv_score, ols
+from sessionvalue.errors import DatasetFormatError, MatrixUnderflowError, UnsortedEventsError
+from sessionvalue.lifecycle import CvTrajectory, FramePlan, classify_impact, ols
 from sessionvalue.synthgen import GroundTruth, PlantKind
 
 
@@ -194,6 +200,20 @@ def train_numpy(dataset: Dataset, hyper: Hyperparams) -> EmbeddingModel:
     return _rounded(*fit_numpy(dataset, hyper), hyper)
 
 
+def cv_score_scan(session: Session, topk) -> int:
+    """``lifecycle.cv_score``: each ordered pair of the session's sorted unique
+    products whose second product is in the first one's list."""
+    products = sorted(session.unique_products)
+    score = 0
+    for seed in products:
+        rl = topk.get(seed)
+        if rl is None:
+            continue
+        recommended = set(rl.product_ids)
+        score += sum(1 for other in products if other != seed and other in recommended)
+    return score
+
+
 def trajectories_rebuild(dataset: Dataset, plan: FramePlan, k: int) -> list[CvTrajectory]:
     """``lifecycle.trajectories`` with each frame's model rebuilt from its window."""
     cohort_day = plan.cohort_day if plan.cohort_day is not None else dataset.min_day
@@ -204,7 +224,7 @@ def trajectories_rebuild(dataset: Dataset, plan: FramePlan, k: int) -> list[CvTr
         window = slice_days(dataset, end_day=cohort_day + frame - 1, n_days=plan.window_days)
         topk = all_top_k(build_matrix(window), k)
         for session in cohort:
-            series[session.session_id].append(cv_score(session, topk))
+            series[session.session_id].append(cv_score_scan(session, topk))
     out = []
     for session in cohort:
         scores = series[session.session_id]
@@ -217,6 +237,22 @@ def trajectories_rebuild(dataset: Dataset, plan: FramePlan, k: int) -> list[CvTr
             impact=classify_impact(slope, intercept),
         ))
     return sorted(out, key=lambda t: t.session_id)
+
+
+def read_jsonl_loads(path: str | Path, what: str, parse) -> list:
+    """``corpus.read_jsonl`` with every non-blank line decoded by ``json.loads``."""
+    out = []
+    with open(path, "rb") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                out.append(parse(json.loads(line.decode("utf-8"))))
+            except (
+                KeyError, TypeError, ValueError, OverflowError, RecursionError, UnsortedEventsError
+            ) as exc:
+                raise DatasetFormatError(str(path), line_no, f"malformed {what} line ({exc})") from exc
+    return out
 
 
 def _truth(doc) -> GroundTruth:

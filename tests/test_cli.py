@@ -231,6 +231,18 @@ class TestValue:
         assert isinstance(result.exception, SystemExit)  # a clean exit, no traceback
         assert "Error: product 'ghost' is not in the catalog" in result.output
 
+    def test_nesting_too_deep_is_one_error_line(self, workspace, runner):
+        config, out = workspace
+        n_lines = len((out / "sessions.jsonl").read_bytes().splitlines())
+        with open(out / "sessions.jsonl", "a", encoding="utf-8") as fh:
+            fh.write("[" * 200_000 + "\n")
+        result = runner.invoke(main, ["lifecycle", "--config", str(config), "--out", str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # a clean exit, no traceback
+        [line] = result.stderr.splitlines()
+        assert line.startswith(f"Error: {out / 'sessions.jsonl'}:{n_lines + 1}: malformed session line")
+        assert "recursion" in line
+
     def test_vr_uses_sample(self, workspace, runner):
         config, out = workspace
         result = runner.invoke(

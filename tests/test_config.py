@@ -83,6 +83,11 @@ class TestValidation:
         with pytest.raises(ConfigError):
             load_run_config(path)
 
+    def test_nesting_too_deep_is_invalid_yaml(self, tmp_path):
+        path = write(tmp_path, "a: " + "[" * 5_000 + "\n")
+        with pytest.raises(ConfigError, match="invalid YAML"):
+            load_run_config(path)
+
     def test_defaults_when_sections_absent(self, tmp_path):
         path = write(tmp_path, "curve:\n  day_grid: [1, 2]\n")
         rc = load_run_config(path)

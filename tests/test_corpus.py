@@ -18,6 +18,7 @@ from sessionvalue.corpus import (
     load_dataset,
     read_catalog,
     read_eval_log,
+    read_jsonl,
     read_sessions,
     require_in_catalog,
     slice_days,
@@ -37,7 +38,7 @@ from sessionvalue.errors import (
 )
 
 from helpers import mk_catalog, mk_dataset, mk_session
-from oracles import read_truth
+from oracles import read_jsonl_loads, read_truth
 
 
 def clicks_at(times, product="A"):
@@ -281,6 +282,18 @@ class TestDatasetIO:
             read_sessions(path)
         assert err.value.line_no == 7
 
+    @pytest.mark.parametrize(("read", "good"), [
+        (read_sessions, '{"session_id":"ok","clicks":[{"t":0,"p":"A"}]}\n'),
+        (read_eval_log, '{"session_id":"ok","viewed":["A"],"ordered":[]}\n'),
+        (read_catalog, '{"p":"A","cat":["t0"]}\n'),
+    ], ids=["sessions", "eval", "catalog"])
+    def test_nesting_too_deep_to_decode_names_its_line(self, tmp_path, read, good):
+        path = tmp_path / "in.jsonl"
+        path.write_text(good + "[" * 200_000 + "\n")
+        with pytest.raises(DatasetFormatError, match="recursion") as err:
+            read(path)
+        assert (err.value.path, err.value.line_no) == (str(path), 2)
+
     def test_non_utf8_line_reports_line_number(self, tmp_path):
         path = tmp_path / "s.jsonl"
         path.write_bytes(b'{"session_id":"ok","clicks":[{"t":0,"p":"A"}]}\n{"session_id":"\xff"}\n')
@@ -344,6 +357,52 @@ class TestDatasetIO:
         write_catalog(catalog, path)
         lines = path.read_text().splitlines()
         assert json.loads(lines[0])["p"] == "a"
+
+
+# Pieces of one line of bytes: JSON documents and the bodies whose decoding
+# goes wrong or differs between a stripped and an unstripped line.
+JSON_DOCS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+).map(lambda doc: json.dumps(doc).encode())
+ODD_BODIES = st.sampled_from([
+    b"{} {}", b"{}x", b"[1] 2", b"NaN", b"[NaN, Infinity, -Infinity]", b"1e400", b"-1e400",
+    b"1" + b"0" * 400, b'{"a": ', b"\xff", b'"\xc3"', b'"\\ud800"', b"tru", b"",
+])
+PADDING = st.sampled_from([b"", b" ", b"\t", b"\r", b"\x0b", b"\x0c", b"\xef\xbb\xbf", b" \t\r "])
+LINES = st.tuples(
+    PADDING, JSON_DOCS | ODD_BODIES | st.binary(max_size=6), PADDING, st.sampled_from([b"\n", b"\r\n"]),
+).map(b"".join)
+
+
+class TestLineDecode:
+    """``read_jsonl`` decodes a line with one ``raw_decode`` of its stripped
+    text where it can; the oracle decodes every line with ``json.loads``."""
+
+    @staticmethod
+    def outcome(read, path):
+        try:
+            return repr(read(path, "test", lambda doc: doc))  # repr: NaN equals NaN
+        except DatasetFormatError as exc:
+            return exc.line_no, str(exc)
+
+    @settings(
+        max_examples=400, derandomize=True, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(lines=st.lists(LINES, min_size=1, max_size=4), last_ending=st.booleans())
+    @example(lines=[b"\xef\xbb\xbf{}\n"], last_ending=True)  # a BOM is refused
+    @example(lines=[b"\x0b{}\n", b"{}\x0c\n"], last_ending=True)  # not JSON whitespace
+    @example(lines=[b"  {} \r\n", b"\t[1]\t\r\n"], last_ending=False)  # JSON whitespace
+    @example(lines=[b"{}\n", b" \x0b\x0c\n", b"{} {}\n"], last_ending=True)  # blank, trailing data
+    @example(lines=[b"[NaN, 1e400]\n", b"1" + b"0" * 400 + b"\n"], last_ending=True)
+    @example(lines=[b'{"a": "\xff"}\n'], last_ending=True)  # invalid UTF-8
+    def test_same_documents_or_error_as_json_loads(self, tmp_path, lines, last_ending):
+        data = b"".join(lines)
+        path = tmp_path / "in.jsonl"
+        path.write_bytes(data if last_ending else data.rstrip(b"\r\n"))
+        assert self.outcome(read_jsonl, path) == self.outcome(read_jsonl_loads, path)
 
 
 class TestLeaveOneOut:

@@ -21,7 +21,7 @@ from sessionvalue.lifecycle import (
 from sessionvalue.synthgen import GenConfig, generate
 
 from helpers import mk_catalog, mk_dataset, mk_session
-from oracles import trajectories_rebuild
+from oracles import cv_score_scan, trajectories_rebuild
 
 BENCHMARK = Path(__file__).resolve().parent / "golden" / "benchmark"
 
@@ -59,6 +59,7 @@ class TestCvScore:
             u = len(session.unique_products)
             score = cv_score(session, topk)
             assert 0 <= score <= u * (u - 1)
+            assert score == cv_score_scan(session, topk)
 
 
 class TestOls:
@@ -222,6 +223,22 @@ class TestSlidingCountsMatchRebuild:
     @example(
         sessions=[(0, ["A", "B"]), (1, ["A", "C"])],
         plan=FramePlan(window_days=1, n_frames=2, cohort_day=0), k=4,
+    )
+    # frames 2 and 3 touch A's row, but its ranked ids stay [B]
+    @example(
+        sessions=[(0, ["A", "B"]), (1, ["A", "B"]), (2, ["A", "C"])],
+        plan=FramePlan(window_days=3, n_frames=3, cohort_day=0), k=1,
+    )
+    # frame 5: day 4 enters and day 2 leaves, and neither holds a session
+    @example(
+        sessions=[(0, ["A", "B"]), (1, ["A", "C"]), (5, ["A", "B"])],
+        plan=FramePlan(window_days=2, n_frames=6, cohort_day=0), k=2,
+    )
+    # s0's lists (A, B) stay the same for all four frames while s1's (C) change
+    @example(
+        sessions=[(0, ["A", "B"]), (0, ["C", "D"]), (1, ["C", "E"]), (2, ["C", "E"]),
+                  (3, ["D", "E"])],
+        plan=FramePlan(window_days=4, n_frames=4, cohort_day=0), k=1,
     )
     def test_equals_rebuild(self, sessions, plan, k):
         ds = build(sessions)

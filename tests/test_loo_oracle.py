@@ -5,8 +5,8 @@ and moves the conversion rate by integer view/order totals. The oracle
 rebuilds the matrix from the dataset without the session, ranks every seed,
 diffs the full maps and recomputes the rate with ``aggregate_pairs``, which
 scans the eval log one session at a time and shares no code with
-``kpi.totals``; ``scan_cr`` checks it on every call. Records must agree field
-by field, with the rates compared bit for bit.
+``kpi.totals``. Records must agree field by field, with the rates compared
+bit for bit.
 """
 
 from __future__ import annotations
@@ -40,24 +40,8 @@ REVENUE_BASE = 1e6
 ZERO_VIEWS = "conversion rate has zero views"
 
 
-def scan_cr(recs, eval_log) -> float:
-    """Orders over views, summed eval session by eval session."""
-    views = ordered = 0
-    for es in eval_log.sessions:
-        for seed in es.viewed:
-            rl = recs.get(seed)
-            if rl is None:
-                continue
-            for alt in rl.product_ids:
-                views += 1
-                ordered += alt in es.ordered
-    return ordered / views if views else 0.0
-
-
 def full_cr(recs, eval_log) -> float:
-    cr = conversion_rate(aggregate_pairs(recs, eval_log))
-    assert same_bits(cr, scan_cr(recs, eval_log))
-    return cr
+    return conversion_rate(aggregate_pairs(recs, eval_log))
 
 
 def rebuild(dataset, eval_log, k, session_id):
