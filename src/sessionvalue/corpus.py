@@ -217,11 +217,11 @@ class Dataset:
     def by_id(self) -> dict[str, Session]:
         return {s.session_id: s for s in self.sessions}
 
-    @property
+    @cached_property
     def min_day(self) -> int:
         return min(s.day for s in self.sessions)
 
-    @property
+    @cached_property
     def max_day(self) -> int:
         return max(s.day for s in self.sessions)
 

@@ -18,6 +18,13 @@ runs the widest copy the CPU has.
 ``all_top_k_similar`` orders each seed's cosines with one ``np.lexsort`` on
 (cosine desc, product id asc); ``tests/oracles.py`` keeps the sort of
 (product, cosine) tuples it replaced.
+
+Trainings may run in threads at once (``ctypes`` releases the GIL for the
+kernel call), as ``sensitivity.run_loo`` runs leave-one-out deltas. The
+module state they share, the loaded kernel and ``_init_rows``, is only read
+then: the baseline training fills both before any delta starts, and a
+delta's vocabulary is never larger than the baseline's, so it never writes
+``_init_rows``. Each training writes only arrays of its own.
 """
 
 from __future__ import annotations
@@ -175,15 +182,17 @@ def build_vocab(dataset: Dataset, min_count: int) -> Vocabulary:
 def _initial_vectors(n_entries: int, dimensions: int, rng_seed: int) -> np.ndarray:
     """Input-vector init keyed by (rng_seed, entry index, dimension index), as
     a fresh writable array. Row i depends only on (rng_seed, i, dimensions),
-    so the rows are built once per process for the largest vocabulary seen and
-    copied for every training that needs no more: a leave-one-out delta never
-    does, and pool workers inherit the baseline's rows."""
+    so the rows are built once per process for the largest vocabulary seen,
+    kept read-only and copied for every training that needs no more. A
+    leave-one-out delta never needs more than its baseline, so the delta
+    trainings that ``run_loo`` runs in threads only read ``_init_rows``."""
     rows = _init_rows.get((rng_seed, dimensions))
     if rows is None or len(rows) < n_entries:
         rows = np.empty((n_entries, dimensions), dtype=np.float64)
         for i in range(n_entries):
             rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([rng_seed, i])))
             rows[i] = (rng.random(dimensions) - 0.5) / dimensions
+        rows.setflags(write=False)
         _init_rows[(rng_seed, dimensions)] = rows
     return rows[:n_entries].copy()
 
@@ -284,6 +293,14 @@ def _sentences(dataset: Dataset, vocab: Vocabulary) -> list[list[int]]:
     return [[index[p] for p in s.products if p in index] for s in dataset.sessions]
 
 
+# The kernel writes its scratch, one double per node of the longest path, on
+# every (center, context) step. A bare np.empty of that size can share a cache
+# line with another thread's training, which slowed two trainings in threads
+# intermittently; so the scratch gets one 64-byte line (8 doubles) of its own
+# buffer on each side.
+_SCRATCH_PAD = 8
+
+
 def _fit(dataset: Dataset, hyper: Hyperparams) -> tuple[Vocabulary, np.ndarray]:
     """The vocabulary and the unrounded input vectors of one training."""
     kernel = load_kernel()
@@ -293,8 +310,9 @@ def _fit(dataset: Dataset, hyper: Hyperparams) -> tuple[Vocabulary, np.ndarray]:
     syn0 = _initial_vectors(n, hyper.dimensions, hyper.rng_seed)
     syn1 = np.zeros((max(n - 1, 0), hyper.dimensions), dtype=np.float64)
     points, code, offsets = _huffman(vocab.frequencies)
+    scratch = np.empty(np.diff(offsets).max() + 2 * _SCRATCH_PAD)[_SCRATCH_PAD:-_SCRATCH_PAD]
     kernel(
-        syn0, syn1, np.empty(np.diff(offsets).max()), hyper.dimensions,
+        syn0, syn1, scratch, hyper.dimensions,
         np.fromiter((w for s in sents for w in s), dtype=np.int64),
         _offsets([len(s) for s in sents]), len(sents),
         points, 1.0 - code, offsets,

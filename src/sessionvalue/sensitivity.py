@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import logging
 import math
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -38,7 +37,6 @@ from .errors import (
     ExhaustiveVrRefusedError,
     UndefinedBaselineError,
     UnknownSessionError,
-    WorkerDiedError,
 )
 from .kpi import EvalIndex, index_eval, rate_from_totals, totals
 
@@ -169,7 +167,11 @@ class VrEngine:
     """Embedding recommender; the delta model is a full single-threaded retrain
     with the baseline's rng_seed, so vector differences stem from the data
     alone. Every list can move, so every seed is returned. A session whose
-    removal leaves no product at ``min_count`` takes every seed with it."""
+    removal leaves no product at ``min_count`` takes every seed with it.
+
+    ``run_loo`` prices its deltas in threads, and no other engine's: the
+    retrain is one kernel call, which runs without the GIL, and it only reads
+    state that the baseline training filled (see ``embed``)."""
 
     hyper: embed.Hyperparams
 
@@ -265,7 +267,8 @@ def classify(diff: OutputDiff, rel_cr_change_: float, neutral_band: float) -> Co
 
 @dataclass(frozen=True)
 class _Baseline:
-    """Everything pricing one session needs; built once per run, before any pool."""
+    """Everything pricing one session needs; built once per run, before any
+    thread starts, and only read after that."""
 
     engine: object
     dataset: Dataset
@@ -281,38 +284,30 @@ class _Baseline:
 def _price(base: _Baseline, session_id: str) -> SensitivityRecord:
     """Diff the lists the engine says may change and move the baseline's
     integer view/order totals by their contributions, so ``cr_delta`` equals
-    ``conversion_rate(aggregate_pairs(delta_topk, eval_log))`` bit for bit."""
-    lists = base.engine.delta_lists(base.model, base.topk, base.dataset, session_id, base.cfg.k)
-    diff = diff_topk(base.topk, lists, lists)
-    changed = diff.changed_seeds
-    old_ordered, old_views = totals(base.eval_index, {s: base.topk.get(s) for s in changed})
-    new_ordered, new_views = totals(base.eval_index, {s: lists[s] for s in changed})
-    cr_delta = rate_from_totals(
-        base.n_ordered - old_ordered + new_ordered, base.n_views - old_views + new_views
-    )
-    rel = relative_cr_change(base.cr, cr_delta)
-    return SensitivityRecord(
-        session_id=session_id,
-        diff=diff,
-        cr_base=base.cr,
-        cr_delta=cr_delta,
-        rel_cr_change=rel,
-        value=session_value(rel, base.cfg.revenue_base),
-        constellation=classify(diff, rel, base.cfg.neutral_band),
-    )
-
-
-# Set once per pool worker by the initializer, so a task is just a session id.
-_worker_baseline: _Baseline | None = None
-
-
-def _init_worker(base: _Baseline) -> None:
-    global _worker_baseline
-    _worker_baseline = base
-
-
-def _price_in_worker(session_id: str) -> SensitivityRecord:
-    return _price(_worker_baseline, session_id)
+    ``conversion_rate(aggregate_pairs(delta_topk, eval_log))`` bit for bit.
+    An exception propagates as it was raised, with a note naming the session."""
+    try:
+        lists = base.engine.delta_lists(base.model, base.topk, base.dataset, session_id, base.cfg.k)
+        diff = diff_topk(base.topk, lists, lists)
+        changed = diff.changed_seeds
+        old_ordered, old_views = totals(base.eval_index, {s: base.topk.get(s) for s in changed})
+        new_ordered, new_views = totals(base.eval_index, {s: lists[s] for s in changed})
+        cr_delta = rate_from_totals(
+            base.n_ordered - old_ordered + new_ordered, base.n_views - old_views + new_views
+        )
+        rel = relative_cr_change(base.cr, cr_delta)
+        return SensitivityRecord(
+            session_id=session_id,
+            diff=diff,
+            cr_base=base.cr,
+            cr_delta=cr_delta,
+            rel_cr_change=rel,
+            value=session_value(rel, base.cfg.revenue_base),
+            constellation=classify(diff, rel, base.cfg.neutral_band),
+        )
+    except Exception as exc:
+        exc.add_note(f"while pricing the leave-one-out delta of session {session_id!r}")
+        raise
 
 
 def sessions_to_price(engine, dataset: Dataset, cfg: HarnessConfig) -> tuple[str, ...] | None:
@@ -330,14 +325,6 @@ def sessions_to_price(engine, dataset: Dataset, cfg: HarnessConfig) -> tuple[str
     return None
 
 
-def _pool_context():
-    """The pool's start method: ``fork`` where the platform has it, so that
-    the workers start from the parent's memory, with the kernel loaded and no
-    package to import again; else the platform's default. The records do not
-    depend on it, because each worker's state arrives through ``initargs``."""
-    return multiprocessing.get_context("fork" if "fork" in multiprocessing.get_all_start_methods() else None)
-
-
 def run_loo(
     engine, dataset: Dataset, eval_log: EvalLog, cfg: HarnessConfig, jobs: int = 1,
     session_ids: Sequence[str] | None = None,
@@ -346,9 +333,12 @@ def run_loo(
 
     The baseline model, its lists and the eval index are built once; per
     session ``engine.delta_lists`` gives the lists that may change. Records
-    are ordered by session_id and independent of ``jobs``, the number of
-    worker processes (at most one per session). A worker that dies raises
-    ``WorkerDiedError``.
+    are ordered by session_id and independent of ``jobs``. ``VrEngine``
+    deltas are priced in ``min(jobs, len(session_ids))`` threads, which share
+    the baseline read-only; every other engine prices serially, because a
+    ``cor`` delta is pure Python and threads cannot overlap it under the GIL.
+    An exception raised while pricing a session reaches the caller unchanged,
+    with a note naming the session.
     """
     if session_ids is None:
         session_ids = sorted(dataset.by_id)
@@ -367,16 +357,10 @@ def run_loo(
         engine, dataset, cfg, model, topk, eval_index,
         n_views, n_ordered, rate_from_totals(n_ordered, n_views),
     )
-    if jobs <= 1:
+    if jobs <= 1 or not isinstance(engine, VrEngine):
         return [_price(base, sid) for sid in session_ids]
-    try:
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(session_ids)), mp_context=_pool_context(),
-            initializer=_init_worker, initargs=(base,),
-        ) as pool:
-            return list(pool.map(_price_in_worker, session_ids))
-    except BrokenProcessPool as exc:
-        raise WorkerDiedError(jobs) from exc
+    with ThreadPoolExecutor(max_workers=min(jobs, len(session_ids))) as pool:
+        return list(pool.map(partial(_price, base), session_ids))
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,10 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from sessionvalue import cli, synthgen
+from sessionvalue import embed, synthgen
 from sessionvalue.cli import main
 
-from conftest import BENCHMARK_CONFIG
-from helpers import DyingEngine
+from conftest import BENCHMARK_CONFIG, SMOKE_CONFIG
 
 BASE_CONFIG = """\
 synth:
@@ -208,17 +207,27 @@ class TestValue:
         with open(out / "records_cor.csv") as fh:
             assert len(list(csv.DictReader(fh))) == 50
 
-    def test_dead_worker_is_one_error_line(self, workspace, runner, monkeypatch):
-        config, out = workspace
-        monkeypatch.setattr(cli, "_engine", lambda rc, name: DyingEngine())
-        result = runner.invoke(main, [
-            "value", "--config", str(config), "--out", str(out), "--engine", "cor", "--jobs", "2",
-        ])
-        assert result.exit_code == 1
-        assert isinstance(result.exception, SystemExit)  # a clean exit, no traceback
-        [line] = result.stderr.splitlines()
-        assert line.startswith("Error: a leave-one-out worker process (of --jobs 2) died")
-        assert not (out / "records_cor.csv").exists()
+    def test_vr_jobs_2_starts_no_process(self, runner, tmp_path, monkeypatch):
+        """``--jobs 2`` prices ``vr`` deltas in threads: every way CPython
+        starts a process on POSIX is patched to raise, and the records are
+        the smoke golden's."""
+        posixsubprocess = pytest.importorskip("_posixsubprocess")
+        smoke, out = str(SMOKE_CONFIG), str(tmp_path)
+        assert runner.invoke(main, ["synth", "--config", smoke, "--out", out]).exit_code == 0
+        embed.load_kernel()  # a first use may compile it, in a child process
+
+        def no_process(*args, **kwargs):
+            raise AssertionError("a process was started")
+
+        for module, name in [(os, "fork"), (os, "posix_spawn"), (os, "posix_spawnp"),
+                             (posixsubprocess, "fork_exec")]:
+            monkeypatch.setattr(module, name, no_process)
+        result = runner.invoke(
+            main, ["value", "--config", smoke, "--out", out, "--engine", "vr", "--jobs", "2"]
+        )
+        assert result.exit_code == 0, result.output
+        golden = Path(__file__).resolve().parent / "golden" / "smoke" / "records_vr.csv"
+        assert (tmp_path / "records_vr.csv").read_bytes() == golden.read_bytes()
 
     def test_eval_product_missing_from_catalog_rejected(self, workspace, runner):
         config, out = workspace

@@ -405,6 +405,14 @@ class TestLineDecode:
         assert self.outcome(read_jsonl, path) == self.outcome(read_jsonl_loads, path)
 
 
+class TestDayRange:
+    def test_extreme_days_come_from_inner_sessions_and_are_kept(self):
+        ds = mk_dataset([("a", 3, ["A"]), ("b", 1, ["B"]), ("c", 7, ["A"]), ("d", 2, ["B"])])
+        assert (ds.min_day, ds.max_day) == (1, 7)
+        # Computed once: both are cached on the instance, as ``by_id`` is.
+        assert (vars(ds)["min_day"], vars(ds)["max_day"]) == (1, 7)
+
+
 class TestLeaveOneOut:
     def test_drop_middle_preserves_order(self):
         ds = mk_dataset([("a", 0, ["A"]), ("b", 0, ["B"]), ("c", 0, ["C"])])

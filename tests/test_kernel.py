@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import ctypes
 import os
+import shutil
 import subprocess
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -337,6 +339,48 @@ def test_kernel_reads_the_huffman_arrays():
     assert got_offsets.tolist() == offsets.tolist()
 
 
+def test_kernel_scratch_has_a_cache_line_of_its_own_buffer_on_each_side():
+    """The scratch the kernel writes on every step is a view with at least
+    64 bytes of its buffer before and after it, so it shares no cache line
+    with memory that another thread's training writes."""
+    dataset = sessions_dataset(CATERPILLAR)
+    hyper = Hyperparams(dimensions=4, window=2, min_count=1)
+    kernel = embed.load_kernel()
+    margins = []
+
+    def spy(*args):
+        scratch = args[2]
+        buffer = scratch.base
+        assert buffer.flags.owndata and buffer.base is None
+        start, end = scratch.ctypes.data, scratch.ctypes.data + scratch.nbytes
+        margins.append((start - buffer.ctypes.data, buffer.ctypes.data + buffer.nbytes - end))
+        kernel(*args)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(embed, "_kernel", spy)
+        _fit(dataset, hyper)
+    [(before, after)] = margins
+    assert before >= 64 and after >= 64
+
+
+def test_trainings_in_two_threads_match_them_one_after_the_other():
+    """Two trainings on different datasets, run at once in two threads, leave
+    the unrounded ``syn0`` bits that they leave run one after the other."""
+    runs = [
+        (load_dataset(GOLDEN / name / "sessions.jsonl", GOLDEN / name / "catalog.jsonl"),
+         load_run_config(CONFIG_DIR / f"{name}.yaml").hyper)
+        for name in ("benchmark", "smoke")
+    ]
+
+    def fit(run):
+        return _fit(*run)[1].tobytes()
+
+    serial = [fit(run) for run in runs]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        for _ in range(3):
+            assert list(pool.map(fit, runs)) == serial
+
+
 @pytest.mark.parametrize("position", [0, 1, 2, 4, 5, 7, 8, 9])
 def test_non_contiguous_array_cannot_reach_kernel(position):
     args = _kernel_args()
@@ -354,6 +398,48 @@ def test_wrong_dtype_cannot_reach_kernel(position):
     args[position] = args[position].astype(other)
     with pytest.raises(ctypes.ArgumentError):
         embed.load_kernel()(*args)
+
+
+# The writable data (``nm`` types ``b``, ``B``, ``d`` and ``D``) that the
+# toolchain puts into any shared library it links: the ELF bookkeeping of the
+# start files, and libgcc's CPU-feature records behind
+# ``__builtin_cpu_supports``, which its constructor fills once at load.
+TOOLCHAIN_DATA = frozenset({
+    "_DYNAMIC", "_GLOBAL_OFFSET_TABLE_", "__TMC_END__", "__dso_handle", "completed.0",
+    "__frame_dummy_init_array_entry", "__do_global_dtors_aux_fini_array_entry",
+    "__cpu_model", "__cpu_features2",
+})
+
+
+def writable_data(library: Path) -> set[str]:
+    """The symbols of writable data that ``nm --defined-only`` lists for
+    ``library``, beyond ``TOOLCHAIN_DATA``."""
+    nm = shutil.which("nm")
+    if nm is None:
+        pytest.skip("nm is not installed, so the kernel's symbols cannot be listed")
+    listing = subprocess.run(
+        [nm, "--defined-only", str(library)], capture_output=True, text=True, check=True
+    ).stdout
+    fields = [line.split() for line in listing.splitlines()]
+    return {f[2] for f in fields if len(f) == 3 and f[1] in {"b", "B", "d", "D"}} - TOOLCHAIN_DATA
+
+
+class TestNoWritableGlobals:
+    """Trainings in threads share the loaded kernel, so the library may keep
+    no writable state of its own: each training writes only its arguments."""
+
+    def test_kernel_defines_no_writable_data(self):
+        assert writable_data(embed._build(embed._cache_dir())) == set()
+
+    def test_a_static_buffer_is_caught(self, tmp_path):
+        source = tmp_path / "_skipgram.c"
+        source.write_text(
+            embed._SOURCE.read_text()
+            + "static double sv_shared[8];\ndouble *sv_shared_buffer(void) { return sv_shared; }\n"
+        )
+        library = tmp_path / "shared.so"
+        subprocess.run([*embed.KERNEL_BUILD, str(source), "-lm", "-o", str(library)], check=True)
+        assert writable_data(library) == {"sv_shared"}
 
 
 class TestBuild:

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
-import multiprocessing
+import sys
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from sessionvalue import sensitivity
+from sessionvalue import embed, sensitivity
 from sessionvalue.cor import RecommendationList, all_top_k, build_matrix
 from sessionvalue.corpus import Dataset
 from sessionvalue.embed import Hyperparams
@@ -14,7 +15,6 @@ from sessionvalue.errors import (
     SessionValueError,
     UndefinedBaselineError,
     UnknownSessionError,
-    WorkerDiedError,
 )
 from sessionvalue.kpi import rate_from_totals
 from sessionvalue.sensitivity import (
@@ -37,7 +37,7 @@ from sessionvalue.sensitivity import (
 )
 from sessionvalue.synthgen import GenConfig, generate
 
-from helpers import DyingEngine, mk_dataset, mk_eval
+from helpers import mk_dataset, mk_eval
 
 
 def rl(seed, ids):
@@ -407,44 +407,72 @@ def test_deterministic_and_jobs_invariant(engine):
     assert [r.session_id for r in first] == sorted(sample)
 
 
-@pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
-def test_pool_records_equal_serial_under_every_start_method(method, monkeypatch):
-    """Each worker's state arrives through ``initargs``, so a pool started by
-    any method the platform has prices as the serial loop does."""
+def loo_inputs():
     ds, ev, _ = generate(small_config(n_train_sessions=30, n_eval_sessions=80))
-    sample = tuple(sorted(ds.by_id)[:3])
-    cfg = HarnessConfig(k=3, revenue_base=1e6)
-    serial = run_loo(VrEngine(VR_HYPER), ds, ev, cfg, jobs=1, session_ids=sample)
-    monkeypatch.setattr(sensitivity, "_pool_context", lambda: multiprocessing.get_context(method))
-    assert run_loo(VrEngine(VR_HYPER), ds, ev, cfg, jobs=2, session_ids=sample) == serial
+    return ds, ev, tuple(sorted(ds.by_id)[:4]), HarnessConfig(k=3, revenue_base=1e6)
 
 
-def test_pool_forks_where_it_can_and_starts_one_worker_per_session_at_most(monkeypatch):
-    if "fork" in multiprocessing.get_all_start_methods():
-        assert sensitivity._pool_context().get_start_method() == "fork"
+def test_vr_prices_in_one_thread_per_session_at_most_and_cor_in_none(monkeypatch):
     started = []
-    pool = sensitivity.ProcessPoolExecutor
+    pool = sensitivity.ThreadPoolExecutor
 
-    def recording(**kwargs):
-        started.append(kwargs["max_workers"])
-        return pool(**kwargs)
+    def recording(max_workers):
+        started.append(max_workers)
+        return pool(max_workers)
 
-    monkeypatch.setattr(sensitivity, "ProcessPoolExecutor", recording)
-    ds, ev, _ = generate(small_config(n_train_sessions=12, n_eval_sessions=40))
-    sample = tuple(sorted(ds.by_id)[:2])
-    cfg = HarnessConfig(k=3, revenue_base=1e6)
-    assert run_loo(CorEngine(), ds, ev, cfg, jobs=8, session_ids=sample) == run_loo(
-        CorEngine(), ds, ev, cfg, jobs=1, session_ids=sample
-    )
+    monkeypatch.setattr(sensitivity, "ThreadPoolExecutor", recording)
+    ds, ev, sample, cfg = loo_inputs()
+    run_loo(CorEngine(), ds, ev, cfg, jobs=8, session_ids=sample)
+    assert started == []
+    run_loo(VrEngine(VR_HYPER), ds, ev, cfg, jobs=8, session_ids=sample[:2])
     assert started == [2]
 
 
-def test_dead_worker_raises_one_clear_error():
-    ds, ev, _ = generate(small_config(n_train_sessions=12, n_eval_sessions=40))
-    with pytest.raises(WorkerDiedError, match="worker process") as info:
-        run_loo(DyingEngine(), ds, ev, HarnessConfig(k=3, revenue_base=1e6), jobs=2)
-    assert isinstance(info.value, SessionValueError)
-    assert "BrokenProcessPool" in type(info.value.__cause__).__name__
+@dataclass(frozen=True)
+class FailingVrEngine(VrEngine):
+    """``VrEngine`` whose delta of session ``failing`` raises."""
+
+    failing: str = ""
+
+    def delta_lists(self, base_model, base_topk, dataset, session_id, k):
+        if session_id == self.failing:
+            raise LookupError(f"no delta for {session_id}")
+        return super().delta_lists(base_model, base_topk, dataset, session_id, k)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_error_in_a_delta_reaches_the_caller_with_a_note_naming_its_session(jobs):
+    ds, ev, sample, cfg = loo_inputs()
+    failing = sample[2]
+    with pytest.raises(LookupError) as info:
+        run_loo(FailingVrEngine(VR_HYPER, failing), ds, ev, cfg, jobs=jobs, session_ids=sample)
+    assert type(info.value) is LookupError
+    assert str(info.value) == f"no delta for {failing}"
+    assert info.value.__notes__ == [
+        f"while pricing the leave-one-out delta of session {failing!r}"
+    ]
+    assert info.traceback[-1].name == "delta_lists"
+
+
+@pytest.mark.parametrize("jobs", [2, 4])
+def test_threads_leave_the_init_rows_as_they_found_them(jobs, monkeypatch):
+    """The baseline fills ``embed._init_rows``; no delta thread writes it.
+    Under a short switch interval the threads' records equal the serial ones."""
+    ds, ev, sample, cfg = loo_inputs()
+    monkeypatch.setattr(embed, "_init_rows", {})
+    serial = run_loo(VrEngine(VR_HYPER), ds, ev, cfg, jobs=1, session_ids=sample)
+    found = dict(embed._init_rows)
+    found_bytes = {key: rows.tobytes() for key, rows in found.items()}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = run_loo(VrEngine(VR_HYPER), ds, ev, cfg, jobs=jobs, session_ids=sample)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+    assert embed._init_rows.keys() == found.keys()
+    assert all(embed._init_rows[key] is rows for key, rows in found.items())
+    assert {key: rows.tobytes() for key, rows in embed._init_rows.items()} == found_bytes
 
 
 def fake_record(rel: float) -> SensitivityRecord:
