@@ -21,6 +21,7 @@ from .atomic import atomic_open, json_text, write_csv, write_json
 from .config import LifecycleSection, RunConfig, load_run_config
 from .corpus import (
     Dataset,
+    EvalLog,
     load_dataset,
     read_eval_log,
     require_in_catalog,
@@ -81,16 +82,22 @@ def _require_file(path: Path) -> Path:
     return path
 
 
+def _read_eval(path: Path, dataset: Dataset) -> EvalLog:
+    eval_log = read_eval_log(path)
+    require_in_catalog(eval_log.products, dataset.catalog)
+    return eval_log
+
+
 def _load_data(rc: RunConfig, out_dir: Path, need_eval: bool = True):
-    dataset = load_dataset(
-        _require_file(rc.input_path("sessions", out_dir)),
-        _require_file(rc.input_path("catalog", out_dir)),
-    )
+    """The dataset and, when ``need_eval``, a zero-argument loader of the eval
+    log checked against its catalog (else None). Every input file must exist
+    before anything is read."""
+    names = ("sessions", "catalog", "eval") if need_eval else ("sessions", "catalog")
+    paths = [_require_file(rc.input_path(name, out_dir)) for name in names]
+    dataset = load_dataset(paths[0], paths[1])
     if not need_eval:
         return dataset, None
-    eval_log = read_eval_log(_require_file(rc.input_path("eval", out_dir)))
-    require_in_catalog(eval_log.products, dataset.catalog)
-    return dataset, eval_log
+    return dataset, functools.partial(_read_eval, paths[2], dataset)
 
 
 def _engine(rc: RunConfig, name: str):
@@ -188,7 +195,8 @@ def stability(config_path: str, out_override: str | None) -> None:
 def value(config_path: str, out_override: str | None, engine: str, jobs: int) -> None:
     """Leave-one-out session valuation: records, histogram and summary files."""
     rc, out_dir = _prepare(config_path, out_override)
-    dataset, eval_log = _load_data(rc, out_dir)
+    dataset, load_eval = _load_data(rc, out_dir)
+    eval_log = load_eval()
     eng = _engine(rc, engine)
     session_ids = sensitivity.sessions_to_price(eng, dataset, rc.harness)
     records = sensitivity.run_loo(eng, dataset, eval_log, rc.harness, jobs=jobs, session_ids=session_ids)
@@ -242,8 +250,8 @@ def curve_cmd(config_path: str, out_override: str | None) -> None:
     rc, out_dir = _prepare(config_path, out_override)
     if rc.curve is None:
         raise click.ClickException("config has no curve section (day_grid required)")
-    dataset, eval_log = _load_data(rc, out_dir)
-    rows = curve.run_curve(dataset, eval_log, rc.curve)
+    dataset, load_eval = _load_data(rc, out_dir)
+    rows = curve.run_curve(dataset, rc.curve, load_eval)
     curve.write_table_csv(rows, out_dir / "curve_table.csv")
     curve.write_curves_csv(curve.emit_curves(rows), out_dir / "curve_scaled.csv")
     summary = {

@@ -5,16 +5,18 @@ historical sessions and slices are nested. Each entry gives one ``CurveRow``,
 whose fields are the table's columns in order: the slice's days and sessions,
 model coverage (#products), the fraction of newly added sessions carrying
 products unseen by the previous smaller model (SNP), conversion rate, revenue
-figures, the CPU seconds of the training call and mean session length.
+figures, the CPU seconds of the training thread and mean session length.
 """
 
 from __future__ import annotations
 
 import logging
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import embed, kpi
 from .atomic import write_csv
@@ -59,42 +61,70 @@ class CurveRow:
     avg_session_length: float
 
 
-def run_curve(dataset: Dataset, eval_log: EvalLog, plan: CurvePlan) -> list[CurveRow]:
+def _train(sliced: Dataset, hyper: embed.Hyperparams, n_days: int) -> tuple[embed.EmbeddingModel, float]:
+    """One grid entry's model and the CPU seconds of its training thread."""
+    started = time.thread_time()
+    try:
+        model = embed.train(sliced, hyper)
+    except Exception as exc:
+        exc.add_note(f"while training the learning-curve model of the last {n_days} days")
+        raise
+    return model, time.thread_time() - started
+
+
+def run_curve(dataset: Dataset, plan: CurvePlan, load_eval: Callable[[], EvalLog]) -> list[CurveRow]:
     """One row per grid entry. SNP compares the sessions added since the
     previous (smaller) slice against the previous model's product set; the
-    first row is the baseline against the empty set and reports 1.0."""
-    rows: list[CurveRow] = []
-    prev_products: frozenset[str] = frozenset()
-    prev_session_ids: set[str] = set()
+    first row is the baseline against the empty set and reports 1.0.
+
+    Every slice is taken before any model trains, so an empty one raises
+    ``EmptySliceError`` first. The models then train in a pool of one thread
+    per available CPU, up to the grid size (``ctypes`` releases the GIL for
+    the kernel call), largest slice first, while this thread calls
+    ``load_eval`` and indexes the eval log. Ranking and the KPIs follow in grid
+    order. Trainings are deterministic, so no output depends on the thread
+    count; an error in ``load_eval`` cancels the trainings not yet started.
+    """
     end_day = dataset.max_day if plan.end_day is None else plan.end_day
-    eval_index = kpi.index_eval(eval_log)
-    embed.load_kernel()
+    slices = []
     for n_days in plan.day_grid:
         sliced = slice_days(dataset, end_day=end_day, n_days=n_days)
         if not sliced.sessions:
             raise EmptySliceError(n_days)
-        started = time.process_time()
-        model = embed.train(sliced, plan.hyper)
-        cpu_seconds = time.process_time() - started
-
-        recs = embed.all_top_k_similar(model, plan.k)
-        cr = kpi.rate_from_totals(*kpi.totals(eval_index, recs))
-        n_products = len(model.vocabulary)
-        total_revenue = kpi.revenue(n_products, cr, plan.unit_value)
-        added = [s for s in sliced.sessions if s.session_id not in prev_session_ids]
-        rows.append(CurveRow(
-            days=n_days,
-            n_sessions=len(sliced.sessions),
-            n_products=n_products,
-            snp=kpi.snp(prev_products, added),
-            cr=cr,
-            revenue=total_revenue,
-            revenue_per_session=kpi.revenue_per_session(total_revenue, len(sliced.sessions)),
-            cpu_seconds=cpu_seconds,
-            avg_session_length=kpi.mean(s.length for s in sliced.sessions),
-        ))
-        prev_products = frozenset(model.vocabulary.products)
-        prev_session_ids = {s.session_id for s in sliced.sessions}
+        slices.append(sliced)
+    embed.load_kernel()
+    pool = ThreadPoolExecutor(max_workers=min(len(slices), len(os.sched_getaffinity(0))))
+    try:
+        trained = {
+            n_days: pool.submit(_train, sliced, plan.hyper, n_days)
+            for n_days, sliced in reversed(list(zip(plan.day_grid, slices)))
+        }
+        eval_index = kpi.index_eval(load_eval())
+        rows: list[CurveRow] = []
+        prev_products: frozenset[str] = frozenset()
+        prev_session_ids: set[str] = set()
+        for n_days, sliced in zip(plan.day_grid, slices):
+            model, cpu_seconds = trained[n_days].result()
+            recs = embed.all_top_k_similar(model, plan.k)
+            cr = kpi.rate_from_totals(*kpi.totals(eval_index, recs))
+            n_products = len(model.vocabulary)
+            total_revenue = kpi.revenue(n_products, cr, plan.unit_value)
+            added = [s for s in sliced.sessions if s.session_id not in prev_session_ids]
+            rows.append(CurveRow(
+                days=n_days,
+                n_sessions=len(sliced.sessions),
+                n_products=n_products,
+                snp=kpi.snp(prev_products, added),
+                cr=cr,
+                revenue=total_revenue,
+                revenue_per_session=kpi.revenue_per_session(total_revenue, len(sliced.sessions)),
+                cpu_seconds=cpu_seconds,
+                avg_session_length=kpi.mean(s.length for s in sliced.sessions),
+            ))
+            prev_products = frozenset(model.vocabulary.products)
+            prev_session_ids = {s.session_id for s in sliced.sessions}
+    finally:
+        pool.shutdown(cancel_futures=True)
     return rows
 
 

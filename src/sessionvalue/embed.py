@@ -20,11 +20,11 @@ runs the widest copy the CPU has.
 (product, cosine) tuples it replaced.
 
 Trainings may run in threads at once (``ctypes`` releases the GIL for the
-kernel call), as ``sensitivity.run_loo`` runs leave-one-out deltas. The
-module state they share, the loaded kernel and ``_init_rows``, is only read
-then: the baseline training fills both before any delta starts, and a
-delta's vocabulary is never larger than the baseline's, so it never writes
-``_init_rows``. Each training writes only arrays of its own.
+kernel call), as ``sensitivity.run_loo`` runs leave-one-out deltas and
+``curve.run_curve`` runs its grid. The module state they share is the loaded
+kernel, which the caller loads before any thread starts and which is only
+read then, and ``_init_rows``, which only grows, under ``_init_lock``. Each
+training writes only arrays of its own.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ import stat
 import subprocess
 import sysconfig
 import tempfile
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -61,6 +62,7 @@ KERNEL_BUILD = (
 _SOURCE = Path(__file__).with_name("_skipgram.c")
 _kernel = None  # the loaded entry point; see load_kernel
 _init_rows: dict[tuple[int, int], np.ndarray] = {}  # see _initial_vectors
+_init_lock = threading.Lock()  # held while _init_rows grows
 
 
 @dataclass(frozen=True)
@@ -182,18 +184,25 @@ def build_vocab(dataset: Dataset, min_count: int) -> Vocabulary:
 def _initial_vectors(n_entries: int, dimensions: int, rng_seed: int) -> np.ndarray:
     """Input-vector init keyed by (rng_seed, entry index, dimension index), as
     a fresh writable array. Row i depends only on (rng_seed, i, dimensions),
-    so the rows are built once per process for the largest vocabulary seen,
-    kept read-only and copied for every training that needs no more. A
-    leave-one-out delta never needs more than its baseline, so the delta
-    trainings that ``run_loo`` runs in threads only read ``_init_rows``."""
-    rows = _init_rows.get((rng_seed, dimensions))
+    so the rows are kept read-only per process for the largest vocabulary
+    seen, grown by the missing rows only, and copied for every training.
+    Trainings in threads of different vocabulary sizes (the learning curve's)
+    grow the cache under ``_init_lock``, so a smaller one never replaces it."""
+    key = (rng_seed, dimensions)
+    rows = _init_rows.get(key)
     if rows is None or len(rows) < n_entries:
-        rows = np.empty((n_entries, dimensions), dtype=np.float64)
-        for i in range(n_entries):
-            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([rng_seed, i])))
-            rows[i] = (rng.random(dimensions) - 0.5) / dimensions
-        rows.setflags(write=False)
-        _init_rows[(rng_seed, dimensions)] = rows
+        with _init_lock:
+            rows = _init_rows.get(key)
+            if rows is None or len(rows) < n_entries:
+                kept = 0 if rows is None else len(rows)
+                grown = np.empty((n_entries, dimensions), dtype=np.float64)
+                if kept:
+                    grown[:kept] = rows
+                for i in range(kept, n_entries):
+                    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([rng_seed, i])))
+                    grown[i] = (rng.random(dimensions) - 0.5) / dimensions
+                grown.setflags(write=False)
+                _init_rows[key] = rows = grown
     return rows[:n_entries].copy()
 
 

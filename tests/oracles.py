@@ -19,6 +19,10 @@ every cohort session scored on every frame by ``cv_score_scan``; the package
 slides neighbour counts of the cohort's products instead, re-ranks only the
 rows a slide moved and scores only the sessions whose lists changed.
 
+``run_curve_serial`` is the learning curve as one loop in the calling thread;
+the package trains the grid's models in a thread pool while it reads the eval
+log.
+
 ``read_jsonl_loads`` is ``corpus.read_jsonl`` decoding every line with
 ``json.loads``; the package tries one ``raw_decode`` of the stripped line first.
 
@@ -36,8 +40,10 @@ from pathlib import Path
 import numpy as np
 from scipy.special import expit
 
+from sessionvalue import kpi
 from sessionvalue.cor import CoocMatrix, RecommendationList, _rank, all_top_k, build_matrix
-from sessionvalue.corpus import Dataset, Session, read_jsonl, slice_days
+from sessionvalue.corpus import Dataset, EvalLog, Session, read_jsonl, slice_days
+from sessionvalue.curve import CurvePlan, CurveRow
 from sessionvalue.embed import (
     LR_FLOOR_FRACTION,
     EmbeddingModel,
@@ -48,7 +54,9 @@ from sessionvalue.embed import (
     _norms,
     _rounded,
     _sentences,
+    all_top_k_similar,
     build_vocab,
+    train,
 )
 from sessionvalue.errors import DatasetFormatError, MatrixUnderflowError, UnsortedEventsError
 from sessionvalue.lifecycle import CvTrajectory, FramePlan, classify_impact, ols
@@ -237,6 +245,36 @@ def trajectories_rebuild(dataset: Dataset, plan: FramePlan, k: int) -> list[CvTr
             impact=classify_impact(slope, intercept),
         ))
     return sorted(out, key=lambda t: t.session_id)
+
+
+def run_curve_serial(dataset: Dataset, eval_log: EvalLog, plan: CurvePlan) -> list[CurveRow]:
+    """``curve.run_curve`` as one loop: each grid entry sliced, trained, ranked
+    and priced before the next, in this thread; ``cpu_seconds`` reads 0.0."""
+    end_day = dataset.max_day if plan.end_day is None else plan.end_day
+    eval_index = kpi.index_eval(eval_log)
+    rows = []
+    prev_products: frozenset[str] = frozenset()
+    prev_ids: set[str] = set()
+    for n_days in plan.day_grid:
+        sliced = slice_days(dataset, end_day=end_day, n_days=n_days)
+        model = train(sliced, plan.hyper)
+        cr = kpi.rate_from_totals(*kpi.totals(eval_index, all_top_k_similar(model, plan.k)))
+        revenue = kpi.revenue(len(model.vocabulary), cr, plan.unit_value)
+        added = [s for s in sliced.sessions if s.session_id not in prev_ids]
+        rows.append(CurveRow(
+            days=n_days,
+            n_sessions=len(sliced.sessions),
+            n_products=len(model.vocabulary),
+            snp=kpi.snp(prev_products, added),
+            cr=cr,
+            revenue=revenue,
+            revenue_per_session=kpi.revenue_per_session(revenue, len(sliced.sessions)),
+            cpu_seconds=0.0,
+            avg_session_length=kpi.mean(s.length for s in sliced.sessions),
+        ))
+        prev_products = frozenset(model.vocabulary.products)
+        prev_ids = {s.session_id for s in sliced.sessions}
+    return rows
 
 
 def read_jsonl_loads(path: str | Path, what: str, parse) -> list:

@@ -211,7 +211,7 @@ def test_learning_curve_invariants(benchmark_data, benchmark_rc):
         hyper=benchmark_rc.hyper,
         k=benchmark_rc.curve.k,
     )
-    rows = run_curve(dataset, eval_log, plan)
+    rows = run_curve(dataset, plan, lambda: eval_log)
 
     products = [row.n_products for row in rows]
     assert products == sorted(products)

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -391,3 +392,30 @@ class TestCurveCommand:
         )
         assert result.exit_code != 0
         assert "not found" in result.output
+
+    def test_missing_eval_log_reported_before_any_training(self, workspace, runner, monkeypatch):
+        config, out = workspace
+        (out / "eval.jsonl").unlink()
+        monkeypatch.setattr(embed, "train", lambda *args: pytest.fail("a model trained"))
+        result = runner.invoke(main, ["curve", "--config", str(config), "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.stderr == f"Error: input file not found: {out / 'eval.jsonl'}\n"
+
+    def test_malformed_eval_log_is_one_error_line_and_no_curve(self, workspace, runner):
+        """The eval log is read while the models train; its error still ends
+        the command with one line, writes no curve file and leaves no thread."""
+        config, out = workspace
+        n_lines = len((out / "eval.jsonl").read_bytes().splitlines())
+        with open(out / "eval.jsonl", "a", encoding="utf-8") as fh:
+            fh.write('{"session_id": "e-bad", "viewed": 3}\n')
+        threads = threading.active_count()
+        result = runner.invoke(main, ["curve", "--config", str(config), "--out", str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # a clean exit, no traceback
+        assert result.stderr == (
+            f"Error: {out / 'eval.jsonl'}:{n_lines + 1}: malformed eval line "
+            "(viewed and ordered must be lists of product ids)\n"
+        )
+        assert not (out / "curve_table.csv").exists()
+        assert not (out / "curve_scaled.csv").exists()
+        assert threading.active_count() == threads

@@ -1,15 +1,22 @@
 from __future__ import annotations
 
+import dataclasses
 import logging
+import os
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from sessionvalue import curve
+from sessionvalue import curve, embed
 from sessionvalue.curve import CurvePlan, emit_curves, run_curve, write_table_csv
 from sessionvalue.corpus import slice_days
 from sessionvalue.embed import Hyperparams, build_vocab
 from sessionvalue.errors import EmptySliceError
 from sessionvalue.synthgen import GenConfig, generate
+
+from oracles import initial_vectors, run_curve_serial
 
 HYPER = Hyperparams(dimensions=8, iterations=1, min_count=2, rng_seed=6)
 
@@ -28,7 +35,7 @@ def data():
 def rows(data):
     ds, ev, _ = data
     plan = CurvePlan(end_day=ds.max_day, day_grid=(2, 4, 6), hyper=HYPER)
-    return ds, ev, plan, run_curve(ds, ev, plan)
+    return ds, ev, plan, run_curve(ds, plan, lambda: ev)
 
 
 class TestRunCurve:
@@ -64,19 +71,27 @@ class TestRunCurve:
             assert row.revenue_per_session == pytest.approx(row.revenue / row.n_sessions)
             assert row.cpu_seconds >= 0.0
 
-    def test_cpu_seconds_is_process_time(self, data, monkeypatch):
+    def test_cpu_seconds_is_thread_time(self, data, monkeypatch):
+        """Each training is timed by the CPU clock of the thread that runs it,
+        so the other trainings running at once are not counted."""
         ds, ev, _ = data
-        ticks = iter(range(100))
-        monkeypatch.setattr(curve.time, "process_time", lambda: 0.5 * next(ticks))
-        plan = CurvePlan(end_day=ds.max_day, day_grid=(2, 4), hyper=HYPER)
-        out = run_curve(ds, ev, plan)
-        assert [row.cpu_seconds for row in out] == [0.5, 0.5]
+        clock = threading.local()
 
-    def test_empty_slice_names_grid_entry(self, data):
+        def thread_time():
+            clock.ticks = getattr(clock, "ticks", -1) + 1
+            return 0.5 * clock.ticks
+
+        monkeypatch.setattr(curve.time, "thread_time", thread_time)
+        plan = CurvePlan(end_day=ds.max_day, day_grid=(2, 4, 6), hyper=HYPER)
+        out = run_curve(ds, plan, lambda: ev)
+        assert [row.cpu_seconds for row in out] == [0.5, 0.5, 0.5]
+
+    def test_empty_slice_names_grid_entry(self, data, monkeypatch):
         ds, ev, _ = data
-        plan = CurvePlan(end_day=-5, day_grid=(2,), hyper=HYPER)
+        monkeypatch.setattr(embed, "train", lambda *args: pytest.fail("a model trained"))
+        plan = CurvePlan(end_day=-5, day_grid=(2, 4), hyper=HYPER)
         with pytest.raises(EmptySliceError) as err:
-            run_curve(ds, ev, plan)
+            run_curve(ds, plan, lambda: pytest.fail("the eval log was read"))
         assert err.value.n_days == 2
 
     def test_grid_validation(self):
@@ -84,6 +99,92 @@ class TestRunCurve:
             CurvePlan(end_day=5, day_grid=(4, 2), hyper=HYPER)
         with pytest.raises(ValueError):
             CurvePlan(end_day=5, day_grid=(), hyper=HYPER)
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2, 4])
+def test_threads_give_the_serial_rows(data, n_cpus, monkeypatch):
+    """Every field but the measured ``cpu_seconds`` equals the serial loop's,
+    on a grid of three vocabulary sizes trained from an empty init-row cache
+    under a short switch interval. The cache ends holding the largest
+    vocabulary's rows, as fresh ones, whichever training filled it first."""
+    ds, ev, _ = data
+    plan = CurvePlan(end_day=ds.max_day, day_grid=(2, 4, 6), hyper=HYPER)
+    serial = run_curve_serial(ds, ev, plan)
+    assert len({row.n_products for row in serial}) == 3
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)))
+    monkeypatch.setattr(embed, "_init_rows", {})
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = run_curve(ds, plan, lambda: ev)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [dataclasses.replace(row, cpu_seconds=0.0) for row in threaded] == serial
+    [cached] = embed._init_rows.values()
+    fresh = initial_vectors(serial[-1].n_products, HYPER.dimensions, HYPER.rng_seed)
+    assert cached.tobytes() == fresh.tobytes()
+
+
+def test_error_in_a_training_reaches_the_caller_with_a_note_naming_its_days(data, monkeypatch):
+    ds, ev, _ = data
+    plan = CurvePlan(end_day=ds.max_day, day_grid=(2, 4, 6), hyper=HYPER)
+    failing = len(slice_days(ds, ds.max_day, 4).sessions)
+    real_train = embed.train
+
+    def train(sliced, hyper):
+        if len(sliced.sessions) == failing:
+            raise LookupError("no model today")
+        return real_train(sliced, hyper)
+
+    monkeypatch.setattr(embed, "train", train)
+    threads = threading.active_count()
+    with pytest.raises(LookupError) as info:
+        run_curve(ds, plan, lambda: ev)
+    assert type(info.value) is LookupError
+    assert str(info.value) == "no model today"
+    assert info.value.__notes__ == ["while training the learning-curve model of the last 4 days"]
+    assert info.traceback[-1].name == "train"
+    assert threading.active_count() == threads
+
+
+def test_eval_log_error_cancels_the_queued_trainings(data, monkeypatch):
+    """With one thread, the largest slice trains first; an error raised by
+    ``load_eval`` while it trains reaches the caller unchanged, the two
+    trainings still queued never start, and the pool's thread is gone."""
+    ds, _, _ = data
+    plan = CurvePlan(end_day=ds.max_day, day_grid=(2, 4, 6), hyper=HYPER)
+    started, queue_cancelled = threading.Event(), threading.Event()
+    error = LookupError("no eval log")
+    trained: list[int] = []
+    real_train = embed.train
+
+    def train(sliced, hyper):
+        trained.append(len(sliced.sessions))
+        started.set()
+        assert queue_cancelled.wait(timeout=60)
+        return real_train(sliced, hyper)
+
+    class Pool(ThreadPoolExecutor):
+        """Lets the running training go on only once the queue is cancelled."""
+
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            super().shutdown(wait=False, cancel_futures=cancel_futures)
+            queue_cancelled.set()
+            super().shutdown(wait=wait)
+
+    def load_eval():
+        assert started.wait(timeout=60)
+        raise error
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(curve, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(embed, "train", train)
+    threads = threading.active_count()
+    with pytest.raises(LookupError) as info:
+        run_curve(ds, plan, load_eval)
+    assert info.value is error
+    assert trained == [len(slice_days(ds, ds.max_day, 6).sessions)]
+    assert threading.active_count() == threads
 
 
 class TestEmitCurves:

@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from sessionvalue import embed
 from sessionvalue.embed import (
     EmbeddingModel,
     Hyperparams,
@@ -173,6 +176,31 @@ class TestTrainDeterminism:
             assert rows.shape == (n, dims) and rows.flags.writeable and rows.flags.owndata
             # The kernel trains syn0 in place: no later training may see it.
             rows[:] = 9.0
+
+    def test_threads_build_each_init_row_once(self, monkeypatch):
+        """Requests of different sizes from threads at once, under a short
+        switch interval, five times from an empty cache: each gets fresh
+        rows, every row is built once (one ``SeedSequence`` per row), and the
+        cache ends with the largest request's rows, never a smaller one's."""
+        monkeypatch.setattr(embed, "_init_rows", {})
+        sizes = [120, 30, 90, 150, 60, 150, 10, 100]
+        fresh = initial_vectors(max(sizes), 6, 4)
+        seeded = []
+        seed_sequence = np.random.SeedSequence
+        monkeypatch.setattr(np.random, "SeedSequence", lambda key: seeded.append(key) or seed_sequence(key))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                embed._init_rows.clear()
+                seeded.clear()
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    got = list(pool.map(lambda n: _initial_vectors(n, 6, 4), sizes))
+                assert sorted(seeded) == [[4, i] for i in range(max(sizes))]
+                assert all(rows.tobytes() == fresh[:n].tobytes() for n, rows in zip(sizes, got))
+                assert embed._init_rows[(4, 6)].tobytes() == fresh.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestTrainedGeometry:

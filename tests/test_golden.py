@@ -7,7 +7,7 @@ lifecycle study and learning curve of those inputs, the ``cor`` model dump
 and top-k lists, and the ``vr`` model trained on them with the full
 hyperparameters (200 dimensions, 5 iterations). Every file must match byte
 for byte, except the curve's measured ``cpu_seconds`` column (CPU time of
-each training call). ``recs_vr.csv`` is not pinned: its cosine scores come
+each training's thread). ``recs_vr.csv`` is not pinned: its cosine scores come
 from a BLAS ``gemv``, whose last bits depend on the kernel the host's BLAS
 picks.
 """
