@@ -30,6 +30,7 @@ from .sensitivity import (
     classify,
     diff_topk,
     histogram,
+    iter_loo,
     relative_cr_change,
     run_loo,
     session_value,

@@ -190,16 +190,16 @@ def stability(config_path: str, out_override: str | None) -> None:
 @_common_options
 @click.option("--engine", type=click.Choice(["cor", "vr"]), required=True)
 @click.option("--jobs", default=1, show_default=True, type=click.IntRange(min=1),
-              help="Threads pricing vr sessions in parallel; cor always prices serially.")
+              help="Threads training the vr baseline and pricing vr sessions in parallel; "
+                   "cor always prices serially.")
 @_wrap_errors
 def value(config_path: str, out_override: str | None, engine: str, jobs: int) -> None:
     """Leave-one-out session valuation: records, histogram and summary files."""
     rc, out_dir = _prepare(config_path, out_override)
     dataset, load_eval = _load_data(rc, out_dir)
-    eval_log = load_eval()
     eng = _engine(rc, engine)
     session_ids = sensitivity.sessions_to_price(eng, dataset, rc.harness)
-    records = sensitivity.run_loo(eng, dataset, eval_log, rc.harness, jobs=jobs, session_ids=session_ids)
+    records = sensitivity.run_loo(eng, dataset, load_eval, rc.harness, jobs=jobs, session_ids=session_ids)
     hist = sensitivity.histogram(records, rc.harness)
     sensitivity.write_records_csv(records, out_dir / f"records_{engine}.csv")
     sensitivity.write_histogram_csv(hist, out_dir / f"histogram_{engine}.csv")

@@ -20,10 +20,11 @@ runs the widest copy the CPU has.
 (product, cosine) tuples it replaced.
 
 Trainings may run in threads at once (``ctypes`` releases the GIL for the
-kernel call), as ``sensitivity.run_loo`` runs leave-one-out deltas and
-``curve.run_curve`` runs its grid. The module state they share is the loaded
-kernel, which the caller loads before any thread starts and which is only
-read then, and ``_init_rows``, which only grows, under ``_init_lock``. Each
+kernel call), as ``sensitivity.iter_loo`` runs a leave-one-out baseline
+beside its deltas and ``curve.run_curve`` runs its grid. The module state
+they share is the loaded kernel, which the caller loads before any thread
+starts and which is only read then, and ``_init_rows``, which only grows,
+under ``_init_lock``; whichever training needs a row first adds it. Each
 training writes only arrays of its own.
 """
 
@@ -186,8 +187,10 @@ def _initial_vectors(n_entries: int, dimensions: int, rng_seed: int) -> np.ndarr
     a fresh writable array. Row i depends only on (rng_seed, i, dimensions),
     so the rows are kept read-only per process for the largest vocabulary
     seen, grown by the missing rows only, and copied for every training.
-    Trainings in threads of different vocabulary sizes (the learning curve's)
-    grow the cache under ``_init_lock``, so a smaller one never replaces it."""
+    Trainings in threads of different vocabulary sizes (the learning curve's,
+    or a leave-one-out baseline and the smaller deltas that may start before
+    it) grow the cache under ``_init_lock``, so a smaller one never replaces
+    it."""
     key = (rng_seed, dimensions)
     rows = _init_rows.get(key)
     if rows is None or len(rows) < n_entries:

@@ -1,10 +1,11 @@
 """Leave-one-out sensitivity harness: output diffs, KPI deltas, session values.
 
-``run_loo`` is the one pipeline for every engine. It fits the baseline model
-once; per left-out session the engine's ``delta_lists`` hook returns the top-k
-lists that may differ from the baseline's (``CorEngine``: the session's own
-products, re-ranked from the baseline counts; ``VrEngine``: every list of a
-full retrain without the session). The harness then detects top-k output
+``iter_loo`` is the one pipeline for every engine, and ``run_loo`` collects
+it. It fits the baseline model once; per left-out session the engine's
+``delta_lists`` hook returns the top-k lists that may differ from the
+baseline's (``CorEngine``: the session's own products, re-ranked from the
+baseline counts; ``VrEngine``: every list of a full retrain without the
+session). The harness then detects top-k output
 changes against the baseline, moves the conversion rate by those lists'
 integer view/order counts, translates the change into a monetary value and
 classifies the session into one of four outcome constellations:
@@ -19,12 +20,12 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, as_completed
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -169,9 +170,12 @@ class VrEngine:
     alone. Every list can move, so every seed is returned. A session whose
     removal leaves no product at ``min_count`` takes every seed with it.
 
-    ``run_loo`` prices its deltas in threads, and no other engine's: the
-    retrain is one kernel call, which runs without the GIL, and it only reads
-    state that the baseline training filled (see ``embed``)."""
+    ``delta_lists`` is ``retrain_lists``, which needs no baseline, then
+    ``with_lost_seeds``, which does. ``iter_loo`` runs the first part in
+    threads beside the baseline's training, and no other engine's deltas:
+    the retrain is one kernel call, which runs without the GIL, and the state
+    the trainings share is only the loaded kernel and the init-row cache,
+    which grows under a lock (see ``embed``)."""
 
     hyper: embed.Hyperparams
 
@@ -181,13 +185,22 @@ class VrEngine:
     def top_k_map(self, model, k: int) -> dict[str, RecommendationList]:
         return embed.all_top_k_similar(model, k)
 
-    def delta_lists(self, base_model, base_topk, dataset: Dataset, session_id: str, k: int):
+    def retrain_lists(self, dataset: Dataset, session_id: str, k: int) -> dict[str, RecommendationList]:
+        """Every top-k list of the retrain without the session; none when no
+        product is left at ``min_count``."""
         try:
             model = embed.train(leave_one_out(dataset, session_id).materialized, self.hyper)
         except EmptyVocabularyError:
-            return {seed: None for seed in base_topk}
-        lists = self.top_k_map(model, k)
+            return {}
+        return self.top_k_map(model, k)
+
+    @staticmethod
+    def with_lost_seeds(base_topk, lists: Mapping[str, RecommendationList]):
+        """``lists`` plus None for every baseline seed the retrain lost."""
         return {seed: lists.get(seed) for seed in base_topk.keys() | lists.keys()}
+
+    def delta_lists(self, base_model, base_topk, dataset: Dataset, session_id: str, k: int):
+        return self.with_lost_seeds(base_topk, self.retrain_lists(dataset, session_id, k))
 
     def serialize(self, model) -> bytes:
         return embed.dump_model(model).encode("utf-8")
@@ -267,8 +280,8 @@ def classify(diff: OutputDiff, rel_cr_change_: float, neutral_band: float) -> Co
 
 @dataclass(frozen=True)
 class _Baseline:
-    """Everything pricing one session needs; built once per run, before any
-    thread starts, and only read after that."""
+    """Everything pricing one session needs; built once per run, on the
+    calling thread, and only read after that."""
 
     engine: object
     dataset: Dataset
@@ -280,34 +293,57 @@ class _Baseline:
     n_ordered: int
     cr: float
 
+    @classmethod
+    def build(cls, engine, dataset: Dataset, cfg: HarnessConfig, model, topk, eval_index: EvalIndex):
+        n_ordered, n_views = totals(eval_index, topk)
+        return cls(
+            engine, dataset, cfg, model, topk, eval_index,
+            n_views, n_ordered, rate_from_totals(n_ordered, n_views),
+        )
 
-def _price(base: _Baseline, session_id: str) -> SensitivityRecord:
-    """Diff the lists the engine says may change and move the baseline's
-    integer view/order totals by their contributions, so ``cr_delta`` equals
-    ``conversion_rate(aggregate_pairs(delta_topk, eval_log))`` bit for bit.
-    An exception propagates as it was raised, with a note naming the session."""
+
+@contextmanager
+def _session_note(session_id: str):
+    """Let an exception propagate as it was raised, with a note naming the
+    session whose delta raised it."""
     try:
-        lists = base.engine.delta_lists(base.model, base.topk, base.dataset, session_id, base.cfg.k)
-        diff = diff_topk(base.topk, lists, lists)
-        changed = diff.changed_seeds
-        old_ordered, old_views = totals(base.eval_index, {s: base.topk.get(s) for s in changed})
-        new_ordered, new_views = totals(base.eval_index, {s: lists[s] for s in changed})
-        cr_delta = rate_from_totals(
-            base.n_ordered - old_ordered + new_ordered, base.n_views - old_views + new_views
-        )
-        rel = relative_cr_change(base.cr, cr_delta)
-        return SensitivityRecord(
-            session_id=session_id,
-            diff=diff,
-            cr_base=base.cr,
-            cr_delta=cr_delta,
-            rel_cr_change=rel,
-            value=session_value(rel, base.cfg.revenue_base),
-            constellation=classify(diff, rel, base.cfg.neutral_band),
-        )
+        yield
     except Exception as exc:
         exc.add_note(f"while pricing the leave-one-out delta of session {session_id!r}")
         raise
+
+
+def _price(base: _Baseline, session_id: str, lists) -> SensitivityRecord:
+    """Diff the lists the engine says may change and move the baseline's
+    integer view/order totals by their contributions, so ``cr_delta`` equals
+    ``conversion_rate(aggregate_pairs(delta_topk, eval_log))`` bit for bit."""
+    diff = diff_topk(base.topk, lists, lists)
+    changed = diff.changed_seeds
+    old_ordered, old_views = totals(base.eval_index, {s: base.topk.get(s) for s in changed})
+    new_ordered, new_views = totals(base.eval_index, {s: lists[s] for s in changed})
+    cr_delta = rate_from_totals(
+        base.n_ordered - old_ordered + new_ordered, base.n_views - old_views + new_views
+    )
+    rel = relative_cr_change(base.cr, cr_delta)
+    return SensitivityRecord(
+        session_id=session_id,
+        diff=diff,
+        cr_base=base.cr,
+        cr_delta=cr_delta,
+        rel_cr_change=rel,
+        value=session_value(rel, base.cfg.revenue_base),
+        constellation=classify(diff, rel, base.cfg.neutral_band),
+    )
+
+
+def _fit(engine, dataset: Dataset, k: int):
+    model = engine.fit(dataset)
+    return model, engine.top_k_map(model, k)
+
+
+def _retrain(engine: VrEngine, dataset: Dataset, session_id: str, k: int):
+    with _session_note(session_id):
+        return engine.retrain_lists(dataset, session_id, k)
 
 
 def sessions_to_price(engine, dataset: Dataset, cfg: HarnessConfig) -> tuple[str, ...] | None:
@@ -325,20 +361,28 @@ def sessions_to_price(engine, dataset: Dataset, cfg: HarnessConfig) -> tuple[str
     return None
 
 
-def run_loo(
-    engine, dataset: Dataset, eval_log: EvalLog, cfg: HarnessConfig, jobs: int = 1,
-    session_ids: Sequence[str] | None = None,
-) -> list[SensitivityRecord]:
-    """Leave-one-out pricing of ``session_ids`` (every session when None).
+def iter_loo(
+    engine, dataset: Dataset, load_eval: Callable[[], EvalLog], cfg: HarnessConfig,
+    jobs: int = 1, session_ids: Sequence[str] | None = None,
+) -> Iterator[SensitivityRecord]:
+    """Leave-one-out pricing of ``session_ids`` (every session when None),
+    yielding each record once it is priced.
 
-    The baseline model, its lists and the eval index are built once; per
-    session ``engine.delta_lists`` gives the lists that may change. Records
-    are ordered by session_id and independent of ``jobs``. ``VrEngine``
-    deltas are priced in ``min(jobs, len(session_ids))`` threads, which share
-    the baseline read-only; every other engine prices serially, because a
-    ``cor`` delta is pure Python and threads cannot overlap it under the GIL.
+    ``load_eval`` is a zero-argument loader of the eval log. The baseline
+    model, its lists and the eval index are built once; per session
+    ``engine.delta_lists`` gives the lists that may change. Every engine but
+    ``VrEngine`` at ``jobs >= 2`` calls the loader, fits the baseline and
+    prices the sessions in order, serially: a ``cor`` delta is pure Python,
+    which threads cannot overlap under the GIL. ``VrEngine`` at ``jobs >= 2``
+    submits the baseline's training, then every session's retrain, to a pool
+    of ``min(jobs, len(session_ids) + 1)`` threads, calls the loader and
+    indexes the eval log while they train, and yields records in the order
+    the retrains finish. The records themselves do not depend on ``jobs``.
+
     An exception raised while pricing a session reaches the caller unchanged,
-    with a note naming the session.
+    with a note naming the session; one from the loader or the baseline
+    reaches it unchanged. In threads, any of them cancels the retrains not
+    yet started.
     """
     if session_ids is None:
         session_ids = sorted(dataset.by_id)
@@ -349,18 +393,40 @@ def run_loo(
         for sid in session_ids:
             if sid not in dataset.by_id:
                 raise UnknownSessionError(sid)
-    model = engine.fit(dataset)
-    topk = engine.top_k_map(model, cfg.k)
-    eval_index = index_eval(eval_log)
-    n_ordered, n_views = totals(eval_index, topk)
-    base = _Baseline(
-        engine, dataset, cfg, model, topk, eval_index,
-        n_views, n_ordered, rate_from_totals(n_ordered, n_views),
-    )
     if jobs <= 1 or not isinstance(engine, VrEngine):
-        return [_price(base, sid) for sid in session_ids]
-    with ThreadPoolExecutor(max_workers=min(jobs, len(session_ids))) as pool:
-        return list(pool.map(partial(_price, base), session_ids))
+        eval_log = load_eval()
+        model, topk = _fit(engine, dataset, cfg.k)
+        base = _Baseline.build(engine, dataset, cfg, model, topk, index_eval(eval_log))
+        for sid in session_ids:
+            with _session_note(sid):
+                record = _price(base, sid, engine.delta_lists(model, topk, dataset, sid, cfg.k))
+            yield record
+        return
+    embed.load_kernel()
+    pool = ThreadPoolExecutor(max_workers=min(jobs, len(session_ids) + 1))
+    try:
+        fitted = pool.submit(_fit, engine, dataset, cfg.k)
+        retrains = {pool.submit(_retrain, engine, dataset, sid, cfg.k): sid for sid in session_ids}
+        eval_index = index_eval(load_eval())
+        base = _Baseline.build(engine, dataset, cfg, *fitted.result(), eval_index)
+        for future in as_completed(retrains):
+            sid = retrains.pop(future)
+            lists = future.result()
+            with _session_note(sid):
+                record = _price(base, sid, engine.with_lost_seeds(base.topk, lists))
+            yield record
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def run_loo(
+    engine, dataset: Dataset, load_eval: Callable[[], EvalLog], cfg: HarnessConfig,
+    jobs: int = 1, session_ids: Sequence[str] | None = None,
+) -> list[SensitivityRecord]:
+    """The records of ``iter_loo``, ordered by session id."""
+    return sorted(
+        iter_loo(engine, dataset, load_eval, cfg, jobs, session_ids), key=lambda r: r.session_id
+    )
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,7 @@ def _report(name: str) -> None:
 @pytest.fixture(scope="module")
 def cor_records(benchmark_data, benchmark_rc):
     dataset, eval_log, _, _ = benchmark_data
-    return run_loo(CorEngine(), dataset, eval_log, benchmark_rc.harness)
+    return run_loo(CorEngine(), dataset, lambda: eval_log, benchmark_rc.harness)
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +54,7 @@ def vr_records(benchmark_data, benchmark_rc):
     toxic = [sid for sid, kind in truth.planted if kind is PlantKind.TOXIC]
     sample = benchmark_rc.harness.sample.pick(dataset) + tuple(toxic)
     return run_loo(
-        VrEngine(benchmark_rc.hyper), dataset, eval_log, benchmark_rc.harness,
+        VrEngine(benchmark_rc.hyper), dataset, lambda: eval_log, benchmark_rc.harness,
         jobs=2, session_ids=sample,
     )
 
@@ -121,7 +121,7 @@ def test_constellation_one_exactness():
         order_base_rate=0.08, intent_stickiness=0.85,
     )
     dataset, eval_log, _ = generate(cfg)
-    records = run_loo(CorEngine(), dataset, eval_log, HarnessConfig(k=5, revenue_base=1e8))
+    records = run_loo(CorEngine(), dataset, lambda: eval_log, HarnessConfig(k=5, revenue_base=1e8))
     assert len(records) == 300
     unchanged = [r for r in records if not r.diff.changed]
     assert unchanged, "300-session fixture must contain redundant sessions"

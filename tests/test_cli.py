@@ -241,6 +241,26 @@ class TestValue:
         assert isinstance(result.exception, SystemExit)  # a clean exit, no traceback
         assert "Error: product 'ghost' is not in the catalog" in result.output
 
+    def test_vr_eval_product_missing_from_catalog_is_one_error_line_and_no_records(
+        self, workspace, runner
+    ):
+        """At ``--jobs 2`` the eval log is read while the ``vr`` models train;
+        its error still ends the command with one line, writes no records and
+        leaves no thread."""
+        config, out = workspace
+        with open(out / "eval.jsonl", "a", encoding="utf-8") as fh:
+            fh.write('{"session_id":"e-ghost","viewed":["ghost"],"ordered":[]}\n')
+        threads = threading.active_count()
+        result = runner.invoke(main, [
+            "value", "--config", str(config), "--out", str(out), "--engine", "vr", "--jobs", "2",
+        ])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # a clean exit, no traceback
+        [line] = result.stderr.splitlines()
+        assert line.startswith("Error: product 'ghost' is not in the catalog")
+        assert not (out / "records_vr.csv").exists()
+        assert threading.active_count() == threads
+
     def test_nesting_too_deep_is_one_error_line(self, workspace, runner):
         config, out = workspace
         n_lines = len((out / "sessions.jsonl").read_bytes().splitlines())

@@ -78,7 +78,7 @@ def build(sessions, evals):
 
 def price(dataset, eval_log, k, jobs=1):
     cfg = HarnessConfig(k=k, revenue_base=REVENUE_BASE)
-    return run_loo(CorEngine(), dataset, eval_log, cfg, jobs)
+    return run_loo(CorEngine(), dataset, lambda: eval_log, cfg, jobs)
 
 
 clicks = st.lists(st.sampled_from(TRAIN_PRODUCTS), min_size=1, max_size=5)

@@ -1,14 +1,17 @@
 from __future__ import annotations
 
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import pytest
 
 from sessionvalue import embed, sensitivity
 from sessionvalue.cor import RecommendationList, all_top_k, build_matrix
-from sessionvalue.corpus import Dataset
+from sessionvalue.corpus import Dataset, leave_one_out
 from sessionvalue.embed import Hyperparams
 from sessionvalue.errors import (
     ExhaustiveVrRefusedError,
@@ -28,6 +31,7 @@ from sessionvalue.sensitivity import (
     classify,
     diff_topk,
     histogram,
+    iter_loo,
     relative_cr_change,
     run_loo,
     session_value,
@@ -38,6 +42,7 @@ from sessionvalue.sensitivity import (
 from sessionvalue.synthgen import GenConfig, generate
 
 from helpers import mk_dataset, mk_eval
+from oracles import initial_vectors
 
 
 def rl(seed, ids):
@@ -218,7 +223,7 @@ class TestClassify:
 def run():
     ds, ev, _ = generate(small_config())
     cfg = HarnessConfig(k=5, revenue_base=1e6)
-    return ds, ev, cfg, run_loo(CorEngine(), ds, ev, cfg)
+    return ds, ev, cfg, run_loo(CorEngine(), ds, lambda: ev, cfg)
 
 
 class TestRunCorLoo:
@@ -298,20 +303,20 @@ class TestSessionsToPrice:
 class TestRunVrLoo:
     def test_no_sample_prices_every_session(self):
         ds, ev, _ = generate(small_config(n_train_sessions=12, n_eval_sessions=40))
-        every = run_loo(VrEngine(VR_HYPER), ds, ev, HarnessConfig(k=3))
-        explicit = run_loo(VrEngine(VR_HYPER), ds, ev, HarnessConfig(k=3), session_ids=tuple(ds.by_id))
+        every = run_loo(VrEngine(VR_HYPER), ds, lambda: ev, HarnessConfig(k=3))
+        explicit = run_loo(VrEngine(VR_HYPER), ds, lambda: ev, HarnessConfig(k=3), session_ids=tuple(ds.by_id))
         assert [r.session_id for r in every] == sorted(ds.by_id)
         assert every == explicit
 
     def test_empty_sample_rejected(self):
         ds, ev, _ = generate(small_config())
         with pytest.raises(ValueError, match="session_ids"):
-            run_loo(VrEngine(VR_HYPER), ds, ev, HarnessConfig(k=3), session_ids=())
+            run_loo(VrEngine(VR_HYPER), ds, lambda: ev, HarnessConfig(k=3), session_ids=())
 
     def test_unknown_sample_id(self):
         ds, ev, _ = generate(small_config())
         with pytest.raises(UnknownSessionError):
-            run_loo(VrEngine(VR_HYPER), ds, ev, HarnessConfig(k=3), session_ids=("nope",))
+            run_loo(VrEngine(VR_HYPER), ds, lambda: ev, HarnessConfig(k=3), session_ids=("nope",))
 
     def test_below_min_count_session_changes_nothing(self):
         # the left-out session holds only sub-threshold products: the delta
@@ -320,7 +325,7 @@ class TestRunVrLoo:
         specs.append(("rare", 0, ["X", "Y"]))
         ds = mk_dataset(specs)
         ev = mk_eval([("e1", ["A"], ["B"])])
-        records = run_loo(VrEngine(VR_HYPER), ds, ev, HarnessConfig(k=3), session_ids=("rare",))
+        records = run_loo(VrEngine(VR_HYPER), ds, lambda: ev, HarnessConfig(k=3), session_ids=("rare",))
         assert len(records) == 1
         record = records[0]
         assert not record.diff.changed
@@ -334,7 +339,7 @@ class TestRunVrLoo:
         specs.append(("holds-x", 0, ["X", "A", "X"]))
         ds = mk_dataset(specs)
         ev = mk_eval([("e1", ["A"], ["B"])])
-        records = run_loo(VrEngine(hyper), ds, ev, HarnessConfig(k=3), session_ids=("holds-x",))
+        records = run_loo(VrEngine(hyper), ds, lambda: ev, HarnessConfig(k=3), session_ids=("holds-x",))
         diff = records[0].diff
         assert diff.changed
         assert "X" in diff.changed_seeds
@@ -351,9 +356,9 @@ class TestRunVrLoo:
         ds = mk_dataset([("ab", 0, ["A", "B", "A", "B"]), ("c", 0, ["C"])])
         ev = mk_eval([("e1", ["A"], ["B"]), ("e2", ["B"], [])])
         cfg = HarnessConfig(k=3)
-        (vr,) = run_loo(VrEngine(hyper), ds, ev, cfg, session_ids=("ab",))
+        (vr,) = run_loo(VrEngine(hyper), ds, lambda: ev, cfg, session_ids=("ab",))
         with caplog.at_level("WARNING", logger="sessionvalue.kpi"):
-            (cr,) = run_loo(CorEngine(), ds, ev, cfg, session_ids=("ab",))
+            (cr,) = run_loo(CorEngine(), ds, lambda: ev, cfg, session_ids=("ab",))
         assert vr.diff.changed_seeds == cr.diff.changed_seeds == ("A", "B")
         for engine in (VrEngine(hyper), CorEngine()):
             model = engine.fit(ds)
@@ -374,7 +379,7 @@ class TestRunVrLoo:
         ds = mk_dataset(specs)
         ev = mk_eval([("e1", ["A1"], ["A2"]), ("e2", ["B1"], ["B2"])])
         hyper = Hyperparams(dimensions=8, iterations=3, min_count=1, rng_seed=1)
-        records = run_loo(VrEngine(hyper), ds, ev, HarnessConfig(k=2), session_ids=("a0",))
+        records = run_loo(VrEngine(hyper), ds, lambda: ev, HarnessConfig(k=2), session_ids=("a0",))
         record = records[0]
         assert not record.diff.changed
         assert record.constellation is Constellation.NO_OUTPUT_CHANGE
@@ -399,9 +404,9 @@ def test_deterministic_and_jobs_invariant(engine):
     ds, ev, _ = generate(small_config(n_train_sessions=30, n_eval_sessions=80))
     sample = tuple(sorted(ds.by_id)[:4])
     cfg = HarnessConfig(k=3, revenue_base=1e6)
-    first = run_loo(engine, ds, ev, cfg, jobs=1, session_ids=sample)
-    second = run_loo(engine, ds, ev, cfg, jobs=1, session_ids=sample)
-    parallel = run_loo(engine, ds, ev, cfg, jobs=2, session_ids=sample)
+    first = run_loo(engine, ds, lambda: ev, cfg, jobs=1, session_ids=sample)
+    second = run_loo(engine, ds, lambda: ev, cfg, jobs=1, session_ids=sample)
+    parallel = run_loo(engine, ds, lambda: ev, cfg, jobs=2, session_ids=sample)
     assert first == second
     assert first == parallel
     assert [r.session_id for r in first] == sorted(sample)
@@ -422,22 +427,23 @@ def test_vr_prices_in_one_thread_per_session_at_most_and_cor_in_none(monkeypatch
 
     monkeypatch.setattr(sensitivity, "ThreadPoolExecutor", recording)
     ds, ev, sample, cfg = loo_inputs()
-    run_loo(CorEngine(), ds, ev, cfg, jobs=8, session_ids=sample)
+    run_loo(CorEngine(), ds, lambda: ev, cfg, jobs=8, session_ids=sample)
     assert started == []
-    run_loo(VrEngine(VR_HYPER), ds, ev, cfg, jobs=8, session_ids=sample[:2])
-    assert started == [2]
+    run_loo(VrEngine(VR_HYPER), ds, lambda: ev, cfg, jobs=8, session_ids=sample[:2])
+    assert started == [3]  # the two deltas and the baseline
 
 
 @dataclass(frozen=True)
 class FailingVrEngine(VrEngine):
-    """``VrEngine`` whose delta of session ``failing`` raises."""
+    """``VrEngine`` whose retrain without session ``failing`` raises; serially
+    through ``delta_lists``, in threads as the pool's task."""
 
     failing: str = ""
 
-    def delta_lists(self, base_model, base_topk, dataset, session_id, k):
+    def retrain_lists(self, dataset, session_id, k):
         if session_id == self.failing:
             raise LookupError(f"no delta for {session_id}")
-        return super().delta_lists(base_model, base_topk, dataset, session_id, k)
+        return super().retrain_lists(dataset, session_id, k)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -445,34 +451,237 @@ def test_error_in_a_delta_reaches_the_caller_with_a_note_naming_its_session(jobs
     ds, ev, sample, cfg = loo_inputs()
     failing = sample[2]
     with pytest.raises(LookupError) as info:
-        run_loo(FailingVrEngine(VR_HYPER, failing), ds, ev, cfg, jobs=jobs, session_ids=sample)
+        run_loo(FailingVrEngine(VR_HYPER, failing), ds, lambda: ev, cfg, jobs=jobs, session_ids=sample)
     assert type(info.value) is LookupError
     assert str(info.value) == f"no delta for {failing}"
     assert info.value.__notes__ == [
         f"while pricing the leave-one-out delta of session {failing!r}"
     ]
-    assert info.traceback[-1].name == "delta_lists"
+    assert info.traceback[-1].name == "retrain_lists"
 
 
 @pytest.mark.parametrize("jobs", [2, 4])
 def test_threads_leave_the_init_rows_as_they_found_them(jobs, monkeypatch):
-    """The baseline fills ``embed._init_rows``; no delta thread writes it.
-    Under a short switch interval the threads' records equal the serial ones."""
+    """The serial run fills ``embed._init_rows``; no thread of a threaded run
+    writes it then. Under a short switch interval the threads' records equal
+    the serial ones."""
     ds, ev, sample, cfg = loo_inputs()
     monkeypatch.setattr(embed, "_init_rows", {})
-    serial = run_loo(VrEngine(VR_HYPER), ds, ev, cfg, jobs=1, session_ids=sample)
+    serial = run_loo(VrEngine(VR_HYPER), ds, lambda: ev, cfg, jobs=1, session_ids=sample)
     found = dict(embed._init_rows)
     found_bytes = {key: rows.tobytes() for key, rows in found.items()}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threaded = run_loo(VrEngine(VR_HYPER), ds, ev, cfg, jobs=jobs, session_ids=sample)
+        threaded = run_loo(VrEngine(VR_HYPER), ds, lambda: ev, cfg, jobs=jobs, session_ids=sample)
     finally:
         sys.setswitchinterval(interval)
     assert threaded == serial
     assert embed._init_rows.keys() == found.keys()
     assert all(embed._init_rows[key] is rows for key, rows in found.items())
     assert {key: rows.tobytes() for key, rows in embed._init_rows.items()} == found_bytes
+
+
+@dataclass(frozen=True)
+class HookedVrEngine(VrEngine):
+    """``VrEngine`` that calls ``before_fit()`` before the baseline trains and
+    ``around_retrain(session_id, retrain)`` in place of each retrain."""
+
+    before_fit: object = None
+    around_retrain: object = None
+
+    def fit(self, dataset):
+        if self.before_fit is not None:
+            self.before_fit()
+        return super().fit(dataset)
+
+    def retrain_lists(self, dataset, session_id, k):
+        retrain = partial(super().retrain_lists, dataset, session_id, k)
+        if self.around_retrain is None:
+            return retrain()
+        return self.around_retrain(session_id, retrain)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_iter_loo_yields_a_record_before_the_last_session_is_priced(jobs):
+    """The last session's retrain waits until the first record is taken, so
+    the first record comes out before it; the records are ``run_loo``'s."""
+    ds, ev, sample, cfg = loo_inputs()
+    taken = threading.Event()
+
+    def around_retrain(session_id, retrain):
+        if session_id == sample[-1]:
+            assert taken.wait(timeout=60)
+        return retrain()
+
+    records = iter_loo(HookedVrEngine(VR_HYPER, around_retrain=around_retrain), ds, lambda: ev,
+                       cfg, jobs=jobs, session_ids=sample)
+    first = next(records)
+    assert first.session_id != sample[-1]
+    taken.set()
+    rest = list(records)
+    serial = run_loo(VrEngine(VR_HYPER), ds, lambda: ev, cfg, session_ids=sample)
+    assert sorted([first, *rest], key=lambda r: r.session_id) == serial
+    if jobs == 1:
+        assert [r.session_id for r in [first, *rest]] == list(sample)
+
+
+def test_the_baseline_trains_beside_a_delta():
+    """At ``jobs=2`` the baseline's fit and the first session's retrain must
+    both reach a two-party barrier; one after the other, it breaks."""
+    ds, ev, sample, cfg = loo_inputs()
+    barrier = threading.Barrier(2, timeout=60)
+
+    def around_retrain(session_id, retrain):
+        if session_id == sample[0]:
+            barrier.wait()
+        return retrain()
+
+    engine = HookedVrEngine(VR_HYPER, before_fit=barrier.wait, around_retrain=around_retrain)
+    records = run_loo(engine, ds, lambda: ev, cfg, jobs=2, session_ids=sample)
+    assert records == run_loo(VrEngine(VR_HYPER), ds, lambda: ev, cfg, session_ids=sample)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_the_eval_log_is_read_after_the_trainings_are_submitted(jobs, monkeypatch):
+    """In threads, every training is submitted before ``load_eval`` runs;
+    serially the order stays: loader, baseline, deltas in session order."""
+    ds, ev, sample, cfg = loo_inputs()
+    events: list[str] = []
+    lock = threading.Lock()
+
+    def record(event):
+        with lock:
+            events.append(event)
+
+    class Pool(ThreadPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            record("submit")
+            return super().submit(fn, *args, **kwargs)
+
+    def around_retrain(session_id, retrain):
+        record(session_id)
+        return retrain()
+
+    def load_eval():
+        record("load_eval")
+        return ev
+
+    monkeypatch.setattr(sensitivity, "ThreadPoolExecutor", Pool)
+    engine = HookedVrEngine(
+        VR_HYPER, before_fit=lambda: record("baseline"), around_retrain=around_retrain
+    )
+    run_loo(engine, ds, load_eval, cfg, jobs=jobs, session_ids=sample)
+    if jobs == 1:
+        assert events == ["load_eval", "baseline", *sample]
+    else:
+        assert events.count("submit") == len(sample) + 1
+        assert events.index("load_eval") > max(i for i, e in enumerate(events) if e == "submit")
+        assert sorted(e for e in events if e not in ("submit", "load_eval")) == ["baseline", *sample]
+
+
+def test_eval_log_error_cancels_the_queued_trainings(monkeypatch):
+    """With two threads the baseline and the first retrain run; an error
+    raised by ``load_eval`` while they train reaches the caller unchanged,
+    the retrains still queued never start, and the pool's threads are gone."""
+    ds, ev, sample, cfg = loo_inputs()
+    both_started, queue_cancelled = threading.Barrier(3, timeout=60), threading.Event()
+    error = LookupError("no eval log")
+    trained: list[str] = []
+
+    def hold(name):
+        trained.append(name)
+        both_started.wait()
+        assert queue_cancelled.wait(timeout=60)
+
+    def around_retrain(session_id, retrain):
+        hold(session_id)
+        return retrain()
+
+    class Pool(ThreadPoolExecutor):
+        """Lets the running trainings go on only once the queue is cancelled."""
+
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            super().shutdown(wait=False, cancel_futures=cancel_futures)
+            queue_cancelled.set()
+            super().shutdown(wait=wait)
+
+    def load_eval():
+        both_started.wait()
+        raise error
+
+    monkeypatch.setattr(sensitivity, "ThreadPoolExecutor", Pool)
+    engine = HookedVrEngine(VR_HYPER, before_fit=lambda: hold("baseline"), around_retrain=around_retrain)
+    threads = threading.active_count()
+    with pytest.raises(LookupError) as info:
+        run_loo(engine, ds, load_eval, cfg, jobs=2, session_ids=sample)
+    assert info.value is error
+    assert sorted(trained) == ["baseline", sample[0]]
+    assert threading.active_count() == threads
+
+
+def test_error_in_the_baseline_reaches_the_caller_without_a_session_note(monkeypatch):
+    ds, ev, sample, cfg = loo_inputs()
+    priced = []
+    real_price = sensitivity._price
+
+    def price(base, session_id, lists):
+        priced.append(session_id)
+        return real_price(base, session_id, lists)
+
+    def fail():
+        raise LookupError("no baseline")
+
+    monkeypatch.setattr(sensitivity, "_price", price)
+    threads = threading.active_count()
+    with pytest.raises(LookupError) as info:
+        run_loo(HookedVrEngine(VR_HYPER, before_fit=fail), ds, lambda: ev, cfg, jobs=2,
+                session_ids=sample)
+    assert type(info.value) is LookupError
+    assert str(info.value) == "no baseline"
+    assert not hasattr(info.value, "__notes__")
+    assert info.traceback[-1].name == "fail"
+    assert priced == []
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("jobs", [2, 4])
+def test_a_delta_may_fill_the_init_rows_before_the_baseline(jobs, monkeypatch):
+    """From an empty ``embed._init_rows`` in threads, the baseline waits
+    until a retrain with a smaller vocabulary has filled the cache, then
+    grows it. The records equal the serial ones, and the cache ends holding
+    fresh rows for the baseline's vocabulary."""
+    ds, ev, sample, cfg = loo_inputs()
+    sample = sample[1:]  # leaving any of these out drops a product below min_count
+    serial = run_loo(VrEngine(VR_HYPER), ds, lambda: ev, cfg, jobs=1, session_ids=sample)
+    n_base = len(embed.build_vocab(ds, VR_HYPER.min_count))
+    smaller = sample[0]
+    assert len(embed.build_vocab(leave_one_out(ds, smaller).materialized, VR_HYPER.min_count)) < n_base
+    filled, cached_before_fit = threading.Event(), []
+
+    def around_retrain(session_id, retrain):
+        lists = retrain()
+        if session_id == smaller:
+            filled.set()
+        return lists
+
+    def before_fit():
+        assert filled.wait(timeout=60)
+        cached_before_fit.extend(len(rows) for rows in embed._init_rows.values())
+
+    monkeypatch.setattr(embed, "_init_rows", {})
+    engine = HookedVrEngine(VR_HYPER, before_fit=before_fit, around_retrain=around_retrain)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = run_loo(engine, ds, lambda: ev, cfg, jobs=jobs, session_ids=sample)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+    assert cached_before_fit and max(cached_before_fit) < n_base
+    [cached] = embed._init_rows.values()
+    fresh = initial_vectors(n_base, VR_HYPER.dimensions, VR_HYPER.rng_seed)
+    assert cached.tobytes() == fresh.tobytes()
 
 
 def fake_record(rel: float) -> SensitivityRecord:

@@ -133,7 +133,7 @@ class TestToxicPlant:
     def test_leave_one_out_of_plant_is_toxic(self, planted):
         _, ev, with_plant, truth = planted
         toxic_id = truth.planted[-1][0]
-        records = run_loo(CorEngine(), with_plant, ev, HarnessConfig(k=5, revenue_base=1e6))
+        records = run_loo(CorEngine(), with_plant, lambda: ev, HarnessConfig(k=5, revenue_base=1e6))
         record = next(r for r in records if r.session_id == toxic_id)
         assert record.rel_cr_change > TOXIC_MIN_REL_GAIN
         assert record.value < 0
@@ -250,7 +250,7 @@ class TestDuplicatePlant:
         planted, truth2, source = plant_no_impact_duplicates(ds, truth, DuplicatePlantConfig(copies=3), k=5)
         clone_sids = [sid for sid, kind in truth2.planted if kind is PlantKind.DUPLICATE]
         assert len(clone_sids) == 3
-        records = run_loo(CorEngine(), planted, ev, HarnessConfig(k=5))
+        records = run_loo(CorEngine(), planted, lambda: ev, HarnessConfig(k=5))
         by_id = {r.session_id: r for r in records}
         for sid in clone_sids:
             assert by_id[sid].constellation is Constellation.NO_OUTPUT_CHANGE
