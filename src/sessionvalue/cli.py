@@ -190,8 +190,8 @@ def stability(config_path: str, out_override: str | None) -> None:
 @_common_options
 @click.option("--engine", type=click.Choice(["cor", "vr"]), required=True)
 @click.option("--jobs", default=1, show_default=True, type=click.IntRange(min=1),
-              help="Threads training the vr baseline and pricing vr sessions in parallel; "
-                   "cor always prices serially.")
+              help="Threads training the vr baseline and the vr sessions' retrains; "
+                   "cor always prices in the calling thread.")
 @_wrap_errors
 def value(config_path: str, out_override: str | None, engine: str, jobs: int) -> None:
     """Leave-one-out session valuation: records, histogram and summary files."""

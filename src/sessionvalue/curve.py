@@ -72,6 +72,12 @@ def _train(sliced: Dataset, hyper: embed.Hyperparams, n_days: int) -> tuple[embe
     return model, time.thread_time() - started
 
 
+def _available_cpus() -> int:
+    """The CPUs this process may run on; ``os.cpu_count()`` where Python
+    lacks ``os.sched_getaffinity`` (macOS, Windows)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def run_curve(dataset: Dataset, plan: CurvePlan, load_eval: Callable[[], EvalLog]) -> list[CurveRow]:
     """One row per grid entry. SNP compares the sessions added since the
     previous (smaller) slice against the previous model's product set; the
@@ -93,7 +99,7 @@ def run_curve(dataset: Dataset, plan: CurvePlan, load_eval: Callable[[], EvalLog
             raise EmptySliceError(n_days)
         slices.append(sliced)
     embed.load_kernel()
-    pool = ThreadPoolExecutor(max_workers=min(len(slices), len(os.sched_getaffinity(0))))
+    pool = ThreadPoolExecutor(max_workers=min(len(slices), _available_cpus()))
     try:
         trained = {
             n_days: pool.submit(_train, sliced, plan.hyper, n_days)

@@ -21,7 +21,7 @@ runs the widest copy the CPU has.
 
 Trainings may run in threads at once (``ctypes`` releases the GIL for the
 kernel call), as ``sensitivity.iter_loo`` runs a leave-one-out baseline
-beside its deltas and ``curve.run_curve`` runs its grid. The module state
+beside its deltas from ``jobs=2`` and ``curve.run_curve`` runs its grid. The module state
 they share is the loaded kernel, which the caller loads before any thread
 starts and which is only read then, and ``_init_rows``, which only grows,
 under ``_init_lock``; whichever training needs a row first adds it. Each

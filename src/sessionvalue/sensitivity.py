@@ -1,14 +1,14 @@
 """Leave-one-out sensitivity harness: output diffs, KPI deltas, session values.
 
-``iter_loo`` is the one pipeline for every engine, and ``run_loo`` collects
-it. It fits the baseline model once; per left-out session the engine's
-``delta_lists`` hook returns the top-k lists that may differ from the
-baseline's (``CorEngine``: the session's own products, re-ranked from the
-baseline counts; ``VrEngine``: every list of a full retrain without the
-session). The harness then detects top-k output
-changes against the baseline, moves the conversion rate by those lists'
-integer view/order counts, translates the change into a monetary value and
-classifies the session into one of four outcome constellations:
+``iter_loo`` prices the sessions and ``run_loo`` collects it. It fits the
+baseline model once; per left-out session the engine gives the top-k lists
+that may differ from the baseline's (``CorEngine.delta_lists``: the
+session's own products, re-ranked from the baseline counts;
+``VrEngine.retrain_lists``: every list of a full retrain without the
+session). The harness then detects top-k output changes against the
+baseline, moves the conversion rate by those lists' integer view/order
+counts, translates the change into a monetary value and classifies the
+session into one of four outcome constellations:
 
 * no output change (the session is informationally redundant),
 * output change without KPI movement (choices between equally good options),
@@ -42,6 +42,8 @@ from .errors import (
 from .kpi import EvalIndex, index_eval, rate_from_totals, totals
 
 log = logging.getLogger(__name__)
+
+VR_EXHAUSTIVE_LIMIT = 200  # sessions priced by vr without a sample; see sessions_to_price
 
 
 class Constellation(Enum):
@@ -115,7 +117,6 @@ class HarnessConfig:
     neutral_band: float = 0.0005
     revenue_base: float = 1.0
     bin_width: float = 0.001
-    vr_exhaustive_limit: int = 200
     sample: SampleSpec | None = None
 
     def __post_init__(self) -> None:
@@ -127,8 +128,6 @@ class HarnessConfig:
             raise ValueError(f"revenue_base must be > 0, got {self.revenue_base}")
         if self.bin_width <= 0:
             raise ValueError(f"bin_width must be > 0, got {self.bin_width}")
-        if self.vr_exhaustive_limit < 0:
-            raise ValueError(f"vr_exhaustive_limit must be >= 0, got {self.vr_exhaustive_limit}")
 
 
 @dataclass(frozen=True)
@@ -138,10 +137,9 @@ class StabilityReport:
 
 
 # ---------------------------------------------------------------------------
-# Engines: the model builders the harness drives. An engine's
-# ``delta_lists(base_model, base_topk, dataset, session_id, k)`` returns
-# ``{seed: list, or None where the seed is gone}`` for every seed whose list
-# may differ once the session is left out; every other seed keeps its base list.
+# Engines: the model builders the harness drives. Per left-out session an
+# engine returns ``{seed: list, or None where the seed is gone}`` for every
+# seed whose list may differ; every other seed keeps its base list.
 # ---------------------------------------------------------------------------
 
 
@@ -156,7 +154,7 @@ class CorEngine:
     def top_k_map(self, model, k: int) -> dict[str, RecommendationList]:
         return cor.all_top_k(model, k)
 
-    def delta_lists(self, base_model, base_topk, dataset: Dataset, session_id: str, k: int):
+    def delta_lists(self, base_model, dataset: Dataset, session_id: str, k: int):
         return cor.session_top_k(base_model, dataset.by_id[session_id], k)
 
     def serialize(self, model) -> bytes:
@@ -170,12 +168,12 @@ class VrEngine:
     alone. Every list can move, so every seed is returned. A session whose
     removal leaves no product at ``min_count`` takes every seed with it.
 
-    ``delta_lists`` is ``retrain_lists``, which needs no baseline, then
-    ``with_lost_seeds``, which does. ``iter_loo`` runs the first part in
-    threads beside the baseline's training, and no other engine's deltas:
-    the retrain is one kernel call, which runs without the GIL, and the state
-    the trainings share is only the loaded kernel and the init-row cache,
-    which grows under a lock (see ``embed``)."""
+    A delta is ``retrain_lists``, which needs no baseline, then
+    ``with_lost_seeds``, which does. ``iter_loo`` runs every retrain and the
+    baseline's training in a thread pool, and no other engine's deltas: the
+    retrain is one kernel call, which runs without the GIL, and the state the
+    trainings share is only the loaded kernel and the init-row cache, which
+    grows under a lock (see ``embed``)."""
 
     hyper: embed.Hyperparams
 
@@ -198,9 +196,6 @@ class VrEngine:
     def with_lost_seeds(base_topk, lists: Mapping[str, RecommendationList]):
         """``lists`` plus None for every baseline seed the retrain lost."""
         return {seed: lists.get(seed) for seed in base_topk.keys() | lists.keys()}
-
-    def delta_lists(self, base_model, base_topk, dataset: Dataset, session_id: str, k: int):
-        return self.with_lost_seeds(base_topk, self.retrain_lists(dataset, session_id, k))
 
     def serialize(self, model) -> bytes:
         return embed.dump_model(model).encode("utf-8")
@@ -283,10 +278,7 @@ class _Baseline:
     """Everything pricing one session needs; built once per run, on the
     calling thread, and only read after that."""
 
-    engine: object
-    dataset: Dataset
     cfg: HarnessConfig
-    model: object
     topk: Mapping[str, RecommendationList]
     eval_index: EvalIndex
     n_views: int
@@ -294,12 +286,9 @@ class _Baseline:
     cr: float
 
     @classmethod
-    def build(cls, engine, dataset: Dataset, cfg: HarnessConfig, model, topk, eval_index: EvalIndex):
+    def build(cls, cfg: HarnessConfig, topk, eval_index: EvalIndex):
         n_ordered, n_views = totals(eval_index, topk)
-        return cls(
-            engine, dataset, cfg, model, topk, eval_index,
-            n_views, n_ordered, rate_from_totals(n_ordered, n_views),
-        )
+        return cls(cfg, topk, eval_index, n_views, n_ordered, rate_from_totals(n_ordered, n_views))
 
 
 @contextmanager
@@ -336,9 +325,8 @@ def _price(base: _Baseline, session_id: str, lists) -> SensitivityRecord:
     )
 
 
-def _fit(engine, dataset: Dataset, k: int):
-    model = engine.fit(dataset)
-    return model, engine.top_k_map(model, k)
+def _fit_top_k(engine, dataset: Dataset, k: int):
+    return engine.top_k_map(engine.fit(dataset), k)
 
 
 def _retrain(engine: VrEngine, dataset: Dataset, session_id: str, k: int):
@@ -350,14 +338,14 @@ def sessions_to_price(engine, dataset: Dataset, cfg: HarnessConfig) -> tuple[str
     """The ``session_ids`` that ``run_loo`` prices with ``engine``; None
     prices every session. ``CorEngine`` prices every session. ``VrEngine``
     prices ``cfg.sample`` when one is set; without one, every session up to
-    ``cfg.vr_exhaustive_limit`` sessions, and above it the run is refused
-    with ``ExhaustiveVrRefusedError``, because every delta is a full retrain."""
+    ``VR_EXHAUSTIVE_LIMIT`` sessions, and above it the run is refused with
+    ``ExhaustiveVrRefusedError``, because every delta is a full retrain."""
     if not isinstance(engine, VrEngine):
         return None
     if cfg.sample is not None:
         return cfg.sample.pick(dataset)
-    if len(dataset.sessions) > cfg.vr_exhaustive_limit:
-        raise ExhaustiveVrRefusedError(len(dataset.sessions), cfg.vr_exhaustive_limit)
+    if len(dataset.sessions) > VR_EXHAUSTIVE_LIMIT:
+        raise ExhaustiveVrRefusedError(len(dataset.sessions), VR_EXHAUSTIVE_LIMIT)
     return None
 
 
@@ -369,20 +357,22 @@ def iter_loo(
     yielding each record once it is priced.
 
     ``load_eval`` is a zero-argument loader of the eval log. The baseline
-    model, its lists and the eval index are built once; per session
-    ``engine.delta_lists`` gives the lists that may change. Every engine but
-    ``VrEngine`` at ``jobs >= 2`` calls the loader, fits the baseline and
-    prices the sessions in order, serially: a ``cor`` delta is pure Python,
-    which threads cannot overlap under the GIL. ``VrEngine`` at ``jobs >= 2``
-    submits the baseline's training, then every session's retrain, to a pool
-    of ``min(jobs, len(session_ids) + 1)`` threads, calls the loader and
-    indexes the eval log while they train, and yields records in the order
-    the retrains finish. The records themselves do not depend on ``jobs``.
+    model, its lists and the eval index are built once. ``VrEngine`` submits
+    the baseline's training, then every session's retrain, to a pool of
+    ``min(jobs, len(session_ids) + 1)`` threads, calls the loader and indexes
+    the eval log while they train, and yields records in the order the
+    retrains finish; ``jobs`` only sizes the pool, and the records do not
+    depend on it. Every other engine calls the loader, fits the baseline and
+    prices the sessions in order through ``engine.delta_lists``, in the
+    calling thread: a ``cor`` delta is pure Python, which threads cannot
+    overlap under the GIL.
 
     An exception raised while pricing a session reaches the caller unchanged,
     with a note naming the session; one from the loader or the baseline
-    reaches it unchanged. In threads, any of them cancels the retrains not
-    yet started.
+    reaches it unchanged. For ``VrEngine`` any of them cancels the retrains
+    not yet started and reaches the caller once the trainings already
+    started have finished: an error in the eval log, even at ``jobs=1``,
+    after the baseline's training.
     """
     if session_ids is None:
         session_ids = sorted(dataset.by_id)
@@ -393,22 +383,22 @@ def iter_loo(
         for sid in session_ids:
             if sid not in dataset.by_id:
                 raise UnknownSessionError(sid)
-    if jobs <= 1 or not isinstance(engine, VrEngine):
-        eval_log = load_eval()
-        model, topk = _fit(engine, dataset, cfg.k)
-        base = _Baseline.build(engine, dataset, cfg, model, topk, index_eval(eval_log))
+    if not isinstance(engine, VrEngine):
+        eval_index = index_eval(load_eval())
+        model = engine.fit(dataset)
+        base = _Baseline.build(cfg, engine.top_k_map(model, cfg.k), eval_index)
         for sid in session_ids:
             with _session_note(sid):
-                record = _price(base, sid, engine.delta_lists(model, topk, dataset, sid, cfg.k))
+                record = _price(base, sid, engine.delta_lists(model, dataset, sid, cfg.k))
             yield record
         return
     embed.load_kernel()
     pool = ThreadPoolExecutor(max_workers=min(jobs, len(session_ids) + 1))
     try:
-        fitted = pool.submit(_fit, engine, dataset, cfg.k)
+        fitted = pool.submit(_fit_top_k, engine, dataset, cfg.k)
         retrains = {pool.submit(_retrain, engine, dataset, sid, cfg.k): sid for sid in session_ids}
         eval_index = index_eval(load_eval())
-        base = _Baseline.build(engine, dataset, cfg, *fitted.result(), eval_index)
+        base = _Baseline.build(cfg, fitted.result(), eval_index)
         for future in as_completed(retrains):
             sid = retrains.pop(future)
             lists = future.result()

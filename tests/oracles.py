@@ -21,7 +21,9 @@ rows a slide moved and scores only the sessions whose lists changed.
 
 ``run_curve_serial`` is the learning curve as one loop in the calling thread;
 the package trains the grid's models in a thread pool while it reads the eval
-log.
+log. ``run_loo_serial`` is ``vr`` leave-one-out the same way: the baseline,
+then each session's retrain in id order; the package trains them in a thread
+pool at every ``jobs``, while it reads the eval log.
 
 ``read_jsonl_loads`` is ``corpus.read_jsonl`` decoding every line with
 ``json.loads``; the package tries one ``raw_decode`` of the stripped line first.
@@ -36,6 +38,7 @@ import json
 from collections import Counter
 from itertools import combinations
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 from scipy.special import expit
@@ -60,6 +63,7 @@ from sessionvalue.embed import (
 )
 from sessionvalue.errors import DatasetFormatError, MatrixUnderflowError, UnsortedEventsError
 from sessionvalue.lifecycle import CvTrajectory, FramePlan, classify_impact, ols
+from sessionvalue.sensitivity import HarnessConfig, SensitivityRecord, VrEngine, _Baseline, _price
 from sessionvalue.synthgen import GroundTruth, PlantKind
 
 
@@ -275,6 +279,21 @@ def run_curve_serial(dataset: Dataset, eval_log: EvalLog, plan: CurvePlan) -> li
         prev_products = frozenset(model.vocabulary.products)
         prev_ids = {s.session_id for s in sliced.sessions}
     return rows
+
+
+def run_loo_serial(
+    engine: VrEngine, dataset: Dataset, eval_log: EvalLog, cfg: HarnessConfig,
+    session_ids: Sequence[str] | None = None,
+) -> list[SensitivityRecord]:
+    """``sensitivity.run_loo`` for a ``VrEngine`` as one loop in this thread:
+    the baseline trained and ranked, then each session retrained and priced
+    in id order."""
+    model = engine.fit(dataset)
+    base = _Baseline.build(cfg, engine.top_k_map(model, cfg.k), kpi.index_eval(eval_log))
+    return [
+        _price(base, sid, engine.with_lost_seeds(base.topk, engine.retrain_lists(dataset, sid, cfg.k)))
+        for sid in sorted(dataset.by_id if session_ids is None else set(session_ids))
+    ]
 
 
 def read_jsonl_loads(path: str | Path, what: str, parse) -> list:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from sessionvalue import embed, synthgen
+from sessionvalue import embed, sensitivity, synthgen
 from sessionvalue.cli import main
 
 from conftest import BENCHMARK_CONFIG, SMOKE_CONFIG
@@ -37,7 +37,6 @@ embed:
 harness:
   k: 3
   revenue_base: 1000000.0
-  vr_exhaustive_limit: 10
   sample:
     size: 3
     rng_seed: 2
@@ -282,9 +281,10 @@ class TestValue:
         summary = json.loads((out / "summary_vr.json").read_text())
         assert summary["n_records"] == 3
 
-    def test_vr_exhaustive_guard(self, workspace, runner, tmp_path):
+    def test_vr_exhaustive_guard(self, workspace, runner, tmp_path, monkeypatch):
         config, out = workspace
-        # same config minus the sample: 50 sessions > vr_exhaustive_limit 10
+        monkeypatch.setattr(sensitivity, "VR_EXHAUSTIVE_LIMIT", 10)
+        # same config minus the sample: 50 sessions > VR_EXHAUSTIVE_LIMIT 10
         text = BASE_CONFIG.replace("  sample:\n    size: 3\n    rng_seed: 2\n", "")
         guard_config = tmp_path / "guard.yaml"
         guard_config.write_text(text)

@@ -111,7 +111,6 @@ class TestOutOfRangeRejectedAtLoad:
         ("  neutral_band: 0.0005\n", "  neutral_band: 0.0005\n  bin_width: 0\n", "harness.bin_width"),
         ("  revenue_base: 1000000.0\n", "  revenue_base: -1.0\n", "harness.revenue_base"),
         ("  revenue_base: 1000000.0\n", "  revenue_base: 0\n", "harness.revenue_base"),
-        ("  sample:\n", "  vr_exhaustive_limit: -5\n  sample:\n", "harness.vr_exhaustive_limit"),
         ("  n_frames: 2\n  k: 5\n", "  n_frames: 2\n  k: 0\n", "lifecycle.k"),
         ("lifecycle:\n", "lifecycle:\n  hr_level: -1\n", "lifecycle.hr_level"),
         ("    rng_seed: 3\n", "    rng_seed: -1\n", "harness.sample.rng_seed"),
@@ -131,6 +130,7 @@ class TestMessagesNameTheKey:
     @pytest.mark.parametrize("text, message", [
         ("harness:\n  k: true\n", "'harness.k': expected int, got bool"),
         ("harness:\n  k: '5'\n", "'harness.k': expected int, got str"),
+        ("harness:\n  vr_exhaustive_limit: 10\n", "'harness.vr_exhaustive_limit': unknown key"),
         ("plants:\n  toxic:\n    rng_seed: 1\n    bogus: 2\n", "'plants.toxic.bogus': unknown key"),
         ("plants:\n  toxic: {}\n", "'plants.toxic.rng_seed': required key is missing"),
         ("plants:\n  toxic:\n    rng_seed: 1\n    retries: 3\n", "'plants.toxic.retries': unknown key"),

@@ -111,7 +111,7 @@ def test_threads_give_the_serial_rows(data, n_cpus, monkeypatch):
     plan = CurvePlan(end_day=ds.max_day, day_grid=(2, 4, 6), hyper=HYPER)
     serial = run_curve_serial(ds, ev, plan)
     assert len({row.n_products for row in serial}) == 3
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)))
+    monkeypatch.setattr(curve, "_available_cpus", lambda: n_cpus)
     monkeypatch.setattr(embed, "_init_rows", {})
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -123,6 +123,26 @@ def test_threads_give_the_serial_rows(data, n_cpus, monkeypatch):
     [cached] = embed._init_rows.values()
     fresh = initial_vectors(serial[-1].n_products, HYPER.dimensions, HYPER.rng_seed)
     assert cached.tobytes() == fresh.tobytes()
+
+
+def test_without_sched_getaffinity_the_pool_has_one_thread_per_cpu(data, monkeypatch):
+    """Where Python has no ``os.sched_getaffinity`` (macOS, Windows), the
+    pool is sized by ``os.cpu_count()``, and the rows are the serial loop's."""
+    ds, ev, _ = data
+    plan = CurvePlan(end_day=ds.max_day, day_grid=(2, 4, 6), hyper=HYPER)
+    started = []
+
+    class Pool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(curve, "ThreadPoolExecutor", Pool)
+    rows = run_curve(ds, plan, lambda: ev)
+    assert started == [3]
+    assert [dataclasses.replace(row, cpu_seconds=0.0) for row in rows] == run_curve_serial(ds, ev, plan)
 
 
 def test_error_in_a_training_reaches_the_caller_with_a_note_naming_its_days(data, monkeypatch):
@@ -176,7 +196,7 @@ def test_eval_log_error_cancels_the_queued_trainings(data, monkeypatch):
         assert started.wait(timeout=60)
         raise error
 
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(curve, "_available_cpus", lambda: 1)
     monkeypatch.setattr(curve, "ThreadPoolExecutor", Pool)
     monkeypatch.setattr(embed, "train", train)
     threads = threading.active_count()

@@ -131,7 +131,7 @@ def test_seed_missing_reported():
     record = next(r for r in price(dataset, eval_log, 2) if r.session_id == "s1")
     assert {"E", "F"} <= set(record.diff.changed_seeds)
     matrix = cor.build_matrix(dataset)
-    lists = CorEngine().delta_lists(matrix, cor.all_top_k(matrix, 2), dataset, "s1", 2)
+    lists = CorEngine().delta_lists(matrix, dataset, "s1", 2)
     assert lists["E"] is None and lists["F"] is None
 
 

@@ -42,7 +42,7 @@ from sessionvalue.sensitivity import (
 from sessionvalue.synthgen import GenConfig, generate
 
 from helpers import mk_dataset, mk_eval
-from oracles import initial_vectors
+from oracles import initial_vectors, run_loo_serial
 
 
 def rl(seed, ids):
@@ -273,26 +273,30 @@ VR_HYPER = Hyperparams(dimensions=8, iterations=1, min_count=5, rng_seed=3)
 
 class TestSessionsToPrice:
     """Which sessions ``value`` prices: every one under ``cor``; under ``vr``
-    the sample, or every one up to ``vr_exhaustive_limit``."""
+    the sample, or every one up to ``VR_EXHAUSTIVE_LIMIT``."""
 
     DATASET = mk_dataset([(f"s{i}", 0, ["A", "B"]) for i in range(5)])
 
-    def test_cor_prices_every_session_above_the_limit(self):
-        assert sessions_to_price(CorEngine(), self.DATASET, HarnessConfig(vr_exhaustive_limit=1)) is None
+    def test_cor_prices_every_session_above_the_limit(self, monkeypatch):
+        monkeypatch.setattr(sensitivity, "VR_EXHAUSTIVE_LIMIT", 1)
+        assert sessions_to_price(CorEngine(), self.DATASET, HarnessConfig()) is None
 
-    def test_vr_sample_is_priced_above_the_limit(self):
-        cfg = HarnessConfig(vr_exhaustive_limit=1, sample=SampleSpec(size=2, rng_seed=3))
+    def test_vr_sample_is_priced_above_the_limit(self, monkeypatch):
+        monkeypatch.setattr(sensitivity, "VR_EXHAUSTIVE_LIMIT", 1)
+        cfg = HarnessConfig(sample=SampleSpec(size=2, rng_seed=3))
         picked = sessions_to_price(VrEngine(VR_HYPER), self.DATASET, cfg)
         assert picked == cfg.sample.pick(self.DATASET)
         assert len(picked) == 2
 
     @pytest.mark.parametrize("limit", [5, 200])
-    def test_vr_without_sample_up_to_the_limit_prices_every_session(self, limit):
-        assert sessions_to_price(VrEngine(VR_HYPER), self.DATASET, HarnessConfig(vr_exhaustive_limit=limit)) is None
+    def test_vr_without_sample_up_to_the_limit_prices_every_session(self, limit, monkeypatch):
+        monkeypatch.setattr(sensitivity, "VR_EXHAUSTIVE_LIMIT", limit)
+        assert sessions_to_price(VrEngine(VR_HYPER), self.DATASET, HarnessConfig()) is None
 
-    def test_vr_without_sample_over_the_limit_is_refused(self):
+    def test_vr_without_sample_over_the_limit_is_refused(self, monkeypatch):
+        monkeypatch.setattr(sensitivity, "VR_EXHAUSTIVE_LIMIT", 4)
         with pytest.raises(ExhaustiveVrRefusedError) as info:
-            sessions_to_price(VrEngine(VR_HYPER), self.DATASET, HarnessConfig(vr_exhaustive_limit=4))
+            sessions_to_price(VrEngine(VR_HYPER), self.DATASET, HarnessConfig())
         assert isinstance(info.value, SessionValueError)
         assert str(info.value) == (
             "exhaustive VR leave-one-out over 5 sessions is not tractable (limit 4); "
@@ -347,7 +351,7 @@ class TestRunVrLoo:
         model = engine.fit(ds)
         base_topk = engine.top_k_map(model, 3)
         assert "X" in base_topk
-        assert engine.delta_lists(model, base_topk, ds, "holds-x", 3)["X"] is None
+        assert engine.with_lost_seeds(base_topk, engine.retrain_lists(ds, "holds-x", 3))["X"] is None
 
     def test_session_emptying_the_vocabulary_prices_every_seed_missing(self, caplog):
         # without "ab" no product reaches min_count=2: the retrain has no
@@ -360,10 +364,11 @@ class TestRunVrLoo:
         with caplog.at_level("WARNING", logger="sessionvalue.kpi"):
             (cr,) = run_loo(CorEngine(), ds, lambda: ev, cfg, session_ids=("ab",))
         assert vr.diff.changed_seeds == cr.diff.changed_seeds == ("A", "B")
-        for engine in (VrEngine(hyper), CorEngine()):
-            model = engine.fit(ds)
-            base_topk = engine.top_k_map(model, 3)
-            assert engine.delta_lists(model, base_topk, ds, "ab", 3) == {"A": None, "B": None}
+        vr_engine, cor_engine = VrEngine(hyper), CorEngine()
+        base_topk = vr_engine.top_k_map(vr_engine.fit(ds), 3)
+        lists = vr_engine.with_lost_seeds(base_topk, vr_engine.retrain_lists(ds, "ab", 3))
+        assert lists == {"A": None, "B": None}
+        assert cor_engine.delta_lists(cor_engine.fit(ds), ds, "ab", 3) == {"A": None, "B": None}
         assert "zero views" in caplog.text
         for record in (vr, cr):
             assert record.cr_base == 0.5
@@ -427,16 +432,20 @@ def test_vr_prices_in_one_thread_per_session_at_most_and_cor_in_none(monkeypatch
 
     monkeypatch.setattr(sensitivity, "ThreadPoolExecutor", recording)
     ds, ev, sample, cfg = loo_inputs()
-    run_loo(CorEngine(), ds, lambda: ev, cfg, jobs=8, session_ids=sample)
+    threads = threading.active_count()
+    for jobs in (1, 8):
+        run_loo(CorEngine(), ds, lambda: ev, cfg, jobs=jobs, session_ids=sample)
     assert started == []
-    run_loo(VrEngine(VR_HYPER), ds, lambda: ev, cfg, jobs=8, session_ids=sample[:2])
-    assert started == [3]  # the two deltas and the baseline
+    for jobs in (1, 8):
+        run_loo(VrEngine(VR_HYPER), ds, lambda: ev, cfg, jobs=jobs, session_ids=sample[:2])
+    assert started == [1, 3]  # at jobs=8: the two deltas and the baseline
+    assert threading.active_count() == threads
 
 
 @dataclass(frozen=True)
 class FailingVrEngine(VrEngine):
-    """``VrEngine`` whose retrain without session ``failing`` raises; serially
-    through ``delta_lists``, in threads as the pool's task."""
+    """``VrEngine`` whose retrain without session ``failing`` raises, in the
+    pool's task."""
 
     failing: str = ""
 
@@ -460,14 +469,14 @@ def test_error_in_a_delta_reaches_the_caller_with_a_note_naming_its_session(jobs
     assert info.traceback[-1].name == "retrain_lists"
 
 
-@pytest.mark.parametrize("jobs", [2, 4])
+@pytest.mark.parametrize("jobs", [1, 2, 4])
 def test_threads_leave_the_init_rows_as_they_found_them(jobs, monkeypatch):
-    """The serial run fills ``embed._init_rows``; no thread of a threaded run
-    writes it then. Under a short switch interval the threads' records equal
-    the serial ones."""
+    """The serial oracle fills ``embed._init_rows``; no thread of a threaded
+    run writes it then. Under a short switch interval the threads' records
+    equal the serial ones."""
     ds, ev, sample, cfg = loo_inputs()
     monkeypatch.setattr(embed, "_init_rows", {})
-    serial = run_loo(VrEngine(VR_HYPER), ds, lambda: ev, cfg, jobs=1, session_ids=sample)
+    serial = run_loo_serial(VrEngine(VR_HYPER), ds, ev, cfg, sample)
     found = dict(embed._init_rows)
     found_bytes = {key: rows.tobytes() for key, rows in found.items()}
     interval = sys.getswitchinterval()
@@ -520,10 +529,8 @@ def test_iter_loo_yields_a_record_before_the_last_session_is_priced(jobs):
     assert first.session_id != sample[-1]
     taken.set()
     rest = list(records)
-    serial = run_loo(VrEngine(VR_HYPER), ds, lambda: ev, cfg, session_ids=sample)
+    serial = run_loo_serial(VrEngine(VR_HYPER), ds, ev, cfg, sample)
     assert sorted([first, *rest], key=lambda r: r.session_id) == serial
-    if jobs == 1:
-        assert [r.session_id for r in [first, *rest]] == list(sample)
 
 
 def test_the_baseline_trains_beside_a_delta():
@@ -539,13 +546,13 @@ def test_the_baseline_trains_beside_a_delta():
 
     engine = HookedVrEngine(VR_HYPER, before_fit=barrier.wait, around_retrain=around_retrain)
     records = run_loo(engine, ds, lambda: ev, cfg, jobs=2, session_ids=sample)
-    assert records == run_loo(VrEngine(VR_HYPER), ds, lambda: ev, cfg, session_ids=sample)
+    assert records == run_loo_serial(VrEngine(VR_HYPER), ds, ev, cfg, sample)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_the_eval_log_is_read_after_the_trainings_are_submitted(jobs, monkeypatch):
-    """In threads, every training is submitted before ``load_eval`` runs;
-    serially the order stays: loader, baseline, deltas in session order."""
+    """At every ``jobs``, every training is submitted before ``load_eval``
+    runs."""
     ds, ev, sample, cfg = loo_inputs()
     events: list[str] = []
     lock = threading.Lock()
@@ -572,12 +579,9 @@ def test_the_eval_log_is_read_after_the_trainings_are_submitted(jobs, monkeypatc
         VR_HYPER, before_fit=lambda: record("baseline"), around_retrain=around_retrain
     )
     run_loo(engine, ds, load_eval, cfg, jobs=jobs, session_ids=sample)
-    if jobs == 1:
-        assert events == ["load_eval", "baseline", *sample]
-    else:
-        assert events.count("submit") == len(sample) + 1
-        assert events.index("load_eval") > max(i for i, e in enumerate(events) if e == "submit")
-        assert sorted(e for e in events if e not in ("submit", "load_eval")) == ["baseline", *sample]
+    assert events.count("submit") == len(sample) + 1
+    assert events.index("load_eval") > max(i for i, e in enumerate(events) if e == "submit")
+    assert sorted(e for e in events if e not in ("submit", "load_eval")) == ["baseline", *sample]
 
 
 def test_eval_log_error_cancels_the_queued_trainings(monkeypatch):
@@ -653,7 +657,7 @@ def test_a_delta_may_fill_the_init_rows_before_the_baseline(jobs, monkeypatch):
     fresh rows for the baseline's vocabulary."""
     ds, ev, sample, cfg = loo_inputs()
     sample = sample[1:]  # leaving any of these out drops a product below min_count
-    serial = run_loo(VrEngine(VR_HYPER), ds, lambda: ev, cfg, jobs=1, session_ids=sample)
+    serial = run_loo_serial(VrEngine(VR_HYPER), ds, ev, cfg, sample)
     n_base = len(embed.build_vocab(ds, VR_HYPER.min_count))
     smaller = sample[0]
     assert len(embed.build_vocab(leave_one_out(ds, smaller).materialized, VR_HYPER.min_count)) < n_base
