@@ -62,7 +62,8 @@ class CurveRow:
 
 
 def _train(sliced: Dataset, hyper: embed.Hyperparams, n_days: int) -> tuple[embed.EmbeddingModel, float]:
-    """One grid entry's model and the CPU seconds of its training thread."""
+    """One grid entry's model and the CPU seconds of its training thread (the
+    process's clock would also count the trainings running beside it)."""
     started = time.thread_time()
     try:
         model = embed.train(sliced, hyper)
@@ -89,7 +90,8 @@ def run_curve(dataset: Dataset, plan: CurvePlan, load_eval: Callable[[], EvalLog
     the kernel call), largest slice first, while this thread calls
     ``load_eval`` and indexes the eval log. Ranking and the KPIs follow in grid
     order. Trainings are deterministic, so no output depends on the thread
-    count; an error in ``load_eval`` cancels the trainings not yet started.
+    count; an error in ``load_eval`` cancels the trainings not yet started,
+    and one in a training reaches the caller with a note naming its entry.
     """
     end_day = dataset.max_day if plan.end_day is None else plan.end_day
     slices = []

@@ -23,9 +23,10 @@ Trainings may run in threads at once (``ctypes`` releases the GIL for the
 kernel call), as ``sensitivity.iter_loo`` runs a leave-one-out baseline
 beside its deltas from ``jobs=2`` and ``curve.run_curve`` runs its grid. The module state
 they share is the loaded kernel, which the caller loads before any thread
-starts and which is only read then, and ``_init_rows``, which only grows,
-under ``_init_lock``; whichever training needs a row first adds it. Each
-training writes only arrays of its own.
+starts and which is only read then, and the memo of initial rows
+(``_init_row``), whose rows are read-only. Two threads that miss the same row
+both build it, with the same bytes, so the memo needs no lock. Each training
+writes only arrays of its own.
 """
 
 from __future__ import annotations
@@ -38,9 +39,8 @@ import stat
 import subprocess
 import sysconfig
 import tempfile
-import threading
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 
 import numpy as np
@@ -62,8 +62,6 @@ KERNEL_BUILD = (
 )
 _SOURCE = Path(__file__).with_name("_skipgram.c")
 _kernel = None  # the loaded entry point; see load_kernel
-_init_rows: dict[tuple[int, int], np.ndarray] = {}  # see _initial_vectors
-_init_lock = threading.Lock()  # held while _init_rows grows
 
 
 @dataclass(frozen=True)
@@ -182,31 +180,21 @@ def build_vocab(dataset: Dataset, min_count: int) -> Vocabulary:
     return Vocabulary(products, frequencies)
 
 
+@cache
+def _init_row(rng_seed: int, i: int, dimensions: int) -> np.ndarray:
+    """Row i of the input-vector init, read-only: a PRNG keyed by (rng_seed, i)."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([rng_seed, i])))
+    row = (rng.random(dimensions) - 0.5) / dimensions
+    row.setflags(write=False)
+    return row
+
+
 def _initial_vectors(n_entries: int, dimensions: int, rng_seed: int) -> np.ndarray:
     """Input-vector init keyed by (rng_seed, entry index, dimension index), as
     a fresh writable array. Row i depends only on (rng_seed, i, dimensions),
-    so the rows are kept read-only per process for the largest vocabulary
-    seen, grown by the missing rows only, and copied for every training.
-    Trainings in threads of different vocabulary sizes (the learning curve's,
-    or a leave-one-out baseline and the smaller deltas that may start before
-    it) grow the cache under ``_init_lock``, so a smaller one never replaces
-    it."""
-    key = (rng_seed, dimensions)
-    rows = _init_rows.get(key)
-    if rows is None or len(rows) < n_entries:
-        with _init_lock:
-            rows = _init_rows.get(key)
-            if rows is None or len(rows) < n_entries:
-                kept = 0 if rows is None else len(rows)
-                grown = np.empty((n_entries, dimensions), dtype=np.float64)
-                if kept:
-                    grown[:kept] = rows
-                for i in range(kept, n_entries):
-                    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([rng_seed, i])))
-                    grown[i] = (rng.random(dimensions) - 0.5) / dimensions
-                grown.setflags(write=False)
-                _init_rows[key] = rows = grown
-    return rows[:n_entries].copy()
+    so each row is kept per process by the memo ``_init_row`` and copied into
+    every training that needs it; the kernel trains the copy in place."""
+    return np.array([_init_row(rng_seed, i, dimensions) for i in range(n_entries)])
 
 
 def _cache_dir() -> Path:

@@ -8,7 +8,9 @@ of its own (see ``totals``), so replacing a few lists moves the totals by
 exactly those lists' contributions. Every production rate is
 ``rate_from_totals(*totals(index, lists))``; ``aggregate_pairs``, a scan of
 the eval log one session at a time, and ``conversion_rate`` are the per-pair
-reference it is checked against.
+reference it is checked against. The rate has no correction constant: in
+a relative change a constant factor cancels, and on the learning curve it
+would only rescale the ``cr`` and revenue columns.
 
 The module holds formulas only; the learning curve's table row, which
 gathers them per model, is ``curve.CurveRow``.

@@ -172,8 +172,8 @@ class VrEngine:
     ``with_lost_seeds``, which does. ``iter_loo`` runs every retrain and the
     baseline's training in a thread pool, and no other engine's deltas: the
     retrain is one kernel call, which runs without the GIL, and the state the
-    trainings share is only the loaded kernel and the init-row cache, which
-    grows under a lock (see ``embed``)."""
+    trainings share is only the loaded kernel and the memo of read-only
+    initial rows (see ``embed``)."""
 
     hyper: embed.Hyperparams
 
@@ -372,8 +372,11 @@ def iter_loo(
     reaches it unchanged. For ``VrEngine`` any of them cancels the retrains
     not yet started and reaches the caller once the trainings already
     started have finished: an error in the eval log, even at ``jobs=1``,
-    after the baseline's training.
+    after the baseline's training. ``jobs`` below 1 is refused with
+    ``ValueError`` before anything loads, whatever the engine.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     if session_ids is None:
         session_ids = sorted(dataset.by_id)
     elif not session_ids:

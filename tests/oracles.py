@@ -11,7 +11,7 @@ package ships ``session_top_k``, ``all_top_k`` and ``all_top_k_similar`` (one
 ``fit_numpy`` and ``train_numpy`` are the skip-gram trainer as a numpy loop,
 one ``step`` per (center, context) pair, from ``initial_vectors`` built anew
 on every call; the package trains with the compiled kernel instead, from
-initial rows it keeps between trainings.
+copies of initial rows it keeps per process (``embed._init_row``).
 
 ``trajectories_rebuild`` is the lifecycle study with every frame's window
 rebuilt from scratch (``slice_days``, ``build_matrix``, ``all_top_k``) and

@@ -16,7 +16,7 @@ from sessionvalue.embed import Hyperparams, build_vocab
 from sessionvalue.errors import EmptySliceError
 from sessionvalue.synthgen import GenConfig, generate
 
-from oracles import initial_vectors, run_curve_serial
+from oracles import run_curve_serial
 
 HYPER = Hyperparams(dimensions=8, iterations=1, min_count=2, rng_seed=6)
 
@@ -104,15 +104,14 @@ class TestRunCurve:
 @pytest.mark.parametrize("n_cpus", [1, 2, 4])
 def test_threads_give_the_serial_rows(data, n_cpus, monkeypatch):
     """Every field but the measured ``cpu_seconds`` equals the serial loop's,
-    on a grid of three vocabulary sizes trained from an empty init-row cache
-    under a short switch interval. The cache ends holding the largest
-    vocabulary's rows, as fresh ones, whichever training filled it first."""
+    on a grid of three vocabulary sizes trained from an empty init-row memo
+    under a short switch interval."""
     ds, ev, _ = data
     plan = CurvePlan(end_day=ds.max_day, day_grid=(2, 4, 6), hyper=HYPER)
     serial = run_curve_serial(ds, ev, plan)
     assert len({row.n_products for row in serial}) == 3
     monkeypatch.setattr(curve, "_available_cpus", lambda: n_cpus)
-    monkeypatch.setattr(embed, "_init_rows", {})
+    embed._init_row.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -120,9 +119,6 @@ def test_threads_give_the_serial_rows(data, n_cpus, monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert [dataclasses.replace(row, cpu_seconds=0.0) for row in threaded] == serial
-    [cached] = embed._init_rows.values()
-    fresh = initial_vectors(serial[-1].n_products, HYPER.dimensions, HYPER.rng_seed)
-    assert cached.tobytes() == fresh.tobytes()
 
 
 def test_without_sched_getaffinity_the_pool_has_one_thread_per_cpu(data, monkeypatch):

@@ -8,7 +8,9 @@ boundary is 1.6e-10 (2.2e-9 on benchmark), and its smallest cosine gap within
 a seed's top k+1 is 6.4e-6 (2.5e-4). So these tests pin its bytes too, as
 sha256 digests rather than 4,500-line files: the ``synth`` outputs, the
 ``cor`` model dump, top-k lists and valuation, and one ``vr`` baseline
-training with its top-k lists.
+training with its top-k lists. Scaling every kernel gradient by 1 + 1e-8
+fails these digests, while the ``benchmark`` model golden only catches it
+from 1 + 1e-6 and the ``smoke`` tree not even then.
 """
 
 from __future__ import annotations

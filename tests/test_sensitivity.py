@@ -42,7 +42,7 @@ from sessionvalue.sensitivity import (
 from sessionvalue.synthgen import GenConfig, generate
 
 from helpers import mk_dataset, mk_eval
-from oracles import initial_vectors, run_loo_serial
+from oracles import run_loo_serial
 
 
 def rl(seed, ids):
@@ -422,6 +422,16 @@ def loo_inputs():
     return ds, ev, tuple(sorted(ds.by_id)[:4]), HarnessConfig(k=3, revenue_base=1e6)
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+@pytest.mark.parametrize("engine", [CorEngine(), VrEngine(VR_HYPER)], ids=["cor", "vr"])
+def test_jobs_below_one_is_refused_before_anything_loads(engine, jobs, monkeypatch):
+    ds, _, sample, cfg = loo_inputs()
+    monkeypatch.setattr(embed, "load_kernel", lambda: pytest.fail("the kernel was loaded"))
+    with pytest.raises(ValueError, match=f"^jobs must be >= 1, got {jobs}$"):
+        run_loo(engine, ds, lambda: pytest.fail("the eval log was read"), cfg, jobs=jobs,
+                session_ids=sample)
+
+
 def test_vr_prices_in_one_thread_per_session_at_most_and_cor_in_none(monkeypatch):
     started = []
     pool = sensitivity.ThreadPoolExecutor
@@ -470,15 +480,12 @@ def test_error_in_a_delta_reaches_the_caller_with_a_note_naming_its_session(jobs
 
 
 @pytest.mark.parametrize("jobs", [1, 2, 4])
-def test_threads_leave_the_init_rows_as_they_found_them(jobs, monkeypatch):
-    """The serial oracle fills ``embed._init_rows``; no thread of a threaded
-    run writes it then. Under a short switch interval the threads' records
-    equal the serial ones."""
+def test_threads_from_a_cold_init_row_memo_give_the_serial_records(jobs):
+    """From an empty ``embed._init_row`` memo, under a short switch interval,
+    the threads' records equal the serial ones."""
     ds, ev, sample, cfg = loo_inputs()
-    monkeypatch.setattr(embed, "_init_rows", {})
     serial = run_loo_serial(VrEngine(VR_HYPER), ds, ev, cfg, sample)
-    found = dict(embed._init_rows)
-    found_bytes = {key: rows.tobytes() for key, rows in found.items()}
+    embed._init_row.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -486,9 +493,6 @@ def test_threads_leave_the_init_rows_as_they_found_them(jobs, monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert threaded == serial
-    assert embed._init_rows.keys() == found.keys()
-    assert all(embed._init_rows[key] is rows for key, rows in found.items())
-    assert {key: rows.tobytes() for key, rows in embed._init_rows.items()} == found_bytes
 
 
 @dataclass(frozen=True)
@@ -650,18 +654,17 @@ def test_error_in_the_baseline_reaches_the_caller_without_a_session_note(monkeyp
 
 
 @pytest.mark.parametrize("jobs", [2, 4])
-def test_a_delta_may_fill_the_init_rows_before_the_baseline(jobs, monkeypatch):
-    """From an empty ``embed._init_rows`` in threads, the baseline waits
-    until a retrain with a smaller vocabulary has filled the cache, then
-    grows it. The records equal the serial ones, and the cache ends holding
-    fresh rows for the baseline's vocabulary."""
+def test_a_delta_may_fill_the_init_rows_before_the_baseline(jobs):
+    """From an empty ``embed._init_row`` memo in threads, the baseline waits
+    until a retrain with a smaller vocabulary has filled the memo's first
+    rows, then adds its own. The records equal the serial ones."""
     ds, ev, sample, cfg = loo_inputs()
     sample = sample[1:]  # leaving any of these out drops a product below min_count
     serial = run_loo_serial(VrEngine(VR_HYPER), ds, ev, cfg, sample)
     n_base = len(embed.build_vocab(ds, VR_HYPER.min_count))
     smaller = sample[0]
     assert len(embed.build_vocab(leave_one_out(ds, smaller).materialized, VR_HYPER.min_count)) < n_base
-    filled, cached_before_fit = threading.Event(), []
+    filled = threading.Event()
 
     def around_retrain(session_id, retrain):
         lists = retrain()
@@ -671,9 +674,8 @@ def test_a_delta_may_fill_the_init_rows_before_the_baseline(jobs, monkeypatch):
 
     def before_fit():
         assert filled.wait(timeout=60)
-        cached_before_fit.extend(len(rows) for rows in embed._init_rows.values())
 
-    monkeypatch.setattr(embed, "_init_rows", {})
+    embed._init_row.cache_clear()
     engine = HookedVrEngine(VR_HYPER, before_fit=before_fit, around_retrain=around_retrain)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -682,10 +684,6 @@ def test_a_delta_may_fill_the_init_rows_before_the_baseline(jobs, monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert threaded == serial
-    assert cached_before_fit and max(cached_before_fit) < n_base
-    [cached] = embed._init_rows.values()
-    fresh = initial_vectors(n_base, VR_HYPER.dimensions, VR_HYPER.rng_seed)
-    assert cached.tobytes() == fresh.tobytes()
 
 
 def fake_record(rel: float) -> SensitivityRecord:
