@@ -105,10 +105,12 @@ def _value(value, hint, path: str):
         (hint,) = [arg for arg in typing.get_args(hint) if arg is not type(None)]
         if value is None and not is_dataclass(hint):  # a null section reads as empty
             return None
-    if hint is SampleSpec and isinstance(value, list):  # the id-list form
-        return _read(SampleSpec, {"ids": value}, path)
-    if hint is SampleSpec:
-        return _read(SampleSpec, value, path, ids=None)
+    if hint is SampleSpec:  # the YAML value is the id list itself
+        ids = _value(value, tuple[str, ...], path)
+        try:
+            return SampleSpec(ids)
+        except ValueError as exc:
+            raise ConfigError(path, str(exc)) from exc
     if is_dataclass(hint):
         return _read(hint, value, path)
     if typing.get_origin(hint) is tuple:  # tuple[T, ...]

@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
-
-import numpy as np
 
 from . import cor, embed
 from .atomic import write_csv
@@ -82,36 +81,23 @@ class SensitivityRecord:
 
 @dataclass(frozen=True)
 class SampleSpec:
-    """Either an explicit session-id list or a seeded random sample size."""
+    """The ``harness.sample`` setting, written in YAML as the list itself: the
+    session ids that a ``vr`` run prices, each listed once."""
 
-    ids: tuple[str, ...] | None = None
-    size: int | None = None
-    rng_seed: int = 0
+    ids: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if (self.ids is None) == (self.size is None):
-            raise ValueError("expected a list of session ids or a {size, rng_seed} mapping")
-        if self.ids is not None and not self.ids:
-            raise ValueError("ids must be a non-empty list of session ids")
-        if self.size is not None and self.size < 1:
-            raise ValueError(f"size must be >= 1, got {self.size}")
-        if self.rng_seed < 0:
-            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
-
-    def pick(self, dataset: Dataset) -> tuple[str, ...]:
-        """The listed ids, or ``size`` ids (all when fewer) drawn with
-        ``rng_seed`` from the sorted session ids, returned sorted."""
-        if self.ids is not None:
-            return self.ids
-        ids = sorted(dataset.by_id)
-        rng = np.random.default_rng(self.rng_seed)
-        picked = rng.choice(len(ids), size=min(self.size, len(ids)), replace=False)
-        return tuple(sorted(ids[int(i)] for i in picked))
+        if not self.ids:
+            raise ValueError("expected a non-empty list of session ids")
+        repeated = [sid for sid, n in Counter(self.ids).items() if n > 1]
+        if repeated:
+            raise ValueError(f"session id {repeated[0]!r} is listed more than once")
 
 
 @dataclass(frozen=True)
 class HarnessConfig:
-    """The ``harness`` config section: pricing, histogram and sampling settings."""
+    """The ``harness`` config section: pricing and histogram settings, and
+    the ids a ``vr`` run prices (``sample``; see ``sessions_to_price``)."""
 
     k: int = 5
     neutral_band: float = 0.0005
@@ -337,13 +323,14 @@ def _retrain(engine: VrEngine, dataset: Dataset, session_id: str, k: int):
 def sessions_to_price(engine, dataset: Dataset, cfg: HarnessConfig) -> tuple[str, ...] | None:
     """The ``session_ids`` that ``run_loo`` prices with ``engine``; None
     prices every session. ``CorEngine`` prices every session. ``VrEngine``
-    prices ``cfg.sample`` when one is set; without one, every session up to
-    ``VR_EXHAUSTIVE_LIMIT`` sessions, and above it the run is refused with
-    ``ExhaustiveVrRefusedError``, because every delta is a full retrain."""
+    prices the ids listed in ``cfg.sample`` when one is set; without one,
+    every session up to ``VR_EXHAUSTIVE_LIMIT`` sessions, and above it the
+    run is refused with ``ExhaustiveVrRefusedError``, because every delta is
+    a full retrain."""
     if not isinstance(engine, VrEngine):
         return None
     if cfg.sample is not None:
-        return cfg.sample.pick(dataset)
+        return cfg.sample.ids
     if len(dataset.sessions) > VR_EXHAUSTIVE_LIMIT:
         raise ExhaustiveVrRefusedError(len(dataset.sessions), VR_EXHAUSTIVE_LIMIT)
     return None

@@ -49,13 +49,10 @@ def cor_records(benchmark_data, benchmark_rc):
 
 @pytest.fixture(scope="module")
 def vr_records(benchmark_data, benchmark_rc):
-    """Sampled VR leave-one-out over the benchmark sample plus the toxic plant."""
-    dataset, eval_log, truth, _ = benchmark_data
-    toxic = [sid for sid, kind in truth.planted if kind is PlantKind.TOXIC]
-    sample = benchmark_rc.harness.sample.pick(dataset) + tuple(toxic)
+    """VR leave-one-out of every benchmark session, the toxic plant among them."""
+    dataset, eval_log, _, _ = benchmark_data
     return run_loo(
-        VrEngine(benchmark_rc.hyper), dataset, lambda: eval_log, benchmark_rc.harness,
-        jobs=2, session_ids=sample,
+        VrEngine(benchmark_rc.hyper), dataset, lambda: eval_log, benchmark_rc.harness, jobs=2,
     )
 
 

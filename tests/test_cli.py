@@ -37,15 +37,15 @@ embed:
 harness:
   k: 3
   revenue_base: 1000000.0
-  sample:
-    size: 3
-    rng_seed: 2
+  sample: [s000005, s000012, s000040]
 lifecycle:
   window_days: 3
   n_frames: 2
 curve:
   day_grid: [2, 3]
 """
+# BASE_CONFIG's sample: 3 of its 50 sessions
+SAMPLE = "  sample: [s000005, s000012, s000040]\n"
 
 
 def run_without_kernel(tmp_path, command):
@@ -285,7 +285,7 @@ class TestValue:
         config, out = workspace
         monkeypatch.setattr(sensitivity, "VR_EXHAUSTIVE_LIMIT", 10)
         # same config minus the sample: 50 sessions > VR_EXHAUSTIVE_LIMIT 10
-        text = BASE_CONFIG.replace("  sample:\n    size: 3\n    rng_seed: 2\n", "")
+        text = BASE_CONFIG.replace(SAMPLE, "")
         guard_config = tmp_path / "guard.yaml"
         guard_config.write_text(text)
         result = runner.invoke(
@@ -296,7 +296,7 @@ class TestValue:
 
     def test_vr_unknown_sample_id_reported(self, workspace, runner, tmp_path):
         config, out = workspace
-        text = BASE_CONFIG.replace("  sample:\n    size: 3\n    rng_seed: 2\n", "  sample: [nope]\n")
+        text = BASE_CONFIG.replace(SAMPLE, "  sample: [nope]\n")
         bad_config = tmp_path / "bad.yaml"
         bad_config.write_text(text)
         result = runner.invoke(

@@ -4,6 +4,8 @@ import pytest
 
 from sessionvalue.config import load_run_config
 from sessionvalue.errors import ConfigError
+from sessionvalue.sensitivity import VrEngine, sessions_to_price
+from sessionvalue.synthgen import synthesize
 
 from conftest import CONFIG_DIR
 
@@ -32,6 +34,16 @@ class TestCheckedInConfigs:
         assert rc.hyper.window == 5
         assert rc.hyper.min_count == 5
 
+    @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.yaml")), ids=lambda p: p.name)
+    def test_vr_value_is_accepted(self, path):
+        """``value --engine vr`` takes every recipe on its own ``synth``
+        output: a listed sample names only sessions that exist, and a recipe
+        without one is small enough to price every session."""
+        rc = load_run_config(path)
+        dataset, *_ = synthesize(rc.synth, rc.plants, rc.harness.k, rc.hyper)
+        ids = sessions_to_price(VrEngine(rc.hyper), dataset, rc.harness)
+        assert ids is None or set(ids) <= dataset.by_id.keys()
+
 
 class TestValidation:
     def test_unknown_nested_key_has_dotted_path(self, tmp_path):
@@ -49,10 +61,10 @@ class TestValidation:
         rc = load_run_config(path)
         assert rc.harness.sample.ids == ("a", "b")
 
-    def test_sample_accepts_sized_spec(self, tmp_path):
-        path = write(tmp_path, "harness:\n  sample:\n    size: 7\n    rng_seed: 1\n")
-        rc = load_run_config(path)
-        assert rc.harness.sample.size == 7
+    def test_sample_rejects_a_sized_spec(self, tmp_path):
+        path = write(tmp_path, "harness:\n  sample:\n    size: 3\n    rng_seed: 2\n")
+        with pytest.raises(ConfigError, match="'harness.sample': expected a list, got dict"):
+            load_run_config(path)
 
     def test_sample_rejects_other_shapes(self, tmp_path):
         path = write(tmp_path, "harness:\n  sample: 5\n")
@@ -113,7 +125,7 @@ class TestOutOfRangeRejectedAtLoad:
         ("  revenue_base: 1000000.0\n", "  revenue_base: 0\n", "harness.revenue_base"),
         ("  n_frames: 2\n  k: 5\n", "  n_frames: 2\n  k: 0\n", "lifecycle.k"),
         ("lifecycle:\n", "lifecycle:\n  hr_level: -1\n", "lifecycle.hr_level"),
-        ("    rng_seed: 3\n", "    rng_seed: -1\n", "harness.sample.rng_seed"),
+        ("harness:\n  k: 5\n", "harness:\n  sample: []\n  k: 5\n", "harness.sample"),
         ("  day_grid: [2, 3]\n  k: 5\n", "  day_grid: [2, 3]\n  k: 0\n", "curve.k"),
         ("  day_grid: [2, 3]\n", "  day_grid: [3, 2]\n", "curve.day_grid"),
         ("curve:\n", "plants:\n  duplicates:\n    copies: 1\ncurve:\n", "plants.duplicates.copies"),
@@ -131,6 +143,7 @@ class TestMessagesNameTheKey:
         ("harness:\n  k: true\n", "'harness.k': expected int, got bool"),
         ("harness:\n  k: '5'\n", "'harness.k': expected int, got str"),
         ("harness:\n  vr_exhaustive_limit: 10\n", "'harness.vr_exhaustive_limit': unknown key"),
+        ("harness:\n  sample: [a, a]\n", "'harness.sample': session id 'a' is listed more than once"),
         ("plants:\n  toxic:\n    rng_seed: 1\n    bogus: 2\n", "'plants.toxic.bogus': unknown key"),
         ("plants:\n  toxic: {}\n", "'plants.toxic.rng_seed': required key is missing"),
         ("plants:\n  toxic:\n    rng_seed: 1\n    retries: 3\n", "'plants.toxic.retries': unknown key"),

@@ -473,6 +473,20 @@ class TestBuild:
         assert len({base, edited, flagged}) == 3
         assert embed._kernel_file(cache) == base
 
+    def test_unrounded_bits_do_not_depend_on_the_optimisation_level(self, tmp_path, monkeypatch):
+        """An ``-O0`` build of ``KERNEL_BUILD`` trains the golden benchmark
+        inputs to the production build's unrounded ``syn0``, bit for bit. gcc
+        fuses no multiply-add into an FMA at ``-O0``, so this also fails when
+        ``-ffp-contract=off`` goes and the ``-O3`` build fuses, on any CPU."""
+        hyper = load_run_config(CONFIG_DIR / "benchmark.yaml").hyper
+        dataset = load_dataset(GOLDEN / "benchmark" / "sessions.jsonl", GOLDEN / "benchmark" / "catalog.jsonl")
+        _, production = _fit(dataset, hyper)
+        assert "-O3" in embed.KERNEL_BUILD
+        monkeypatch.setattr(embed, "KERNEL_BUILD", tuple("-O0" if f == "-O3" else f for f in embed.KERNEL_BUILD))
+        monkeypatch.setattr(embed, "_kernel", embed._load(tmp_path))
+        _, unoptimised = _fit(dataset, hyper)
+        assert unoptimised.tobytes() == production.tobytes()
+
     def test_missing_compiler_names_the_command(self, tmp_path, monkeypatch):
         missing = str(tmp_path / "no-such-cc")
         monkeypatch.setattr(embed, "KERNEL_BUILD", (missing, *embed.KERNEL_BUILD[1:]))

@@ -273,7 +273,7 @@ VR_HYPER = Hyperparams(dimensions=8, iterations=1, min_count=5, rng_seed=3)
 
 class TestSessionsToPrice:
     """Which sessions ``value`` prices: every one under ``cor``; under ``vr``
-    the sample, or every one up to ``VR_EXHAUSTIVE_LIMIT``."""
+    the listed sample, or every one up to ``VR_EXHAUSTIVE_LIMIT``."""
 
     DATASET = mk_dataset([(f"s{i}", 0, ["A", "B"]) for i in range(5)])
 
@@ -283,10 +283,8 @@ class TestSessionsToPrice:
 
     def test_vr_sample_is_priced_above_the_limit(self, monkeypatch):
         monkeypatch.setattr(sensitivity, "VR_EXHAUSTIVE_LIMIT", 1)
-        cfg = HarnessConfig(sample=SampleSpec(size=2, rng_seed=3))
-        picked = sessions_to_price(VrEngine(VR_HYPER), self.DATASET, cfg)
-        assert picked == cfg.sample.pick(self.DATASET)
-        assert len(picked) == 2
+        cfg = HarnessConfig(sample=SampleSpec(("s3", "s1")))
+        assert sessions_to_price(VrEngine(VR_HYPER), self.DATASET, cfg) == ("s3", "s1")
 
     @pytest.mark.parametrize("limit", [5, 200])
     def test_vr_without_sample_up_to_the_limit_prices_every_session(self, limit, monkeypatch):
