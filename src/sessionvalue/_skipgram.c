@@ -4,7 +4,9 @@
  * One call runs every iteration over every sentence. For each center token
  * with a non-empty Huffman path, every other token in its window takes one
  * gradient step against the center's path rows of syn1, in window order.
- * The learning rate decays linearly per center token down to lr_floor.
+ * The learning rate decays linearly per center token down to lr_floor. The
+ * call returns its node steps: one per (center, context, path node), so a
+ * center with n path nodes and c contexts in its window adds n * c.
  *
  * These rules keep the model dump byte-identical to the numpy trainer
  * (tests/oracles.py) after rounding:
@@ -48,10 +50,8 @@
  *     chains that overlap. The AVX-512 copy takes 5 blocks (40 doubles, so
  *     200 dimensions are exactly 5 sweeps): its 32 registers hold 10 vectors
  *     of v and neu. The AVX2 copy keeps one block, because 2 or 3 blocks per
- *     sweep made it slower (one training at the 60-day slice of the
- *     full.yaml shape: 120 ms with one block, 136 and 135 ms with 2 and 3,
- *     medians of 21 interleaved rounds). The generic copy keeps one block:
- *     one block already takes 8 of its 16 SSE registers for v and neu.
+ *     sweep made it slower. The generic copy keeps one block: one block
+ *     already takes 8 of its 16 SSE registers for v and neu.
  * tests/skipgram_reference.c keeps the node-by-node loop, with the lane-order
  * dot written as a plain scalar loop, as the oracle that tests/test_kernel.py
  * compares bit for bit with this one.
@@ -70,11 +70,8 @@
  * operation does the same IEEE operation lane by lane, on the same operands
  * in the same order.
  * No -mavx2, -mavx512f or -march flag is used, so the build still runs on a
- * CPU without them. Measured with timing-only variants that skip one part
- * (one training at the shape of the vr-loo benchmark inputs, 600 sessions
- * and 200 dimensions, AVX-512 copy, medians of 31 interleaved rounds), the
- * update takes about 55% of the time, the dots about 35% and libm's exp
- * about 13%.
+ * CPU without them. The update takes most of a training's time, then the
+ * dots, then libm's exp.
  *
  * Layout: syn0 is n_entries x dims and syn1 is (n_entries - 1) x dims, both
  * row-major. Sentence s is tokens[sentence_offsets[s] .. sentence_offsets[s+1]).
@@ -238,13 +235,14 @@ DEFINE_PATH_UPDATE(path_update_avx512, TARGET_AVX512, vec8, 5)
     syn0, syn1, scratch, dims, tokens, sentence_offsets, n_sentences, \
     points, one_minus_code, path_offsets, iterations, window, lr0, lr_floor
 
-/* The whole training with `dots` and `update` as its passes. Inlined into
- * each entry point below with constant passes, so that it makes direct calls. */
-static inline __attribute__((always_inline)) void train(
+/* The whole training with `dots` and `update` as its passes, returning its
+ * node steps. Inlined into each entry point below with constant passes, so
+ * that it makes direct calls. */
+static inline __attribute__((always_inline)) int64_t train(
     void (*dots)(DOTS_PARAMS), void (*update)(UPDATE_PARAMS), TRAIN_PARAMS)
 {
     const double budget = (double)(iterations * sentence_offsets[n_sentences]);
-    int64_t processed = 0;
+    int64_t processed = 0, steps = 0;
     for (int64_t it = 0; it < iterations; it++) {
         for (int64_t s = 0; s < n_sentences; s++) {
             const int64_t *sent = tokens + sentence_offsets[s];
@@ -262,6 +260,7 @@ static inline __attribute__((always_inline)) void train(
                 const double *omc = one_minus_code + first;
                 const int64_t lo = i > window ? i - window : 0;
                 const int64_t hi = i + window + 1 < m ? i + window + 1 : m;
+                steps += n * (hi - lo - 1);
                 for (int64_t j = lo; j < hi; j++) {
                     if (j == i)
                         continue;
@@ -274,23 +273,24 @@ static inline __attribute__((always_inline)) void train(
             }
         }
     }
+    return steps;
 }
 
 /* The training with each copy of the passes. All three are exported, so that
  * the tests can compare each one with the reference loop. */
-void sv_skipgram_train_generic(TRAIN_PARAMS)
+int64_t sv_skipgram_train_generic(TRAIN_PARAMS)
 {
-    train(path_dots_generic, path_update_generic, TRAIN_ARGS);
+    return train(path_dots_generic, path_update_generic, TRAIN_ARGS);
 }
 
-void sv_skipgram_train_avx2(TRAIN_PARAMS)
+int64_t sv_skipgram_train_avx2(TRAIN_PARAMS)
 {
-    train(path_dots_avx2, path_update_avx2, TRAIN_ARGS);
+    return train(path_dots_avx2, path_update_avx2, TRAIN_ARGS);
 }
 
-void sv_skipgram_train_avx512(TRAIN_PARAMS)
+int64_t sv_skipgram_train_avx512(TRAIN_PARAMS)
 {
-    train(path_dots_avx512, path_update_avx512, TRAIN_ARGS);
+    return train(path_dots_avx512, path_update_avx512, TRAIN_ARGS);
 }
 
 /* Whether this CPU runs AVX2 instructions. */
@@ -305,7 +305,7 @@ int sv_skipgram_cpu_has_avx512(void)
     return CPU_HAS("avx512f") != 0;
 }
 
-typedef void train_fn(TRAIN_PARAMS);
+typedef int64_t train_fn(TRAIN_PARAMS);
 
 /* The entry point that sv_skipgram_train runs on this CPU: the widest copy
  * it runs. */
@@ -318,7 +318,7 @@ train_fn *sv_skipgram_pick(void)
     return sv_skipgram_train_generic;
 }
 
-void sv_skipgram_train(TRAIN_PARAMS)
+int64_t sv_skipgram_train(TRAIN_PARAMS)
 {
-    sv_skipgram_pick()(TRAIN_ARGS);
+    return sv_skipgram_pick()(TRAIN_ARGS);
 }

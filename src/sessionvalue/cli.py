@@ -2,10 +2,8 @@
 
 Every command is driven by one YAML config (checked-in experiment recipes run
 as-is) and is idempotent: identical config and inputs produce byte-identical
-output files, regardless of ``--jobs``. The one exception is the measured
-``cpu_seconds`` column of the curve table, which is machine- and run-dependent
-by nature. Each command prints its run summary to stdout as one JSON document
-(``atomic.json_text``).
+output files, regardless of ``--jobs``. Each command prints its run summary to
+stdout as one JSON document (``atomic.json_text``).
 """
 
 from __future__ import annotations

@@ -5,14 +5,15 @@ historical sessions and slices are nested. Each entry gives one ``CurveRow``,
 whose fields are the table's columns in order: the slice's days and sessions,
 model coverage (#products), the fraction of newly added sessions carrying
 products unseen by the previous smaller model (SNP), conversion rate, revenue
-figures, the CPU seconds of the training thread and mean session length.
+figures, the training's node steps (``EmbeddingModel.node_steps``: its cost, a
+pure function of the slice and the hyperparameters) and mean session length.
+Every column is byte-stable.
 """
 
 from __future__ import annotations
 
 import logging
 import os
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
@@ -57,20 +58,17 @@ class CurveRow:
     cr: float
     revenue: float
     revenue_per_session: float
-    cpu_seconds: float
+    node_steps: int
     avg_session_length: float
 
 
-def _train(sliced: Dataset, hyper: embed.Hyperparams, n_days: int) -> tuple[embed.EmbeddingModel, float]:
-    """One grid entry's model and the CPU seconds of its training thread (the
-    process's clock would also count the trainings running beside it)."""
-    started = time.thread_time()
+def _train(sliced: Dataset, hyper: embed.Hyperparams, n_days: int) -> embed.EmbeddingModel:
+    """One grid entry's model."""
     try:
-        model = embed.train(sliced, hyper)
+        return embed.train(sliced, hyper)
     except Exception as exc:
         exc.add_note(f"while training the learning-curve model of the last {n_days} days")
         raise
-    return model, time.thread_time() - started
 
 
 def _available_cpus() -> int:
@@ -112,7 +110,7 @@ def run_curve(dataset: Dataset, plan: CurvePlan, load_eval: Callable[[], EvalLog
         prev_products: frozenset[str] = frozenset()
         prev_session_ids: set[str] = set()
         for n_days, sliced in zip(plan.day_grid, slices):
-            model, cpu_seconds = trained[n_days].result()
+            model = trained[n_days].result()
             recs = embed.all_top_k_similar(model, plan.k)
             cr = kpi.rate_from_totals(*kpi.totals(eval_index, recs))
             n_products = len(model.vocabulary)
@@ -126,7 +124,7 @@ def run_curve(dataset: Dataset, plan: CurvePlan, load_eval: Callable[[], EvalLog
                 cr=cr,
                 revenue=total_revenue,
                 revenue_per_session=kpi.revenue_per_session(total_revenue, len(sliced.sessions)),
-                cpu_seconds=cpu_seconds,
+                node_steps=model.node_steps,
                 avg_session_length=kpi.mean(s.length for s in sliced.sessions),
             ))
             prev_products = frozenset(model.vocabulary.products)

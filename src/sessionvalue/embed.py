@@ -117,6 +117,7 @@ class EmbeddingModel:
     vocabulary: Vocabulary
     vectors: np.ndarray
     hyper: Hyperparams
+    node_steps: int  # the training's (center, context, path node) steps
 
 
 def _huffman(frequencies: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -255,7 +256,7 @@ def _build(directory: Path) -> Path:
 def _load(directory: Path):
     """Build the kernel into ``directory`` if needed, load it and return its
     entry point, whose argument types refuse arrays of another dtype or shape
-    and arrays that are not C-contiguous."""
+    and arrays that are not C-contiguous, and which returns the node steps."""
     kernel = ctypes.CDLL(str(_build(directory))).sv_skipgram_train
     i64 = ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
     kernel.argtypes = [
@@ -267,14 +268,14 @@ def _load(directory: Path):
         i64, ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS"), i64,  # path arrays
         ctypes.c_int64, ctypes.c_int64, ctypes.c_double, ctypes.c_double,
     ]
-    kernel.restype = None
+    kernel.restype = ctypes.c_int64
     return kernel
 
 
 def load_kernel():
     """The compiled training loop, built on first use into a per-user cache
-    directory and loaded once per process. A caller timing ``train`` calls
-    this first, so that the compile stays out of the measurement."""
+    directory and loaded once per process. A caller that trains in threads
+    calls this first, before any thread starts."""
     global _kernel
     if _kernel is None:
         _kernel = _load(_cache_dir())
@@ -301,8 +302,8 @@ def _sentences(dataset: Dataset, vocab: Vocabulary) -> list[list[int]]:
 _SCRATCH_PAD = 8
 
 
-def _fit(dataset: Dataset, hyper: Hyperparams) -> tuple[Vocabulary, np.ndarray]:
-    """The vocabulary and the unrounded input vectors of one training."""
+def _fit(dataset: Dataset, hyper: Hyperparams) -> tuple[Vocabulary, np.ndarray, int]:
+    """The vocabulary, the unrounded input vectors and the node steps of one training."""
     kernel = load_kernel()
     vocab = build_vocab(dataset, hyper.min_count)
     sents = _sentences(dataset, vocab)
@@ -311,7 +312,7 @@ def _fit(dataset: Dataset, hyper: Hyperparams) -> tuple[Vocabulary, np.ndarray]:
     syn1 = np.zeros((max(n - 1, 0), hyper.dimensions), dtype=np.float64)
     points, code, offsets = _huffman(vocab.frequencies)
     scratch = np.empty(np.diff(offsets).max() + 2 * _SCRATCH_PAD)[_SCRATCH_PAD:-_SCRATCH_PAD]
-    kernel(
+    node_steps = kernel(
         syn0, syn1, scratch, hyper.dimensions,
         np.fromiter((w for s in sents for w in s), dtype=np.int64),
         _offsets([len(s) for s in sents]), len(sents),
@@ -319,15 +320,15 @@ def _fit(dataset: Dataset, hyper: Hyperparams) -> tuple[Vocabulary, np.ndarray]:
         hyper.iterations, hyper.window, hyper.initial_learning_rate,
         hyper.initial_learning_rate * LR_FLOOR_FRACTION,
     )
-    return vocab, syn0
+    return vocab, syn0, node_steps
 
 
-def _rounded(vocab: Vocabulary, syn0: np.ndarray, hyper: Hyperparams) -> EmbeddingModel:
+def _rounded(vocab: Vocabulary, syn0: np.ndarray, node_steps: int, hyper: Hyperparams) -> EmbeddingModel:
     """The model of unrounded input vectors ``syn0``: read-only vectors rounded
     to ``hyper.rounding_digits`` decimals."""
     vectors = np.round(syn0, hyper.rounding_digits)
     vectors.setflags(write=False)
-    return EmbeddingModel(vocabulary=vocab, vectors=vectors, hyper=hyper)
+    return EmbeddingModel(vocabulary=vocab, vectors=vectors, hyper=hyper, node_steps=node_steps)
 
 
 def train(dataset: Dataset, hyper: Hyperparams) -> EmbeddingModel:

@@ -359,8 +359,9 @@ def iter_loo(
     reaches it unchanged. For ``VrEngine`` any of them cancels the retrains
     not yet started and reaches the caller once the trainings already
     started have finished: an error in the eval log, even at ``jobs=1``,
-    after the baseline's training. ``jobs`` below 1 is refused with
-    ``ValueError`` before anything loads, whatever the engine.
+    after the baseline's training. ``jobs`` below 1, an empty ``session_ids``
+    and a repeated id are refused with ``ValueError`` before anything loads,
+    whatever the engine.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -369,8 +370,10 @@ def iter_loo(
     elif not session_ids:
         raise ValueError("session_ids must be non-empty; None prices every session")
     else:
-        session_ids = sorted(set(session_ids))
-        for sid in session_ids:
+        session_ids = sorted(session_ids)
+        for prev, sid in zip([None, *session_ids], session_ids):
+            if sid == prev:
+                raise ValueError(f"session id {sid!r} is listed more than once in session_ids")
             if sid not in dataset.by_id:
                 raise UnknownSessionError(sid)
     if not isinstance(engine, VrEngine):

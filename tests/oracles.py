@@ -10,8 +10,9 @@ package ships ``session_top_k``, ``all_top_k`` and ``all_top_k_similar`` (one
 
 ``fit_numpy`` and ``train_numpy`` are the skip-gram trainer as a numpy loop,
 one ``step`` per (center, context) pair, from ``initial_vectors`` built anew
-on every call; the package trains with the compiled kernel instead, from
-copies of initial rows it keeps per process (``embed._init_row``).
+on every call, counting the node steps as the steps run; the package trains
+with the compiled kernel instead, from copies of initial rows it keeps per
+process (``embed._init_row``), and the kernel counts the node steps.
 
 ``trajectories_rebuild`` is the lifecycle study with every frame's window
 rebuilt from scratch (``slice_days``, ``build_matrix``, ``all_top_k``) and
@@ -164,8 +165,9 @@ def step(l2: np.ndarray, v: np.ndarray, one_minus_code: np.ndarray, alpha: float
     v += neu
 
 
-def fit_numpy(dataset: Dataset, hyper: Hyperparams) -> tuple[Vocabulary, np.ndarray]:
-    """The vocabulary and unrounded input vectors, trained by a numpy loop.
+def fit_numpy(dataset: Dataset, hyper: Hyperparams) -> tuple[Vocabulary, np.ndarray, int]:
+    """The vocabulary, unrounded input vectors and node steps, trained by a
+    numpy loop; every ``step`` adds its path's length to the node steps.
 
     The center's path rows are gathered from ``syn1`` once, updated in place
     across the window and written back after it. This is the same arithmetic
@@ -188,7 +190,7 @@ def fit_numpy(dataset: Dataset, hyper: Hyperparams) -> tuple[Vocabulary, np.ndar
     lr_floor = lr0 * LR_FLOOR_FRACTION
     window = hyper.window
 
-    processed = 0
+    processed = node_steps = 0
     for _ in range(hyper.iterations):
         for sent in sentences:
             m = len(sent)
@@ -203,8 +205,9 @@ def fit_numpy(dataset: Dataset, hyper: Hyperparams) -> tuple[Vocabulary, np.ndar
                 for j in range(max(i - window, 0), min(m, i + window + 1)):
                     if j != i:
                         step(l2, syn0[sent[j]], omc, alpha)
+                        node_steps += pts.size
                 syn1[pts] = l2
-    return vocab, syn0
+    return vocab, syn0, node_steps
 
 
 def train_numpy(dataset: Dataset, hyper: Hyperparams) -> EmbeddingModel:
@@ -253,7 +256,7 @@ def trajectories_rebuild(dataset: Dataset, plan: FramePlan, k: int) -> list[CvTr
 
 def run_curve_serial(dataset: Dataset, eval_log: EvalLog, plan: CurvePlan) -> list[CurveRow]:
     """``curve.run_curve`` as one loop: each grid entry sliced, trained, ranked
-    and priced before the next, in this thread; ``cpu_seconds`` reads 0.0."""
+    and priced before the next, in this thread."""
     end_day = dataset.max_day if plan.end_day is None else plan.end_day
     eval_index = kpi.index_eval(eval_log)
     rows = []
@@ -273,7 +276,7 @@ def run_curve_serial(dataset: Dataset, eval_log: EvalLog, plan: CurvePlan) -> li
             cr=cr,
             revenue=revenue,
             revenue_per_session=kpi.revenue_per_session(revenue, len(sliced.sessions)),
-            cpu_seconds=0.0,
+            node_steps=model.node_steps,
             avg_session_length=kpi.mean(s.length for s in sliced.sessions),
         ))
         prev_products = frozenset(model.vocabulary.products)

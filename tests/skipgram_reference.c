@@ -3,6 +3,8 @@
  * the reference word2vec trainer (Mikolov et al. 2013) over a
  * hierarchical-softmax output, with the same entry point and arguments as the
  * production kernel, except that the scratch argument is neu, dims doubles.
+ * It returns its own count of node steps, one per path node that a
+ * (center, context) step visits.
  *
  * One call runs every iteration over every sentence. For each center token
  * with a non-empty Huffman path, every other token in its window takes one
@@ -35,7 +37,7 @@
 #include <stdint.h>
 #include <string.h>
 
-void sv_skipgram_train(
+int64_t sv_skipgram_train(
     double *syn0, double *syn1, double *neu, int64_t dims,
     const int64_t *tokens, const int64_t *sentence_offsets, int64_t n_sentences,
     const int64_t *points, const double *one_minus_code, const int64_t *path_offsets,
@@ -43,7 +45,7 @@ void sv_skipgram_train(
 {
     const double budget = (double)(iterations * sentence_offsets[n_sentences]);
     const int64_t body = dims - dims % 8;
-    int64_t processed = 0;
+    int64_t processed = 0, steps = 0;
     for (int64_t it = 0; it < iterations; it++) {
         for (int64_t s = 0; s < n_sentences; s++) {
             const int64_t *sent = tokens + sentence_offsets[s];
@@ -74,6 +76,7 @@ void sv_skipgram_train(
                         for (int64_t d = body; d < dims; d++)
                             f += l2[d] * v[d];
                         const double g = alpha * (one_minus_code[p] - 1.0 / (1.0 + exp(-f)));
+                        steps++;
                         for (int64_t d = 0; d < dims; d++) {
                             neu[d] += g * l2[d];
                             l2[d] += g * v[d];
@@ -85,4 +88,5 @@ void sv_skipgram_train(
             }
         }
     }
+    return steps;
 }

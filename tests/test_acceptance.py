@@ -8,7 +8,6 @@ plus anchored formula checks on the pinned benchmark fixture.
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 
 import pytest
@@ -256,17 +255,6 @@ class TestCliDeterminism:
         assert result.exit_code == 0, result.output
         return result
 
-    def _table_without_timing(self, path: Path) -> list[dict]:
-        with open(path) as fh:
-            rows = list(csv.DictReader(fh))
-        for row in rows:
-            row.pop("cpu_seconds")
-        return rows
-
-    def _scaled_without_timing(self, path: Path) -> list[dict]:
-        with open(path) as fh:
-            return [row for row in csv.DictReader(fh) if row["kpi_name"] != "cpu_seconds"]
-
     def test_end_to_end_determinism(self, tmp_path):
         outs = [tmp_path / f"run{i}" for i in range(2)]
         smoke = str(SMOKE_CONFIG)
@@ -287,20 +275,8 @@ class TestCliDeterminism:
         first, second = (self._files(out) for out in outs)
         assert set(first) == set(second)
         for name in first:
-            if name == "curve_table.csv":
-                assert self._table_without_timing(outs[0] / name) == self._table_without_timing(
-                    outs[1] / name
-                )
-            elif name == "curve_scaled.csv":
-                assert self._scaled_without_timing(outs[0] / name) == self._scaled_without_timing(
-                    outs[1] / name
-                )
-            else:
-                assert first[name] == second[name], f"{name} differs between reruns"
-        _report(
-            "CLI determinism: byte-identical reruns across --jobs "
-            "(curve timing column excluded: measured wall time)"
-        )
+            assert first[name] == second[name], f"{name} differs between reruns"
+        _report("CLI determinism: byte-identical reruns across --jobs, every file and column")
 
     def test_benchmark_synth_with_plants_deterministic(self, tmp_path):
         outs = [tmp_path / f"bench{i}" for i in range(2)]

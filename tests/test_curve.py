@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import logging
 import os
 import sys
@@ -10,12 +9,13 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from sessionvalue import curve, embed
-from sessionvalue.curve import CurvePlan, emit_curves, run_curve, write_table_csv
+from sessionvalue.curve import CurvePlan, emit_curves, run_curve, write_curves_csv, write_table_csv
 from sessionvalue.corpus import slice_days
 from sessionvalue.embed import Hyperparams, build_vocab
 from sessionvalue.errors import EmptySliceError
 from sessionvalue.synthgen import GenConfig, generate
 
+from helpers import mk_dataset, mk_eval
 from oracles import run_curve_serial
 
 HYPER = Hyperparams(dimensions=8, iterations=1, min_count=2, rng_seed=6)
@@ -69,22 +69,24 @@ class TestRunCurve:
         for row in out:
             assert row.revenue == row.n_products * row.cr * 1.0
             assert row.revenue_per_session == pytest.approx(row.revenue / row.n_sessions)
-            assert row.cpu_seconds >= 0.0
 
-    def test_cpu_seconds_is_thread_time(self, data, monkeypatch):
-        """Each training is timed by the CPU clock of the thread that runs it,
-        so the other trainings running at once are not counted."""
-        ds, ev, _ = data
-        clock = threading.local()
-
-        def thread_time():
-            clock.ticks = getattr(clock, "ticks", -1) + 1
-            return 0.5 * clock.ticks
-
-        monkeypatch.setattr(curve.time, "thread_time", thread_time)
-        plan = CurvePlan(end_day=ds.max_day, day_grid=(2, 4, 6), hyper=HYPER)
+    def test_one_product_slice_does_no_work_and_is_written(self, tmp_path):
+        """The last day's slice keeps one product at ``min_count``: its
+        Huffman path is empty, so it trains with 0 node steps, and its row is
+        written like any other."""
+        ds = mk_dataset([
+            ("a", 1, ["A", "A"]), ("b", 1, ["A"]), ("c", 0, ["B", "C", "A"]), ("d", 0, ["C", "B"]),
+        ])
+        ev = mk_eval([("e1", ["A", "B"], ["B"])])
+        plan = CurvePlan(day_grid=(1, 2), hyper=HYPER)
         out = run_curve(ds, plan, lambda: ev)
-        assert [row.cpu_seconds for row in out] == [0.5, 0.5, 0.5]
+        assert [row.n_products for row in out] == [1, 3]
+        assert out[0].node_steps == 0 < out[1].node_steps
+        write_table_csv(out, tmp_path / "table.csv")
+        write_curves_csv(emit_curves(out), tmp_path / "scaled.csv")
+        header, first, _ = (tmp_path / "table.csv").read_text().splitlines()
+        assert first.split(",")[header.split(",").index("node_steps")] == "0"
+        assert "1,node_steps,0.0,0.0" in (tmp_path / "scaled.csv").read_text().splitlines()
 
     def test_empty_slice_names_grid_entry(self, data, monkeypatch):
         ds, ev, _ = data
@@ -103,9 +105,9 @@ class TestRunCurve:
 
 @pytest.mark.parametrize("n_cpus", [1, 2, 4])
 def test_threads_give_the_serial_rows(data, n_cpus, monkeypatch):
-    """Every field but the measured ``cpu_seconds`` equals the serial loop's,
-    on a grid of three vocabulary sizes trained from an empty init-row memo
-    under a short switch interval."""
+    """Every field equals the serial loop's, on a grid of three vocabulary
+    sizes trained from an empty init-row memo under a short switch
+    interval."""
     ds, ev, _ = data
     plan = CurvePlan(end_day=ds.max_day, day_grid=(2, 4, 6), hyper=HYPER)
     serial = run_curve_serial(ds, ev, plan)
@@ -118,7 +120,7 @@ def test_threads_give_the_serial_rows(data, n_cpus, monkeypatch):
         threaded = run_curve(ds, plan, lambda: ev)
     finally:
         sys.setswitchinterval(interval)
-    assert [dataclasses.replace(row, cpu_seconds=0.0) for row in threaded] == serial
+    assert threaded == serial
 
 
 def test_without_sched_getaffinity_the_pool_has_one_thread_per_cpu(data, monkeypatch):
@@ -138,7 +140,7 @@ def test_without_sched_getaffinity_the_pool_has_one_thread_per_cpu(data, monkeyp
     monkeypatch.setattr(curve, "ThreadPoolExecutor", Pool)
     rows = run_curve(ds, plan, lambda: ev)
     assert started == [3]
-    assert [dataclasses.replace(row, cpu_seconds=0.0) for row in rows] == run_curve_serial(ds, ev, plan)
+    assert rows == run_curve_serial(ds, ev, plan)
 
 
 def test_error_in_a_training_reaches_the_caller_with_a_note_naming_its_days(data, monkeypatch):
@@ -247,7 +249,7 @@ class TestTableCsv:
         header, *body = path.read_text().splitlines()
         assert header == (
             "days,n_sessions,n_products,snp,cr,revenue,revenue_per_session,"
-            "cpu_seconds,avg_session_length"
+            "node_steps,avg_session_length"
         )
         assert len(body) == 3
         assert body[0].startswith("2,")

@@ -275,6 +275,7 @@ def vector_model(rows: list[list[float]], ids: list[str]) -> EmbeddingModel:
         vocabulary=Vocabulary(tuple(ids), (1,) * len(ids)),
         vectors=vectors,
         hyper=Hyperparams(dimensions=vectors.shape[1]),
+        node_steps=0,
     )
 
 

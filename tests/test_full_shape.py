@@ -8,7 +8,7 @@ boundary is 1.6e-10 (2.2e-9 on benchmark), and its smallest cosine gap within
 a seed's top k+1 is 6.4e-6 (2.5e-4). So these tests pin its bytes too, as
 sha256 digests rather than 4,500-line files: the ``synth`` outputs, the
 ``cor`` model dump, top-k lists and valuation, and one ``vr`` baseline
-training with its top-k lists. Scaling every kernel gradient by 1 + 1e-8
+training with its top-k lists and its node steps. Scaling every kernel gradient by 1 + 1e-8
 fails these digests, while the ``benchmark`` model golden only catches it
 from 1 + 1e-6 and the ``smoke`` tree not even then.
 """
@@ -39,6 +39,9 @@ DIGESTS = {
 }
 VR_MODEL_DIGEST = "ae36e607ac95f6aa4446749c847b002734ef796fc8d308d9886fe35de8d74a40"
 VR_TOPK_DIGEST = "f3b716e3502e2d68c89156a19ee9ed5dba6aff8251fed810439f40dfab85b64d"
+# The (center, context, path node) steps of that training: the 300-day row of
+# the full recipe's learning curve, whose slice is the whole corpus.
+VR_NODE_STEPS = 6_311_375
 
 
 def sha256(data: bytes) -> str:
@@ -70,8 +73,18 @@ def test_full_shape_file_digest(full_dir, name):
     assert sha256((full_dir / name).read_bytes()) == DIGESTS[name]
 
 
-def test_full_shape_vr_baseline_digests(full_dir):
+@pytest.fixture(scope="module")
+def full_vr_model(full_dir):
+    """The ``vr`` baseline trained on the full ``synth`` output."""
     rc = load_run_config(FULL_CONFIG)
-    model = train(load_dataset(full_dir / "sessions.jsonl", full_dir / "catalog.jsonl"), rc.hyper)
-    assert sha256(dump_model(model).encode()) == VR_MODEL_DIGEST
-    assert sha256(topk_text(all_top_k_similar(model, rc.harness.k)).encode()) == VR_TOPK_DIGEST
+    return train(load_dataset(full_dir / "sessions.jsonl", full_dir / "catalog.jsonl"), rc.hyper)
+
+
+def test_full_shape_vr_baseline_digests(full_vr_model):
+    k = load_run_config(FULL_CONFIG).harness.k
+    assert sha256(dump_model(full_vr_model).encode()) == VR_MODEL_DIGEST
+    assert sha256(topk_text(all_top_k_similar(full_vr_model, k)).encode()) == VR_TOPK_DIGEST
+
+
+def test_full_shape_vr_node_steps(full_vr_model):
+    assert full_vr_model.node_steps == VR_NODE_STEPS

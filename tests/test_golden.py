@@ -6,15 +6,13 @@ lifecycle, curve). ``tests/golden/benchmark`` pins the benchmark inputs that
 lifecycle study and learning curve of those inputs, the ``cor`` model dump
 and top-k lists, and the ``vr`` model trained on them with the full
 hyperparameters (200 dimensions, 5 iterations). Every file must match byte
-for byte, except the curve's measured ``cpu_seconds`` column (CPU time of
-each training's thread). ``recs_vr.csv`` is not pinned: its cosine scores come
+for byte. ``recs_vr.csv`` is not pinned: its cosine scores come
 from a BLAS ``gemv``, whose last bits depend on the kernel the host's BLAS
 picks.
 """
 
 from __future__ import annotations
 
-import csv
 import shutil
 from pathlib import Path
 
@@ -25,7 +23,6 @@ from sessionvalue.cli import main
 from conftest import BENCHMARK_CONFIG, SMOKE_CONFIG
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-TIMED = ("curve_table.csv", "curve_scaled.csv")
 
 
 def _invoke(args: list[str]) -> None:
@@ -33,21 +30,9 @@ def _invoke(args: list[str]) -> None:
     assert result.exit_code == 0, result.output
 
 
-def _without_timing(path: Path) -> list[list[str]]:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if path.name == "curve_scaled.csv":
-        return [row for row in rows if row[1] != "cpu_seconds"]
-    col = rows[0].index("cpu_seconds")
-    return [row[:col] + row[col + 1:] for row in rows]
-
-
 def _assert_matches(out: Path, golden: Path, names) -> None:
     for name in names:
-        if name in TIMED:
-            assert _without_timing(out / name) == _without_timing(golden / name), name
-        else:
-            assert (out / name).read_bytes() == (golden / name).read_bytes(), name
+        assert (out / name).read_bytes() == (golden / name).read_bytes(), name
 
 
 def test_smoke_tree_matches_golden(tmp_path):
@@ -106,4 +91,4 @@ def test_benchmark_lifecycle_matches_golden(tmp_path):
 
 
 def test_benchmark_curve_matches_golden(tmp_path):
-    _run_on_benchmark_inputs(tmp_path, ["curve"], TIMED)
+    _run_on_benchmark_inputs(tmp_path, ["curve"], ("curve_table.csv", "curve_scaled.csv"))

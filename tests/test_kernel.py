@@ -1,12 +1,14 @@
-"""The compiled training kernel: its bitwise oracle, its rounding margin, its
-edge cases and its build.
+"""The compiled training kernel: its bitwise oracle, its node-step count, its
+rounding margin, its edge cases and its build.
 
 ``embed.train`` runs its loop in ``_skipgram.c``; ``tests/test_train_oracle.py``
 compares it with the numpy trainer ``oracles.train_numpy`` on small random
 corpora. This file covers what that comparison cannot: that the interleaved
 loop leaves every unrounded bit as the node-by-node loop of
-``skipgram_reference.c`` does, how far the golden trainings sit from a rounding
-boundary, inputs at the kernel's edges, and the compile-and-cache step.
+``skipgram_reference.c`` does and counts the node steps that loop counts, that
+the count is the closed form, how far the golden trainings sit from a
+rounding boundary, inputs at the kernel's edges, and the compile-and-cache
+step.
 """
 
 from __future__ import annotations
@@ -32,11 +34,12 @@ from sessionvalue.embed import (
     _fit,
     _huffman,
     _initial_vectors,
+    _sentences,
     build_vocab,
     dump_model,
     train,
 )
-from sessionvalue.errors import KernelBuildError, SessionValueError
+from sessionvalue.errors import EmptyVocabularyError, KernelBuildError, SessionValueError
 
 from conftest import CONFIG_DIR
 from helpers import mk_dataset
@@ -58,8 +61,8 @@ MARGIN_OVER_DRIFT = 100_000
 def rounding_margin_and_drift(dataset, hyper: Hyperparams) -> tuple[float, float]:
     """The smallest distance from any unrounded kernel component to a rounding
     boundary, and the largest kernel-versus-numpy difference of a component."""
-    _, kernel = _fit(dataset, hyper)
-    _, oracle = fit_numpy(dataset, hyper)
+    _, kernel, _ = _fit(dataset, hyper)
+    _, oracle, _ = fit_numpy(dataset, hyper)
     scale = 10.0 ** hyper.rounding_digits
     scaled = kernel * scale
     margin = float(np.min(np.abs(scaled - np.floor(scaled) - 0.5))) / scale
@@ -93,6 +96,22 @@ def longest_path(dataset, min_count: int) -> int:
     return int(np.diff(offsets).max())
 
 
+def closed_form_node_steps(dataset, hyper: Hyperparams) -> int:
+    """The node steps of one training in closed form: over every token of
+    every sentence, its contexts (the other tokens of its window) times its
+    path length, summed, times the iterations."""
+    vocab = build_vocab(dataset, hyper.min_count)
+    _, _, offsets = _huffman(vocab.frequencies)
+    path_length = np.diff(offsets).tolist()
+    per_iteration = 0
+    for sentence in _sentences(dataset, vocab):
+        m = len(sentence)
+        for i, w in enumerate(sentence):
+            contexts = min(m, i + hyper.window + 1) - max(i - hyper.window, 0) - 1
+            per_iteration += contexts * path_length[w]
+    return per_iteration * hyper.iterations
+
+
 # Fibonacci frequencies make a caterpillar tree: the rarest products have paths
 # of n - 1 nodes, so the paths take every length from 1 to 15. That leaves every
 # remainder after the kernel's groups of 2 or 4 dot nodes, and it runs paths of
@@ -112,7 +131,7 @@ def reference_kernel(tmp_path_factory):
     subprocess.run(command, check=True, capture_output=True)
     kernel = ctypes.CDLL(str(target)).sv_skipgram_train
     kernel.argtypes = embed.load_kernel().argtypes
-    kernel.restype = None
+    kernel.restype = ctypes.c_int64
     return kernel
 
 
@@ -136,7 +155,7 @@ def kernel_copy(name: str):
         pytest.skip(f"this CPU has no {CPU_FLAG[name]} (__builtin_cpu_supports), so the {name} copy cannot run")
     kernel = getattr(library, f"sv_skipgram_train_{name}")
     kernel.argtypes = embed.load_kernel().argtypes
-    kernel.restype = None
+    kernel.restype = ctypes.c_int64
     return kernel
 
 
@@ -161,22 +180,24 @@ def assert_bit_identical(reference, dataset, hyper: Hyperparams, kernel=None) ->
     """Run one ``_fit`` through ``kernel`` (the loaded entry point when None)
     and, on copies of the same inputs (with ``neu`` scratch), through the
     reference loop: the unrounded ``syn0`` and ``syn1`` must be equal bit for
-    bit."""
+    bit, and the two loops must count the same node steps."""
     kernel = kernel or embed.load_kernel()
     pairs = []
 
     def both(syn0, syn1, scratch, dims, *rest):
         ref0, ref1 = syn0.copy(), syn1.copy()
-        reference(ref0, ref1, np.empty(dims), dims, *rest)
-        kernel(syn0, syn1, scratch, dims, *rest)
-        pairs.extend([(syn0, ref0), (syn1, ref1)])
+        expected_steps = reference(ref0, ref1, np.empty(dims), dims, *rest)
+        steps = kernel(syn0, syn1, scratch, dims, *rest)
+        pairs.extend([(syn0, ref0), (syn1, ref1), (steps, expected_steps)])
+        return steps
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(embed, "_kernel", both)
         _fit(dataset, hyper)
-    assert len(pairs) == 2
-    for trained, expected in pairs:
-        assert trained.tobytes() == expected.tobytes()
+    (syn0, ref0), (syn1, ref1), (steps, expected_steps) = pairs
+    assert syn0.tobytes() == ref0.tobytes()
+    assert syn1.tobytes() == ref1.tobytes()
+    assert steps == expected_steps
 
 
 class TestReferenceLoop:
@@ -262,9 +283,10 @@ class TestEdges:
         # syn1 has zero rows and every path is empty: nothing is trained.
         dataset = mk_dataset([("a", 0, ["A", "A", "A"]), ("b", 0, ["B"])])
         hyper = Hyperparams(dimensions=4, window=2, min_count=2, rng_seed=3)
-        vocab, syn0 = _fit(dataset, hyper)
+        vocab, syn0, node_steps = _fit(dataset, hyper)
         assert vocab.products == ("A",)
         assert np.array_equal(syn0, _initial_vectors(1, 4, 3))
+        assert node_steps == 0
         assert dump_model(train(dataset, hyper)) == dump_model(train_numpy(dataset, hyper))
 
     def test_sentences_shorter_than_the_window(self):
@@ -272,6 +294,34 @@ class TestEdges:
         hyper = Hyperparams(dimensions=4, window=5, min_count=1)
         assert np.allclose(_fit(dataset, hyper)[1], fit_numpy(dataset, hyper)[1], rtol=0, atol=1e-15)
         assert dump_model(train(dataset, hyper)) == dump_model(train_numpy(dataset, hyper))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    sessions=st.builds(
+        interleaved_sessions,
+        st.lists(st.integers(0, 5).map(lambda e: 1 << e), min_size=1, max_size=12),
+        st.integers(1, 15),
+    ),
+    hyper=st.builds(
+        Hyperparams,
+        dimensions=st.integers(1, 9),
+        iterations=st.integers(1, 3),
+        window=st.integers(1, 6),
+        min_count=st.integers(1, 3),
+    ),
+)
+@example(sessions=CATERPILLAR, hyper=Hyperparams(dimensions=4, iterations=2, window=3, min_count=1))
+def test_node_steps_are_the_closed_form(sessions, hyper):
+    """The kernel's count of (center, context, path node) steps;
+    ``TestReferenceLoop`` checks it against the reference loop's own count,
+    copy by copy."""
+    dataset = sessions_dataset(sessions)
+    try:
+        expected = closed_form_node_steps(dataset, hyper)
+    except EmptyVocabularyError:
+        return
+    assert _fit(dataset, hyper)[2] == expected
 
 
 def _kernel_args() -> list:
@@ -289,9 +339,11 @@ def _kernel_args() -> list:
 
 
 def test_kernel_runs_on_valid_arguments():
+    """The three centers have paths of 1, 2 and 2 nodes and 1, 2 and 1
+    contexts at window 1: 7 node steps."""
     args = _kernel_args()
     args[0][:] = 0.1
-    embed.load_kernel()(*args)
+    assert embed.load_kernel()(*args) == 7
     assert not np.array_equal(args[0], np.full((3, 4), 0.1))
 
 
@@ -305,12 +357,12 @@ def test_scratch_of_exactly_the_longest_path_is_enough():
 
     def guarded(syn0, syn1, scratch, *rest):
         padded = np.full(len(scratch) + 8, -7.0)
-        kernel(syn0, syn1, padded[:len(scratch)], *rest)
         calls.append((len(scratch), padded[len(scratch):]))
+        return kernel(syn0, syn1, padded[:len(scratch)], *rest)
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(embed, "_kernel", guarded)
-        _, syn0 = _fit(dataset, hyper)
+        _, syn0, _ = _fit(dataset, hyper)
     [(size, guard)] = calls
     assert size == longest_path(dataset, 1) >= 15
     assert np.array_equal(guard, np.full(8, -7.0))
@@ -327,11 +379,11 @@ def test_kernel_reads_the_huffman_arrays():
 
     def spy(*args):
         calls.append([np.array(a) for a in args[7:10]])
-        kernel(*args)
+        return kernel(*args)
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(embed, "_kernel", spy)
-        vocab, _ = _fit(dataset, hyper)
+        vocab, _, _ = _fit(dataset, hyper)
     points, code, offsets = _huffman(vocab.frequencies)
     [(got_points, got_one_minus_code, got_offsets)] = calls
     assert got_points.tolist() == points.tolist()
@@ -354,7 +406,7 @@ def test_kernel_scratch_has_a_cache_line_of_its_own_buffer_on_each_side():
         assert buffer.flags.owndata and buffer.base is None
         start, end = scratch.ctypes.data, scratch.ctypes.data + scratch.nbytes
         margins.append((start - buffer.ctypes.data, buffer.ctypes.data + buffer.nbytes - end))
-        kernel(*args)
+        return kernel(*args)
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(embed, "_kernel", spy)
@@ -480,11 +532,11 @@ class TestBuild:
         ``-ffp-contract=off`` goes and the ``-O3`` build fuses, on any CPU."""
         hyper = load_run_config(CONFIG_DIR / "benchmark.yaml").hyper
         dataset = load_dataset(GOLDEN / "benchmark" / "sessions.jsonl", GOLDEN / "benchmark" / "catalog.jsonl")
-        _, production = _fit(dataset, hyper)
+        _, production, _ = _fit(dataset, hyper)
         assert "-O3" in embed.KERNEL_BUILD
         monkeypatch.setattr(embed, "KERNEL_BUILD", tuple("-O0" if f == "-O3" else f for f in embed.KERNEL_BUILD))
         monkeypatch.setattr(embed, "_kernel", embed._load(tmp_path))
-        _, unoptimised = _fit(dataset, hyper)
+        _, unoptimised, _ = _fit(dataset, hyper)
         assert unoptimised.tobytes() == production.tobytes()
 
     def test_missing_compiler_names_the_command(self, tmp_path, monkeypatch):

@@ -5,9 +5,9 @@ start runs in process on a copy of ``configs/smoke.yaml`` and must write the
 files the output table documents, and the configuration table must name the
 sections and dataclasses ``config`` reads. So a changed signature, command,
 option, output file or config section fails here, not in a reader's shell.
-The README states contracts, not measurements: a timing (a number followed
-by ``s``, ``ms`` or ``µs``) is refused, since its hardware and method live
-in ``CHANGES.md``.
+The README and every file of the package's source state contracts, not
+measurements: a timing (a number followed by ``s``, ``ms`` or ``µs``) is
+refused, since its hardware and method live in ``CHANGES.md``.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from sessionvalue.cli import main
 from conftest import SMOKE_CONFIG
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+PACKAGE = README.parent / "src" / "sessionvalue"
 TIMING = re.compile(r"\d(?:[\d.,]*\d)?\s*(?:ms|µs|s)\b")
 
 
@@ -104,9 +105,21 @@ def test_the_config_table_names_what_config_reads():
             resolve(other)
 
 
+def timed_lines(path: Path) -> list[str]:
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return [f"{path.name}:{n}: {line}" for n, line in enumerate(lines, 1) if TIMING.search(line)]
+
+
 def test_the_readme_holds_no_timing():
-    timed = [line for line in README.read_text(encoding="utf-8").splitlines() if TIMING.search(line)]
-    assert timed == []
+    assert timed_lines(README) == []
+
+
+def test_the_package_source_holds_no_timing():
+    """Every file under ``src/sessionvalue/``: code, docstrings, comments and
+    the C kernel's header."""
+    files = sorted(p for p in PACKAGE.iterdir() if p.is_file())
+    assert any(p.suffix == ".c" for p in files)
+    assert [line for path in files for line in timed_lines(path)] == []
 
 
 def test_the_timing_pattern():

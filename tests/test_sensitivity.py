@@ -320,6 +320,14 @@ class TestRunVrLoo:
         with pytest.raises(UnknownSessionError):
             run_loo(VrEngine(VR_HYPER), ds, lambda: ev, HarnessConfig(k=3), session_ids=("nope",))
 
+    @pytest.mark.parametrize("engine", [CorEngine(), VrEngine(VR_HYPER)], ids=["cor", "vr"])
+    def test_repeated_sample_id_rejected_before_anything_loads(self, engine):
+        ds, _, _ = generate(small_config())
+        first, second = sorted(ds.by_id)[:2]
+        with pytest.raises(ValueError, match=f"session id {second!r} is listed more than once"):
+            run_loo(engine, ds, lambda: pytest.fail("the eval log was read"), HarnessConfig(k=3),
+                    session_ids=(second, first, second))
+
     def test_below_min_count_session_changes_nothing(self):
         # the left-out session holds only sub-threshold products: the delta
         # vocabulary, and hence the trained model, is identical to baseline

@@ -1,5 +1,6 @@
 """Differential tests: ``embed.train``, the compiled kernel, against the numpy
-trainer ``oracles.train_numpy``. The two must give byte-identical model dumps.
+trainer ``oracles.train_numpy``. The two must give byte-identical model dumps
+and count the same node steps.
 """
 
 from __future__ import annotations
@@ -19,12 +20,14 @@ PRODUCTS = "ABCDEF"
 def assert_same_dump(sessions: list[list[str]], hyper: Hyperparams) -> None:
     dataset = mk_dataset([(f"s{i:02d}", i % 3, products) for i, products in enumerate(sessions)])
     try:
-        expected = dump_model(train_numpy(dataset, hyper))
+        expected = train_numpy(dataset, hyper)
     except EmptyVocabularyError:
         with pytest.raises(EmptyVocabularyError):
             train(dataset, hyper)
         return
-    assert dump_model(train(dataset, hyper)) == expected
+    model = train(dataset, hyper)
+    assert dump_model(model) == dump_model(expected)
+    assert model.node_steps == expected.node_steps
 
 
 sessions_st = st.lists(
