@@ -29,7 +29,7 @@ class RecommendationList:
 
     @property
     def product_ids(self) -> tuple[str, ...]:
-        return tuple(p for p, _ in self.items)
+        return tuple(map(itemgetter(0), self.items))
 
 
 @dataclass(eq=True)

@@ -4,11 +4,14 @@ The conversion rate aggregates order/view counts over all (seed, alternative)
 pairs realized by a model's top-k lists, so it depends on the model *only*
 through those lists: two models with identical lists produce bitwise-equal
 rates on the same evaluation log. Each seed's list contributes integer counts
-of its own (see ``totals``), so replacing a few lists moves the totals by
-exactly those lists' contributions. Every production rate is
-``rate_from_totals(*totals(index, lists))``; ``aggregate_pairs``, a scan of
+of its own (``contribution``) and ``totals`` sums them, so replacing a few
+lists moves the totals by exactly those lists' contributions. A
+leave-one-out run computes its baseline's contributions once, and each
+delta moves the baseline totals by its changed seeds only
+(``sensitivity._price``); every other rate is
+``rate_from_totals(*totals(index, lists))``. ``aggregate_pairs``, a scan of
 the eval log one session at a time, and ``conversion_rate`` are the per-pair
-reference it is checked against. The rate has no correction constant: in
+reference both are checked against. The rate has no correction constant: in
 a relative change a constant factor cancels, and on the learning curve it
 would only rescale the ``cr`` and revenue columns.
 
@@ -63,24 +66,24 @@ def index_eval(eval_log: EvalLog) -> EvalIndex:
     return EvalIndex(views=views, orders=orders)
 
 
+def contribution(index: EvalIndex, seed: str, ids: Sequence[str]) -> tuple[int, int]:
+    """(n_ordered, n_views) of the pairs of ``seed`` and its alternatives
+    ``ids``. Every eval session viewing the seed views each alternative once;
+    it orders the alternative iff the alternative is in its ordered set."""
+    orders = index.orders.get(seed, {})
+    return sum(orders.get(alt, 0) for alt in ids), index.views.get(seed, 0) * len(ids)
+
+
 def totals(
     index: EvalIndex, lists: Mapping[str, RecommendationList | None]
 ) -> tuple[int, int]:
-    """(n_ordered, n_views) summed over the (seed, alternative) pairs of every
-    list in ``lists``.
-
-    Every eval session viewing a seed views each alternative of its list
-    once; it orders the alternative iff the alternative is in its ordered
-    set. A seed without a list, or viewed by no eval session, contributes
-    nothing.
-    """
+    """(n_ordered, n_views): ``contribution`` summed over every list in
+    ``lists``; a seed without a list contributes nothing."""
     n_ordered = n_views = 0
     for seed, rl in lists.items():
-        if rl is None:
-            continue
-        orders = index.orders.get(seed, {})
-        n_views += index.views.get(seed, 0) * len(rl.items)
-        n_ordered += sum(orders.get(alt, 0) for alt, _score in rl.items)
+        if rl is not None:
+            ordered, views = contribution(index, seed, rl.product_ids)
+            n_ordered, n_views = n_ordered + ordered, n_views + views
     return n_ordered, n_views
 
 

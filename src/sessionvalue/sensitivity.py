@@ -38,7 +38,7 @@ from .errors import (
     UndefinedBaselineError,
     UnknownSessionError,
 )
-from .kpi import EvalIndex, index_eval, rate_from_totals, totals
+from .kpi import EvalIndex, contribution, index_eval, rate_from_totals
 
 log = logging.getLogger(__name__)
 
@@ -262,19 +262,24 @@ def classify(diff: OutputDiff, rel_cr_change_: float, neutral_band: float) -> Co
 @dataclass(frozen=True)
 class _Baseline:
     """Everything pricing one session needs; built once per run, on the
-    calling thread, and only read after that."""
+    calling thread, and only read after that. Per seed, ``ids`` holds its
+    list's ranked ids and ``counts`` its ``contribution``, computed once;
+    ``totals`` is their sum."""
 
     cfg: HarnessConfig
     topk: Mapping[str, RecommendationList]
     eval_index: EvalIndex
-    n_views: int
-    n_ordered: int
+    ids: Mapping[str, tuple[str, ...]]
+    counts: Mapping[str, tuple[int, int]]
+    totals: tuple[int, int]
     cr: float
 
     @classmethod
     def build(cls, cfg: HarnessConfig, topk, eval_index: EvalIndex):
-        n_ordered, n_views = totals(eval_index, topk)
-        return cls(cfg, topk, eval_index, n_views, n_ordered, rate_from_totals(n_ordered, n_views))
+        ids = {seed: rl.product_ids for seed, rl in topk.items()}
+        counts = {seed: contribution(eval_index, seed, seed_ids) for seed, seed_ids in ids.items()}
+        summed = (sum(o for o, _ in counts.values()), sum(v for _, v in counts.values()))
+        return cls(cfg, topk, eval_index, ids, counts, summed, rate_from_totals(*summed))
 
 
 @contextmanager
@@ -289,16 +294,22 @@ def _session_note(session_id: str):
 
 
 def _price(base: _Baseline, session_id: str, lists) -> SensitivityRecord:
-    """Diff the lists the engine says may change and move the baseline's
-    integer view/order totals by their contributions, so ``cr_delta`` equals
+    """Diff the lists the engine says may change against the baseline's cached
+    ids by ``diff_topk``'s rule, and move the baseline totals by the changed
+    seeds' old and new ``contribution`` only, so ``cr_delta`` equals
     ``conversion_rate(aggregate_pairs(delta_topk, eval_log))`` bit for bit."""
-    diff = diff_topk(base.topk, lists, lists)
-    changed = diff.changed_seeds
-    old_ordered, old_views = totals(base.eval_index, {s: base.topk.get(s) for s in changed})
-    new_ordered, new_views = totals(base.eval_index, {s: lists[s] for s in changed})
-    cr_delta = rate_from_totals(
-        base.n_ordered - old_ordered + new_ordered, base.n_views - old_views + new_views
-    )
+    base_ids, base_counts, index = base.ids, base.counts, base.eval_index
+    n_ordered, n_views = base.totals
+    changed = []
+    for seed in sorted(lists):
+        ids = None if (rl := lists[seed]) is None else rl.product_ids
+        if ids != base_ids.get(seed):
+            changed.append(seed)
+            ordered, views = (0, 0) if ids is None else contribution(index, seed, ids)
+            old_ordered, old_views = base_counts.get(seed, (0, 0))
+            n_ordered, n_views = n_ordered + ordered - old_ordered, n_views + views - old_views
+    diff = OutputDiff(tuple(changed))
+    cr_delta = rate_from_totals(n_ordered, n_views)
     rel = relative_cr_change(base.cr, cr_delta)
     return SensitivityRecord(
         session_id=session_id,

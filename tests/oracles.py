@@ -24,7 +24,13 @@ rows a slide moved and scores only the sessions whose lists changed.
 the package trains the grid's models in a thread pool while it reads the eval
 log. ``run_loo_serial`` is ``vr`` leave-one-out the same way: the baseline,
 then each session's retrain in id order; the package trains them in a thread
-pool at every ``jobs``, while it reads the eval log.
+pool at every ``jobs``, while it reads the eval log. The oracle prices each
+retrain from its full lists: ``diff_topk`` against the baseline, both rates
+by ``aggregate_pairs`` and ``conversion_rate``. It shares nothing in pricing
+with the package's ``_Baseline`` and ``_price``, which cache the baseline's
+ids and per-seed counts and move its totals by the changed seeds only; the
+record's last steps (``relative_cr_change``, ``session_value``,
+``classify``) are the package's.
 
 ``read_jsonl_loads`` is ``corpus.read_jsonl`` decoding every line with
 ``json.loads``; the package tries one ``raw_decode`` of the stripped line first.
@@ -64,7 +70,15 @@ from sessionvalue.embed import (
 )
 from sessionvalue.errors import DatasetFormatError, MatrixUnderflowError, UnsortedEventsError
 from sessionvalue.lifecycle import CvTrajectory, FramePlan, classify_impact, ols
-from sessionvalue.sensitivity import HarnessConfig, SensitivityRecord, VrEngine, _Baseline, _price
+from sessionvalue.sensitivity import (
+    HarnessConfig,
+    SensitivityRecord,
+    VrEngine,
+    classify,
+    diff_topk,
+    relative_cr_change,
+    session_value,
+)
 from sessionvalue.synthgen import GroundTruth, PlantKind
 
 
@@ -290,13 +304,26 @@ def run_loo_serial(
 ) -> list[SensitivityRecord]:
     """``sensitivity.run_loo`` for a ``VrEngine`` as one loop in this thread:
     the baseline trained and ranked, then each session retrained and priced
-    in id order."""
-    model = engine.fit(dataset)
-    base = _Baseline.build(cfg, engine.top_k_map(model, cfg.k), kpi.index_eval(eval_log))
-    return [
-        _price(base, sid, engine.with_lost_seeds(base.topk, engine.retrain_lists(dataset, sid, cfg.k)))
-        for sid in sorted(dataset.by_id if session_ids is None else set(session_ids))
-    ]
+    in id order, from the retrain's full lists with every baseline seed it
+    lost as None."""
+    base = engine.top_k_map(engine.fit(dataset), cfg.k)
+    cr_base = kpi.conversion_rate(kpi.aggregate_pairs(base, eval_log))
+    records = []
+    for sid in sorted(dataset.by_id if session_ids is None else set(session_ids)):
+        lists = engine.retrain_lists(dataset, sid, cfg.k)
+        diff = diff_topk(base, {**dict.fromkeys(base.keys() - lists.keys()), **lists})
+        cr_delta = kpi.conversion_rate(kpi.aggregate_pairs(lists, eval_log))
+        rel = relative_cr_change(cr_base, cr_delta)
+        records.append(SensitivityRecord(
+            session_id=sid,
+            diff=diff,
+            cr_base=cr_base,
+            cr_delta=cr_delta,
+            rel_cr_change=rel,
+            value=session_value(rel, cfg.revenue_base),
+            constellation=classify(diff, rel, cfg.neutral_band),
+        ))
+    return records
 
 
 def read_jsonl_loads(path: str | Path, what: str, parse) -> list:
