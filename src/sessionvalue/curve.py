@@ -62,15 +62,6 @@ class CurveRow:
     avg_session_length: float
 
 
-def _train(sliced: Dataset, hyper: embed.Hyperparams, n_days: int) -> embed.EmbeddingModel:
-    """One grid entry's model."""
-    try:
-        return embed.train(sliced, hyper)
-    except Exception as exc:
-        exc.add_note(f"while training the learning-curve model of the last {n_days} days")
-        raise
-
-
 def _available_cpus() -> int:
     """The CPUs this process may run on; ``os.cpu_count()`` where Python
     lacks ``os.sched_getaffinity`` (macOS, Windows)."""
@@ -83,13 +74,13 @@ def run_curve(dataset: Dataset, plan: CurvePlan, load_eval: Callable[[], EvalLog
     first row is the baseline against the empty set and reports 1.0.
 
     Every slice is taken before any model trains, so an empty one raises
-    ``EmptySliceError`` first. The models then train in a pool of one thread
-    per available CPU, up to the grid size (``ctypes`` releases the GIL for
-    the kernel call), largest slice first, while this thread calls
-    ``load_eval`` and indexes the eval log. Ranking and the KPIs follow in grid
-    order. Trainings are deterministic, so no output depends on the thread
-    count; an error in ``load_eval`` cancels the trainings not yet started,
-    and one in a training reaches the caller with a note naming its entry.
+    ``EmptySliceError`` first. Each model is then one ``embed.train`` call in
+    a pool of one thread per available CPU, up to the grid size (``ctypes``
+    releases the GIL for the kernel call), largest slice first, while this
+    thread calls ``load_eval`` and indexes the eval log. Ranking and the KPIs
+    follow in grid order. Trainings are deterministic, so no output depends
+    on the thread count; an error in ``load_eval`` cancels the trainings not
+    yet started; a training's error, once read, gets a note naming its entry.
     """
     end_day = dataset.max_day if plan.end_day is None else plan.end_day
     slices = []
@@ -102,7 +93,7 @@ def run_curve(dataset: Dataset, plan: CurvePlan, load_eval: Callable[[], EvalLog
     pool = ThreadPoolExecutor(max_workers=min(len(slices), _available_cpus()))
     try:
         trained = {
-            n_days: pool.submit(_train, sliced, plan.hyper, n_days)
+            n_days: pool.submit(embed.train, sliced, plan.hyper)
             for n_days, sliced in reversed(list(zip(plan.day_grid, slices)))
         }
         eval_index = kpi.index_eval(load_eval())
@@ -110,7 +101,11 @@ def run_curve(dataset: Dataset, plan: CurvePlan, load_eval: Callable[[], EvalLog
         prev_products: frozenset[str] = frozenset()
         prev_session_ids: set[str] = set()
         for n_days, sliced in zip(plan.day_grid, slices):
-            model = trained[n_days].result()
+            try:
+                model = trained[n_days].result()
+            except Exception as exc:
+                exc.add_note(f"while training the learning-curve model of the last {n_days} days")
+                raise
             recs = embed.all_top_k_similar(model, plan.k)
             cr = kpi.rate_from_totals(*kpi.totals(eval_index, recs))
             n_products = len(model.vocabulary)

@@ -2,13 +2,14 @@
 
 ``iter_loo`` prices the sessions and ``run_loo`` collects it. It fits the
 baseline model once; per left-out session the engine gives the top-k lists
-that may differ from the baseline's (``CorEngine.delta_lists``: the
-session's own products, re-ranked from the baseline counts;
-``VrEngine.retrain_lists``: every list of a full retrain without the
-session). The harness then detects top-k output changes against the
-baseline, moves the conversion rate by those lists' integer view/order
-counts, translates the change into a monetary value and classifies the
-session into one of four outcome constellations:
+that may differ from the baseline's, None for a seed that is gone
+(``CorEngine.delta_lists``: the session's own products, re-ranked from the
+baseline counts; ``VrEngine.retrain_lists``: a full retrain's lists, and
+None for each of the session's products it lost). The harness then detects
+top-k output changes against the baseline, moves the conversion rate by
+those lists' integer view/order counts, translates the change into a
+monetary value and classifies the session into one of four outcome
+constellations:
 
 * no output change (the session is informationally redundant),
 * output change without KPI movement (choices between equally good options),
@@ -123,7 +124,7 @@ class StabilityReport:
 
 
 # ---------------------------------------------------------------------------
-# Engines: the model builders the harness drives. Per left-out session an
+# Engines: the model builders the harness drives. Per left-out session each
 # engine returns ``{seed: list, or None where the seed is gone}`` for every
 # seed whose list may differ; every other seed keeps its base list.
 # ---------------------------------------------------------------------------
@@ -151,15 +152,14 @@ class CorEngine:
 class VrEngine:
     """Embedding recommender; the delta model is a full single-threaded retrain
     with the baseline's rng_seed, so vector differences stem from the data
-    alone. Every list can move, so every seed is returned. A session whose
-    removal leaves no product at ``min_count`` takes every seed with it.
+    alone. Every list can move, so every seed is returned. Only the session's
+    own products lose tokens, so only they can fall below ``min_count``: a
+    retrain never gains a seed, and the seeds it loses are among them.
 
-    A delta is ``retrain_lists``, which needs no baseline, then
-    ``with_lost_seeds``, which does. ``iter_loo`` runs every retrain and the
-    baseline's training in a thread pool, and no other engine's deltas: the
-    retrain is one kernel call, which runs without the GIL, and the state the
-    trainings share is only the loaded kernel and the memo of read-only
-    initial rows (see ``embed``)."""
+    ``iter_loo`` runs every retrain and the baseline's training in a thread
+    pool, and no other engine's deltas: the retrain is one kernel call, which
+    runs without the GIL, and the state the trainings share is only the
+    loaded kernel and the memo of read-only initial rows (see ``embed``)."""
 
     hyper: embed.Hyperparams
 
@@ -169,19 +169,16 @@ class VrEngine:
     def top_k_map(self, model, k: int) -> dict[str, RecommendationList]:
         return embed.all_top_k_similar(model, k)
 
-    def retrain_lists(self, dataset: Dataset, session_id: str, k: int) -> dict[str, RecommendationList]:
-        """Every top-k list of the retrain without the session; none when no
-        product is left at ``min_count``."""
+    def retrain_lists(self, dataset: Dataset, session_id: str, k: int):
+        """Every top-k list of the retrain without the session, and None for
+        each of the session's products it has no list for: all of them when
+        no product is left at ``min_count``."""
+        own = dict.fromkeys(dataset.by_id[session_id].unique_products)
         try:
             model = embed.train(leave_one_out(dataset, session_id).materialized, self.hyper)
         except EmptyVocabularyError:
-            return {}
-        return self.top_k_map(model, k)
-
-    @staticmethod
-    def with_lost_seeds(base_topk, lists: Mapping[str, RecommendationList]):
-        """``lists`` plus None for every baseline seed the retrain lost."""
-        return {seed: lists.get(seed) for seed in base_topk.keys() | lists.keys()}
+            return own
+        return own | self.top_k_map(model, k)
 
     def serialize(self, model) -> bytes:
         return embed.dump_model(model).encode("utf-8")
@@ -267,7 +264,6 @@ class _Baseline:
     ``totals`` is their sum."""
 
     cfg: HarnessConfig
-    topk: Mapping[str, RecommendationList]
     eval_index: EvalIndex
     ids: Mapping[str, tuple[str, ...]]
     counts: Mapping[str, tuple[int, int]]
@@ -279,7 +275,7 @@ class _Baseline:
         ids = {seed: rl.product_ids for seed, rl in topk.items()}
         counts = {seed: contribution(eval_index, seed, seed_ids) for seed, seed_ids in ids.items()}
         summed = (sum(o for o, _ in counts.values()), sum(v for _, v in counts.values()))
-        return cls(cfg, topk, eval_index, ids, counts, summed, rate_from_totals(*summed))
+        return cls(cfg, eval_index, ids, counts, summed, rate_from_totals(*summed))
 
 
 @contextmanager
@@ -326,11 +322,6 @@ def _fit_top_k(engine, dataset: Dataset, k: int):
     return engine.top_k_map(engine.fit(dataset), k)
 
 
-def _retrain(engine: VrEngine, dataset: Dataset, session_id: str, k: int):
-    with _session_note(session_id):
-        return engine.retrain_lists(dataset, session_id, k)
-
-
 def sessions_to_price(engine, dataset: Dataset, cfg: HarnessConfig) -> tuple[str, ...] | None:
     """The ``session_ids`` that ``run_loo`` prices with ``engine``; None
     prices every session. ``CorEngine`` prices every session. ``VrEngine``
@@ -356,14 +347,14 @@ def iter_loo(
 
     ``load_eval`` is a zero-argument loader of the eval log. The baseline
     model, its lists and the eval index are built once. ``VrEngine`` submits
-    the baseline's training, then every session's retrain, to a pool of
-    ``min(jobs, len(session_ids) + 1)`` threads, calls the loader and indexes
-    the eval log while they train, and yields records in the order the
-    retrains finish; ``jobs`` only sizes the pool, and the records do not
+    the baseline's training, then every session's ``retrain_lists``, to a
+    pool of ``min(jobs, len(session_ids) + 1)`` threads, calls the loader and
+    indexes the eval log while they train, and yields records in the order
+    the retrains finish; ``jobs`` only sizes the pool, and the records do not
     depend on it. Every other engine calls the loader, fits the baseline and
     prices the sessions in order through ``engine.delta_lists``, in the
     calling thread: a ``cor`` delta is pure Python, which threads cannot
-    overlap under the GIL.
+    overlap under the GIL. Both price each delta in the calling thread.
 
     An exception raised while pricing a session reaches the caller unchanged,
     with a note naming the session; one from the loader or the baseline
@@ -400,14 +391,13 @@ def iter_loo(
     pool = ThreadPoolExecutor(max_workers=min(jobs, len(session_ids) + 1))
     try:
         fitted = pool.submit(_fit_top_k, engine, dataset, cfg.k)
-        retrains = {pool.submit(_retrain, engine, dataset, sid, cfg.k): sid for sid in session_ids}
+        retrains = {pool.submit(engine.retrain_lists, dataset, sid, cfg.k): sid for sid in session_ids}
         eval_index = index_eval(load_eval())
         base = _Baseline.build(cfg, fitted.result(), eval_index)
         for future in as_completed(retrains):
             sid = retrains.pop(future)
-            lists = future.result()
             with _session_note(sid):
-                record = _price(base, sid, engine.with_lost_seeds(base.topk, lists))
+                record = _price(base, sid, future.result())
             yield record
     finally:
         pool.shutdown(cancel_futures=True)

@@ -24,13 +24,16 @@ rows a slide moved and scores only the sessions whose lists changed.
 the package trains the grid's models in a thread pool while it reads the eval
 log. ``run_loo_serial`` is ``vr`` leave-one-out the same way: the baseline,
 then each session's retrain in id order; the package trains them in a thread
-pool at every ``jobs``, while it reads the eval log. The oracle prices each
-retrain from its full lists: ``diff_topk`` against the baseline, both rates
-by ``aggregate_pairs`` and ``conversion_rate``. It shares nothing in pricing
-with the package's ``_Baseline`` and ``_price``, which cache the baseline's
-ids and per-seed counts and move its totals by the changed seeds only; the
-record's last steps (``relative_cr_change``, ``session_value``,
-``classify``) are the package's.
+pool at every ``jobs``, while it reads the eval log. The oracle retrains each
+session itself, with ``train`` and ``all_top_k_similar``, and takes every
+baseline seed the retrain lacks as lost; the package's
+``VrEngine.retrain_lists`` gives None for the session's own products only.
+It prices each retrain from its full lists: ``diff_topk`` against the
+baseline, both rates by ``aggregate_pairs`` and ``conversion_rate``. It
+shares nothing in pricing with the package's ``_Baseline`` and ``_price``,
+which cache the baseline's ids and per-seed counts and move its totals by the
+changed seeds only; the record's last steps (``relative_cr_change``,
+``session_value``, ``classify``) are the package's.
 
 ``read_jsonl_loads`` is ``corpus.read_jsonl`` decoding every line with
 ``json.loads``; the package tries one ``raw_decode`` of the stripped line first.
@@ -52,7 +55,7 @@ from scipy.special import expit
 
 from sessionvalue import kpi
 from sessionvalue.cor import CoocMatrix, RecommendationList, _rank, all_top_k, build_matrix
-from sessionvalue.corpus import Dataset, EvalLog, Session, read_jsonl, slice_days
+from sessionvalue.corpus import Dataset, EvalLog, Session, leave_one_out, read_jsonl, slice_days
 from sessionvalue.curve import CurvePlan, CurveRow
 from sessionvalue.embed import (
     LR_FLOOR_FRACTION,
@@ -68,7 +71,12 @@ from sessionvalue.embed import (
     build_vocab,
     train,
 )
-from sessionvalue.errors import DatasetFormatError, MatrixUnderflowError, UnsortedEventsError
+from sessionvalue.errors import (
+    DatasetFormatError,
+    EmptyVocabularyError,
+    MatrixUnderflowError,
+    UnsortedEventsError,
+)
 from sessionvalue.lifecycle import CvTrajectory, FramePlan, classify_impact, ols
 from sessionvalue.sensitivity import (
     HarnessConfig,
@@ -302,15 +310,20 @@ def run_loo_serial(
     engine: VrEngine, dataset: Dataset, eval_log: EvalLog, cfg: HarnessConfig,
     session_ids: Sequence[str] | None = None,
 ) -> list[SensitivityRecord]:
-    """``sensitivity.run_loo`` for a ``VrEngine`` as one loop in this thread:
-    the baseline trained and ranked, then each session retrained and priced
-    in id order, from the retrain's full lists with every baseline seed it
-    lost as None."""
-    base = engine.top_k_map(engine.fit(dataset), cfg.k)
+    """``sensitivity.run_loo`` for a ``VrEngine`` as one loop in this thread,
+    with none of the engine's methods: the baseline trained and ranked, then
+    each session retrained from scratch and priced in id order, from the
+    retrain's full lists with every baseline seed it lacks as None."""
+    base = all_top_k_similar(train(dataset, engine.hyper), cfg.k)
     cr_base = kpi.conversion_rate(kpi.aggregate_pairs(base, eval_log))
     records = []
     for sid in sorted(dataset.by_id if session_ids is None else set(session_ids)):
-        lists = engine.retrain_lists(dataset, sid, cfg.k)
+        try:
+            model = train(leave_one_out(dataset, sid).materialized, engine.hyper)
+        except EmptyVocabularyError:
+            lists = {}
+        else:
+            lists = all_top_k_similar(model, cfg.k)
         diff = diff_topk(base, {**dict.fromkeys(base.keys() - lists.keys()), **lists})
         cr_delta = kpi.conversion_rate(kpi.aggregate_pairs(lists, eval_log))
         rel = relative_cr_change(cr_base, cr_delta)

@@ -8,12 +8,14 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sessionvalue import embed, sensitivity
 from sessionvalue.cor import RecommendationList, all_top_k, build_matrix
 from sessionvalue.corpus import Dataset, leave_one_out
 from sessionvalue.embed import Hyperparams
 from sessionvalue.errors import (
+    EmptyVocabularyError,
     ExhaustiveVrRefusedError,
     SessionValueError,
     UndefinedBaselineError,
@@ -354,10 +356,8 @@ class TestRunVrLoo:
         assert diff.changed
         assert "X" in diff.changed_seeds
         engine = VrEngine(hyper)
-        model = engine.fit(ds)
-        base_topk = engine.top_k_map(model, 3)
-        assert "X" in base_topk
-        assert engine.with_lost_seeds(base_topk, engine.retrain_lists(ds, "holds-x", 3))["X"] is None
+        assert "X" in engine.top_k_map(engine.fit(ds), 3)
+        assert engine.retrain_lists(ds, "holds-x", 3)["X"] is None
 
     def test_session_emptying_the_vocabulary_prices_every_seed_missing(self, caplog):
         # without "ab" no product reaches min_count=2: the retrain has no
@@ -370,10 +370,8 @@ class TestRunVrLoo:
         with caplog.at_level("WARNING", logger="sessionvalue.kpi"):
             (cr,) = run_loo(CorEngine(), ds, lambda: ev, cfg, session_ids=("ab",))
         assert vr.diff.changed_seeds == cr.diff.changed_seeds == ("A", "B")
-        vr_engine, cor_engine = VrEngine(hyper), CorEngine()
-        base_topk = vr_engine.top_k_map(vr_engine.fit(ds), 3)
-        lists = vr_engine.with_lost_seeds(base_topk, vr_engine.retrain_lists(ds, "ab", 3))
-        assert lists == {"A": None, "B": None}
+        cor_engine = CorEngine()
+        assert VrEngine(hyper).retrain_lists(ds, "ab", 3) == {"A": None, "B": None}
         assert cor_engine.delta_lists(cor_engine.fit(ds), ds, "ab", 3) == {"A": None, "B": None}
         assert "zero views" in caplog.text
         for record in (vr, cr):
@@ -408,6 +406,60 @@ class TestRunVrLoo:
         base_ids = {s: rl.product_ids for s, rl in all_top_k_similar(base, 2).items()}
         delta_ids = {s: rl.product_ids for s, rl in all_top_k_similar(delta, 2).items()}
         assert base_ids == delta_ids
+
+
+corpora = st.lists(st.lists(st.sampled_from("ABCDEF"), min_size=1, max_size=6), min_size=1, max_size=8)
+
+
+def vocabulary(dataset, min_count):
+    """The products ``build_vocab`` keeps; None when it keeps none."""
+    try:
+        return frozenset(embed.build_vocab(dataset, min_count).products)
+    except EmptyVocabularyError:
+        return None
+
+
+class TestVrLostSeeds:
+    """``VrEngine.retrain_lists`` gives None for the session's own products
+    only. That is exact because leaving a session out lowers only its own
+    products' token counts: no delta gains a product, the products it loses
+    are the session's, and it keeps none only if every baseline product was
+    the session's."""
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(sessions=corpora, min_count=st.integers(1, 4))
+    def test_a_delta_loses_only_its_own_products(self, sessions, min_count):
+        ds = mk_dataset([(f"s{i}", 0, products) for i, products in enumerate(sessions)])
+        base = vocabulary(ds, min_count) or frozenset()
+        for session in ds.sessions:
+            delta = vocabulary(leave_one_out(ds, session.session_id).materialized, min_count)
+            if delta is None:
+                assert base <= session.unique_products
+            else:
+                assert delta <= base
+                assert base - delta <= session.unique_products
+
+    @settings(max_examples=12, derandomize=True, deadline=None)
+    @given(sessions=corpora, min_count=st.integers(1, 4))
+    @example(sessions=[["A", "B", "A", "B"], ["C"]], min_count=2)
+    @example(sessions=[["A", "B"]] * 4 + [["X", "A", "X"]], min_count=2)
+    def test_retrain_lists_gives_none_for_exactly_the_seeds_a_retrain_lost(self, sessions, min_count):
+        hyper = Hyperparams(dimensions=4, iterations=1, min_count=min_count, rng_seed=3)
+        ds = mk_dataset([(f"s{i}", 0, products) for i, products in enumerate(sessions)])
+        if vocabulary(ds, min_count) is None:
+            return
+        base = embed.all_top_k_similar(embed.train(ds, hyper), 3)
+        for sid in ds.by_id:
+            try:
+                model = embed.train(leave_one_out(ds, sid).materialized, hyper)
+            except EmptyVocabularyError:
+                retrained = {}
+            else:
+                retrained = embed.all_top_k_similar(model, 3)
+            lists = VrEngine(hyper).retrain_lists(ds, sid, 3)
+            lost = {seed for seed, rl in lists.items() if rl is None}
+            assert lost & base.keys() == base.keys() - retrained.keys()
+            assert {seed: rl for seed, rl in lists.items() if rl is not None} == retrained
 
 
 @pytest.mark.parametrize("engine", [CorEngine(), VrEngine(VR_HYPER)], ids=["cor", "vr"])
