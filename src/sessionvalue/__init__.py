@@ -17,7 +17,7 @@ from .corpus import (
     load_dataset,
     slice_days,
 )
-from .cor import CoocMatrix, RecommendationList, all_top_k, build_matrix
+from .cor import CoocMatrix, all_top_k, build_matrix
 from .embed import EmbeddingModel, Hyperparams, Vocabulary, all_top_k_similar, train
 from .kpi import feature_scale, snp
 from .sensitivity import (

@@ -161,7 +161,7 @@ def recommend(config_path: str, out_override: str | None, engine: str) -> None:
     write_csv(out_path, ("seed", "rank", "product", "score"), (
         (seed, rank, product, score)
         for seed in sorted(topk)
-        for rank, (product, score) in enumerate(topk[seed].items, start=1)
+        for rank, (product, score) in enumerate(topk[seed], start=1)
     ))
     summary = {"engine": engine, "n_seeds": len(topk), "recs_file": str(out_path)}
     click.echo(json_text(summary), nl=False)

@@ -6,6 +6,10 @@ counts form one table of ranked rows (``CoocMatrix``), all counted by
 ``_add_pairs``, the step ``build_matrix`` shares with the lifecycle window.
 Rankings order neighbors by decreasing count, ties broken by ascending
 product id, which makes every list totally ordered and reproducible.
+
+A ranked list, here and in every engine, is a tuple of ``(product, score)``
+pairs, best first (``Ranked``); a top-k map is ``{seed: ranked list}``, and
+``ranked_ids`` gives a list's ids. ``cor`` scores are int counts.
 """
 
 from __future__ import annotations
@@ -18,18 +22,12 @@ from .corpus import Dataset, Session
 from .errors import MatrixUnderflowError
 
 Rows = dict[str, dict[str, int]]
+Ranked = tuple[tuple[str, float], ...]
 
 
-@dataclass(frozen=True)
-class RecommendationList:
-    """Top-k alternatives for one seed, strictly ordered by (score desc, id asc)."""
-
-    seed: str
-    items: tuple[tuple[str, float], ...]
-
-    @property
-    def product_ids(self) -> tuple[str, ...]:
-        return tuple(map(itemgetter(0), self.items))
+def ranked_ids(ranked: Ranked | None) -> tuple[str, ...] | None:
+    """The ids of a ranked list, in rank order; None for no list."""
+    return None if ranked is None else tuple(map(itemgetter(0), ranked))
 
 
 @dataclass(eq=True)
@@ -77,27 +75,25 @@ def _rank_order(neighbors: list[tuple[str, float]]) -> None:
     neighbors.sort(key=itemgetter(1), reverse=True)
 
 
-def _rank(neighbors: list[tuple[str, float]], k: int | None = None) -> tuple[tuple[str, float], ...]:
+def _rank(neighbors: list[tuple[str, float]], k: int | None = None) -> Ranked:
     """The first k of ``neighbors`` in ranking order; all of them without k."""
     _rank_order(neighbors)
     return tuple(neighbors[:k])
 
 
-def all_top_k(matrix: CoocMatrix, k: int) -> dict[str, RecommendationList]:
+def all_top_k(matrix: CoocMatrix, k: int) -> dict[str, Ranked]:
     """One ranked list per observed product; a product without a pair gets an
     empty list."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     rows = matrix.rows
     return {
-        seed: RecommendationList(seed=seed, items=tuple(islice(rows.get(seed, {}).items(), k)))
+        seed: tuple(islice(rows.get(seed, {}).items(), k))
         for seed in sorted(matrix.session_membership)
     }
 
 
-def session_top_k(
-    matrix: CoocMatrix, session: Session, k: int
-) -> dict[str, RecommendationList | None]:
+def session_top_k(matrix: CoocMatrix, session: Session, k: int) -> dict[str, Ranked | None]:
     """The lists of ``session``'s products once the session is removed.
 
     Removing a session lowers only the counts of pairs inside it, so these are
@@ -108,7 +104,7 @@ def session_top_k(
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     members = session.unique_products
-    out: dict[str, RecommendationList | None] = {}
+    out: dict[str, Ranked | None] = {}
     for seed in sorted(members):
         held = matrix.session_membership.get(seed, 0)
         if held <= 0:
@@ -121,7 +117,7 @@ def session_top_k(
         row = matrix.rows.get(seed, {})
         lowered = [(p, c - 1) for p in members if p != seed and (c := row[p]) > 1]
         others = islice((n for n in row.items() if n[0] not in members), k)
-        out[seed] = RecommendationList(seed=seed, items=_rank(lowered + list(others), k))
+        out[seed] = _rank(lowered + list(others), k)
     return out
 
 

@@ -46,7 +46,7 @@ from pathlib import Path
 import numpy as np
 from numpy.ctypeslib import ndpointer
 
-from .cor import RecommendationList, _rank_order
+from .cor import Ranked, _rank_order
 from .corpus import Dataset
 from .errors import EmptyVocabularyError, KernelBuildError
 
@@ -354,9 +354,10 @@ def _norms(model: EmbeddingModel) -> np.ndarray:
     return np.sqrt(np.sum(model.vectors * model.vectors, axis=1))
 
 
-def all_top_k_similar(model: EmbeddingModel, k: int) -> dict[str, RecommendationList]:
+def all_top_k_similar(model: EmbeddingModel, k: int) -> dict[str, Ranked]:
     """One cosine ranking per vocabulary product over the rounded vectors,
-    ties by ascending product id.
+    ties by ascending product id: ``{seed: ((product, cosine), ...)}``, each
+    cosine a Python float.
 
     Each seed's cosines are one matrix-vector product, ordered by one
     ``np.lexsort`` on (cosine desc, id rank asc); the first k + 1 entries hold
@@ -373,8 +374,7 @@ def all_top_k_similar(model: EmbeddingModel, k: int) -> dict[str, Recommendation
     for i in by_id:
         sims = _cosine_sims(model, i, norms)
         first = np.lexsort((id_rank, -sims))[:k + 1].tolist()
-        items = tuple((products[j], float(sims[j])) for j in first if j != i)[:k]
-        lists[products[i]] = RecommendationList(seed=products[i], items=items)
+        lists[products[i]] = tuple((products[j], float(sims[j])) for j in first if j != i)[:k]
     return lists
 
 

@@ -1,9 +1,10 @@
 """Quantitative KPIs: hypothetic conversion rate, revenue figures, SNP, scaling.
 
 The conversion rate aggregates order/view counts over all (seed, alternative)
-pairs realized by a model's top-k lists, so it depends on the model *only*
-through those lists: two models with identical lists produce bitwise-equal
-rates on the same evaluation log. Each seed's list contributes integer counts
+pairs realized by a model's top-k lists (``{seed: ((product, score), ...)}``,
+see ``cor``), so it depends on the model *only* through those lists' ids:
+two models with the same ranked ids produce bitwise-equal rates on the same
+evaluation log. Each seed's list contributes integer counts
 of its own (``contribution``) and ``totals`` sums them, so replacing a few
 lists moves the totals by exactly those lists' contributions. A
 leave-one-out run computes its baseline's contributions once, and each
@@ -25,7 +26,7 @@ import logging
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .cor import RecommendationList
+from .cor import Ranked, ranked_ids
 from .corpus import EvalLog, Session
 
 log = logging.getLogger(__name__)
@@ -74,20 +75,18 @@ def contribution(index: EvalIndex, seed: str, ids: Sequence[str]) -> tuple[int, 
     return sum(orders.get(alt, 0) for alt in ids), index.views.get(seed, 0) * len(ids)
 
 
-def totals(
-    index: EvalIndex, lists: Mapping[str, RecommendationList | None]
-) -> tuple[int, int]:
+def totals(index: EvalIndex, lists: Mapping[str, Ranked | None]) -> tuple[int, int]:
     """(n_ordered, n_views): ``contribution`` summed over every list in
     ``lists``; a seed without a list contributes nothing."""
     n_ordered = n_views = 0
-    for seed, rl in lists.items():
-        if rl is not None:
-            ordered, views = contribution(index, seed, rl.product_ids)
+    for seed, ranked in lists.items():
+        if ranked is not None:
+            ordered, views = contribution(index, seed, ranked_ids(ranked))
             n_ordered, n_views = n_ordered + ordered, n_views + views
     return n_ordered, n_views
 
 
-def aggregate_pairs(recs: Mapping[str, RecommendationList], eval_log: EvalLog) -> PairCounts:
+def aggregate_pairs(recs: Mapping[str, Ranked], eval_log: EvalLog) -> PairCounts:
     """Count, per (seed, alternative), the eval sessions viewing the seed.
 
     A session increments n_views once per pair regardless of how often the
@@ -97,10 +96,10 @@ def aggregate_pairs(recs: Mapping[str, RecommendationList], eval_log: EvalLog) -
     acc: dict[tuple[str, str], tuple[int, int]] = {}
     for es in eval_log.sessions:
         for seed in es.viewed:
-            rl = recs.get(seed)
-            if rl is None:
+            ranked = recs.get(seed)
+            if ranked is None:
                 continue
-            for alt, _score in rl.items:
+            for alt, _score in ranked:
                 views, ordered = acc.get((seed, alt), (0, 0))
                 acc[seed, alt] = (views + 1, ordered + (alt in es.ordered))
     return PairCounts(counts=acc)

@@ -2,9 +2,9 @@
 
 A cohort session's contribution-to-visibility (CV) score counts the ordered
 (seed, recommendation) pairs of the session realized in the current model's
-top-k lists. Tracking the score over a daily-shifting activity window and
-fitting a line yields four impact classes: no impact, stable, increasing,
-decreasing.
+top-k lists, ``{seed: ((product, count), ...)}`` (see ``cor``). Tracking the
+score over a daily-shifting activity window and fitting a line yields four
+impact classes: no impact, stable, increasing, decreasing.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .atomic import write_csv
-from .cor import RecommendationList, _add_pairs, _rank
+from .cor import Ranked, _add_pairs, _rank, ranked_ids
 from .corpus import Dataset, Session, heterogeneity_ratio
 from .kpi import mean
 
@@ -72,7 +72,7 @@ class ClassStats:
     cohort_size: int
 
 
-def cv_score(session: Session, topk: Mapping[str, RecommendationList]) -> int:
+def cv_score(session: Session, topk: Mapping[str, Ranked]) -> int:
     """Ordered (seed, recommendation) pairs of the session realized in ``topk``.
 
     Both products must be in the session's unique set; (a, b) and (b, a)
@@ -81,10 +81,10 @@ def cv_score(session: Session, topk: Mapping[str, RecommendationList]) -> int:
     products = session.unique_products
     score = 0
     for seed in products:
-        rl = topk.get(seed)
-        if rl is None:
+        ranked = topk.get(seed)
+        if ranked is None:
             continue
-        for other, _ in rl.items:  # a list holds each id once
+        for other, _ in ranked:  # a list holds each id once
             if other != seed and other in products:
                 score += 1
     return score
@@ -174,7 +174,7 @@ def trajectories(dataset: Dataset, plan: FramePlan, k: int = 5) -> list[CvTrajec
     for day in by_day:
         if day < cohort_day:
             slide(day, 1)
-    topk: dict[str, RecommendationList] = {}
+    topk: dict[str, Ranked] = {}
     series: list[list[int]] = [[] for _ in cohort]
     for frame in range(1, n_frames + 1):
         end_day = cohort_day + frame - 1
@@ -183,9 +183,9 @@ def trajectories(dataset: Dataset, plan: FramePlan, k: int = 5) -> list[CvTrajec
             slide(end_day - plan.window_days, -1)
         changed: set[str] = set()  # the seeds whose ranked ids moved
         for p in moved:
-            before = topk.get(p)
-            topk[p] = rl = RecommendationList(seed=p, items=_top(counts[p], k))
-            if before is None or before.product_ids != rl.product_ids:
+            before = ranked_ids(topk.get(p))
+            topk[p] = ranked = _top(counts[p], k)
+            if before != ranked_ids(ranked):
                 changed.add(p)
         moved.clear()
         for session, scores in zip(cohort, series):

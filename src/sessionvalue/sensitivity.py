@@ -2,7 +2,8 @@
 
 ``iter_loo`` prices the sessions and ``run_loo`` collects it. It fits the
 baseline model once; per left-out session the engine gives the top-k lists
-that may differ from the baseline's, None for a seed that is gone
+(each a tuple of ``(product, score)`` pairs, see ``cor``) that may differ
+from the baseline's, None for a seed that is gone
 (``CorEngine.delta_lists``: the session's own products, re-ranked from the
 baseline counts; ``VrEngine.retrain_lists``: a full retrain's lists, and
 None for each of the session's products it lost). The harness then detects
@@ -31,7 +32,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import cor, embed
 from .atomic import write_csv
-from .cor import RecommendationList
+from .cor import Ranked, ranked_ids
 from .corpus import Dataset, EvalLog, leave_one_out
 from .errors import (
     EmptyVocabularyError,
@@ -138,7 +139,7 @@ class CorEngine:
     def fit(self, dataset: Dataset):
         return cor.build_matrix(dataset)
 
-    def top_k_map(self, model, k: int) -> dict[str, RecommendationList]:
+    def top_k_map(self, model, k: int) -> dict[str, Ranked]:
         return cor.all_top_k(model, k)
 
     def delta_lists(self, base_model, dataset: Dataset, session_id: str, k: int):
@@ -166,7 +167,7 @@ class VrEngine:
     def fit(self, dataset: Dataset):
         return embed.train(dataset, self.hyper)
 
-    def top_k_map(self, model, k: int) -> dict[str, RecommendationList]:
+    def top_k_map(self, model, k: int) -> dict[str, Ranked]:
         return embed.all_top_k_similar(model, k)
 
     def retrain_lists(self, dataset: Dataset, session_id: str, k: int):
@@ -191,7 +192,8 @@ class VrEngine:
 
 def verify_stability(dataset: Dataset, engine, k: int = 5) -> StabilityReport:
     """Train twice on identical input; stable iff dumps are byte-identical and
-    all top-k lists agree pointwise. The report names the first divergence."""
+    all top-k lists, ids and scores, agree pointwise. The report names the
+    first divergence."""
     first = engine.fit(dataset)
     second = engine.fit(dataset)
     bytes_a = engine.serialize(first)
@@ -209,29 +211,26 @@ def verify_stability(dataset: Dataset, engine, k: int = 5) -> StabilityReport:
                     ),
                 )
         return StabilityReport(stable=False, detail="serialized models differ in length")
-    diff = diff_topk(engine.top_k_map(first, k), engine.top_k_map(second, k))
-    if diff.changed:
-        return StabilityReport(
-            stable=False, detail=f"top-k lists diverge at seed {diff.changed_seeds[0]!r}"
-        )
+    lists_a, lists_b = engine.top_k_map(first, k), engine.top_k_map(second, k)
+    for seed in sorted(lists_a.keys() | lists_b.keys()):
+        if lists_a.get(seed) != lists_b.get(seed):
+            return StabilityReport(stable=False, detail=f"top-k lists diverge at seed {seed!r}")
     return StabilityReport(stable=True, detail="two runs byte-identical")
 
 
 def diff_topk(
-    base: Mapping[str, RecommendationList | None],
-    delta: Mapping[str, RecommendationList | None],
+    base: Mapping[str, Ranked | None],
+    delta: Mapping[str, Ranked | None],
     seeds: Iterable[str] | None = None,
 ) -> OutputDiff:
     """The seeds whose ranked id sequences differ, out of ``seeds`` (every seed
     of either map when None). A seed absent from a map, or None there, has no
     list, so a list on one side only is a change."""
-    def ids(rl: RecommendationList | None) -> tuple[str, ...] | None:
-        return None if rl is None else rl.product_ids
-
     if seeds is None:
         seeds = base.keys() | delta.keys()
     return OutputDiff(tuple(
-        seed for seed in sorted(seeds) if ids(base.get(seed)) != ids(delta.get(seed))
+        seed for seed in sorted(seeds)
+        if ranked_ids(base.get(seed)) != ranked_ids(delta.get(seed))
     ))
 
 
@@ -272,7 +271,7 @@ class _Baseline:
 
     @classmethod
     def build(cls, cfg: HarnessConfig, topk, eval_index: EvalIndex):
-        ids = {seed: rl.product_ids for seed, rl in topk.items()}
+        ids = {seed: ranked_ids(ranked) for seed, ranked in topk.items()}
         counts = {seed: contribution(eval_index, seed, seed_ids) for seed, seed_ids in ids.items()}
         summed = (sum(o for o, _ in counts.values()), sum(v for _, v in counts.values()))
         return cls(cfg, eval_index, ids, counts, summed, rate_from_totals(*summed))
@@ -298,8 +297,7 @@ def _price(base: _Baseline, session_id: str, lists) -> SensitivityRecord:
     n_ordered, n_views = base.totals
     changed = []
     for seed in sorted(lists):
-        ids = None if (rl := lists[seed]) is None else rl.product_ids
-        if ids != base_ids.get(seed):
+        if (ids := ranked_ids(lists[seed])) != base_ids.get(seed):
             changed.append(seed)
             ordered, views = (0, 0) if ids is None else contribution(index, seed, ids)
             old_ordered, old_views = base_counts.get(seed, (0, 0))

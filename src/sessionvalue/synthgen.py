@@ -293,11 +293,11 @@ def plant_toxic_session(
 
     candidates: list[tuple[str, str]] = []
     for seed in sorted(base_topk):
-        items = base_topk[seed].items
-        if len(items) < k or seed not in index.views:
+        ranked = base_topk[seed]
+        if len(ranked) < k or seed not in index.views:
             continue
-        kth_id, kth_count = items[-1]
-        in_list = set(base_topk[seed].product_ids)
+        kth_id, kth_count = ranked[-1]
+        in_list = {p for p, _ in ranked}
         ordered_with_seed = index.orders.get(seed, {})
         for junk in sorted(dataset.catalog.products):
             if junk == seed or junk in in_list or junk in ordered_with_seed:

@@ -49,3 +49,12 @@ def mk_eval(specs: list[tuple[str, list[str], list[str]]]) -> EvalLog:
         )
     )
 
+
+
+def assert_ranked(seed: str, ranked, score_type: type) -> None:
+    """``ranked`` is a plain tuple of (product, score) pairs, none of them ``seed``."""
+    assert type(ranked) is tuple
+    for pair in ranked:
+        assert type(pair) is tuple and len(pair) == 2
+        product, score = pair
+        assert type(product) is str and type(score) is score_type and product != seed

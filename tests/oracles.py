@@ -54,7 +54,7 @@ import numpy as np
 from scipy.special import expit
 
 from sessionvalue import kpi
-from sessionvalue.cor import CoocMatrix, RecommendationList, _rank, all_top_k, build_matrix
+from sessionvalue.cor import CoocMatrix, Ranked, _rank, all_top_k, build_matrix
 from sessionvalue.corpus import Dataset, EvalLog, Session, leave_one_out, read_jsonl, slice_days
 from sessionvalue.curve import CurvePlan, CurveRow
 from sessionvalue.embed import (
@@ -135,7 +135,7 @@ def pair_counts(dataset: Dataset) -> dict[str, dict[str, int]]:
     return rows
 
 
-def top_k(matrix: CoocMatrix, seed: str, k: int) -> RecommendationList | None:
+def top_k(matrix: CoocMatrix, seed: str, k: int) -> Ranked | None:
     """Highest-count neighbors of ``seed``, ties by ascending id; an unknown
     seed has no list (None). Reads the seed's column of every row and sorts it
     itself, so it trusts neither the seed's own row nor any row's order."""
@@ -145,19 +145,19 @@ def top_k(matrix: CoocMatrix, seed: str, k: int) -> RecommendationList | None:
         return None
     neighbors = [(p, row[seed]) for p, row in matrix.rows.items() if seed in row]
     neighbors.sort(key=lambda n: (-n[1], n[0]))
-    return RecommendationList(seed=seed, items=tuple(neighbors[:k]))
+    return tuple(neighbors[:k])
 
 
 def _rank_similar(
     model: EmbeddingModel, seed_idx: int, k: int, norms: np.ndarray
-) -> RecommendationList:
+) -> Ranked:
     sims = _cosine_sims(model, seed_idx, norms)
     products = model.vocabulary.products
     candidates = [(products[i], float(sims[i])) for i in range(len(products)) if i != seed_idx]
-    return RecommendationList(seed=products[seed_idx], items=_rank(candidates, k))
+    return _rank(candidates, k)
 
 
-def top_k_similar(model: EmbeddingModel, seed: str, k: int) -> RecommendationList | None:
+def top_k_similar(model: EmbeddingModel, seed: str, k: int) -> Ranked | None:
     """Cosine ranking over rounded vectors, ties by ascending product id; an
     unknown seed has no list (None)."""
     if k < 1:
@@ -243,10 +243,10 @@ def cv_score_scan(session: Session, topk) -> int:
     products = sorted(session.unique_products)
     score = 0
     for seed in products:
-        rl = topk.get(seed)
-        if rl is None:
+        ranked = topk.get(seed)
+        if ranked is None:
             continue
-        recommended = set(rl.product_ids)
+        recommended = {p for p, _ in ranked}
         score += sum(1 for other in products if other != seed and other in recommended)
     return score
 

@@ -81,8 +81,8 @@ def test_cor_leave_one_out_rebuild_oracle():
             assert all_top_k(incremental, 5) == rebuilt_topk
             local = session_top_k(matrix, session, 5)
             assert set(local) == session.unique_products
-            for seed, rl in local.items():
-                assert rl == rebuilt_topk.get(seed)
+            for seed, ranked in local.items():
+                assert ranked == rebuilt_topk.get(seed)
     _report("COR leave-one-out oracle (100 datasets, every session, exact)")
 
 
@@ -158,10 +158,9 @@ def test_planted_redundancy_no_output_change(benchmark_data, benchmark_rc, cor_r
 
 def test_rate_and_heterogeneity_formulas():
     """Hand-computed three-line fixtures for the two formulas."""
-    from sessionvalue.cor import RecommendationList
     from sessionvalue.corpus import heterogeneity_ratio
 
-    recs = {"A": RecommendationList(seed="A", items=(("B", 2.0), ("C", 1.0)))}
+    recs = {"A": (("B", 2.0), ("C", 1.0))}
     eval_log = mk_eval(
         [("e1", ["A"], ["B"]), ("e2", ["A"], []), ("e3", ["A"], ["C"])]
     )

@@ -5,12 +5,12 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sessionvalue.cor import CoocMatrix, all_top_k, build_matrix, dump_matrix
+from sessionvalue.cor import CoocMatrix, all_top_k, build_matrix, dump_matrix, ranked_ids
 from sessionvalue.corpus import Dataset
 from sessionvalue.errors import MatrixUnderflowError
 from sessionvalue.synthgen import GenConfig, generate
 
-from helpers import mk_catalog, mk_dataset
+from helpers import assert_ranked, mk_catalog, mk_dataset
 from oracles import pair_counts, remove_session, top_k
 
 
@@ -123,14 +123,13 @@ class TestTopK:
              ("7", 0, ["A", "D"])]
         )
         m = build_matrix(ds)
-        rl = top_k(m, "A", 2)
-        assert rl.product_ids == ("B", "C")
-        assert rl.items[0][1] == 3  # score is the raw count
+        ranked = all_top_k(m, 2)["A"]
+        assert ranked == top_k(m, "A", 2) == (("B", 3), ("C", 3))  # score is the raw count
+        assert_ranked("A", ranked, int)
 
     def test_fewer_neighbors_than_k(self):
         ds = mk_dataset([("1", 0, ["A", "B", "C", "D"])])
-        rl = top_k(build_matrix(ds), "A", 5)
-        assert len(rl.items) == 3
+        assert len(top_k(build_matrix(ds), "A", 5)) == 3
 
     def test_unknown_seed_has_no_list(self):
         ds = mk_dataset([("1", 0, ["A", "B"])])
@@ -138,8 +137,7 @@ class TestTopK:
 
     def test_seed_never_recommends_itself(self):
         ds = mk_dataset([("1", 0, ["A", "A", "B"]), ("2", 0, ["A", "C"])])
-        rl = top_k(build_matrix(ds), "A", 10)
-        assert "A" not in rl.product_ids
+        assert "A" not in ranked_ids(top_k(build_matrix(ds), "A", 10))
 
     def test_k_validation(self):
         ds = mk_dataset([("1", 0, ["A", "B"])])
@@ -164,6 +162,7 @@ class TestAllTopK:
             out = all_top_k(m, 3)
             for seed_product in m.session_membership:
                 assert out[seed_product] == top_k(m, seed_product, 3)
+                assert_ranked(seed_product, out[seed_product], int)
 
     def test_empty_matrix(self):
         assert all_top_k(CoocMatrix(), 5) == {}

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sessionvalue import embed
+from sessionvalue.cor import ranked_ids
 from sessionvalue.embed import (
     EmbeddingModel,
     Hyperparams,
@@ -24,7 +25,7 @@ from sessionvalue.embed import (
 )
 from sessionvalue.errors import EmptyVocabularyError
 
-from helpers import mk_dataset
+from helpers import assert_ranked, mk_dataset
 from oracles import initial_vectors, step, top_k_similar
 
 FAST = Hyperparams(dimensions=16, iterations=2, min_count=1, rng_seed=9)
@@ -203,23 +204,21 @@ class TestTrainedGeometry:
         ds = repeated_pairs([("A", "B", 100), ("C", "D", 100)])
         model = train(ds, Hyperparams(dimensions=16, iterations=3, min_count=1, rng_seed=2))
         ranked = top_k_similar(model, "A", 3)
-        sims = dict((p, s) for p, s in ranked.items)
+        sims = dict(ranked)
         assert sims["B"] > sims["C"]
-        assert ranked.product_ids[0] == "B"
+        assert ranked[0][0] == "B"
 
 
 class TestSimilarity:
     def test_two_entry_vocab(self):
         ds = repeated_pairs([("A", "B", 6)])
         model = train(ds, FAST)
-        rl = top_k_similar(model, "A", 5)
-        assert rl.product_ids == ("B",)
+        assert ranked_ids(top_k_similar(model, "A", 5)) == ("B",)
 
     def test_self_similarity_excluded(self):
         ds = repeated_pairs([("A", "B", 6), ("A", "C", 4)])
         model = train(ds, FAST)
-        rl = top_k_similar(model, "A", 10)
-        assert "A" not in rl.product_ids
+        assert "A" not in ranked_ids(top_k_similar(model, "A", 10))
         v = model.vectors[model.vocabulary.index["A"]]
         self_cos = float(v @ v / (np.linalg.norm(v) ** 2))
         assert self_cos == pytest.approx(1.0)
@@ -249,16 +248,16 @@ class TestSimilarity:
                 expected.append((q, cos))
             expected.sort(key=lambda t: (-t[1], t[0]))
             got = top_k_similar(model, seed, len(products))
-            assert got.product_ids == tuple(q for q, _ in expected)
-            for (qa, sa), (qb, sb) in zip(got.items, expected):
+            assert ranked_ids(got) == tuple(q for q, _ in expected)
+            for (qa, sa), (qb, sb) in zip(got, expected):
                 assert sa == pytest.approx(sb, abs=1e-12)
 
     def test_all_top_k_similar_pointwise(self):
         model = train(repeated_pairs([("A", "B", 5), ("B", "C", 4), ("A", "C", 3)]), FAST)
         out = all_top_k_similar(model, 2)
         assert sorted(out) == ["A", "B", "C"]
-        for seed, rl in out.items():
-            assert rl == top_k_similar(model, seed, 2)
+        for seed, ranked in out.items():
+            assert ranked == top_k_similar(model, seed, 2)
 
     def test_k_validation(self):
         model = train(repeated_pairs([("A", "B", 5)]), FAST)
@@ -293,7 +292,7 @@ def vector_models(draw) -> EmbeddingModel:
 
 def signed_scores(topk) -> dict:
     """Each list's scores with their sign, which ``==`` on floats ignores."""
-    return {seed: [math.copysign(1.0, score) for _, score in rl.items] for seed, rl in topk.items()}
+    return {seed: [math.copysign(1.0, score) for _, score in ranked] for seed, ranked in topk.items()}
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -311,9 +310,10 @@ def test_all_top_k_similar_equals_the_sorting_oracle(model, k):
     assert fast == oracle
     assert signed_scores(fast) == signed_scores(oracle)
     zero = {p for p, row in zip(model.vocabulary.products, model.vectors) if not row.any()}
-    for seed, rl in fast.items():
-        assert len(rl.items) == min(k, len(model.vocabulary) - 1)
-        for product, score in rl.items:
+    for seed, ranked in fast.items():
+        assert_ranked(seed, ranked, float)
+        assert len(ranked) == min(k, len(model.vocabulary) - 1)
+        for product, score in ranked:
             if seed in zero or product in zero:
                 assert (score, math.copysign(1.0, score)) == (0.0, 1.0)
 

@@ -4,8 +4,9 @@ The golden trees of ``test_golden.py`` come from ``benchmark`` (184 sessions,
 a 39-entry vocabulary) and ``smoke``. The full shape (4,500 sessions, 400
 products, 30,129 tokens) sits much closer to the edges of the byte contract:
 its smallest distance from an unrounded vector component to a rounding
-boundary is 1.6e-10 (2.2e-9 on benchmark), and its smallest cosine gap within
-a seed's top k+1 is 6.4e-6 (2.5e-4). So these tests pin its bytes too, as
+boundary is 6.68e-10 (2.2e-9 on benchmark; by ``test_kernel.py``'s
+``rounding_margin_and_drift`` on a 2-vCPU Xeon with AVX-512F), and its
+smallest cosine gap within a seed's top k+1 is 6.4e-6 (2.5e-4). So these tests pin its bytes too, as
 sha256 digests rather than 4,500-line files: the ``synth`` outputs, the
 ``cor`` model dump, top-k lists and valuation, and one ``vr`` baseline
 training with its top-k lists and its node steps. Scaling every kernel gradient by 1 + 1e-8
@@ -52,7 +53,7 @@ def topk_text(topk) -> str:
     """One ``seed product score`` line per list entry, in seed and rank
     order, each score as its shortest round-trip ``repr``."""
     return "".join(
-        f"{seed} {product} {score!r}\n" for seed in sorted(topk) for product, score in topk[seed].items
+        f"{seed} {product} {score!r}\n" for seed in sorted(topk) for product, score in topk[seed]
     )
 
 

@@ -6,7 +6,6 @@ import pytest
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from sessionvalue.cor import RecommendationList
 from sessionvalue.kpi import (
     PairCounts,
     aggregate_pairs,
@@ -23,11 +22,11 @@ from sessionvalue.kpi import (
 from helpers import mk_eval, mk_session
 
 
-def rl(seed, items):
-    return RecommendationList(seed=seed, items=tuple((p, float(i)) for i, p in enumerate(items)))
+def ranked(ids):
+    return tuple((p, float(i)) for i, p in enumerate(ids))
 
 
-RECS = {"A": rl("A", ["B", "C"])}
+RECS = {"A": ranked(["B", "C"])}
 
 
 class TestAggregatePairs:
@@ -54,7 +53,7 @@ class TestAggregatePairs:
     def test_ordered_never_exceeds_views(self):
         rng = np.random.default_rng(0)
         products = [f"p{i}" for i in range(8)]
-        recs = {p: rl(p, [q for q in products if q != p][:3]) for p in products}
+        recs = {p: ranked([q for q in products if q != p][:3]) for p in products}
         specs = []
         for i in range(50):
             viewed = [products[j] for j in rng.choice(8, size=2, replace=False)]
@@ -81,11 +80,8 @@ class TestConversionRate:
     def test_rate_depends_only_on_ranked_ids(self):
         # two models with identical lists but different scores: bitwise-equal CR
         eval_log = mk_eval([("e1", ["A"], ["B"]), ("e2", ["A", "B"], ["C"])])
-        recs_a = {"A": rl("A", ["B", "C"]), "B": rl("B", ["C"])}
-        recs_b = {
-            "A": RecommendationList(seed="A", items=(("B", 99.0), ("C", 42.0))),
-            "B": RecommendationList(seed="B", items=(("C", 7.0),)),
-        }
+        recs_a = {"A": ranked(["B", "C"]), "B": ranked(["C"])}
+        recs_b = {"A": (("B", 99.0), ("C", 42.0)), "B": (("C", 7.0),)}
         cr_a = conversion_rate(aggregate_pairs(recs_a, eval_log))
         cr_b = conversion_rate(aggregate_pairs(recs_b, eval_log))
         assert cr_a == cr_b
@@ -118,7 +114,7 @@ ALTS = VIEWED + "UV"
 )
 def test_totals_match_aggregate_pairs_oracle(lists, evals):
     """The production rate path equals the per-pair oracle, bit for bit."""
-    recs = {seed: None if alts is None else rl(seed, alts) for seed, alts in lists.items()}
+    recs = {seed: None if alts is None else ranked(alts) for seed, alts in lists.items()}
     eval_log = mk_eval([(f"e{i}", viewed, ordered) for i, (viewed, ordered) in enumerate(evals)])
     pairs = aggregate_pairs(recs, eval_log)
     got = totals(index_eval(eval_log), recs)

@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from sessionvalue.cor import RecommendationList, all_top_k, build_matrix
+from sessionvalue import lifecycle
+from sessionvalue.cor import all_top_k, build_matrix
 from sessionvalue.corpus import load_dataset
 from sessionvalue.lifecycle import (
     CvTrajectory,
@@ -20,31 +21,31 @@ from sessionvalue.lifecycle import (
 )
 from sessionvalue.synthgen import GenConfig, generate
 
-from helpers import mk_catalog, mk_dataset, mk_session
+from helpers import assert_ranked, mk_catalog, mk_dataset, mk_session
 from oracles import cv_score_scan, trajectories_rebuild
 
 BENCHMARK = Path(__file__).resolve().parent / "golden" / "benchmark"
 
 
-def rl(seed, ids):
-    return RecommendationList(seed=seed, items=tuple((p, 1.0) for p in ids))
+def ranked(ids):
+    return tuple((p, 1.0) for p in ids)
 
 
 class TestCvScore:
     def test_one_direction(self):
-        topk = {"A": rl("A", ["B", "X"]), "B": rl("B", ["C"])}
+        topk = {"A": ranked(["B", "X"]), "B": ranked(["C"])}
         assert cv_score(mk_session("s", ["A", "B"]), topk) == 1
 
     def test_both_directions(self):
-        topk = {"A": rl("A", ["B"]), "B": rl("B", ["A"])}
+        topk = {"A": ranked(["B"]), "B": ranked(["A"])}
         assert cv_score(mk_session("s", ["A", "B"]), topk) == 2
 
     def test_single_product_session(self):
-        topk = {"A": rl("A", ["B"])}
+        topk = {"A": ranked(["B"])}
         assert cv_score(mk_session("s", ["A"]), topk) == 0
 
     def test_repeat_clicks_do_not_inflate(self):
-        topk = {"A": rl("A", ["B"]), "B": rl("B", ["A"])}
+        topk = {"A": ranked(["B"]), "B": ranked(["A"])}
         assert cv_score(mk_session("s", ["A", "A", "B"]), topk) == 2
 
     def test_bounded_by_ordered_pairs(self):
@@ -114,7 +115,14 @@ class TestTrajectories:
         assert x.slope == pytest.approx(0.0, abs=1e-9)
         assert x.impact in (Impact.STABLE, Impact.NO_IMPACT)
 
-    def test_displacement_drops_score_and_slope(self):
+    def test_displacement_drops_score_and_slope(self, monkeypatch):
+        scored = []
+
+        def keep_lists(session, topk):
+            scored.append(dict(topk))
+            return cv_score(session, topk)
+
+        monkeypatch.setattr(lifecycle, "cv_score", keep_lists)
         specs = [
             ("x", 0, ["A", "B"]),
             ("d1", 1, ["D", "E"]),
@@ -128,6 +136,10 @@ class TestTrajectories:
         x = next(t for t in trajs if t.session_id == "x")
         # frame 3 pulls the injected sessions into the window: C displaces B
         assert x.scores == (2, 2, 1)
+        assert scored[0]["A"] == (("B", 1),) and scored[-1]["A"] == (("C", 3),)
+        for topk in scored:
+            for seed, pairs in topk.items():
+                assert_ranked(seed, pairs, int)
         assert x.slope < 0
         assert x.impact is Impact.DECREASING
 

@@ -30,7 +30,7 @@ from sessionvalue.sensitivity import (
     session_value,
 )
 
-from helpers import mk_dataset, mk_eval
+from helpers import assert_ranked, mk_dataset, mk_eval
 from oracles import remove_session
 
 TRAIN_PRODUCTS = "ABCDEF"
@@ -122,8 +122,10 @@ def test_session_top_k_equals_removal(sessions, k):
         after = cor.all_top_k(remove_session(matrix, session), k)
         local = cor.session_top_k(matrix, session, k)
         assert set(local) == session.unique_products
-        for seed, rl in local.items():
-            assert rl == after.get(seed)
+        for seed, ranked in local.items():
+            assert ranked == after.get(seed)
+            if ranked is not None:
+                assert_ranked(seed, ranked, int)
 
 
 def test_seed_missing_reported():

@@ -18,7 +18,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sessionvalue import cor, kpi, sensitivity
-from sessionvalue.cor import RecommendationList
 from sessionvalue.corpus import load_dataset, read_eval_log
 from sessionvalue.errors import UndefinedBaselineError
 from sessionvalue.kpi import index_eval, rate_from_totals, totals
@@ -46,27 +45,27 @@ products = st.sampled_from(PRODUCTS)
 id_lists = st.lists(products, max_size=4, unique=True)
 
 
-def ranked(seed: str, ids) -> RecommendationList:
-    return RecommendationList(seed=seed, items=tuple((p, 1.0 / (1 + i)) for i, p in enumerate(ids)))
+def ranked(ids) -> tuple[tuple[str, float], ...]:
+    return tuple((p, 1.0 / (1 + i)) for i, p in enumerate(ids))
 
 
 @st.composite
 def deltas(draw):
     """A baseline map, a delta map in drawn (not seed) order and an eval log."""
     base_ids = draw(st.dictionaries(products, id_lists))
-    base = {seed: ranked(seed, ids) for seed, ids in base_ids.items()}
+    base = {seed: ranked(ids) for seed, ids in base_ids.items()}
     delta = {}
     for seed in draw(st.lists(products, unique=True)):
-        old = base[seed].product_ids if seed in base else ()
+        old = tuple(p for p, _ in base.get(seed, ()))
         kind = draw(st.sampled_from(("lost", "unchanged", "reordered", "drawn")))
         if kind == "lost":
             delta[seed] = None
         elif kind == "unchanged":
-            delta[seed] = ranked(seed, old)
+            delta[seed] = ranked(old)
         elif kind == "reordered":
-            delta[seed] = ranked(seed, draw(st.permutations(old)))
+            delta[seed] = ranked(draw(st.permutations(old)))
         else:
-            delta[seed] = ranked(seed, draw(id_lists))
+            delta[seed] = ranked(draw(id_lists))
     evals = draw(st.lists(st.tuples(
         st.lists(st.sampled_from(EVAL_PRODUCTS), min_size=1, max_size=4),
         st.lists(st.sampled_from(EVAL_PRODUCTS), max_size=3),
@@ -79,7 +78,7 @@ def from_scratch(base, delta, index):
     """The record of ``delta`` priced with no cache: every rate from the full
     lists' totals."""
     diff = diff_topk(base, delta, delta)
-    merged = {seed: rl for seed, rl in {**base, **delta}.items() if rl is not None}
+    merged = {seed: pairs for seed, pairs in {**base, **delta}.items() if pairs is not None}
     cr_base = rate_from_totals(*totals(index, base))
     cr_delta = rate_from_totals(*totals(index, merged))
     rel = relative_cr_change(cr_base, cr_delta)
@@ -88,8 +87,8 @@ def from_scratch(base, delta, index):
 
 # One delta of every kind: A lost, B emptied, C reordered, D unchanged, E gained.
 EVERY_KIND = (
-    {seed: ranked(seed, ids) for seed, ids in zip("ABCD", ("BC", "AC", "AB", "A"))},
-    dict(E=ranked("E", "A"), D=ranked("D", "A"), C=ranked("C", "BA"), B=ranked("B", ""), A=None),
+    {seed: ranked(ids) for seed, ids in zip("ABCD", ("BC", "AC", "AB", "A"))},
+    dict(E=ranked("A"), D=ranked("A"), C=ranked("BA"), B=ranked(""), A=None),
     index_eval(mk_eval([("e0", ["A", "B", "C", "E"], ["A", "C"]), ("e1", ["D"], ["A"])])),
 )
 
@@ -101,7 +100,7 @@ def test_cached_price_equals_a_price_from_scratch(inputs):
     base, delta, index = inputs
     baseline = _Baseline.build(CFG, base, index)
     assert baseline.totals == totals(index, base)
-    assert baseline.ids == {seed: rl.product_ids for seed, rl in base.items()}
+    assert baseline.ids == {seed: tuple(p for p, _ in pairs) for seed, pairs in base.items()}
     if rate_from_totals(*totals(index, base)) == 0:
         with pytest.raises(UndefinedBaselineError):
             from_scratch(base, delta, index)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sessionvalue import embed, sensitivity
-from sessionvalue.cor import RecommendationList, all_top_k, build_matrix
+from sessionvalue.cor import all_top_k, build_matrix, ranked_ids
 from sessionvalue.corpus import Dataset, leave_one_out
 from sessionvalue.embed import Hyperparams
 from sessionvalue.errors import (
@@ -47,8 +47,27 @@ from helpers import mk_dataset, mk_eval
 from oracles import run_loo_serial
 
 
-def rl(seed, ids):
-    return RecommendationList(seed=seed, items=tuple((p, 1.0) for p in ids))
+def ranked(ids):
+    return tuple((p, 1.0) for p in ids)
+
+
+class TwoFitEngine:
+    """Both fits dump the same bytes; ``top_k_map`` gives ``first`` for the
+    first fit's model and ``second`` for the second's."""
+
+    def __init__(self, first, second):
+        self.lists = (first, second)
+        self.calls = 0
+
+    def fit(self, dataset):
+        self.calls += 1
+        return self.calls - 1
+
+    def top_k_map(self, model, k):
+        return self.lists[model]
+
+    def serialize(self, model):
+        return b"same bytes"
 
 
 def small_config(seed=7, **overrides):
@@ -99,70 +118,71 @@ class TestVerifyStability:
     def test_topk_divergence_names_first_seed(self):
         # identical dumps, different lists: the second fit ranks B's list
         # differently and gains a seed D, so the report names B, the first
-        class RerankingEngine:
-            def __init__(self):
-                self.calls = 0
+        engine = TwoFitEngine(
+            {"A": ranked(["B"]), "B": ranked(["A", "C"])},
+            {"A": ranked(["B"]), "B": ranked(["C", "A"]), "D": ranked(["A"])},
+        )
+        report = verify_stability(mk_dataset([("s", 0, ["A"])]), engine)
+        assert not report.stable
+        assert report.detail == "top-k lists diverge at seed 'B'"
 
-            def fit(self, dataset):
-                self.calls += 1
-                return self.calls
-
-            def top_k_map(self, model, k):
-                if model == 1:
-                    return {"A": rl("A", ["B"]), "B": rl("B", ["A", "C"])}
-                return {"A": rl("A", ["B"]), "B": rl("B", ["C", "A"]), "D": rl("D", ["A"])}
-
-            def serialize(self, model):
-                return b"same bytes"
-
-        report = verify_stability(mk_dataset([("s", 0, ["A"])]), RerankingEngine())
+    def test_score_divergence_is_unstable(self):
+        # identical dumps and ranked ids; the second fit scores C in B's list
+        # lower, and recs_*.csv would write that score
+        engine = TwoFitEngine(
+            {"A": (("B", 0.5),), "B": (("A", 0.5), ("C", 0.25))},
+            {"A": (("B", 0.5),), "B": (("A", 0.5), ("C", 0.125))},
+        )
+        report = verify_stability(mk_dataset([("s", 0, ["A"])]), engine)
         assert not report.stable
         assert report.detail == "top-k lists diverge at seed 'B'"
 
 
 class TestDiffTopk:
     def test_identical_maps(self):
-        base = {"A": rl("A", ["B", "C"]), "B": rl("B", ["A"])}
+        base = {"A": ranked(["B", "C"]), "B": ranked(["A"])}
         diff = diff_topk(base, dict(base))
         assert not diff.changed
         assert diff.n_changed_seeds == 0
 
     def test_reorder_detected(self):
-        base = {"A": rl("A", ["B", "C"])}
-        delta = {"A": rl("A", ["C", "B"])}
+        base = {"A": ranked(["B", "C"])}
+        delta = {"A": ranked(["C", "B"])}
         diff = diff_topk(base, delta)
         assert diff.changed
         assert diff.changed_seeds == ("A",)
 
     def test_membership_change_detected(self):
-        base = {"A": rl("A", ["B", "C"])}
-        delta = {"A": rl("A", ["B", "D"])}
+        base = {"A": ranked(["B", "C"])}
+        delta = {"A": ranked(["B", "D"])}
         diff = diff_topk(base, delta)
         assert diff.changed_seeds == ("A",)
 
     def test_seed_missing_counts_as_changed(self):
-        base = {"A": rl("A", ["B"]), "B": rl("B", ["A"])}
-        delta = {"A": rl("A", ["B"])}
+        base = {"A": ranked(["B"]), "B": ranked(["A"])}
+        delta = {"A": ranked(["B"])}
         diff = diff_topk(base, delta)
         assert diff.changed
         assert diff.changed_seeds == ("B",)
-        assert diff_topk(base, {"A": rl("A", ["B"]), "B": None}).changed_seeds == ("B",)
+        assert diff_topk(base, {"A": ranked(["B"]), "B": None}).changed_seeds == ("B",)
+        assert ranked_ids(None) is None
+        assert ranked_ids(ranked(["B", "A"])) == ("B", "A")
 
     def test_extra_delta_seed_counts_as_changed(self):
-        base = {"A": rl("A", ["B"])}
-        delta = {"A": rl("A", ["B"]), "Z": rl("Z", ["A"])}
+        base = {"A": ranked(["B"])}
+        delta = {"A": ranked(["B"]), "Z": ranked(["A"])}
         diff = diff_topk(base, delta)
         assert diff.changed
         assert diff.changed_seeds == ("Z",)
 
     def test_scores_ignored(self):
-        base = {"A": RecommendationList(seed="A", items=(("B", 3.0),))}
-        delta = {"A": RecommendationList(seed="A", items=(("B", 2.0),))}
+        base = {"A": (("B", 3.0),)}
+        delta = {"A": (("B", 2.0),)}
         assert not diff_topk(base, delta).changed
 
     def test_only_given_seeds_compared(self):
-        base = {"A": rl("A", ["B"]), "B": rl("B", ["A"]), "C": rl("C", ["A"])}
-        delta = {"A": rl("A", ["C"]), "B": rl("B", ["C"])}
+        base = {"A": ranked(["B"]), "B": ranked(["A"]), "C": ranked(["A"])}
+        delta = {"A": ranked(["C"]), "B": ranked(["C"])}
         assert diff_topk(base, delta).changed_seeds == ("A", "B", "C")
         assert diff_topk(base, delta, ["B"]).changed_seeds == ("B",)
         assert diff_topk(base, delta, {"C", "A"}).changed_seeds == ("A", "C")
@@ -403,8 +423,8 @@ class TestRunVrLoo:
             ),
             hyper,
         )
-        base_ids = {s: rl.product_ids for s, rl in all_top_k_similar(base, 2).items()}
-        delta_ids = {s: rl.product_ids for s, rl in all_top_k_similar(delta, 2).items()}
+        base_ids = {s: ranked_ids(pairs) for s, pairs in all_top_k_similar(base, 2).items()}
+        delta_ids = {s: ranked_ids(pairs) for s, pairs in all_top_k_similar(delta, 2).items()}
         assert base_ids == delta_ids
 
 
@@ -457,9 +477,9 @@ class TestVrLostSeeds:
             else:
                 retrained = embed.all_top_k_similar(model, 3)
             lists = VrEngine(hyper).retrain_lists(ds, sid, 3)
-            lost = {seed for seed, rl in lists.items() if rl is None}
+            lost = {seed for seed, pairs in lists.items() if pairs is None}
             assert lost & base.keys() == base.keys() - retrained.keys()
-            assert {seed: rl for seed, rl in lists.items() if rl is not None} == retrained
+            assert {seed: pairs for seed, pairs in lists.items() if pairs is not None} == retrained
 
 
 @pytest.mark.parametrize("engine", [CorEngine(), VrEngine(VR_HYPER)], ids=["cor", "vr"])

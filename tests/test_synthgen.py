@@ -5,7 +5,7 @@ import io
 import pytest
 
 from sessionvalue import synthgen
-from sessionvalue.cor import all_top_k, build_matrix, session_top_k
+from sessionvalue.cor import all_top_k, build_matrix, ranked_ids, session_top_k
 from sessionvalue.corpus import Dataset, EvalLog, EvalSession, write_sessions
 from sessionvalue.embed import Hyperparams
 from sessionvalue.errors import PlantFailedError, UnknownSessionError
@@ -145,7 +145,7 @@ class TestToxicPlant:
         matrix = build_matrix(with_plant)
         base = all_top_k(matrix, 5)[seed]
         delta = session_top_k(matrix, with_plant.by_id[toxic_id], 5)[seed]
-        assert set(base.product_ids) != set(delta.product_ids)
+        assert set(ranked_ids(base)) != set(ranked_ids(delta))
 
     def test_eval_log_without_orders_has_no_rate_to_corrupt(self):
         ds, ev, truth = generate(small_config())
@@ -185,8 +185,8 @@ class TestToxicPlant:
         base = all_top_k(build_matrix(ds), 3)
         plant = synthgen._plant_session("toxic-000", "A", "j0", ds.max_day)
         with_plant = all_top_k(build_matrix(Dataset(sessions=ds.sessions + (plant,), catalog=ds.catalog)), 3)
-        assert base["A"].product_ids == ("B", "C", "z")
-        assert with_plant["A"].product_ids == ("B", "C", "j0")
+        assert ranked_ids(base["A"]) == ("B", "C", "z")
+        assert ranked_ids(with_plant["A"]) == ("B", "C", "j0")
         cr_base = conversion_rate(aggregate_pairs(base, ev))
         cr_with = conversion_rate(aggregate_pairs(with_plant, ev))
         assert 0 < (cr_base - cr_with) / cr_with < TOXIC_MIN_REL_GAIN
@@ -266,14 +266,14 @@ class TestDuplicatePlant:
         planted = _with_clones(ds, ds.by_id["a1"], 2)
         # (A,B) = 5, (A,C) = 1: removing one clone keeps B on top everywhere
         ids_before = {
-            s: rl.product_ids for s, rl in all_top_k(build_matrix(planted), 5).items()
+            s: ranked_ids(ranked) for s, ranked in all_top_k(build_matrix(planted), 5).items()
         }
         without = Dataset(
             sessions=tuple(s for s in planted.sessions if s.session_id != "a1-dup00"),
             catalog=planted.catalog,
         )
         ids_after = {
-            s: rl.product_ids for s, rl in all_top_k(build_matrix(without), 5).items()
+            s: ranked_ids(ranked) for s, ranked in all_top_k(build_matrix(without), 5).items()
         }
         assert ids_before == ids_after
 
